@@ -22,7 +22,7 @@ import numpy as np
 
 from .generators import Trajectory, UnitaryControl, apply_generator
 from .matcore import hs_norm
-from .memory import DissipationMemory, MemoryFunctions
+from .memory import MemoryFunctions
 
 #: Bisection bracket (in units of 1/coupling) for inverting the dephasing exponent.
 BISECTION_SPAN = 1e3
@@ -286,20 +286,14 @@ def quantumness_dissipation(theta: float, b: float, c: float) -> float:
     )
 
 
-def speed_dissipation(theta: float, t: float, m: DissipationMemory) -> float:
-    """Closed-form generation speed of the dissipation model at grid time ``t``."""
-    idx = m.index_of(t)
-    p = complex(m.p_samples[idx])
-    b = float(m.b[idx])
-    c = float(m.c[idx])
-    d = float(m.d[idx])
+def speed_dissipation(theta: float, t: float, m: MemoryFunctions) -> float:
+    """Closed-form generation speed of the dissipation model at time ``t``."""
+    p = m.p(t)
+    xi = m.xi(t)
     s2 = math.sin(2.0 * theta)
     cos2 = math.cos(theta) ** 2
-    term = p * np.exp(-b - 1j * c) * math.cos(2.0 * theta) - 2.0 * math.exp(-2.0 * b) * (
-        p + p.conjugate()
-    ) * cos2
-    val_sq = 0.5 * s2**2 * (abs(d * s2) ** 2 + abs(term) ** 2)
-    return math.sqrt(max(float(val_sq), 0.0))
+    term = p * math.exp(-xi) * math.cos(2.0 * theta) - 4.0 * p * math.exp(-2.0 * xi) * cos2
+    return abs(s2 * term) / math.sqrt(2.0)
 
 
 def tau_b_fidelity(traj: Trajectory, tau: float, denominator: str = "initial") -> float:
@@ -414,52 +408,3 @@ def quarter_theta_unitary_report(alpha_rate: float, tau: float, grid_points: int
         "closed_form_sin_alpha_over_rate": abs(math.sin(alpha_tau)) / abs(alpha_rate),
     }
 
-
-def bound_report(
-    traj: Trajectory,
-    q_target: float,
-    model: str,
-    params: dict,
-    tau_q_closed: Optional[float] = None,
-    with_tau_b: bool = True,
-    with_tau_b_avg: bool = True,
-) -> BoundReport:
-    """Evaluate all applicable timescales for one target on one trajectory."""
-    crossing = first_crossing_time(traj, q_target)
-    if not crossing.reached:
-        return BoundReport(
-            model=model,
-            params=params,
-            q_target=q_target,
-            reached=False,
-            tau_exact=None,
-            tau_q_numeric=None,
-            tau_q_closed=tau_q_closed,
-            tau_b=None,
-            tau_b_avg=None,
-        )
-    tau = crossing.time
-    tau_q = tau_q_at_crossing(traj, crossing)
-    tau_b = None
-    tau_b_avg = None
-    if with_tau_b:
-        try:
-            tau_b = tau_b_fidelity(traj, tau, denominator="initial")
-        except ValueError:
-            tau_b = None
-    if with_tau_b_avg:
-        try:
-            tau_b_avg = tau_b_fidelity(traj, tau, denominator="averaged")
-        except ValueError:
-            tau_b_avg = None
-    return BoundReport(
-        model=model,
-        params=params,
-        q_target=q_target,
-        reached=True,
-        tau_exact=tau,
-        tau_q_numeric=tau_q,
-        tau_q_closed=tau_q_closed,
-        tau_b=tau_b,
-        tau_b_avg=tau_b_avg,
-    )

@@ -2,7 +2,9 @@
 
 Subcommands emit plot-ready CSV files (one header line, 17-significant-
 digit scientific notation, ``NA`` for unreached targets) or, for
-``validate``, a pass/fail report with exit status 0/1.
+``validate``, a pass/fail report with exit status 0/1.  Rejected input
+and failed runs end with one ``qslkit: error: ...`` line on stderr and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -13,6 +15,30 @@ import math
 import sys
 
 from . import harness
+from .generators import PositivityLossError
+from .memory import RiccatiBlowupError
+
+#: Figure subcommands: name -> (help, description).  Each runs the harness function of that name.
+FIGURES = {
+    "fig1": (
+        "memoryless dephasing: tau_Q and tau_B vs Q for three initial angles",
+        "Columns: theta, gamma_ratio (inf), q_target, tau_exact, tau_q_numeric, tau_q_closed, tau_b.",
+    ),
+    "fig2": (
+        "finite-memory dephasing: tau_Q vs Q across memory ratios (theta = pi/5)",
+        "Columns: theta, gamma_ratio, q_target, tau_exact, tau_q_numeric, "
+        "tau_q_closed, tau_b_avg. The fidelity-bound column uses the "
+        "time-averaged denominator variant (the literal initial-state "
+        "denominator vanishes for this kernel). Targets are shared across "
+        "memory ratios.",
+    ),
+    "fig3": (
+        "finite-memory dissipation: tau_Q vs Q across memory ratios (theta = pi/4)",
+        "Columns: theta, gamma_ratio, q_target, tau_exact, tau_q_numeric, "
+        "tau_q_closed (NA: no closed form), tau_b_avg. Targets are shared "
+        "across memory ratios.",
+    ),
+}
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -36,37 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
-        "fig1",
-        parents=[common],
-        help="memoryless dephasing: tau_Q and tau_B vs Q for three initial angles",
-        description=(
-            "Columns: theta, gamma_ratio (inf), q_target, tau_exact, tau_q_numeric, "
-            "tau_q_closed, tau_b."
-        ),
-    )
-    sub.add_parser(
-        "fig2",
-        parents=[common],
-        help="finite-memory dephasing: tau_Q vs Q across memory ratios (theta = pi/5)",
-        description=(
-            "Columns: theta, gamma_ratio, q_target, tau_exact, tau_q_numeric, "
-            "tau_q_closed, tau_b_avg. The fidelity-bound column uses the "
-            "time-averaged denominator variant (the literal initial-state "
-            "denominator vanishes for this kernel). Targets are shared across "
-            "memory ratios."
-        ),
-    )
-    sub.add_parser(
-        "fig3",
-        parents=[common],
-        help="finite-memory dissipation: tau_Q vs Q across memory ratios (theta = pi/4)",
-        description=(
-            "Columns: theta, gamma_ratio, q_target, tau_exact, tau_q_numeric, "
-            "tau_q_closed (NA: no closed form), tau_b_avg. Targets are shared "
-            "across memory ratios."
-        ),
-    )
+    for name, (help_text, description) in FIGURES.items():
+        sub.add_parser(name, parents=[common], help=help_text, description=description)
 
     ghz = sub.add_parser(
         "ghz",
@@ -86,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Config keys: model (unitary2l|stirap|dephasing|dissipation|ghz), theta, "
             "Gamma, gamma (ratio gamma/Gamma), markov, tau_max, grid_points, q_grid, "
-            "n, seed, theta0, theta_rate, alpha0, alpha_rate. Unknown keys are "
+            "n, theta0, theta_rate, alpha0, alpha_rate. Unknown keys are "
             "rejected. CSV columns: model, theta, gamma_ratio, q_target, tau_exact, "
             "tau_q_numeric, tau_q_closed, tau_b, tau_b_avg."
         ),
@@ -107,37 +104,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, RiccatiBlowupError, PositivityLossError, OSError) as err:
+        print(f"qslkit: error: {err}", file=sys.stderr)
+        return 2
 
-    if args.command == "fig1":
-        out = args.out or "fig1.csv"
-        kw = {}
-        if args.grid_points:
-            kw["grid_points"] = args.grid_points
-        if args.tau_max:
-            kw["tau_max"] = args.tau_max
-        rows = harness.fig1(out, **kw)
-        print(f"wrote {out} ({len(rows)} rows)")
-        return 0
 
-    if args.command == "fig2":
-        out = args.out or "fig2.csv"
-        kw = {}
-        if args.grid_points:
-            kw["grid_points"] = args.grid_points
-        if args.tau_max:
-            kw["tau_max"] = args.tau_max
-        rows = harness.fig2(out, **kw)
-        print(f"wrote {out} ({len(rows)} rows)")
-        return 0
+def _run(args: argparse.Namespace) -> int:
+    overrides = {
+        name: value
+        for name, value in (("grid_points", args.grid_points), ("tau_max", args.tau_max))
+        if value is not None
+    }
 
-    if args.command == "fig3":
-        out = args.out or "fig3.csv"
-        kw = {}
-        if args.grid_points:
-            kw["grid_points"] = args.grid_points
-        if args.tau_max:
-            kw["tau_max"] = args.tau_max
-        rows = harness.fig3(out, **kw)
+    if args.command in FIGURES:
+        out = args.out or f"{args.command}.csv"
+        rows = getattr(harness, args.command)(out, **overrides)
         print(f"wrote {out} ({len(rows)} rows)")
         return 0
 
@@ -161,12 +144,8 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         cfg = harness.ScenarioConfig.from_json(args.config)
-        if args.grid_points:
-            cfg.grid_points = args.grid_points
-            cfg.validate()
-        if args.tau_max:
-            cfg.tau_max = args.tau_max
-            cfg.validate()
+        for name, value in overrides.items():
+            setattr(cfg, name, value)  # run_to_files validates before it writes anything
         out = args.out or "run.csv"
         result = harness.run_to_files(cfg, out, report_path=args.report)
         print(f"wrote {out} ({len(result.reports)} targets, q_max={result.diagnostics['q_max']:.6g})")

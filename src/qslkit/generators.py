@@ -5,8 +5,8 @@ Four families of master-equation generators ``L`` with
 
 * driven two-level unitary dynamics (two-angle control),
 * three-level adiabatic-passage unitary dynamics,
-* pure dephasing with an exponential-kernel memory,
-* energy dissipation with a Riccati memory function.
+* pure dephasing and energy dissipation, both with the exponential-kernel
+  memory of :class:`MemoryFunctions`, read in closed form at any time.
 
 Propagation uses classical fourth-order fixed steps on a uniform grid so
 that the trajectory shares its sampling with the time averages taken by
@@ -34,11 +34,14 @@ from .matcore import (
     hs_norm,
     min_eigenvalue,
 )
-from .memory import GRID_MATCH_TOL, DissipationMemory, MemoryFunctions
+from .memory import MemoryFunctions
 from .witness import quantumness
 
 #: Propagation aborts once the smallest eigenvalue drops below -POSITIVITY_ABORT.
 POSITIVITY_ABORT = 1e-6
+
+#: Relative tolerance for matching query times against a uniform grid.
+GRID_MATCH_TOL = 1e-9
 
 _SIGMA_PM = SIGMA_PLUS @ SIGMA_MINUS  # |1><1| projector
 
@@ -245,17 +248,12 @@ class Dephasing:
 class Dissipation:
     """Energy relaxation ``L rho = P(t) [sigma_- rho, sigma_+] + h.c.``."""
 
-    memory: DissipationMemory
+    memory: MemoryFunctions
     dim: int = 2
 
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
-        p = self.memory.p_at(t)
-        pc = p.conjugate()
-        return (
-            (p + pc) * (SIGMA_MINUS @ rho @ SIGMA_PLUS)
-            - p * (_SIGMA_PM @ rho)
-            - pc * (rho @ _SIGMA_PM)
-        )
+        p = self.memory.p(t)
+        return 2.0 * p * (SIGMA_MINUS @ rho @ SIGMA_PLUS) - p * (_SIGMA_PM @ rho) - p * (rho @ _SIGMA_PM)
 
 
 Generator = Union[UnitaryTwoLevel, Stirap, Dephasing, Dissipation]
@@ -374,18 +372,17 @@ def dephasing_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.n
     return np.array([[c * c, off], [off, s * s]], dtype=complex)
 
 
-def dissipation_closed_state(theta: float, tau: float, m: DissipationMemory) -> np.ndarray:
+def dissipation_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.ndarray:
     """Closed-form dissipated state of ``cos(theta)|1> + sin(theta)|0>``.
 
-    The excited population decays as ``exp(-2 Re xi)`` and the coherence
-    as ``exp(-xi)``, with ``xi`` the running integral of the memory
-    function taken from the stored samples (``tau`` must be on the grid).
+    The excited population decays as ``exp(-2 xi)`` and the coherence as
+    ``exp(-xi)``, with ``xi`` the running integral of the memory function.
     """
-    xi = m.xi_at(tau)
+    xi = m.xi(tau)
     s, c = math.sin(theta), math.cos(theta)
-    pop = c * c * math.exp(-2.0 * xi.real)
-    coh = s * c * np.exp(-xi)
-    return np.array([[pop, coh], [np.conj(coh), 1.0 - pop]], dtype=complex)
+    pop = c * c * math.exp(-2.0 * xi)
+    coh = s * c * math.exp(-xi)
+    return np.array([[pop, coh], [coh, 1.0 - pop]], dtype=complex)
 
 
 def ghz_dephased_state(theta: float, n: int, beta: float) -> np.ndarray:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -43,13 +45,7 @@ from .generators import (
     unitary_state,
 )
 from .matcore import from_pure, hermiticity_defect, min_eigenvalue, purity
-from .memory import (
-    MemoryFunctions,
-    OUParams,
-    default_riccati_step,
-    markov_dissipation,
-    riccati_p,
-)
+from .memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from .witness import (
     pure_state_quantumness,
     quantumness,
@@ -84,7 +80,6 @@ class ScenarioConfig:
     grid_points: int = 2001
     q_grid: int = 20
     n: int = 1
-    seed: int = 0
     theta0: float = 0.0
     theta_rate: float = 0.5
     alpha0: float = 0.0
@@ -111,6 +106,20 @@ class ScenarioConfig:
         return cls.from_dict(raw)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" or (f.type == "Optional[float]" and value is None):
+                continue
+            if f.type == "bool":
+                ok, kind = isinstance(value, bool), "a bool"
+            elif f.type == "int":
+                ok, kind = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+            else:
+                # the comparison also rejects NaN and integers beyond the float range
+                ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+                kind = "a finite number"
+            if not ok:
+                raise ValueError(f"invalid field {f.name!r}: must be {kind}, got {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"invalid field 'model': {self.model!r} (choose from {MODELS})")
         if not self.tau_max > 0.0:
@@ -127,6 +136,18 @@ class ScenarioConfig:
             raise ValueError(f"invalid field 'n': must be >= 1, got {self.n}")
         if self.model in ("dephasing", "dissipation", "ghz") and not self.markov and self.gamma is None:
             raise ValueError("invalid field 'gamma': required unless markov is true")
+        if self.model == "dissipation" and not self.markov:
+            try:
+                self._memory().p(self.tau_max)
+            except RiccatiBlowupError as err:
+                raise ValueError(f"invalid field 'tau_max': {self.tau_max} is past the memory horizon: {err}") from None
+
+    def _memory(self) -> MemoryFunctions:
+        """Bath memory of the open-system models (coupling scaled by ``n^2`` for ``ghz``)."""
+        coupling = self.Gamma * (self.n * self.n if self.model == "ghz" else 1.0)
+        if self.markov:
+            return MemoryFunctions.markov_limit(coupling)
+        return MemoryFunctions(OUParams(coupling, self.gamma * self.Gamma))
 
     @property
     def gamma_ratio(self) -> float:
@@ -146,18 +167,6 @@ class ScenarioResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _dissipation_grids(cfg: ScenarioConfig, params: OUParams) -> tuple[np.ndarray, np.ndarray]:
-    """Propagation grid plus half-step memory grid satisfying the step rule."""
-    n = cfg.grid_points
-    if not cfg.markov:
-        h_mem = default_riccati_step(params)
-        n_min = int(math.ceil(cfg.tau_max / (2.0 * h_mem))) + 1
-        n = max(n, n_min)
-    grid = np.linspace(0.0, cfg.tau_max, n)
-    mem_grid = np.linspace(0.0, cfg.tau_max, 2 * n - 1)
-    return grid, mem_grid
-
-
 def build_scenario(cfg: ScenarioConfig):
     """Construct (generator, rho0, grid, closed_tau_q) for a config.
 
@@ -168,24 +177,18 @@ def build_scenario(cfg: ScenarioConfig):
     grid = np.linspace(0.0, cfg.tau_max, cfg.grid_points)
     closed: Callable[[float, float], Optional[float]] = lambda q, tau: None
 
-    if cfg.model in ("dephasing", "ghz"):
-        coupling = cfg.Gamma * (cfg.n * cfg.n if cfg.model == "ghz" else 1.0)
-        if cfg.markov:
-            mem = MemoryFunctions.markov_limit(coupling)
-        else:
-            mem = MemoryFunctions(OUParams(coupling, cfg.gamma * cfg.Gamma))
-        gen = Dephasing(mem)
+    if cfg.model in ("dephasing", "ghz", "dissipation"):
+        mem = cfg._memory()
         rho0 = from_pure([math.cos(cfg.theta), math.sin(cfg.theta)])
+        if cfg.model == "dissipation":
+            if not cfg.markov:
+                # the step resolves both rates: h <= 1 / (25 max(gamma, Gamma))
+                h_max = 1.0 / (25.0 * max(mem.params.memory_rate, cfg.Gamma))
+                n = max(cfg.grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
+                grid = np.linspace(0.0, cfg.tau_max, n)
+            return Dissipation(mem), rho0, grid, closed
         closed = lambda q, tau: tau_q_dephasing(q, cfg.theta, mem)  # noqa: E731
-        return gen, rho0, grid, closed
-
-    if cfg.model == "dissipation":
-        params = OUParams(cfg.Gamma, math.inf if cfg.markov else cfg.gamma * cfg.Gamma)
-        grid, mem_grid = _dissipation_grids(cfg, params)
-        mem = markov_dissipation(mem_grid, params) if cfg.markov else riccati_p(mem_grid, params)
-        gen = Dissipation(mem)
-        rho0 = from_pure([math.cos(cfg.theta), math.sin(cfg.theta)])
-        return gen, rho0, grid, closed
+        return Dephasing(mem), rho0, grid, closed
 
     control = UnitaryControl.constant(
         theta_rate=cfg.theta_rate,
@@ -282,10 +285,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.model == "dissipation":
         mem = gen.memory
         diagnostics.update(
-            p_end=complex(mem.p_samples[-1]),
+            p_end=mem.p(cfg.tau_max),
             p_inf_markov=0.5 * cfg.Gamma,
-            b_monotone=mem.b_monotone,
-            max_abs_im_p=mem.max_abs_im_p,
+            memory_horizon=mem.horizon if math.isfinite(mem.horizon) else None,
         )
     return ScenarioResult(cfg, traj, reports, diagnostics)
 
@@ -314,8 +316,7 @@ def write_csv(path: str, header: list, rows: list) -> None:
 
 
 FIG1_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b"]
-FIG2_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b_avg"]
-FIG3_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b_avg"]
+SWEEP_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b_avg"]
 RUN_HEADER = [
     "model",
     "theta",
@@ -353,57 +354,39 @@ def fig1(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: i
     return rows
 
 
-def _memory_sweep(
-    model: str,
-    theta: float,
-    gamma_ratios,
-    grid_points: int,
-    tau_max: float,
-    q_grid: int,
-):
-    """Shared machinery of the two memory-parameter sweeps.
+def _memory_sweep(out_path: str, model: str, theta: float, grid_points: int, tau_max: float, q_grid: int) -> list:
+    """Sweep the memory ratio of one open-system model at a fixed angle; write and return the rows.
 
-    Targets are common across the memory ratios (capped by the slowest
-    trajectory) so rows are directly comparable curve against curve.
+    Every ratio is validated before any is propagated.  Targets are common
+    across the memory ratios (capped by the slowest trajectory) so rows are
+    directly comparable curve against curve.  The fidelity-bound column
+    uses the time-averaged denominator variant: the literal initial-state
+    denominator vanishes identically for this kernel (zero rate at
+    ``t = 0``).
     """
-    built = []
-    for ratio in gamma_ratios:
-        cfg = ScenarioConfig(
-            model=model,
-            theta=theta,
-            gamma=ratio,
-            tau_max=tau_max,
-            grid_points=grid_points,
-            q_grid=q_grid,
-        )
-        gen, rho0, grid, closed = build_scenario(cfg)
-        traj = propagate(gen, rho0, grid)
-        built.append((ratio, traj, closed))
-    q_max_common = min(float(np.max(traj.q_samples)) for _, traj, _ in built)
-    targets = auto_targets(q_max_common, q_grid)
-    return built, targets
-
-
-def fig2(out_path: str, grid_points: int = 4001, tau_max: float = 5.0, q_grid: int = 20) -> list:
-    """Finite-memory dephasing sweep at a fixed initial angle.
-
-    The companion fidelity-bound column uses the time-averaged
-    denominator variant: the literal initial-state denominator vanishes
-    identically for this kernel (zero rate at ``t = 0``).
-    """
-    theta = math.pi / 5.0
-    built, targets = _memory_sweep("dephasing", theta, SWEEP_GAMMA_RATIOS, grid_points, tau_max, q_grid)
+    configs = [
+        ScenarioConfig(model=model, theta=theta, gamma=ratio, tau_max=tau_max, grid_points=grid_points, q_grid=q_grid)
+        for ratio in SWEEP_GAMMA_RATIOS
+    ]
+    built = [build_scenario(cfg) for cfg in configs]
+    trajectories = [propagate(gen, rho0, grid) for gen, rho0, grid, _ in built]
+    targets = auto_targets(min(float(np.max(traj.q_samples)) for traj in trajectories), q_grid)
     rows = []
-    for ratio, traj, closed in built:
+    for cfg, traj, (_, _, _, closed) in zip(configs, trajectories, built):
         reports = evaluate_targets(
-            traj, targets, "dephasing", {"theta": theta, "gamma_ratio": ratio}, closed, with_tau_b=False
+            traj, targets, model, {"theta": theta, "gamma_ratio": cfg.gamma}, closed, with_tau_b=False
         )
         for rep in reports:
             rows.append(
-                [theta, ratio, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b_avg]
+                [theta, cfg.gamma, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b_avg]
             )
-    write_csv(out_path, FIG2_HEADER, rows)
+    write_csv(out_path, SWEEP_HEADER, rows)
     return rows
+
+
+def fig2(out_path: str, grid_points: int = 4001, tau_max: float = 5.0, q_grid: int = 20) -> list:
+    """Finite-memory dephasing sweep at ``theta = pi/5``."""
+    return _memory_sweep(out_path, "dephasing", math.pi / 5.0, grid_points, tau_max, q_grid)
 
 
 def fig3(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: int = 20) -> list:
@@ -412,19 +395,7 @@ def fig3(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: i
     No closed-form bound exists for dissipation, so that column is ``NA``
     and the numeric route carries the comparison.
     """
-    theta = math.pi / 4.0
-    built, targets = _memory_sweep("dissipation", theta, SWEEP_GAMMA_RATIOS, grid_points, tau_max, q_grid)
-    rows = []
-    for ratio, traj, closed in built:
-        reports = evaluate_targets(
-            traj, targets, "dissipation", {"theta": theta, "gamma_ratio": ratio}, closed, with_tau_b=False
-        )
-        for rep in reports:
-            rows.append(
-                [theta, ratio, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b_avg]
-            )
-    write_csv(out_path, FIG3_HEADER, rows)
-    return rows
+    return _memory_sweep(out_path, "dissipation", math.pi / 4.0, grid_points, tau_max, q_grid)
 
 
 def run_to_files(cfg: ScenarioConfig, out_path: str, report_path: Optional[str] = None) -> ScenarioResult:
@@ -450,9 +421,7 @@ def run_to_files(cfg: ScenarioConfig, out_path: str, report_path: Optional[str] 
     if report_path is not None:
         payload = {
             "config": dataclasses.asdict(cfg),
-            "diagnostics": {
-                k: (repr(v) if isinstance(v, complex) else v) for k, v in result.diagnostics.items()
-            },
+            "diagnostics": result.diagnostics,
             "reports": [
                 {
                     "q_target": rep.q_target,
@@ -654,7 +623,6 @@ def _random_scenario(seed: int, index: int) -> ScenarioConfig:
             theta_rate=theta_target / tau_max,
             alpha0=float(rng.uniform(0.0, 2.0 * math.pi)),
             alpha_rate=alpha_rate,
-            seed=index,
         )
     # resolve the initial rise of the memory rate (timescale 1/gamma) so the
     # trapezoidal speed average keeps the speed-limit check well inside 1e-4
@@ -665,7 +633,6 @@ def _random_scenario(seed: int, index: int) -> ScenarioConfig:
         gamma=gamma,
         tau_max=3.0,
         grid_points=grid_points,
-        seed=index,
     )
 
 
@@ -766,12 +733,9 @@ def _check_oracle_equivalence() -> list:
                 closed = dephasing_closed_state(theta, tau, mem)
                 worst = max(worst, float(np.max(np.abs(closed - traj.state_at(tau)))))
 
-            params = OUParams(1.0, math.inf if markov else gamma)
-            mem_grid = np.linspace(0.0, tau_max, 2 * n - 1)
-            dmem = markov_dissipation(mem_grid, params) if markov else riccati_p(mem_grid, params)
-            traj = propagate(Dissipation(dmem), rho0, grid)
+            traj = propagate(Dissipation(mem), rho0, grid)
             for tau in (0.5 * tau_max, tau_max):
-                closed = dissipation_closed_state(theta, tau, dmem)
+                closed = dissipation_closed_state(theta, tau, mem)
                 worst = max(worst, float(np.max(np.abs(closed - traj.state_at(tau)))))
     return [
         PropertyCheck(

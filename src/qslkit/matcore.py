@@ -63,15 +63,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def normalize_state(v) -> np.ndarray:
-    """Return the unit-norm copy of a state vector."""
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return vec / norm
-
-
 def from_pure(v) -> np.ndarray:
     """Rank-one projector ``|v><v|`` of a normalized state vector.
 

@@ -7,33 +7,24 @@ overall system-bath coupling rate and ``gamma`` the inverse memory time
 strongly non-Markovian).
 
 Pure dephasing only needs the accumulated kernel ``gbar`` and its time
-integral.  Energy dissipation needs the auxiliary function ``P(t)``
-obeying the scalar Riccati equation
+integral.  Energy dissipation needs the memory function ``P(t)`` defined
+by
 
     dP/dt = Gamma*gamma/2 - gamma*P + P^2,   P(0) = 0,
 
-together with its running integral ``xi(t)``.  ``P`` is kept complex even
-though this kernel makes it real, so the code path matches the general
-complex case; for ``gamma < 2*Gamma`` the Riccati solution diverges at a
-finite time, which is detected and reported rather than integrated
-through.
+together with its running integral ``xi(t)``.  Both are evaluated in
+closed form at any time.  For ``gamma < 2*Gamma`` the memory function
+diverges at a finite time; the time up to which it may be read is known
+up front, and reads at or past it are rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-#: Integration aborts once |P| exceeds this multiple of the coupling rate.
+#: The memory function may be read only while ``P`` stays below this multiple of the coupling rate.
 BLOWUP_FACTOR = 1e3
-
-#: Hard upper bound on the Riccati integration step, in units of 1/gamma.
-MAX_GAMMA_STEP = 0.1
-
-#: Relative tolerance for matching query times against a stored grid.
-GRID_MATCH_TOL = 1e-9
 
 
 class RiccatiBlowupError(RuntimeError):
@@ -107,15 +98,50 @@ def beta_integral(tau: float, p: OUParams) -> float:
 
 
 class MemoryFunctions:
-    """Dephasing memory: closed-form kernel integrals, with a memoryless branch.
+    """Closed-form memory functions of the exponential kernel, with a memoryless branch.
 
-    With ``markov=True`` the exact limit ``f = Gamma`` (hence exponent
-    ``beta = 2 Gamma tau``) is used and ``memory_rate`` is ignored.
+    Dephasing reads the rate ``f`` and its exponent ``beta``; dissipation
+    reads ``P`` and its running integral ``xi``.  With ``markov=True`` the
+    exact limits ``f = Gamma`` (hence ``beta = 2 Gamma tau``) and
+    ``P = Gamma/2`` (hence ``xi = Gamma t / 2``) are used and
+    ``memory_rate`` is ignored.
+
+    ``u = exp(-xi)`` linearizes the equation of ``P`` to
+    ``u'' + gamma u' + (Gamma gamma / 2) u = 0`` with ``u(0) = 1`` and
+    ``u'(0) = 0``, so ``P = -u'/u`` and ``xi = -ln u`` exactly.  With
+    ``kappa = gamma^2/4 - Gamma gamma/2`` the solution is hyperbolic for
+    ``kappa >= 0`` and trigonometric otherwise.  In the trigonometric case
+    (``gamma < 2 Gamma``) ``u`` has a root at
+    ``t* = (pi - atan(2 omega / gamma)) / omega``, ``omega = sqrt(-kappa)``,
+    where ``P`` diverges.  ``horizon`` is the exact earlier time at which
+    ``P`` reaches ``BLOWUP_FACTOR * Gamma`` (``inf`` when ``P`` stays
+    bounded); reading ``P`` or ``xi`` at or past it raises
+    :class:`RiccatiBlowupError`.
     """
 
     def __init__(self, params: OUParams, markov: bool = False):
         self.params = params
         self.markov = bool(markov)
+        self.horizon = math.inf
+        self._t_star = math.inf
+        if self.markov:
+            return
+        coupling, gamma = params.coupling, params.memory_rate
+        self._drive = 0.5 * coupling * gamma
+        kappa = 0.25 * gamma * (gamma - 2.0 * coupling)
+        self._trig = kappa < 0.0
+        if self._trig:
+            w = math.sqrt(-kappa)
+            limit = BLOWUP_FACTOR * coupling
+            self._omega = w
+            self._t_star = (math.pi - math.atan(2.0 * w / gamma)) / w
+            # P = limit where tan(omega t) = -2 limit omega / (gamma (limit - Gamma)), before the pole
+            self.horizon = (math.pi - math.atan(2.0 * limit * w / (gamma * (limit - coupling)))) / w
+        else:
+            # u = exp(-a t) (1 + a s(t)) with s = (1 - exp(-2 r t)) / (2 r) and
+            # a = gamma/2 - r, written without the cancellation for gamma >> Gamma
+            self._r = math.sqrt(kappa)
+            self._a = self._drive / (0.5 * gamma + self._r)
 
     @classmethod
     def markov_limit(cls, coupling: float) -> "MemoryFunctions":
@@ -148,148 +174,46 @@ class MemoryFunctions:
             return 2.0 * self.params.coupling * tau
         return beta_integral(tau, self.params)
 
+    def _check_p_time(self, t: float) -> None:
+        if t < 0.0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        if t >= self.horizon:
+            raise RiccatiBlowupError(
+                f"memory function P reaches {BLOWUP_FACTOR:g} x coupling at t = {self.horizon:.6g} "
+                f"and diverges at t* = {self._t_star:.6g} (memory_rate < 2*coupling); "
+                f"it cannot be read at t = {t:.6g}",
+                time=self.horizon,
+            )
+
+    def _s(self, t: float) -> float:
+        """``exp(-r t) sinh(r t) / r`` of the hyperbolic branch (``t`` at ``r = 0``)."""
+        r = self._r
+        return t if r == 0.0 else -math.expm1(-2.0 * r * t) / (2.0 * r)
+
+    def p(self, t: float) -> float:
+        """Dissipation memory function ``P(t)``."""
+        self._check_p_time(t)
+        if self.markov:
+            return 0.5 * self.params.coupling
+        if self._trig:
+            wt = self._omega * t
+            s = math.sin(wt) / self._omega
+            return self._drive * s / (math.cos(wt) + 0.5 * self.params.memory_rate * s)
+        s = self._s(t)
+        return self._drive * s / (1.0 + self._a * s)
+
+    def xi(self, t: float) -> float:
+        """Running integral ``xi(t) = int_0^t P(s) ds`` of the memory function."""
+        self._check_p_time(t)
+        if self.markov:
+            return 0.5 * self.params.coupling * t
+        if self._trig:
+            wt = self._omega * t
+            half_gamma = 0.5 * self.params.memory_rate
+            s = math.sin(wt) / self._omega
+            return half_gamma * t - math.log1p(half_gamma * s - 2.0 * math.sin(0.5 * wt) ** 2)
+        return self._a * t - math.log1p(self._a * self._s(t))
+
     def __repr__(self) -> str:
         tag = "markov" if self.markov else f"gamma={self.params.memory_rate}"
         return f"MemoryFunctions(Gamma={self.params.coupling}, {tag})"
-
-
-@dataclass
-class DissipationMemory:
-    """Sampled dissipation memory on a uniform time grid.
-
-    Stores ``P(t)``, its running integral ``xi(t)`` and the derived real
-    quantities ``b = Re xi``, ``c = Im xi`` and
-    ``d = Im[P(t) exp(-xi(t))]``.  Samples are immutable after
-    construction; queries off the grid are rejected rather than
-    interpolated so that propagation stays at full integrator order.
-    """
-
-    params: OUParams
-    grid: np.ndarray
-    p_samples: np.ndarray
-    xi_samples: np.ndarray
-    b: np.ndarray = field(init=False)
-    c: np.ndarray = field(init=False)
-    d: np.ndarray = field(init=False)
-    markov: bool = False
-
-    def __post_init__(self):
-        self.b = self.xi_samples.real.copy()
-        self.c = self.xi_samples.imag.copy()
-        self.d = (self.p_samples * np.exp(-self.xi_samples)).imag.copy()
-
-    # -- construction-time diagnostics (flagged, never clipped) --------
-
-    @property
-    def b_monotone(self) -> bool:
-        return bool(np.all(np.diff(self.b) >= -1e-12))
-
-    @property
-    def max_abs_im_p(self) -> float:
-        return float(np.max(np.abs(self.p_samples.imag)))
-
-    @property
-    def max_re_p(self) -> float:
-        return float(np.max(self.p_samples.real))
-
-    # -- grid queries ---------------------------------------------------
-
-    def index_of(self, t: float) -> int:
-        """Index of grid time ``t``; rejects times off or beyond the grid."""
-        h = self.grid[1] - self.grid[0]
-        idx = int(round((t - self.grid[0]) / h))
-        if idx < 0 or idx >= len(self.grid):
-            raise ValueError(f"time {t} outside memory grid [0, {self.grid[-1]}]")
-        tol = GRID_MATCH_TOL * max(1.0, float(self.grid[-1]))
-        if abs(self.grid[idx] - t) > tol:
-            raise ValueError(f"time {t} is not on the memory grid (step {h})")
-        return idx
-
-    def p_at(self, t: float) -> complex:
-        return complex(self.p_samples[self.index_of(t)])
-
-    def xi_at(self, t: float) -> complex:
-        return complex(self.xi_samples[self.index_of(t)])
-
-    def b_at(self, t: float) -> float:
-        return float(self.b[self.index_of(t)])
-
-    def c_at(self, t: float) -> float:
-        return float(self.c[self.index_of(t)])
-
-    def d_at(self, t: float) -> float:
-        return float(self.d[self.index_of(t)])
-
-
-def default_riccati_step(p: OUParams) -> float:
-    """Default integration step: both rates bound the stiffness."""
-    return min(1.0 / (50.0 * p.memory_rate), 1.0 / (50.0 * p.coupling))
-
-
-def _check_uniform_grid(grid: np.ndarray) -> float:
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid must contain at least two times")
-    if abs(grid[0]) > 1e-12:
-        raise ValueError(f"grid must start at 0, got {grid[0]}")
-    h = float(grid[1] - grid[0])
-    if h <= 0.0 or not np.allclose(np.diff(grid), h, rtol=0.0, atol=GRID_MATCH_TOL * max(1.0, float(grid[-1]))):
-        raise ValueError("grid must be uniformly increasing")
-    return h
-
-
-def riccati_p(grid, p: OUParams) -> DissipationMemory:
-    """Integrate the Riccati memory equation on a uniform grid.
-
-    Fourth-order fixed-step integration of the pair ``(P, xi)`` with
-    ``dxi/dt = P``, so the running integral carries the same order as
-    ``P`` itself (the ``xi`` update is a Simpson-type rule over the
-    integrator substeps).  Divergence is detected via ``BLOWUP_FACTOR``.
-    """
-    grid = np.asarray(grid, dtype=float)
-    h = _check_uniform_grid(grid)
-    if p.memory_rate * h > MAX_GAMMA_STEP * (1.0 + 1e-12):
-        raise ValueError(
-            f"step {h} too large for memory rate {p.memory_rate}: "
-            f"need gamma*step <= {MAX_GAMMA_STEP}"
-        )
-
-    drive = 0.5 * p.coupling * p.memory_rate
-    gamma = p.memory_rate
-    limit = BLOWUP_FACTOR * p.coupling
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        pv = y[0]
-        return np.array([drive - gamma * pv + pv * pv, pv], dtype=complex)
-
-    n = len(grid)
-    p_samples = np.zeros(n, dtype=complex)
-    xi_samples = np.zeros(n, dtype=complex)
-    y = np.zeros(2, dtype=complex)
-    for k in range(n - 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y[0]) or abs(y[0]) > limit:
-            raise RiccatiBlowupError(
-                f"memory function diverged near t = {grid[k + 1]:.6g} "
-                f"(|P| > {limit:.3g}); finite-time divergence is expected for "
-                f"memory_rate < 2*coupling",
-                time=float(grid[k + 1]),
-            )
-        p_samples[k + 1] = y[0]
-        xi_samples[k + 1] = y[1]
-    return DissipationMemory(params=p, grid=grid, p_samples=p_samples, xi_samples=xi_samples)
-
-
-def markov_dissipation(grid, p: OUParams) -> DissipationMemory:
-    """Exact memoryless branch: ``P = Gamma/2`` constant, ``xi = Gamma t / 2``."""
-    grid = np.asarray(grid, dtype=float)
-    _check_uniform_grid(grid)
-    half = 0.5 * p.coupling
-    p_samples = np.full(len(grid), half, dtype=complex)
-    xi_samples = (half * grid).astype(complex)
-    return DissipationMemory(
-        params=p, grid=grid, p_samples=p_samples, xi_samples=xi_samples, markov=True
-    )

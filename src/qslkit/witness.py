@@ -11,7 +11,6 @@ the point of use.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +21,6 @@ FORM_AGREEMENT_TOL = 1e-10
 
 #: Trace threshold above which a generator output is flagged as buggy.
 TRACELESS_WARN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuantumnessSample:
-    """Witness value and generation speed at a single trajectory time."""
-
-    t: float
-    q: float
-    speed: float
 
 
 def quantumness(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

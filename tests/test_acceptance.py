@@ -45,7 +45,7 @@ from qslkit.harness import (
     run_scenario,
 )
 from qslkit.matcore import from_pure
-from qslkit.memory import MemoryFunctions, OUParams, default_riccati_step, riccati_p
+from qslkit.memory import MemoryFunctions, OUParams
 from qslkit.witness import (
     pure_state_quantumness,
     quantumness,
@@ -278,18 +278,16 @@ def test_c09_oracle_equivalence():
 
                 # dissipation, horizon capped below the memory divergence
                 tau = DISSIPATION_TAU[gamma]
-                params = OUParams(1.0, gamma)
-                h_target = min(1e-3, 2.0 * default_riccati_step(params))
+                h_target = min(1e-3, 2.0 * min(1.0 / (50.0 * gamma), 1.0 / 50.0))
                 n_base = int(math.ceil(tau / h_target)) + 1
                 finals = []
                 for n in (n_base, 2 * n_base - 1):
-                    dmem = riccati_p(np.linspace(0.0, tau, 2 * n - 1), params)
-                    traj = propagate(Dissipation(dmem), rho0, np.linspace(0.0, tau, n))
+                    traj = propagate(Dissipation(mem), rho0, np.linspace(0.0, tau, n))
                     finals.append(traj.states[-1])
                     for frac in (0.25, 0.5, 0.75, 1.0):
                         t = float(traj.grid[int(frac * (n - 1))])
                         diff = np.max(
-                            np.abs(dissipation_closed_state(theta, t, dmem) - traj.state_at(t))
+                            np.abs(dissipation_closed_state(theta, t, mem) - traj.state_at(t))
                         )
                         worst_closed = max(worst_closed, float(diff))
                 worst_halving = max(worst_halving, float(np.max(np.abs(finals[0] - finals[1]))))
@@ -319,8 +317,7 @@ def test_c11_rate_inequality(dephasing_pi8, stirap_trajectory, markov50_dissipat
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         mem = MemoryFunctions(OUParams(1.0, 0.5))
         trajectories.append(propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, 2001)))
-        dmem = riccati_p(np.linspace(0.0, 2.0, 4001), OUParams(1.0, 0.5))
-        trajectories.append(propagate(Dissipation(dmem), rho0, np.linspace(0.0, 2.0, 2001)))
+        trajectories.append(propagate(Dissipation(mem), rho0, np.linspace(0.0, 2.0, 2001)))
         control = UnitaryControl.constant(theta_rate=0.5, alpha=0.7)
         trajectories.append(
             propagate(UnitaryTwoLevel(control), from_pure(unitary_state(0.0, 0.7)), np.linspace(0.0, 1.0, 2001))

@@ -30,7 +30,7 @@ from qslkit.generators import (
     unitary_state,
 )
 from qslkit.matcore import from_pure
-from qslkit.memory import MemoryFunctions, OUParams, markov_dissipation, riccati_p
+from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from qslkit.witness import generation_speed, quantumness
 
 
@@ -53,8 +53,7 @@ class TestTauQFromTrajectory:
 
     def test_markov_dissipation_saturates(self):
         theta, tau, n = math.pi / 4.0, 1.0, 2001
-        params = OUParams(1.0, math.inf)
-        mem = markov_dissipation(np.linspace(0.0, tau, 2 * n - 1), params)
+        mem = MemoryFunctions.markov_limit(1.0)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         traj = propagate(Dissipation(mem), rho0, np.linspace(0.0, tau, n))
         assert tau_q_from_trajectory(traj, tau) == pytest.approx(1.0, abs=1e-3)
@@ -173,24 +172,23 @@ class TestQuantumnessDissipation:
 
     def test_matches_witness_of_closed_state(self):
         theta = math.pi / 5.0
-        mem = riccati_p(np.linspace(0.0, 2.0, 4001), OUParams(1.0, 0.5))
+        mem = MemoryFunctions(OUParams(1.0, 0.5))
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         for tau in (0.5, 1.0, 2.0):
-            idx = mem.index_of(tau)
-            q_closed = quantumness_dissipation(theta, float(mem.b[idx]), float(mem.c[idx]))
+            q_closed = quantumness_dissipation(theta, mem.xi(tau), 0.0)
             q_witness = quantumness(rho0, dissipation_closed_state(theta, tau, mem))
             assert q_closed == pytest.approx(q_witness, abs=1e-9)
 
 
 class TestSpeedDissipation:
     def test_markov_initial_speed(self):
-        mem = markov_dissipation(np.linspace(0.0, 1.0, 101), OUParams(1.0, math.inf))
+        mem = MemoryFunctions.markov_limit(1.0)
         assert speed_dissipation(math.pi / 4.0, 0.0, mem) == pytest.approx(
             1.0 / math.sqrt(2.0), abs=1e-12
         )
 
     def test_markov_exponential_decay(self):
-        mem = markov_dissipation(np.linspace(0.0, 2.0, 201), OUParams(1.0, math.inf))
+        mem = MemoryFunctions.markov_limit(1.0)
         for t in (0.5, 1.0, 2.0):
             assert speed_dissipation(math.pi / 4.0, t, mem) == pytest.approx(
                 math.exp(-t) / math.sqrt(2.0), abs=1e-12
@@ -198,17 +196,17 @@ class TestSpeedDissipation:
 
     def test_matches_compositional_route(self):
         theta, t = math.pi / 5.0, 1.0
-        mem = riccati_p(np.linspace(0.0, 1.0, 2001), OUParams(1.0, 0.5))
+        mem = MemoryFunctions(OUParams(1.0, 0.5))
         gen = Dissipation(mem)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         rho_t = dissipation_closed_state(theta, t, mem)
         composed = generation_speed(rho0, apply_generator(gen, rho_t, t))
         assert speed_dissipation(theta, t, mem) == pytest.approx(composed, abs=1e-7)
 
-    def test_time_off_grid_rejected(self):
-        mem = markov_dissipation(np.linspace(0.0, 1.0, 101), OUParams(1.0, math.inf))
-        with pytest.raises(ValueError):
-            speed_dissipation(math.pi / 4.0, 1.7, mem)
+    def test_time_past_memory_horizon_rejected(self):
+        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        with pytest.raises(RiccatiBlowupError):
+            speed_dissipation(math.pi / 4.0, mem.horizon, mem)
 
 
 class TestTauBFidelity:

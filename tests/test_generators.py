@@ -31,7 +31,7 @@ from qslkit.matcore import (
     identity,
     purity,
 )
-from qslkit.memory import MemoryFunctions, OUParams, markov_dissipation, riccati_p
+from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from qslkit.witness import random_density_matrix
 
 GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0, 50.0)
@@ -51,9 +51,7 @@ def closed_unitary(control, t):
 
 
 def dissipation_setup(theta, gamma, tau, n):
-    params = OUParams(1.0, gamma if gamma is not None else math.inf)
-    mem_grid = np.linspace(0.0, tau, 2 * n - 1)
-    mem = markov_dissipation(mem_grid, params) if gamma is None else riccati_p(mem_grid, params)
+    mem = MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(OUParams(1.0, gamma))
     rho0 = from_pure([math.cos(theta), math.sin(theta)])
     return Dissipation(mem), rho0, np.linspace(0.0, tau, n), mem
 
@@ -187,10 +185,10 @@ class TestApplyGenerator:
             assert abs(np.trace(out)) < 1e-10
             assert hermiticity_defect(out) < 1e-10
 
-    def test_time_outside_memory_grid_rejected(self):
-        gen, rho0, _, _ = dissipation_setup(math.pi / 5.0, 0.5, 1.0, 101)
-        with pytest.raises(ValueError, match="outside memory grid"):
-            apply_generator(gen, rho0, 2.0)
+    def test_time_past_memory_horizon_rejected(self):
+        gen, rho0, _, mem = dissipation_setup(math.pi / 5.0, 0.5, 1.0, 101)
+        with pytest.raises(RiccatiBlowupError):
+            apply_generator(gen, rho0, mem.horizon)
 
     def test_dimension_mismatch_rejected(self):
         gen = Dephasing(MemoryFunctions.markov_limit(1.0))
@@ -294,8 +292,7 @@ class TestClosedStates:
     def test_dissipation_markov_coherence(self):
         theta, tau = math.pi / 4.0, 1.3
         _, _, _, mem = dissipation_setup(theta, None, 2.0, 201)
-        idx = mem.index_of(tau)
-        state = dissipation_closed_state(theta, float(mem.grid[idx]), mem)
+        state = dissipation_closed_state(theta, tau, mem)
         assert state[0, 1].real == pytest.approx(0.5 * math.exp(-0.5 * tau), abs=1e-12)
 
     def test_dissipation_closed_matches_propagated_nonmarkov(self):

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qslkit
+from qslkit import harness
 from qslkit.cli import main as cli_main
 from qslkit.harness import (
     FIG1_THETAS,
@@ -45,6 +51,66 @@ class TestScenarioConfig:
     def test_memory_rate_required_without_markov_flag(self):
         with pytest.raises(ValueError, match="invalid field 'gamma'"):
             ScenarioConfig.from_dict({"model": "dissipation"})
+
+    def test_dissipation_horizon_past_memory_divergence_rejected(self):
+        with pytest.raises(ValueError, match=r"invalid field 'tau_max'.*t\* = 4\.8368"):
+            ScenarioConfig.from_dict({"model": "dissipation", "gamma": 0.5, "tau_max": 6})
+        # no divergence for the memoryless branch, for gamma >= 2 Gamma, or for dephasing
+        ScenarioConfig.from_dict({"model": "dissipation", "markov": True, "tau_max": 6})
+        ScenarioConfig.from_dict({"model": "dissipation", "gamma": 2.5, "tau_max": 6})
+        ScenarioConfig.from_dict({"model": "dephasing", "gamma": 0.5, "tau_max": 6})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("markov", "false"),
+            ("markov", 0),
+            ("grid_points", 2001.5),
+            ("grid_points", "2001"),
+            ("grid_points", True),
+            ("q_grid", 20.0),
+            ("n", None),
+            ("tau_max", math.inf),
+            ("tau_max", math.nan),
+            ("tau_max", "3.0"),
+            ("theta", False),
+            ("gamma", -math.inf),
+            ("Gamma", 10**400),
+        ],
+    )
+    def test_strict_field_types(self, field, value):
+        raw = {"model": "dephasing", "gamma": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"invalid field '{field}'"):
+            ScenarioConfig.from_dict(raw)
+
+    def test_seed_is_not_a_config_field(self):
+        with pytest.raises(ValueError, match="unknown config keys: seed"):
+            ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "seed": 0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        field=st.sampled_from(
+            ["model", "theta", "Gamma", "gamma", "markov", "tau_max", "grid_points", "q_grid", "n",
+             "theta0", "theta_rate", "alpha0", "alpha_rate"]
+        ),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+            max_leaves=3,
+        ),
+    )
+    def test_parsing_accepts_typed_values_or_names_the_field(self, field, value):
+        try:
+            cfg = ScenarioConfig.from_dict({"model": "dephasing", "gamma": 1.0, field: value})
+        except ValueError as err:
+            assert f"'{field}'" in str(err)
+            return
+        assert isinstance(cfg.markov, bool)
+        for name in ("grid_points", "q_grid", "n"):
+            assert isinstance(getattr(cfg, name), int) and not isinstance(getattr(cfg, name), bool)
+        for name in ("theta", "Gamma", "gamma", "tau_max", "theta0", "theta_rate", "alpha0", "alpha_rate"):
+            number = getattr(cfg, name)
+            assert not isinstance(number, bool) and math.isfinite(number)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -143,6 +209,14 @@ class TestCsvEmission:
         body = path.read_text().splitlines()[1:]
         assert all(line.split(",")[5] == "NA" for line in body)
 
+    def test_fig3_validates_every_ratio_before_propagating(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "propagate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="invalid field 'tau_max'"):
+            fig3(str(tmp_path / "fig3.csv"), tau_max=5.0)
+        assert calls == []
+        assert not (tmp_path / "fig3.csv").exists()
+
     def test_figures_complete_quickly(self, tmp_path):
         start = time.monotonic()
         fig1(str(tmp_path / "f1.csv"))
@@ -160,8 +234,18 @@ class TestCsvEmission:
         assert header == "model,theta,gamma_ratio,q_target,tau_exact,tau_q_numeric,tau_q_closed,tau_b,tau_b_avg"
         payload = json.loads(rep.read_text())
         assert payload["config"]["model"] == "dissipation"
-        assert payload["diagnostics"]["b_monotone"] is True
+        assert payload["diagnostics"]["memory_horizon"] is None
+        assert isinstance(payload["diagnostics"]["p_end"], float)
         assert len(payload["reports"]) == cfg.q_grid
+
+    def test_report_carries_memory_horizon(self, tmp_path):
+        cfg = ScenarioConfig(
+            model="dissipation", theta=math.pi / 4.0, gamma=0.5, tau_max=1.0, grid_points=501
+        )
+        rep = tmp_path / "run.json"
+        run_to_files(cfg, str(tmp_path / "run.csv"), report_path=str(rep))
+        diagnostics = json.loads(rep.read_text())["diagnostics"]
+        assert 4.83 < diagnostics["memory_horizon"] < 4.8368
 
 
 class TestGhzScaling:
@@ -233,11 +317,43 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("model,")
 
-    def test_unknown_config_key_fails_loudly(self, tmp_path):
+    def test_unknown_config_key_fails_loudly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"model": "dephasing", "markov": True, "turbo": 9}))
-        with pytest.raises(ValueError, match="unknown config keys: turbo"):
-            cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "qslkit: error: unknown config keys: turbo\n"
+
+    def test_fig3_past_memory_divergence_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert cli_main(["fig3", "--tau-max", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslkit: error: ") and err.count("\n") == 1
+        assert "'tau_max'" in err
+        assert float(re.search(r"t\* = ([0-9.]+)", err).group(1)) == pytest.approx(4.837, abs=1e-3)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["fig1", "--grid-points", "0"], "grid_points"),
+            (["fig2", "--tau-max", "0"], "tau_max"),
+            (["run", "--grid-points", "0"], "grid_points"),
+            (["run", "--tau-max", "0"], "tau_max"),
+        ],
+    )
+    def test_zero_overrides_rejected(self, tmp_path, capsys, argv, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dephasing", "markov": True, "grid_points": 201}))
+        if argv[0] == "run":
+            argv = argv + ["--config", str(cfg_path)]
+        assert cli_main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+        assert f"invalid field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_missing_config_file_is_one_error_line(self, tmp_path, capsys):
+        assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslkit: error: ") and "absent.json" in err and err.count("\n") == 1
 
     def test_ghz_command(self, tmp_path):
         out = tmp_path / "ghz.csv"
@@ -247,11 +363,15 @@ class TestCli:
         assert len(lines) == 5
 
     def test_console_entry_point(self, tmp_path):
+        # the child imports the same qslkit tree as this test
+        src = os.path.dirname(os.path.dirname(qslkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "qslkit.cli", "fig1", "--out", str(tmp_path / "f.csv"),
              "--grid-points", "501", "--tau-max", "1.0"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
 
