@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .generators import Trajectory, UnitaryControl, apply_generator
+from .generators import Trajectory, UnitaryControl
 from .matcore import hs_norm
 from .memory import MemoryFunctions
 
@@ -64,33 +64,25 @@ class BoundReport:
         return self.tau_exact - self.tau_q_numeric
 
 
-def _interp_fraction(traj: Trajectory, tau: float) -> tuple[int, float]:
-    """Grid interval and fraction for an arbitrary time inside the grid."""
-    grid = traj.grid
-    if tau < -1e-12 or tau > grid[-1] * (1.0 + 1e-12):
-        raise ValueError(f"time {tau} outside trajectory grid [0, {grid[-1]}]")
-    tau = min(max(tau, 0.0), float(grid[-1]))
-    h = float(grid[1] - grid[0])
-    k = min(int(tau / h), len(grid) - 2)
-    return k, (tau - float(grid[k])) / h
+def _running_mean(traj: Trajectory, values: np.ndarray, tau: float) -> float:
+    """Trapezoidal time average over ``[0, tau]`` of samples taken on the trajectory grid.
 
-
-def _mean_speed(traj: Trajectory, tau: float) -> float:
-    """Trapezoidal time average of the generation speed over ``[0, tau]``."""
+    Inside the last grid interval the samples are interpolated linearly;
+    at ``tau = 0`` the average is the first sample.
+    """
     if tau == 0.0:
-        return float(traj.speed_samples[0])
-    k, w = _interp_fraction(traj, tau)
-    h = float(traj.grid[1] - traj.grid[0])
-    s = traj.speed_samples
-    area = float(np.trapezoid(s[: k + 1], dx=h))
+        return float(values[0])
+    k, w = traj.locate(tau)
+    h = traj.step
+    area = float(np.trapezoid(values[: k + 1], dx=h))
     if w > 0.0:
-        s_tau = (1.0 - w) * s[k] + w * s[k + 1]
-        area += 0.5 * (s[k] + s_tau) * (w * h)
+        v_tau = (1.0 - w) * values[k] + w * values[k + 1]
+        area += 0.5 * (values[k] + v_tau) * (w * h)
     return area / tau
 
 
 def _q_at(traj: Trajectory, tau: float) -> float:
-    k, w = _interp_fraction(traj, tau)
+    k, w = traj.locate(tau)
     q = traj.q_samples
     return float((1.0 - w) * q[k] + w * q[k + 1]) if w > 0.0 else float(q[k])
 
@@ -105,7 +97,7 @@ def tau_q_from_trajectory(traj: Trajectory, tau: float, q_value: Optional[float]
     """
     q_tau = _q_at(traj, tau) if q_value is None else float(q_value)
     numerator = math.sqrt(max(q_tau, 0.0) / 2.0)
-    denominator = _mean_speed(traj, tau)
+    denominator = _running_mean(traj, traj.speed_samples, tau)
     if denominator < _ZERO:
         if numerator < _ZERO:
             return 0.0
@@ -302,35 +294,20 @@ def tau_b_fidelity(traj: Trajectory, tau: float, denominator: str = "initial") -
     ``denominator="initial"`` applies the generator to the initial state
     at ``t = 0`` (the literal form); ``"averaged"`` replaces it with the
     time average of ``||L_t rho0||`` over ``[0, tau]``, which stays finite
-    for kernels whose rate vanishes at ``t = 0``.
+    for kernels whose rate vanishes at ``t = 0``.  Both read the norms the
+    trajectory computes once, on first use.
     """
     if denominator not in ("initial", "averaged"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
-    k, w = _interp_fraction(traj, tau)
+    k, w = traj.locate(tau)
     f_k = float(np.trace(traj.rho0 @ traj.states[k]).real)
     if w > 0.0:
         f_k1 = float(np.trace(traj.rho0 @ traj.states[k + 1]).real)
         f_tau = (1.0 - w) * f_k + w * f_k1
     else:
         f_tau = f_k
-    if denominator == "initial":
-        denom = hs_norm(apply_generator(traj.generator, traj.rho0, 0.0))
-    else:
-        if tau == 0.0:
-            denom = hs_norm(apply_generator(traj.generator, traj.rho0, 0.0))
-        else:
-            h = float(traj.grid[1] - traj.grid[0])
-            norms = np.array(
-                [
-                    hs_norm(apply_generator(traj.generator, traj.rho0, float(t)))
-                    for t in traj.grid[: k + 2 if w > 0.0 else k + 1]
-                ]
-            )
-            area = float(np.trapezoid(norms[: k + 1], dx=h))
-            if w > 0.0:
-                n_tau = (1.0 - w) * norms[k] + w * norms[k + 1]
-                area += 0.5 * (norms[k] + n_tau) * (w * h)
-            denom = area / tau
+    norms = traj.lrho0_norms
+    denom = float(norms[0]) if denominator == "initial" else _running_mean(traj, norms, tau)
     if denom < _ZERO:
         raise ValueError("frozen initial state (||L rho0|| = 0)")
     return abs(1.0 - f_tau) / denom
@@ -343,34 +320,18 @@ def conservative_bound_diagnostics(traj: Trajectory, tau: float) -> dict:
     commutator speed, so every listed time is at most the commutator
     bound.
     """
-    k, w = _interp_fraction(traj, tau)
+    k, w = traj.locate(tau)
     upto = k + 2 if w > 0.0 else k + 1
-    h = float(traj.grid[1] - traj.grid[0])
     rho0 = traj.rho0
-    norm_rho0 = hs_norm(rho0)
-    prod, plain = [], []
-    for t in traj.grid[:upto]:
-        lrho = apply_generator(traj.generator, traj.states[traj.index_of(float(t))], float(t))
-        prod.append(hs_norm(lrho @ rho0))
-        plain.append(hs_norm(lrho))
-    prod = np.asarray(prod)
-    plain = np.asarray(plain)
-
-    def _avg(vals: np.ndarray) -> float:
-        if tau == 0.0:
-            return float(vals[0])
-        area = float(np.trapezoid(vals[: k + 1], dx=h))
-        if w > 0.0:
-            v_tau = (1.0 - w) * vals[k] + w * vals[k + 1]
-            area += 0.5 * (vals[k] + v_tau) * (w * h)
-        return area / tau
-
+    lrhos = np.array([traj.generator.apply(rho, float(t)) for rho, t in zip(traj.states[:upto], traj.grid[:upto])])
+    prod = hs_norm(lrhos @ rho0)
+    plain = hs_norm(lrhos)
     numerator = math.sqrt(max(_q_at(traj, tau), 0.0) / 2.0)
     out = {"tau_q": tau_q_from_trajectory(traj, tau)}
     for name, denom in (
-        ("tau_product", 2.0 * _avg(prod)),
-        ("tau_norm_product", 2.0 * _avg(plain) * norm_rho0),
-        ("tau_generator_norm", 2.0 * _avg(plain)),
+        ("tau_product", 2.0 * _running_mean(traj, prod, tau)),
+        ("tau_norm_product", 2.0 * _running_mean(traj, plain, tau) * hs_norm(rho0)),
+        ("tau_generator_norm", 2.0 * _running_mean(traj, plain, tau)),
     ):
         out[name] = numerator / denom if denom > _ZERO else math.inf
     return out

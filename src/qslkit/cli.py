@@ -41,12 +41,10 @@ FIGURES = {
 }
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output CSV path")
-    common.add_argument("--grid-points", type=int, default=None, help="propagation grid points")
-    common.add_argument("--tau-max", type=float, default=None, help="propagation horizon (units of inverse coupling)")
-    return common
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="output CSV path")
+    p.add_argument("--grid-points", type=int, default=None, help="propagation grid points")
+    p.add_argument("--tau-max", type=float, default=None, help="propagation horizon (units of inverse coupling)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,18 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
             "given as the ratio gamma/Gamma."
         ),
     )
-    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, (help_text, description) in FIGURES.items():
-        sub.add_parser(name, parents=[common], help=help_text, description=description)
+        _add_run_flags(sub.add_parser(name, help=help_text, description=description))
 
     ghz = sub.add_parser(
         "ghz",
-        parents=[common],
         help="cat-state scaling of the witness and its bound with qubit count",
         description="Columns: n, offdiagonal_factor, q, sqrt_q_ratio, tau_q_fixed_target.",
     )
+    ghz.add_argument("--out", default=None, help="output CSV path")
     ghz.add_argument("--theta", type=float, default=None, help="initial angle (default pi/8)")
     ghz.add_argument("--beta", type=float, default=1e-6, help="single-qubit decay exponent (<= 1e-4)")
     ghz.add_argument("--n-max", type=int, default=5, help="largest qubit count (<= 12)")
@@ -78,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        parents=[common],
         help="run one scenario from a JSON config",
         description=(
             "Config keys: model (unitary2l|stirap|dephasing|dissipation|ghz), theta, "
@@ -88,12 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
             "tau_q_numeric, tau_q_closed, tau_b, tau_b_avg."
         ),
     )
+    _add_run_flags(run)
     run.add_argument("--config", required=True, help="path to the JSON scenario config")
     run.add_argument("--report", default=None, help="optional JSON report path")
 
     val = sub.add_parser(
         "validate",
-        parents=[common],
         help="randomized property suite; exit status reflects pass/fail",
     )
     val.add_argument("--seed", type=int, default=0)
@@ -113,9 +109,9 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     overrides = {
-        name: value
-        for name, value in (("grid_points", args.grid_points), ("tau_max", args.tau_max))
-        if value is not None
+        name: getattr(args, name)
+        for name in ("grid_points", "tau_max")
+        if getattr(args, name, None) is not None
     }
 
     if args.command in FIGURES:

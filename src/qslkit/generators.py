@@ -10,13 +10,16 @@ Four families of master-equation generators ``L`` with
 
 Propagation uses classical fourth-order fixed steps on a uniform grid so
 that the trajectory shares its sampling with the time averages taken by
-the bounds module.  States are re-Hermitized each step; positivity loss
-beyond tolerance aborts instead of being projected away, so genuine
-integrator or model errors are never masked.
+the bounds module.  States are re-Hermitized each step.  Positivity is
+checked over the whole run once the stepping is done; a loss beyond
+tolerance aborts, naming the first grid time where it shows, instead of
+being projected away, so genuine integrator or model errors are never
+masked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -30,12 +33,11 @@ from .matcore import (
     SIGMA_Y,
     SIGMA_Z,
     as_matrix,
-    commutator,
     hs_norm,
     min_eigenvalue,
 )
 from .memory import MemoryFunctions
-from .witness import quantumness
+from .witness import generation_speed, quantumness
 
 #: Propagation aborts once the smallest eigenvalue drops below -POSITIVITY_ABORT.
 POSITIVITY_ABORT = 1e-6
@@ -262,8 +264,8 @@ Generator = Union[UnitaryTwoLevel, Stirap, Dephasing, Dissipation]
 def apply_generator(g: Generator, rho: np.ndarray, t: float) -> np.ndarray:
     """Apply the generator to a state, validating the dimension."""
     m = as_matrix(rho)
-    if m.shape[0] != g.dim:
-        raise ValueError(f"dimension mismatch: generator dim {g.dim}, state dim {m.shape[0]}")
+    if m.shape[-1] != g.dim:
+        raise ValueError(f"dimension mismatch: generator dim {g.dim}, state dim {m.shape[-1]}")
     return g.apply(m, t)
 
 
@@ -271,13 +273,14 @@ def apply_generator(g: Generator, rho: np.ndarray, t: float) -> np.ndarray:
 class Trajectory:
     """Propagated states on a uniform grid, with witness samples.
 
-    ``q_samples[k]`` is the quantumness between the initial and the
-    current state; ``speed_samples[k]`` the generation speed
-    ``||[rho0, L rho_t]||`` at the grid time.
+    ``states`` is one ``(n, d, d)`` array; ``q_samples[k]`` is the
+    quantumness between the initial and the current state;
+    ``speed_samples[k]`` the generation speed ``||[rho0, L rho_t]||`` at the
+    grid time.
     """
 
     grid: np.ndarray
-    states: list
+    states: np.ndarray
     rho0: np.ndarray
     q_samples: np.ndarray
     speed_samples: np.ndarray
@@ -287,11 +290,23 @@ class Trajectory:
     def tau_max(self) -> float:
         return float(self.grid[-1])
 
+    @property
+    def step(self) -> float:
+        return float(self.grid[1] - self.grid[0])
+
+    def locate(self, tau: float) -> tuple[int, float]:
+        """Grid interval ``k`` and fraction ``w`` with ``tau = grid[k] + w * step``."""
+        grid = self.grid
+        if tau < -1e-12 or tau > grid[-1] * (1.0 + 1e-12):
+            raise ValueError(f"time {tau} outside trajectory grid [0, {grid[-1]}]")
+        tau = min(max(tau, 0.0), float(grid[-1]))
+        h = self.step
+        k = min(int(tau / h), len(grid) - 2)
+        return k, (tau - float(grid[k])) / h
+
     def index_of(self, tau: float) -> int:
-        h = self.grid[1] - self.grid[0]
-        idx = int(round((tau - self.grid[0]) / h))
-        if idx < 0 or idx >= len(self.grid):
-            raise ValueError(f"time {tau} outside trajectory grid [0, {self.grid[-1]}]")
+        k, w = self.locate(tau)
+        idx = k + 1 if w > 0.5 else k
         if abs(self.grid[idx] - tau) > GRID_MATCH_TOL * max(1.0, self.tau_max):
             raise ValueError(f"time {tau} is not on the trajectory grid")
         return idx
@@ -299,12 +314,20 @@ class Trajectory:
     def state_at(self, tau: float) -> np.ndarray:
         return self.states[self.index_of(tau)].copy()
 
+    @functools.cached_property
+    def lrho0_norms(self) -> np.ndarray:
+        """``||L_t rho0||`` at every grid time, computed on first use."""
+        return hs_norm(np.array([self.generator.apply(self.rho0, float(t)) for t in self.grid]))
+
 
 def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
     """Propagate ``rho0`` along the grid with fourth-order fixed steps.
 
-    Each step re-Hermitizes the state; a positivity violation beyond
-    ``POSITIVITY_ABORT`` raises :class:`PositivityLossError`.
+    Each step re-Hermitizes the state and stores it with its ``L_t rho_t``.
+    One pass over the stored stacks then checks positivity, raising
+    :class:`PositivityLossError` at the first grid time whose smallest
+    eigenvalue is below ``-POSITIVITY_ABORT`` or whose state is no longer
+    finite, and takes the witness and speed samples.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -318,41 +341,44 @@ def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
         raise ValueError("grid must be uniformly increasing")
 
     rho_init = as_matrix(rho0).copy()
-    if rho_init.shape[0] != g.dim:
-        raise ValueError(f"dimension mismatch: generator dim {g.dim}, state dim {rho_init.shape[0]}")
+    if rho_init.shape != (g.dim, g.dim):
+        raise ValueError(f"dimension mismatch: generator dim {g.dim}, state shape {rho_init.shape}")
 
     n = len(grid)
-    states = [rho_init.copy()]
-    q_samples = np.zeros(n)
-    speed_samples = np.zeros(n)
-
-    rho = rho_init.copy()
-    for k in range(n):
+    states = np.empty((n, g.dim, g.dim), dtype=complex)
+    lrhos = np.empty_like(states)
+    rho = rho_init
+    # a run that loses positivity can overflow further on; the scan after the loop names where it was lost
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            t = float(grid[k])
+            k1 = g.apply(rho, t)
+            states[k] = rho
+            lrhos[k] = k1
+            if k == n - 1:
+                break
+            k2 = g.apply(rho + 0.5 * h * k1, t + 0.5 * h)
+            k3 = g.apply(rho + 0.5 * h * k2, t + 0.5 * h)
+            k4 = g.apply(rho + h * k3, t + h)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+        finite = np.isfinite(states).all(axis=(1, 2))
+        n_finite = n if finite.all() else int(np.argmin(finite))
+        eig_min = min_eigenvalue(states[:n_finite])
+    lost = np.flatnonzero(~(eig_min >= -POSITIVITY_ABORT))  # NaN from overflow counts as lost
+    k = int(lost[0]) if lost.size else n_finite
+    if k < n:
         t = float(grid[k])
-        lrho = g.apply(rho, t)
-        q_samples[k] = quantumness(rho_init, rho)
-        speed_samples[k] = hs_norm(commutator(rho_init, lrho))
-        eig_min = min_eigenvalue(rho)
-        if eig_min < -POSITIVITY_ABORT:
-            raise PositivityLossError(
-                f"state positivity lost at t = {t:.6g} (min eigenvalue {eig_min:.3e})",
-                time=t,
-            )
-        if k == n - 1:
-            break
-        k1 = lrho
-        k2 = g.apply(rho + 0.5 * h * k1, t + 0.5 * h)
-        k3 = g.apply(rho + 0.5 * h * k2, t + 0.5 * h)
-        k4 = g.apply(rho + h * k3, t + h)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        states.append(rho.copy())
+        detail = f"min eigenvalue {eig_min[k]:.3e}" if k < n_finite else "state no longer finite"
+        raise PositivityLossError(f"state positivity lost at t = {t:.6g} ({detail})", time=t)
 
+    speed_samples = generation_speed(rho_init, lrhos)
+    del lrhos  # freed before the witness pass allocates its own stacks
     return Trajectory(
         grid=grid,
         states=states,
         rho0=rho_init,
-        q_samples=q_samples,
+        q_samples=quantumness(rho_init, states),
         speed_samples=speed_samples,
         generator=g,
     )

@@ -225,8 +225,6 @@ def evaluate_targets(
     model: str,
     params: dict,
     closed: Callable[[float, float], Optional[float]],
-    with_tau_b: bool = True,
-    with_tau_b_avg: bool = True,
 ) -> list:
     """One :class:`BoundReport` per target, unreached targets included."""
     reports = []
@@ -238,23 +236,16 @@ def evaluate_targets(
             )
             continue
         tau = crossing.time
-        tau_q_closed = None
         try:
             tau_q_closed = closed(float(q_target), tau)
         except ValueError:
             tau_q_closed = None
-        tau_b = None
-        tau_b_avg = None
-        if with_tau_b:
+        tau_b = {}
+        for variant in ("initial", "averaged"):
             try:
-                tau_b = tau_b_fidelity(traj, tau, denominator="initial")
+                tau_b[variant] = tau_b_fidelity(traj, tau, denominator=variant)
             except ValueError:
-                tau_b = None
-        if with_tau_b_avg:
-            try:
-                tau_b_avg = tau_b_fidelity(traj, tau, denominator="averaged")
-            except ValueError:
-                tau_b_avg = None
+                tau_b[variant] = None
         reports.append(
             BoundReport(
                 model,
@@ -264,8 +255,8 @@ def evaluate_targets(
                 tau,
                 tau_q_at_crossing(traj, crossing),
                 tau_q_closed,
-                tau_b,
-                tau_b_avg,
+                tau_b["initial"],
+                tau_b["averaged"],
             )
         )
     return reports
@@ -373,10 +364,7 @@ def _memory_sweep(out_path: str, model: str, theta: float, grid_points: int, tau
     targets = auto_targets(min(float(np.max(traj.q_samples)) for traj in trajectories), q_grid)
     rows = []
     for cfg, traj, (_, _, _, closed) in zip(configs, trajectories, built):
-        reports = evaluate_targets(
-            traj, targets, model, {"theta": theta, "gamma_ratio": cfg.gamma}, closed, with_tau_b=False
-        )
-        for rep in reports:
+        for rep in evaluate_targets(traj, targets, model, {"theta": theta, "gamma_ratio": cfg.gamma}, closed):
             rows.append(
                 [theta, cfg.gamma, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b_avg]
             )
@@ -671,7 +659,7 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
             tau_q = tau_q_at_crossing(traj, crossing)
             worst_qsl = min(worst_qsl, crossing.time - tau_q)
 
-        h = float(grid[1] - grid[0])
+        h = traj.step
         stride = max(2, len(grid) // 25)
         for k in range(stride, len(grid) - 2, stride):
             state = traj.states[k]

@@ -8,6 +8,9 @@ Conventions shared by the whole package:
 * Three-level systems extend the same descending order ``{|2>, |1>, |0>}``.
 * Operations are pure: inputs are never mutated and results are freshly
   allocated arrays.  Supported dimensions are 1..32.
+* ``commutator``, ``hs_norm`` and ``min_eigenvalue`` also take stacks
+  ``(..., d, d)`` and work per matrix; a stacked call gives bit for bit
+  what the calls on the single matrices give.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ def identity(dim: int) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex matrix, validating its shape."""
+    """Coerce input to a square complex matrix, or a stack ``(..., d, d)`` of them, validating the shape."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not 1 <= m.shape[0] <= MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}")
+    if not 1 <= m.shape[-1] <= MAX_DIM:
+        raise ValueError(f"dimension {m.shape[-1]} outside supported range 1..{MAX_DIM}")
     return m
 
 
@@ -50,17 +53,23 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Commutator ``AB - BA`` of two equally sized square matrices."""
+    """Commutator ``AB - BA`` of two equally sized square matrices (stacks broadcast)."""
     am = as_matrix(a)
     bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape[0]} vs {bm.shape[0]}")
-    return am @ bm - bm @ am
+    if am.shape[-1] != bm.shape[-1]:
+        raise ValueError(f"dimension mismatch: {am.shape[-1]} vs {bm.shape[-1]}")
+    c = am @ bm
+    c -= bm @ am  # in place: one stack fewer alive at a time
+    return c
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt norm ``sqrt(Tr(A^dag A))`` (Frobenius norm)."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+def hs_norm(a: np.ndarray):
+    """Hilbert-Schmidt norm ``sqrt(Tr(A^dag A))`` (Frobenius norm); an array of norms for a stack."""
+    m = np.asarray(a, dtype=complex)
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    # per matrix the same two dot products as np.linalg.norm, hence the same bits
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def from_pure(v) -> np.ndarray:
@@ -90,17 +99,21 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+def min_eigenvalue(rho: np.ndarray):
+    """Smallest eigenvalue of a Hermitian matrix; an array of them for a stack."""
     m = as_matrix(rho)
-    herm = 0.5 * (m + m.conj().T)
-    if m.shape[0] == 2:
-        # closed form keeps the propagation hot path off the eigensolver
-        tr = herm[0, 0].real + herm[1, 1].real
-        det = (herm[0, 0] * herm[1, 1] - herm[0, 1] * herm[1, 0]).real
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        return 0.5 * (tr - np.sqrt(disc))
-    return float(np.linalg.eigvalsh(herm)[0])
+    herm = 0.5 * (m + m.conj().mT)
+    if m.shape[-1] == 2:
+        # closed form keeps the propagation post-pass off the eigensolver
+        # real arithmetic: the diagonal of herm is real and herm[1, 0] = conj(herm[0, 1]) exactly
+        h00, h11, h01 = herm[..., 0, 0].real, herm[..., 1, 1].real, herm[..., 0, 1]
+        tr = h00 + h11
+        det = h00 * h11 - (h01.real * h01.real + h01.imag * h01.imag)
+        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
+        eig = 0.5 * (tr - np.sqrt(disc))
+    else:
+        eig = np.linalg.eigvalsh(herm)[..., 0]
+    return float(eig) if eig.ndim == 0 else eig
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,10 @@ class MemoryFunctions:
     """Closed-form memory functions of the exponential kernel, with a memoryless branch.
 
     Dephasing reads the rate ``f`` and its exponent ``beta``; dissipation
-    reads ``P`` and its running integral ``xi``.  With ``markov=True`` the
-    exact limits ``f = Gamma`` (hence ``beta = 2 Gamma tau``) and
-    ``P = Gamma/2`` (hence ``xi = Gamma t / 2``) are used and
-    ``memory_rate`` is ignored.
+    reads ``P`` and its running integral ``xi``.  With ``memory_rate = inf``
+    (``markov`` is then true) the exact limits ``f = Gamma`` (hence
+    ``beta = 2 Gamma tau``) and ``P = Gamma/2`` (hence ``xi = Gamma t / 2``)
+    are used.
 
     ``u = exp(-xi)`` linearizes the equation of ``P`` to
     ``u'' + gamma u' + (Gamma gamma / 2) u = 0`` with ``u(0) = 1`` and
@@ -119,9 +119,9 @@ class MemoryFunctions:
     :class:`RiccatiBlowupError`.
     """
 
-    def __init__(self, params: OUParams, markov: bool = False):
+    def __init__(self, params: OUParams):
         self.params = params
-        self.markov = bool(markov)
+        self.markov = math.isinf(params.memory_rate)
         self.horizon = math.inf
         self._t_star = math.inf
         if self.markov:
@@ -145,7 +145,7 @@ class MemoryFunctions:
 
     @classmethod
     def markov_limit(cls, coupling: float) -> "MemoryFunctions":
-        return cls(OUParams(coupling=coupling, memory_rate=math.inf), markov=True)
+        return cls(OUParams(coupling=coupling, memory_rate=math.inf))
 
     @property
     def coupling(self) -> float:

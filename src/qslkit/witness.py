@@ -23,25 +23,28 @@ FORM_AGREEMENT_TOL = 1e-10
 TRACELESS_WARN_TOL = 1e-9
 
 
-def quantumness(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
     """Quantumness witness ``2 ||[rho_a, rho_b]||^2`` of two states.
 
     Also evaluates the equivalent trace form
     ``-4 Tr[(rho_a rho_b)^2 - rho_a^2 rho_b^2]`` and raises if the two
-    disagree beyond ``FORM_AGREEMENT_TOL``.
+    disagree beyond ``FORM_AGREEMENT_TOL``.  Either argument may be a
+    stack ``(..., d, d)``; the result is then an array of witnesses.
     """
     a = as_matrix(rho_a)
     b = as_matrix(rho_b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    q_comm = 2.0 * hs_norm(a @ b - b @ a) ** 2
+    # np.square, not ** 2: a float's ** 2 calls pow, which can round apart from an array's x * x
+    q_comm = 2.0 * np.square(hs_norm(commutator(a, b)))
     ab = a @ b
-    q_trace = float((-4.0 * np.trace(ab @ ab - a @ a @ b @ b)).real)
-    if abs(q_comm - q_trace) > FORM_AGREEMENT_TOL * max(1.0, abs(q_comm)):
+    q_trace = -4.0 * (np.trace(ab @ ab, axis1=-2, axis2=-1) - np.trace(a @ a @ b @ b, axis1=-2, axis2=-1)).real
+    off = np.abs(q_comm - q_trace) > FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(q_comm))
+    if np.any(off):
+        k = np.flatnonzero(off)[0]
         raise ArithmeticError(
-            f"witness forms disagree: commutator {q_comm!r} vs trace {q_trace!r}"
+            f"witness forms disagree: commutator {float(np.ravel(q_comm)[k])!r} "
+            f"vs trace {float(np.ravel(q_trace)[k])!r}"
         )
-    return q_comm
+    return float(q_comm) if q_comm.ndim == 0 else q_comm
 
 
 def pure_state_quantumness(overlap_sq: float) -> float:
@@ -75,8 +78,8 @@ def quantumness_rate(rho0: np.ndarray, rhot: np.ndarray, lrho: np.ndarray) -> fl
     return float(val.real)
 
 
-def generation_speed(rho0: np.ndarray, lrho: np.ndarray) -> float:
-    """Instantaneous generation speed ``||[rho0, L rho_t]||``."""
+def generation_speed(rho0: np.ndarray, lrho: np.ndarray):
+    """Instantaneous generation speed ``||[rho0, L rho_t]||``; an array of speeds for a stack of ``L rho_t``."""
     return hs_norm(commutator(rho0, lrho))
 
 

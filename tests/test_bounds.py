@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qslkit.bounds import (
+    _running_mean,
     conservative_bound_diagnostics,
     first_crossing_time,
     quantumness_dephasing,
@@ -62,6 +63,22 @@ class TestTauQFromTrajectory:
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.0, n=201)
         with pytest.raises(ValueError, match="outside trajectory grid"):
             tau_q_from_trajectory(traj, 2.0)
+
+
+class TestRunningMean:
+    def test_matches_trapezoid_at_and_between_grid_times(self):
+        traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.0, n=201)
+        grid = traj.grid
+        values = 2.0 + np.sin(7.0 * grid) + grid**2
+        assert _running_mean(traj, values, 0.0) == values[0]
+        for j in (1, 2, 57, 200):
+            expected = np.trapezoid(values[: j + 1], grid[: j + 1]) / grid[j]
+            assert _running_mean(traj, values, float(grid[j])) == pytest.approx(expected, rel=1e-12)
+        for j, frac in ((0, 0.5), (41, 0.25), (199, 0.9)):
+            tau = float(grid[j] + frac * traj.step)
+            xs = np.append(grid[: j + 1], tau)
+            ys = np.append(values[: j + 1], np.interp(tau, grid, values))
+            assert _running_mean(traj, values, tau) == pytest.approx(np.trapezoid(ys, xs) / tau, rel=1e-12)
 
 
 class TestQuantumnessDephasing:

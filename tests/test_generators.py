@@ -1,6 +1,7 @@
 """Generators and propagation: Hamiltonian oracles, closed states, conservation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,18 @@ from qslkit.matcore import (
 )
 from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from qslkit.witness import random_density_matrix
+
+class SignFlippedDephasing:
+    """Dephasing with its rate sign-flipped: coherences grow and positivity breaks."""
+
+    def __init__(self, dim, rate):
+        self.dim = dim
+        self.rate = rate
+        self.z = np.diag([(-1.0) ** i for i in range(dim)]).astype(complex)
+
+    def apply(self, rho, t):
+        return -self.rate * (self.z @ rho @ self.z - rho)
+
 
 GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0, 50.0)
 THETAS = (math.pi / 8.0, math.pi / 5.0, math.pi / 4.0)
@@ -250,17 +263,47 @@ class TestPropagate:
             propagate(Dephasing(mem), rho0, np.array([0.0, 0.1, 0.3]))
 
     def test_positivity_loss_aborts(self):
-        class CoherenceAmplifier:
-            # sign-flipped dephasing rate: coherence grows and positivity breaks
-            dim = 2
-
-            def apply(self, rho, t):
-                return -(SIGMA_Z @ rho @ SIGMA_Z - rho)
-
         theta = math.pi / 8.0
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         with pytest.raises(PositivityLossError):
-            propagate(CoherenceAmplifier(), rho0, np.linspace(0.0, 3.0, 1001))
+            propagate(SignFlippedDephasing(2, 1.0), rho0, np.linspace(0.0, 3.0, 1001))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("rate", [1.0, 1000.0])
+    def test_positivity_loss_names_the_first_grid_time(self, dim, rate):
+        # at rate 1000 the run overflows long before its end; only the abort may come out
+        rho0 = from_pure(np.ones(dim) / math.sqrt(dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositivityLossError) as err:
+                propagate(SignFlippedDephasing(dim, rate), rho0, np.linspace(0.0, 3.0, 1001))
+        assert err.value.time == 0.003
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_states_are_one_stacked_array(self, dim):
+        control = UnitaryControl.constant(theta_rate=0.5, alpha_rate=0.3)
+        gen = UnitaryTwoLevel(control) if dim == 2 else Stirap(control)
+        rho0 = from_pure(np.eye(dim)[-1])
+        traj = propagate(gen, rho0, np.linspace(0.0, 1.0, 101))
+        assert isinstance(traj.states, np.ndarray)
+        assert traj.states.shape == (101, dim, dim)
+        assert traj.q_samples.shape == traj.speed_samples.shape == (101,)
+
+    def test_locate_maps_times_to_grid_intervals(self):
+        theta = math.pi / 8.0
+        rho0 = from_pure([math.cos(theta), math.sin(theta)])
+        grid = np.linspace(0.0, 2.0, 201)
+        traj = propagate(Dephasing(MemoryFunctions.markov_limit(1.0)), rho0, grid)
+        assert traj.step == pytest.approx(0.01, rel=1e-12)
+        k, w = traj.locate(grid[37] + 0.25 * traj.step)
+        assert k == 37 and w == pytest.approx(0.25, abs=1e-9)
+        assert traj.locate(2.0) == (199, pytest.approx(1.0, abs=1e-9))
+        assert traj.index_of(float(grid[37])) == 37
+        for bad in (-0.01, 2.01):
+            with pytest.raises(ValueError, match="outside trajectory grid"):
+                traj.locate(bad)
+        with pytest.raises(ValueError, match="not on the trajectory grid"):
+            traj.index_of(float(grid[37]) + 0.5 * traj.step)
 
 
 class TestClosedStates:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import qslkit
 from qslkit import harness
 from qslkit.cli import main as cli_main
+from qslkit.generators import Dephasing
 from qslkit.harness import (
     FIG1_THETAS,
     ScenarioConfig,
@@ -166,6 +167,23 @@ class TestRunScenario:
         )
         assert not reports[0].reached
         assert reports[0].tau_exact is None and reports[0].tau_q_numeric is None
+
+
+    def test_tau_b_norms_computed_once_per_trajectory(self):
+        class CountingDephasing(Dephasing):
+            calls = 0
+
+            def apply(self, rho, t):
+                CountingDephasing.calls += 1
+                return super().apply(rho, t)
+
+        cfg = ScenarioConfig(model="dephasing", theta=math.pi / 5.0, gamma=0.5, tau_max=2.0, grid_points=401)
+        gen, rho0, grid, closed = harness.build_scenario(cfg)
+        traj = harness.propagate(CountingDephasing(gen.memory), rho0, grid)
+        CountingDephasing.calls = 0
+        reports = evaluate_targets(traj, auto_targets(float(traj.q_samples.max()), 20), "dephasing", {}, closed)
+        assert sum(rep.tau_b_avg is not None for rep in reports) == 20
+        assert CountingDephasing.calls == len(grid)
 
 
 class TestCsvEmission:
@@ -354,6 +372,22 @@ class TestCli:
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("qslkit: error: ") and "absent.json" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ghz", "--grid-points", "5", "--tau-max", "-3"],
+            ["validate", "--cases", "1", "--grid-points", "3", "--out", "x.csv"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qslkit") and "unrecognized arguments" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_ghz_command(self, tmp_path):
         out = tmp_path / "ghz.csv"

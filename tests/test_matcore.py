@@ -140,3 +140,18 @@ class TestValidateDensity:
             m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             h = 0.5 * (m + m.conj().T)
             assert min_eigenvalue(h) == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_calls_equal_single_calls(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        stack = np.array([random_hermitian(dim, rng) for _ in range(200)])
+        other = random_hermitian(dim, rng)
+        assert np.array_equal(commutator(other, stack), [commutator(other, m) for m in stack])
+        assert np.array_equal(hs_norm(stack), [hs_norm(m) for m in stack])
+        assert np.array_equal(min_eigenvalue(stack), [min_eigenvalue(m) for m in stack])
+
+    def test_single_matrix_gives_a_float(self):
+        assert isinstance(hs_norm(SIGMA_X), float)
+        assert isinstance(min_eigenvalue(SIGMA_X), float)

@@ -329,6 +329,14 @@ class TestMarkovDissipation:
 
 
 class TestMemoryFunctions:
+    def test_infinite_memory_rate_is_the_markov_limit(self):
+        mem = MemoryFunctions(OUParams(1.0, math.inf))
+        ref = MemoryFunctions.markov_limit(1.0)
+        assert mem.markov
+        for t in (0.0, 0.3, 1.0, 4.0):
+            for read in ("f", "beta", "p", "xi"):
+                assert getattr(mem, read)(t) == getattr(ref, read)(t)
+
     def test_markov_branch_constants(self):
         mem = MemoryFunctions.markov_limit(1.5)
         assert mem.f(0.0) == 1.5

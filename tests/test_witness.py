@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslkit.generators import Dephasing, dephasing_closed_state
-from qslkit.matcore import from_pure
+from qslkit.matcore import SIGMA_PLUS, from_pure
 from qslkit.memory import MemoryFunctions
 from qslkit.witness import (
     generation_speed,
@@ -167,3 +167,22 @@ class TestRandomSampling:
             for i in range(300):
                 dim = (2, 3, 4)[i % 3]
                 quantumness(random_density_matrix(dim, rng), random_density_matrix(dim, rng))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_calls_equal_single_calls(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        rho0 = random_density_matrix(dim, rng)
+        stack = np.array(
+            [random_density_matrix(dim, rng) if k % 2 else from_pure(random_pure_state(dim, rng)) for k in range(200)]
+        )
+        assert np.array_equal(quantumness(rho0, stack), [quantumness(rho0, s) for s in stack])
+        lrho = stack - np.eye(dim) / dim  # traceless stand-ins for L rho_t
+        assert np.array_equal(generation_speed(rho0, lrho), [generation_speed(rho0, m) for m in lrho])
+
+    def test_form_disagreement_in_a_stack_raises(self):
+        # a non-Hermitian member breaks the identity between the two forms
+        rho0 = from_pure([1.0, 0.0])
+        with pytest.raises(ArithmeticError, match="witness forms disagree: commutator 2.0 vs trace"):
+            quantumness(rho0, np.array([rho0, from_pure([0.6, 0.8]), SIGMA_PLUS]))
