@@ -323,7 +323,8 @@ def conservative_bound_diagnostics(traj: Trajectory, tau: float) -> dict:
     k, w = traj.locate(tau)
     upto = k + 2 if w > 0.0 else k + 1
     rho0 = traj.rho0
-    lrhos = np.array([traj.generator.apply(rho, float(t)) for rho, t in zip(traj.states[:upto], traj.grid[:upto])])
+    g = traj.generator
+    lrhos = g.action(traj.states[:upto], g.coefficients(traj.grid[:upto]))
     prod = hs_norm(lrhos @ rho0)
     plain = hs_norm(lrhos)
     numerator = math.sqrt(max(_q_at(traj, tau), 0.0) / 2.0)

@@ -8,13 +8,20 @@ Four families of master-equation generators ``L`` with
 * pure dephasing and energy dissipation, both with the exponential-kernel
   memory of :class:`MemoryFunctions`, read in closed form at any time.
 
+Each family tabulates its time dependence once per run, as a coefficient
+table over the times the integrator visits (a rate, or a Hamiltonian),
+and acts on a stack ``(..., d, d)`` of states with one array expression;
+``apply(rho, t)`` is that action at a single time.
+
 Propagation uses classical fourth-order fixed steps on a uniform grid so
 that the trajectory shares its sampling with the time averages taken by
-the bounds module.  States are re-Hermitized each step.  Positivity is
-checked over the whole run once the stepping is done; a loss beyond
-tolerance aborts, naming the first grid time where it shows, instead of
-being projected away, so genuine integrator or model errors are never
-masked.
+the bounds module.  Scenarios of one family that share a grid are stepped
+together as one ``(B, d, d)`` stack; a single scenario is a batch of one.
+States are re-Hermitized each step.  Every ``POSITIVITY_SCAN_STEPS``
+steps the new states are checked for positivity and their generation
+speeds taken; a loss beyond tolerance aborts, naming the first grid time
+where it shows, instead of being projected away, so genuine integrator or
+model errors are never masked.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ from typing import Union
 import numpy as np
 
 from .matcore import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -42,18 +47,28 @@ from .witness import generation_speed, quantumness
 #: Propagation aborts once the smallest eigenvalue drops below -POSITIVITY_ABORT.
 POSITIVITY_ABORT = 1e-6
 
+#: Stepping checks the states it stored for positivity once per this many grid times.
+POSITIVITY_SCAN_STEPS = 64
+
 #: Relative tolerance for matching query times against a uniform grid.
 GRID_MATCH_TOL = 1e-9
 
-_SIGMA_PM = SIGMA_PLUS @ SIGMA_MINUS  # |1><1| projector
+_DEPHASING_PATTERN = np.array([[0.0, -2.0], [-2.0, 0.0]])
+_DISSIPATION_PATTERN = np.array([[-2.0, -1.0], [-1.0, 0.0]])
+_DISSIPATION_FEED = np.array([[0.0, 0.0], [0.0, 2.0]])  # the decayed population feeds |0><0|
 
 
 class PositivityLossError(RuntimeError):
-    """State positivity was lost beyond tolerance during propagation."""
+    """State positivity was lost beyond tolerance during propagation.
 
-    def __init__(self, message: str, time: float):
+    ``time`` is the first grid time where it shows and ``member`` the index
+    of the batch member that lost it.
+    """
+
+    def __init__(self, message: str, time: float, member: int = 0):
         super().__init__(message)
         self.time = time
+        self.member = member
 
 
 class Schedule:
@@ -210,52 +225,90 @@ def hamiltonian_stirap(c: UnitaryControl, t: float) -> np.ndarray:
     return 1j * antisym
 
 
+def _tabulate(fn, times, shape=()) -> np.ndarray:
+    """``fn(t)`` for each time: real scalars, or complex matrices of the given ``shape``.
+
+    The table is filled in place, so no list of per-time values is held.
+    """
+    dtype = np.dtype((complex, shape)) if shape else np.dtype(float)
+    return np.fromiter((fn(float(t)) for t in times), dtype=dtype, count=len(times))
+
+
+class _TabulatedGenerator:
+    """Protocol of the families: ``coefficients(times)`` tabulates the time
+    dependence, one entry per time, and ``action(rho, c)`` applies the
+    generator to a state or a stack of states with the matching entries
+    (broadcast against the trailing ``(d, d)`` axes).  The action depends on
+    the family only, so one call steps a whole batch.
+    """
+
+    def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
+        """``L_t rho`` at one time."""
+        return self.action(rho, self.coefficients([t])[0])
+
+
+class _Unitary(_TabulatedGenerator):
+    def action(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``-i [H, rho]`` with ``H`` the tabulated Hamiltonian."""
+        out = h @ rho
+        out -= rho @ h  # in place: one stack fewer alive at a time
+        out *= -1j
+        return out
+
+
 @dataclass(frozen=True)
-class UnitaryTwoLevel:
+class UnitaryTwoLevel(_Unitary):
     """Unitary qubit dynamics ``L rho = -i [H(t), rho]``."""
 
     control: UnitaryControl
     dim: int = 2
 
-    def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
-        h = hamiltonian_2l(self.control, t)
-        return -1j * (h @ rho - rho @ h)
+    def coefficients(self, times) -> np.ndarray:
+        return _tabulate(functools.partial(hamiltonian_2l, self.control), times, (2, 2))
 
 
 @dataclass(frozen=True)
-class Stirap:
+class Stirap(_Unitary):
     """Three-level adiabatic-passage unitary dynamics."""
 
     control: UnitaryControl
     dim: int = 3
 
-    def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
-        h = hamiltonian_stirap(self.control, t)
-        return -1j * (h @ rho - rho @ h)
+    def coefficients(self, times) -> np.ndarray:
+        return _tabulate(functools.partial(hamiltonian_stirap, self.control), times, (3, 3))
 
 
 @dataclass(frozen=True)
-class Dephasing:
+class Dephasing(_TabulatedGenerator):
     """Pure dephasing ``L rho = f(t) (sigma_z rho sigma_z - rho)``."""
 
     memory: MemoryFunctions
     dim: int = 2
 
-    def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
-        f = self.memory.f(t)
-        return f * (SIGMA_Z @ rho @ SIGMA_Z - rho)
+    def coefficients(self, times) -> np.ndarray:
+        """Rate ``f`` per time, shaped ``(m, 1, 1)``."""
+        return _tabulate(self.memory.f, times).reshape(-1, 1, 1)
+
+    def action(self, rho: np.ndarray, f: np.ndarray) -> np.ndarray:
+        # sigma_z rho sigma_z - rho is -2 rho off the diagonal and 0 on it, bit for bit
+        return f * (rho * _DEPHASING_PATTERN)
 
 
 @dataclass(frozen=True)
-class Dissipation:
+class Dissipation(_TabulatedGenerator):
     """Energy relaxation ``L rho = P(t) [sigma_- rho, sigma_+] + h.c.``."""
 
     memory: MemoryFunctions
     dim: int = 2
 
-    def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
-        p = self.memory.p(t)
-        return 2.0 * p * (SIGMA_MINUS @ rho @ SIGMA_PLUS) - p * (_SIGMA_PM @ rho) - p * (rho @ _SIGMA_PM)
+    def coefficients(self, times) -> np.ndarray:
+        """Memory function ``P`` per time, shaped ``(m, 1, 1)``."""
+        return _tabulate(self.memory.p, times).reshape(-1, 1, 1)
+
+    def action(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # 2 sigma_- rho sigma_+ - Pi rho - rho Pi (Pi = |1><1|) equals
+        # [[-2 rho_00, -rho_01], [-rho_10, 2 rho_00]] entry by entry, bit for bit
+        return p * (rho * _DISSIPATION_PATTERN + rho[..., :1, :1] * _DISSIPATION_FEED)
 
 
 Generator = Union[UnitaryTwoLevel, Stirap, Dephasing, Dissipation]
@@ -317,19 +370,27 @@ class Trajectory:
     @functools.cached_property
     def lrho0_norms(self) -> np.ndarray:
         """``||L_t rho0||`` at every grid time, computed on first use."""
-        return hs_norm(np.array([self.generator.apply(self.rho0, float(t)) for t in self.grid]))
+        g = self.generator
+        return hs_norm(g.action(self.rho0, g.coefficients(self.grid)))
 
 
 def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
-    """Propagate ``rho0`` along the grid with fourth-order fixed steps.
+    """Propagate ``rho0`` along the grid: :func:`propagate_many` with one member."""
+    return propagate_many([g], [rho0], grid)[0]
 
-    Each step re-Hermitizes the state and stores it with its ``L_t rho_t``.
-    One pass over the stored stacks then checks positivity, raising
-    :class:`PositivityLossError` at the first grid time whose smallest
-    eigenvalue is below ``-POSITIVITY_ABORT`` or whose state is no longer
-    finite, and takes the witness and speed samples.
-    """
-    grid = np.asarray(grid, dtype=float)
+
+def _shared_grid(grid, members: int) -> np.ndarray:
+    """The one uniform grid of a batch; ``grid`` may also give one (equal) grid per member."""
+    try:
+        grid = np.asarray(grid, dtype=float)
+    except ValueError:
+        raise ValueError("mixed grid in one batch: the members' grids differ in length") from None
+    if grid.ndim == 2:
+        if len(grid) != members:
+            raise ValueError(f"grid: {len(grid)} grids for {members} generators")
+        if np.any(grid != grid[0]):
+            raise ValueError("mixed grid in one batch: the members' grids differ")
+        grid = grid[0]
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must contain at least two times")
     if abs(grid[0]) > 1e-12:
@@ -339,49 +400,116 @@ def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
         np.diff(grid), h, rtol=0.0, atol=GRID_MATCH_TOL * max(1.0, float(grid[-1]))
     ):
         raise ValueError("grid must be uniformly increasing")
+    return grid
 
-    rho_init = as_matrix(rho0).copy()
-    if rho_init.shape != (g.dim, g.dim):
-        raise ValueError(f"dimension mismatch: generator dim {g.dim}, state shape {rho_init.shape}")
 
+def _check_positivity(states: np.ndarray, lo: int, hi: int, grid: np.ndarray) -> None:
+    """Raise :class:`PositivityLossError` if a state of ``states[:, lo:hi]`` lost positivity.
+
+    The loss is named at its first grid time, for the member that shows it
+    earliest (the lowest index on ties); a state that is no longer finite
+    counts as lost.
+    """
+    block = states[:, lo:hi]
+    finite = np.isfinite(block).all(axis=(-2, -1))
+    eig = np.full(finite.shape, np.nan)
+    eig[finite] = min_eigenvalue(block[finite])
+    lost = ~(eig >= -POSITIVITY_ABORT)  # NaN from overflow counts as lost
+    if not lost.any():
+        return
+    first = np.where(lost.any(axis=1), lost.argmax(axis=1), hi - lo)
+    b = int(np.argmin(first))
+    j = int(first[b])
+    t = float(grid[lo + j])
+    detail = f"min eigenvalue {eig[b, j]:.3e}" if finite[b, j] else "state no longer finite"
+    member = f"batch member {b}: " if len(states) > 1 else ""
+    raise PositivityLossError(f"{member}state positivity lost at t = {t:.6g} ({detail})", time=t, member=b)
+
+
+def propagate_many(gens, rho0s, grid) -> list:
+    """Propagate one initial state per generator along a shared grid, all in one loop.
+
+    The generators must be of one family and dimension.  Each family's
+    coefficient table is built once, at the grid times and the midpoints
+    (``2n - 1`` times), before the loop; each fourth-order step then applies
+    the family's action to the whole ``(B, d, d)`` stack, re-Hermitizes it
+    and stores the states.  Every ``POSITIVITY_SCAN_STEPS`` grid times the
+    new states are checked, and :class:`PositivityLossError` stops the run
+    at the first grid time whose smallest eigenvalue is below
+    ``-POSITIVITY_ABORT`` or whose state is no longer finite; the block's
+    generation speeds are taken from its ``L_t rho_t``, so only one block
+    of those is held.  The witness samples are taken per member after the
+    loop.  A member's trajectory is the one it gets when propagated alone.
+    """
+    gens, rho0s = list(gens), list(rho0s)
+    if not gens or len(gens) != len(rho0s):
+        raise ValueError(f"need one initial state per generator, got {len(gens)} generators and {len(rho0s)} states")
+    g0 = gens[0]
+    for g in gens[1:]:
+        if type(g) is not type(g0):
+            raise ValueError(f"mixed generator family in one batch: {type(g0).__name__} and {type(g).__name__}")
+        if g.dim != g0.dim:
+            raise ValueError(f"mixed dimension in one batch: {g0.dim} and {g.dim}")
+    grid = _shared_grid(grid, len(gens))
+    d = g0.dim
+    rho_inits = [as_matrix(rho0).copy() for rho0 in rho0s]
+    for m in rho_inits:
+        if m.shape != (d, d):
+            raise ValueError(f"dimension mismatch: generator dim {d}, state shape {m.shape}")
+
+    states, speeds = _step_batch(gens, rho_inits, grid)
+    return [
+        Trajectory(
+            grid=grid,
+            states=states[b],
+            rho0=rho_inits[b],
+            q_samples=quantumness(rho_inits[b], states[b]),
+            speed_samples=speeds[b],
+            generator=g,
+        )
+        for b, g in enumerate(gens)
+    ]
+
+
+def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
+    """The RK4 loop of :func:`propagate_many`: ``(B, n, d, d)`` states and ``(B, n)`` speeds.
+
+    Its coefficient table and block buffers are freed on return, before the
+    witness passes allocate their own stacks.
+    """
     n = len(grid)
-    states = np.empty((n, g.dim, g.dim), dtype=complex)
-    lrhos = np.empty_like(states)
-    rho = rho_init
-    # a run that loses positivity can overflow further on; the scan after the loop names where it was lost
+    d = gens[0].dim
+    h = float(grid[1] - grid[0])
+    times = np.empty(2 * n - 1)
+    times[0::2] = grid
+    times[1::2] = grid[:-1] + 0.5 * h
+    table = np.stack([g.coefficients(times) for g in gens], axis=1)  # (2n - 1, B, ...)
+    act = gens[0].action
+    rho = np.stack(rho_inits)
+    initial = rho[:, None]  # (B, 1, d, d): each member's rho0, against its block of L_t rho_t
+    states = np.empty((len(gens), n, d, d), dtype=complex)
+    speeds = np.empty((len(gens), n))
+    lrhos = np.empty((len(gens), POSITIVITY_SCAN_STEPS, d, d), dtype=complex)  # L_t rho_t of one block
+    scanned = 0
+    # a run that loses positivity can overflow before its block is scanned
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            t = float(grid[k])
-            k1 = g.apply(rho, t)
-            states[k] = rho
-            lrhos[k] = k1
+            k1 = act(rho, table[2 * k])
+            states[:, k] = rho
+            lrhos[:, k - scanned] = k1
+            if k + 1 - scanned == POSITIVITY_SCAN_STEPS or k == n - 1:
+                _check_positivity(states, scanned, k + 1, grid)
+                speeds[:, scanned:k + 1] = generation_speed(initial, lrhos[:, :k + 1 - scanned])
+                scanned = k + 1
             if k == n - 1:
                 break
-            k2 = g.apply(rho + 0.5 * h * k1, t + 0.5 * h)
-            k3 = g.apply(rho + 0.5 * h * k2, t + 0.5 * h)
-            k4 = g.apply(rho + h * k3, t + h)
+            c_mid = table[2 * k + 1]
+            k2 = act(rho + 0.5 * h * k1, c_mid)
+            k3 = act(rho + 0.5 * h * k2, c_mid)
+            k4 = act(rho + h * k3, table[2 * k + 2])
             rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-        finite = np.isfinite(states).all(axis=(1, 2))
-        n_finite = n if finite.all() else int(np.argmin(finite))
-        eig_min = min_eigenvalue(states[:n_finite])
-    lost = np.flatnonzero(~(eig_min >= -POSITIVITY_ABORT))  # NaN from overflow counts as lost
-    k = int(lost[0]) if lost.size else n_finite
-    if k < n:
-        t = float(grid[k])
-        detail = f"min eigenvalue {eig_min[k]:.3e}" if k < n_finite else "state no longer finite"
-        raise PositivityLossError(f"state positivity lost at t = {t:.6g} ({detail})", time=t)
-
-    speed_samples = generation_speed(rho_init, lrhos)
-    del lrhos  # freed before the witness pass allocates its own stacks
-    return Trajectory(
-        grid=grid,
-        states=states,
-        rho0=rho_init,
-        q_samples=quantumness(rho_init, states),
-        speed_samples=speed_samples,
-        generator=g,
-    )
+            rho = 0.5 * (rho + rho.conj().mT)
+    return states, speeds
 
 
 def dephasing_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.ndarray:

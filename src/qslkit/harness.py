@@ -42,6 +42,7 @@ from .generators import (
     dephasing_closed_state,
     dissipation_closed_state,
     propagate,
+    propagate_many,
     unitary_state,
 )
 from .matcore import from_pure, hermiticity_defect, min_eigenvalue, purity
@@ -60,6 +61,9 @@ MODELS = ("unitary2l", "stirap", "dephasing", "dissipation", "ghz")
 SWEEP_GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0)
 
 _NA = "NA"
+
+#: Fuzz cases propagated together (see ``_fuzz_cases``).
+FUZZ_WINDOW = 16
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +266,27 @@ def evaluate_targets(
     return reports
 
 
+def _propagate_built(built: list) -> list:
+    """Trajectories of built scenarios, in order: one batch per generator family and grid."""
+    batches = {}
+    for i, (gen, _, grid, _) in enumerate(built):
+        batches.setdefault((type(gen), grid.tobytes()), []).append(i)
+    trajectories = [None] * len(built)
+    for members in batches.values():
+        gens, rho0s, grids, _ = zip(*(built[i] for i in members))
+        for i, traj in zip(members, propagate_many(gens, rho0s, grids)):
+            trajectories[i] = traj
+    return trajectories
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Propagate one configured scenario and evaluate bounds on its q-grid."""
     gen, rho0, grid, closed = build_scenario(cfg)
-    traj = propagate(gen, rho0, grid)
+    return _scenario_result(cfg, gen, closed, propagate(gen, rho0, grid))
+
+
+def _scenario_result(cfg: ScenarioConfig, gen, closed, traj: Trajectory) -> ScenarioResult:
+    """Evaluate the bounds of a propagated scenario on its q-grid."""
     targets = auto_targets(float(np.max(traj.q_samples)), cfg.q_grid)
     params = {"theta": cfg.theta, "gamma_ratio": cfg.gamma_ratio if cfg.model in ("dephasing", "dissipation", "ghz") else None}
     reports = evaluate_targets(traj, targets, cfg.model, params, closed)
@@ -326,20 +347,18 @@ FIG1_THETAS = (math.pi / 8.0, math.pi / 6.0, math.pi / 5.0)
 
 def fig1(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: int = 20) -> list:
     """Memoryless dephasing sweep: both timescales versus quantumness, three initial angles."""
-    rows = []
-    for theta in FIG1_THETAS:
-        cfg = ScenarioConfig(
-            model="dephasing",
-            theta=theta,
-            markov=True,
-            tau_max=tau_max,
-            grid_points=grid_points,
-            q_grid=q_grid,
+    configs = [
+        ScenarioConfig(
+            model="dephasing", theta=theta, markov=True, tau_max=tau_max, grid_points=grid_points, q_grid=q_grid
         )
-        result = run_scenario(cfg)
-        for rep in result.reports:
+        for theta in FIG1_THETAS
+    ]
+    built = [build_scenario(cfg) for cfg in configs]
+    rows = []
+    for cfg, (gen, _, _, closed), traj in zip(configs, built, _propagate_built(built)):
+        for rep in _scenario_result(cfg, gen, closed, traj).reports:
             rows.append(
-                [theta, math.inf, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b]
+                [cfg.theta, math.inf, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b]
             )
     write_csv(out_path, FIG1_HEADER, rows)
     return rows
@@ -360,7 +379,7 @@ def _memory_sweep(out_path: str, model: str, theta: float, grid_points: int, tau
         for ratio in SWEEP_GAMMA_RATIOS
     ]
     built = [build_scenario(cfg) for cfg in configs]
-    trajectories = [propagate(gen, rho0, grid) for gen, rho0, grid, _ in built]
+    trajectories = _propagate_built(built)
     targets = auto_targets(min(float(np.max(traj.q_samples)) for traj in trajectories), q_grid)
     rows = []
     for cfg, traj, (_, _, _, closed) in zip(configs, trajectories, built):
@@ -624,6 +643,20 @@ def _random_scenario(seed: int, index: int) -> ScenarioConfig:
     )
 
 
+def _fuzz_cases(seed: int, cases: int):
+    """Yield ``(cfg, gen, rho0, grid, trajectory)`` per fuzz case, in case order.
+
+    Cases are propagated ``FUZZ_WINDOW`` at a time, which bounds the states
+    held at once; within a window the cases of one model and grid are one
+    batch.  Each case keeps the grid ``build_scenario`` gives it.
+    """
+    for start in range(0, cases, FUZZ_WINDOW):
+        configs = [_random_scenario(seed, j) for j in range(start, min(start + FUZZ_WINDOW, cases))]
+        built = [build_scenario(cfg) for cfg in configs]
+        for cfg, (gen, rho0, grid, _), traj in zip(configs, built, _propagate_built(built)):
+            yield cfg, gen, rho0, grid, traj
+
+
 def _check_dynamics_properties(seed: int, cases: int) -> list:
     """Speed-limit validity, conservation laws, and the rate inequality."""
     worst_qsl = math.inf  # min of (crossing - tau_q); must stay > -1e-4
@@ -635,11 +668,7 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
     worst_rate_slack = math.inf  # min of (2 sqrt(2q) speed + 1e-9 - |dq/dt|)
     worst_fd = 0.0
     checked_cells = 0
-    for j in range(cases):
-        cfg = _random_scenario(seed, j)
-        gen, rho0, grid, _closed = build_scenario(cfg)
-        traj = propagate(gen, rho0, grid)
-
+    for cfg, gen, rho0, grid, traj in _fuzz_cases(seed, cases):
         for state in traj.states[:: max(1, len(traj.states) // 40)]:
             worst_trace = max(worst_trace, abs(float(np.trace(state).real) - 1.0))
             worst_herm = max(worst_herm, hermiticity_defect(state))
@@ -702,28 +731,20 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
 
 def _check_oracle_equivalence() -> list:
     """Closed-form states versus propagated states on a fixed small ensemble."""
+    tau_max = 2.0
+    grid = np.linspace(0.0, tau_max, 2001)
+    ensemble = [
+        (theta, MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(OUParams(1.0, gamma)))
+        for theta in (math.pi / 8.0, math.pi / 5.0)
+        for gamma in (0.5, 2.0, None)  # None = memoryless branch
+    ]
+    rho0s = [from_pure([math.cos(theta), math.sin(theta)]) for theta, _ in ensemble]
     worst = 0.0
-    for theta in (math.pi / 8.0, math.pi / 5.0):
-        for gamma in (0.5, 2.0, None):  # None = memoryless branch
-            markov = gamma is None
-            tau_max = 2.0
-            n = 2001
-            grid = np.linspace(0.0, tau_max, n)
-            rho0 = from_pure([math.cos(theta), math.sin(theta)])
-
-            mem = (
-                MemoryFunctions.markov_limit(1.0)
-                if markov
-                else MemoryFunctions(OUParams(1.0, gamma))
-            )
-            traj = propagate(Dephasing(mem), rho0, grid)
+    for family, closed_state in ((Dephasing, dephasing_closed_state), (Dissipation, dissipation_closed_state)):
+        trajectories = propagate_many([family(mem) for _, mem in ensemble], rho0s, grid)
+        for (theta, mem), traj in zip(ensemble, trajectories):
             for tau in (0.5 * tau_max, tau_max):
-                closed = dephasing_closed_state(theta, tau, mem)
-                worst = max(worst, float(np.max(np.abs(closed - traj.state_at(tau)))))
-
-            traj = propagate(Dissipation(mem), rho0, grid)
-            for tau in (0.5 * tau_max, tau_max):
-                closed = dissipation_closed_state(theta, tau, mem)
+                closed = closed_state(theta, tau, mem)
                 worst = max(worst, float(np.max(np.abs(closed - traj.state_at(tau)))))
     return [
         PropertyCheck(
@@ -732,18 +753,11 @@ def _check_oracle_equivalence() -> list:
     ]
 
 
-class _TamperedDephasing:
+class _TamperedDephasing(Dephasing):
     """Deliberately sign-flipped dephasing rate; must be caught by the checks."""
 
-    dim = 2
-
-    def __init__(self, memory: MemoryFunctions):
-        self.memory = memory
-
-    def apply(self, rho, t):
-        from .matcore import SIGMA_Z
-
-        return -self.memory.f(t) * (SIGMA_Z @ rho @ SIGMA_Z - rho)
+    def coefficients(self, times) -> np.ndarray:
+        return -super().coefficients(times)
 
 
 def _check_mutation_canary() -> list:

@@ -10,7 +10,9 @@ Conventions shared by the whole package:
   allocated arrays.  Supported dimensions are 1..32.
 * ``commutator``, ``hs_norm`` and ``min_eigenvalue`` also take stacks
   ``(..., d, d)`` and work per matrix; a stacked call gives bit for bit
-  what the calls on the single matrices give.
+  what the calls on the single matrices give.  ``hermiticity_defect``
+  gives the largest defect over a stack.  ``purity`` and
+  ``validate_density`` take one matrix and reject a stack by its shape.
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not 1 <= m.shape[-1] <= MAX_DIM:
         raise ValueError(f"dimension {m.shape[-1]} outside supported range 1..{MAX_DIM}")
+    return m
+
+
+def _one_matrix(a) -> np.ndarray:
+    """:func:`as_matrix` for functions that take one matrix, not a stack."""
+    m = as_matrix(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected one square matrix, got a stack of shape {m.shape}")
     return m
 
 
@@ -89,14 +99,14 @@ def from_pure(v) -> np.ndarray:
 
 def purity(rho: np.ndarray) -> float:
     """``Tr(rho^2)``, equal to one exactly for pure states."""
-    m = as_matrix(rho)
+    m = _one_matrix(rho)
     return float(np.trace(m @ m).real)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation from ``A = A^dag``."""
-    m = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Largest entrywise deviation from ``A = A^dag`` (over all matrices of a stack)."""
+    m = as_matrix(a)
+    return float(np.max(np.abs(m - m.conj().mT)))
 
 
 def min_eigenvalue(rho: np.ndarray):
@@ -130,9 +140,10 @@ class DensityDiagnostics:
 def validate_density(rho: np.ndarray, tol: float = 1e-8) -> DensityDiagnostics:
     """Check Hermiticity, unit trace and positivity of ``rho``.
 
-    Purely diagnostic: never raises, reports defects against ``tol``.
+    Purely diagnostic: reports defects against ``tol``; raises only for
+    input that is not one square matrix.
     """
-    m = as_matrix(rho)
+    m = _one_matrix(rho)
     herm = hermiticity_defect(m)
     trace = abs(float(np.trace(m).real) - 1.0)
     eig_min = min_eigenvalue(m)

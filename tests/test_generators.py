@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qslkit.generators import (
+    POSITIVITY_SCAN_STEPS,
     Dephasing,
     Dissipation,
     PositivityLossError,
@@ -21,6 +22,7 @@ from qslkit.generators import (
     hamiltonian_2l,
     hamiltonian_stirap,
     propagate,
+    propagate_many,
     unitary_state,
 )
 from qslkit.matcore import (
@@ -35,16 +37,21 @@ from qslkit.matcore import (
 from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from qslkit.witness import random_density_matrix
 
-class SignFlippedDephasing:
-    """Dephasing with its rate sign-flipped: coherences grow and positivity breaks."""
+class SignFlippedDephasing(Dephasing):
+    """Dephasing with its rate sign-flipped, in any dimension: coherences grow and positivity breaks."""
+
+    actions = 0  # calls of the action, across instances
 
     def __init__(self, dim, rate):
-        self.dim = dim
-        self.rate = rate
-        self.z = np.diag([(-1.0) ** i for i in range(dim)]).astype(complex)
+        super().__init__(MemoryFunctions.markov_limit(rate), dim)
 
-    def apply(self, rho, t):
-        return -self.rate * (self.z @ rho @ self.z - rho)
+    def coefficients(self, times):
+        return -super().coefficients(times)
+
+    def action(self, rho, f):
+        SignFlippedDephasing.actions += 1
+        z = np.diag([(-1.0) ** i for i in range(self.dim)]).astype(complex)
+        return f * (z @ rho @ z - rho)
 
 
 GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0, 50.0)
@@ -304,6 +311,136 @@ class TestPropagate:
                 traj.locate(bad)
         with pytest.raises(ValueError, match="not on the trajectory grid"):
             traj.index_of(float(grid[37]) + 0.5 * traj.step)
+
+
+def _positivity_error(gens, rho0s, grid):
+    with pytest.raises(PositivityLossError) as err:
+        propagate_many(gens, rho0s, grid)
+    return err.value
+
+
+class TestPropagateMany:
+    @staticmethod
+    def assert_matches_solo(gens, rho0s, grid):
+        batch = propagate_many(gens, rho0s, grid)
+        assert len(batch) == len(gens)
+        for g, rho0, traj in zip(gens, rho0s, batch):
+            solo = propagate(g, rho0, grid)
+            assert traj.generator is g
+            assert np.array_equal(traj.grid, solo.grid)
+            assert np.array_equal(traj.rho0, solo.rho0)
+            for name in ("states", "q_samples", "speed_samples"):
+                assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
+
+    def test_dephasing_memory_ratios_and_angles(self):
+        gens = [Dephasing(MemoryFunctions(OUParams(1.0, g))) for g in GAMMA_RATIOS]
+        gens.append(Dephasing(MemoryFunctions.markov_limit(1.0)))
+        rho0s = [from_pure([math.cos(th), math.sin(th)]) for th in np.linspace(0.2, 1.3, len(gens))]
+        self.assert_matches_solo(gens, rho0s, np.linspace(0.0, 3.0, 801))
+
+    def test_dissipation_memory_ratios_and_angles(self):
+        gens = [dissipation_setup(0.0, g, 1.0, 2)[0] for g in (0.1, 0.5, 1.0, 2.0, 50.0, None)]
+        rho0s = [from_pure([math.cos(th), math.sin(th)]) for th in np.linspace(0.2, 1.3, len(gens))]
+        self.assert_matches_solo(gens, rho0s, np.linspace(0.0, 2.0, 801))
+
+    def test_unitary2l_controls(self):
+        controls = [
+            UnitaryControl.constant(theta_rate=0.5, alpha=0.0, alpha_rate=0.0),
+            UnitaryControl.constant(theta_rate=0.5, alpha=1.1, alpha_rate=-0.7),
+            UnitaryControl.constant(theta_rate=0.9, alpha=2.5, alpha_rate=0.4, theta0=0.3),
+        ]
+        gens = [UnitaryTwoLevel(c) for c in controls]
+        rho0s = [from_pure(unitary_state(c.theta0, c.alpha_value(0.0))) for c in controls]
+        self.assert_matches_solo(gens, rho0s, np.linspace(0.0, 1.0, 801))
+
+    def test_stirap_3x3(self):
+        controls = [
+            UnitaryControl.constant(theta_rate=0.5),
+            UnitaryControl.constant(theta_rate=0.7, alpha=0.2, alpha_rate=0.8),
+            UnitaryControl(theta0=0.1, theta_rate=Schedule.constant(0.4), alpha=Schedule.ramp(0.3, -0.5)),
+        ]
+        rho0s = [from_pure(v) for v in ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], np.ones(3) / math.sqrt(3.0))]
+        self.assert_matches_solo([Stirap(c) for c in controls], rho0s, np.linspace(0.0, 1.0, 801))
+
+    def test_mixed_family_rejected(self):
+        mem = MemoryFunctions.markov_limit(1.0)
+        rho0 = from_pure([1.0, 0.0])
+        with pytest.raises(ValueError, match="mixed generator family.*Dephasing and Dissipation"):
+            propagate_many([Dephasing(mem), Dissipation(mem)], [rho0, rho0], np.linspace(0.0, 1.0, 11))
+
+    def test_mixed_dimension_rejected(self):
+        rho2, rho3 = from_pure([1.0, 0.0]), from_pure([1.0, 0.0, 0.0])
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="mixed dimension in one batch: 2 and 3"):
+            propagate_many([SignFlippedDephasing(2, 1.0), SignFlippedDephasing(3, 1.0)], [rho2, rho3], grid)
+        gen = Dephasing(MemoryFunctions.markov_limit(1.0))
+        with pytest.raises(ValueError, match="dimension mismatch: generator dim 2, state shape \\(3, 3\\)"):
+            propagate_many([gen, gen], [rho2, rho3], grid)
+
+    def test_mixed_grid_rejected(self):
+        gen = Dephasing(MemoryFunctions.markov_limit(1.0))
+        rho0 = from_pure([1.0, 0.0])
+        with pytest.raises(ValueError, match="mixed grid in one batch: the members' grids differ$"):
+            propagate_many([gen, gen], [rho0, rho0], [np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 11)])
+        with pytest.raises(ValueError, match="mixed grid in one batch: the members' grids differ in length"):
+            propagate_many([gen, gen], [rho0, rho0], [np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 21)])
+        with pytest.raises(ValueError, match="grid: 3 grids for 2 generators"):
+            propagate_many([gen, gen], [rho0, rho0], [np.linspace(0.0, 1.0, 11)] * 3)
+        grid = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(propagate_many([gen, gen], [rho0, rho0], [grid, grid])[1].grid, grid)
+
+    def test_one_state_per_generator(self):
+        gen = Dephasing(MemoryFunctions.markov_limit(1.0))
+        with pytest.raises(ValueError, match="one initial state per generator"):
+            propagate_many([gen, gen], [from_pure([1.0, 0.0])], np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ValueError, match="one initial state per generator"):
+            propagate_many([], [], np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_positivity_loss_names_the_earliest_member(self, position):
+        grid = np.linspace(0.0, 3.0, 1001)
+        theta = math.pi / 8.0
+        c, s = math.cos(theta), math.sin(theta)
+        pure = from_pure([c, s])  # loses positivity on the first step
+        late = np.array([[c * c, 0.5 * c * s], [0.5 * c * s, s * s]], dtype=complex)  # at t = ln 2 / 2
+        frozen = np.diag([c * c, s * s]).astype(complex)  # no coherence to grow
+        rho0s = [late, frozen]
+        rho0s.insert(position, pure)
+        gens = [SignFlippedDephasing(2, 1.0) for _ in rho0s]
+        solo = _positivity_error([gens[position]], [pure], grid)
+        err = _positivity_error(gens, rho0s, grid)
+        assert (err.member, err.time) == (position, solo.time) == (position, 0.003)
+        assert str(err) == f"batch member {position}: {solo}"
+        late_solo = _positivity_error([gens[0]], [late], grid)
+        assert late_solo.time == pytest.approx(0.5 * math.log(2.0), abs=0.003)
+        assert late_solo.member == 0
+
+    def test_positivity_tie_names_the_lowest_index(self):
+        theta = math.pi / 8.0
+        pure = from_pure([math.cos(theta), math.sin(theta)])
+        frozen = np.diag([0.5, 0.5]).astype(complex)
+        gens = [SignFlippedDephasing(2, 1.0) for _ in range(3)]
+        err = _positivity_error(gens, [frozen, pure, pure], np.linspace(0.0, 3.0, 1001))
+        assert (err.member, err.time) == (1, 0.003)
+
+    def test_single_member_message_unchanged(self):
+        theta = math.pi / 8.0
+        rho0 = from_pure([math.cos(theta), math.sin(theta)])
+        with pytest.raises(PositivityLossError, match=r"^state positivity lost at t = 0\.003 \(min eigenvalue -"):
+            propagate(SignFlippedDephasing(2, 1.0), rho0, np.linspace(0.0, 3.0, 1001))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_positivity_loss_stops_the_stepping(self, dim):
+        # the loss shows at grid index 1; one block scan later the run must stop
+        rho0 = from_pure(np.ones(dim) / math.sqrt(dim))
+        n = 1001
+        SignFlippedDephasing.actions = 0
+        with pytest.raises(PositivityLossError) as err:
+            propagate(SignFlippedDephasing(dim, 1.0), rho0, np.linspace(0.0, 3.0, n))
+        assert err.value.time == 0.003
+        stepped = SignFlippedDephasing.actions
+        assert stepped <= 4 * (1 + POSITIVITY_SCAN_STEPS)
+        assert stepped < 4 * (n - 1) // 10  # a full run would take 4 (n - 1) + 1 actions
 
 
 class TestClosedStates:

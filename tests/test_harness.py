@@ -7,7 +7,9 @@ import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,19 +173,26 @@ class TestRunScenario:
 
     def test_tau_b_norms_computed_once_per_trajectory(self):
         class CountingDephasing(Dephasing):
-            calls = 0
+            tables = []  # number of times in each coefficient table built
+            actions = 0
 
-            def apply(self, rho, t):
-                CountingDephasing.calls += 1
-                return super().apply(rho, t)
+            def coefficients(self, times):
+                CountingDephasing.tables.append(len(times))
+                return super().coefficients(times)
+
+            def action(self, rho, f):
+                CountingDephasing.actions += 1
+                return super().action(rho, f)
 
         cfg = ScenarioConfig(model="dephasing", theta=math.pi / 5.0, gamma=0.5, tau_max=2.0, grid_points=401)
         gen, rho0, grid, closed = harness.build_scenario(cfg)
         traj = harness.propagate(CountingDephasing(gen.memory), rho0, grid)
-        CountingDephasing.calls = 0
+        CountingDephasing.tables, CountingDephasing.actions = [], 0
         reports = evaluate_targets(traj, auto_targets(float(traj.q_samples.max()), 20), "dephasing", {}, closed)
         assert sum(rep.tau_b_avg is not None for rep in reports) == 20
-        assert CountingDephasing.calls == len(grid)
+        # one table over the grid and one stacked action for all 20 targets
+        assert CountingDephasing.tables == [len(grid)]
+        assert CountingDephasing.actions == 1
 
 
 class TestCsvEmission:
@@ -230,6 +239,7 @@ class TestCsvEmission:
     def test_fig3_validates_every_ratio_before_propagating(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "propagate", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "propagate_many", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="invalid field 'tau_max'"):
             fig3(str(tmp_path / "fig3.csv"), tau_max=5.0)
         assert calls == []
@@ -317,6 +327,62 @@ class TestValidate:
     def test_invalid_cases_rejected(self):
         with pytest.raises(ValueError):
             validate(seed=0, cases=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fuzz_batches_keep_every_case_grid(self, seed, monkeypatch):
+        batches = []
+
+        def record(gens, rho0s, grids):
+            batches.append((gens, grids))
+            return [SimpleNamespace(grid=np.asarray(g), generator=gen) for gen, g in zip(gens, grids)]
+
+        monkeypatch.setattr(harness, "propagate_many", record)
+        cases = list(harness._fuzz_cases(seed, 30))
+        assert len(cases) == 30
+        for j, (cfg, gen, _rho0, grid, traj) in enumerate(cases):
+            expected_cfg = harness._random_scenario(seed, j)
+            assert cfg == expected_cfg
+            expected_grid = harness.build_scenario(expected_cfg)[2]
+            assert traj.grid.shape == grid.shape == expected_grid.shape
+            assert np.array_equal(traj.grid, expected_grid) and np.array_equal(grid, expected_grid)
+            assert traj.generator is gen
+        assert sum(len(gens) for gens, _ in batches) == 30
+        for gens, grids in batches:
+            assert len({type(g) for g in gens}) == 1
+            assert all(np.array_equal(g, grids[0]) for g in grids)
+        assert max(len(gens) for gens, _ in batches) > 1
+
+
+class TestBatching:
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        sizes = []
+        real = harness.propagate_many
+
+        def counting(gens, rho0s, grid):
+            sizes.append(len(gens))
+            return real(gens, rho0s, grid)
+
+        monkeypatch.setattr(harness, "propagate_many", counting)
+        return sizes
+
+    def test_figures_step_their_scenarios_together(self, tmp_path, batch_sizes):
+        fig1(str(tmp_path / "f1.csv"), grid_points=501, tau_max=2.0)
+        assert batch_sizes == [3]
+        fig2(str(tmp_path / "f2.csv"), grid_points=501, tau_max=2.0)
+        fig3(str(tmp_path / "f3.csv"))
+        assert batch_sizes == [3, 4, 4]
+
+    def test_sweep_grids_that_differ_are_separate_batches(self, tmp_path, batch_sizes):
+        # 100 points over 3.0 are too coarse for ratio 2: its grid is refined, the others are not
+        rows = fig3(str(tmp_path / "f3.csv"), grid_points=100, tau_max=3.0)
+        assert sorted(batch_sizes) == [1, 3]
+        assert len(rows) == 4 * 20
+
+    def test_oracle_block_is_two_batches_of_six(self, batch_sizes):
+        (check,) = harness._check_oracle_equivalence()
+        assert check.passed
+        assert batch_sizes == [6, 6]
 
 
 class TestCli:

@@ -14,6 +14,7 @@ from qslkit.matcore import (
     commutator,
     dagger,
     from_pure,
+    hermiticity_defect,
     hs_norm,
     identity,
     min_eigenvalue,
@@ -155,3 +156,23 @@ class TestStacks:
     def test_single_matrix_gives_a_float(self):
         assert isinstance(hs_norm(SIGMA_X), float)
         assert isinstance(min_eigenvalue(SIGMA_X), float)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2), (4, 1, 3, 3)])
+    def test_purity_rejects_a_stack_by_its_shape(self, shape):
+        stack = np.broadcast_to(identity(shape[-1]) / shape[-1], shape)
+        with pytest.raises(ValueError, match=r"one square matrix, got a stack of shape \(" + ", ".join(map(str, shape))):
+            purity(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2), (4, 1, 3, 3)])
+    def test_validate_density_rejects_a_stack_by_its_shape(self, shape):
+        stack = np.broadcast_to(identity(shape[-1]) / shape[-1], shape)
+        with pytest.raises(ValueError, match=r"one square matrix, got a stack of shape \(" + ", ".join(map(str, shape))):
+            validate_density(stack)
+
+    def test_hermiticity_defect_over_a_stack(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_hermitian(2, rng) for _ in range(3)])
+        assert hermiticity_defect(stack) == 0.0
+        stack[1, 0, 1] += 0.25
+        assert hermiticity_defect(stack) == pytest.approx(0.25, abs=1e-15)
+        assert hermiticity_defect(stack[1]) == hermiticity_defect(stack)
