@@ -222,9 +222,9 @@ def unitary_speed_squared(c: UnitaryControl, t: float) -> float:
     trajectory route is the cross-check).
     """
     th = c.theta(t)
-    thd = c.theta_dot(t)
-    al = c.alpha_value(t)
-    ald = c.alpha_dot(t)
+    thd = c.theta_rate
+    al = c.alpha(t)
+    ald = c.alpha_rate
     mixed = (
         -2.0
         * ald
@@ -261,21 +261,17 @@ def tau_q_unitary(c: UnitaryControl, tau: float, samples: int = 10_000) -> float
     return abs(s2) / (math.sqrt(2.0) * mean_speed)
 
 
-def quantumness_dissipation(theta: float, b: float, c: float) -> float:
-    """Closed-form dissipation witness from the accumulated memory integrals.
+def quantumness_dissipation(theta: float, xi: float) -> float:
+    """Closed-form dissipation witness ``sin^2(2 theta) (1 - 2 e^{-2 xi} cos^2 theta + e^{-xi} cos 2theta)^2``.
 
-    ``b`` and ``c`` are the real and imaginary parts of the running
-    integral of the memory function.  The witness vanishes identically at
-    ``sin 2theta = 0`` and that input is rejected.
+    ``xi`` is the running integral of the memory function.  The witness
+    vanishes identically at ``sin 2theta = 0`` and that input is rejected.
     """
     s2 = math.sin(2.0 * theta)
     if abs(s2) < _ZERO:
         raise ValueError("quantumness identically zero (sin 2theta = 0)")
-    cos2 = math.cos(theta) ** 2
-    inner = 1.0 - 2.0 * math.exp(-2.0 * b) * cos2 + np.exp(-b - 1j * c) * math.cos(2.0 * theta)
-    return float(
-        s2**2 * abs(inner) ** 2 + s2**4 * math.sin(c) ** 2 * math.exp(-2.0 * b)
-    )
+    inner = 1.0 - 2.0 * math.exp(-2.0 * xi) * math.cos(theta) ** 2 + math.exp(-xi) * math.cos(2.0 * theta)
+    return s2**2 * inner**2
 
 
 def speed_dissipation(theta: float, t: float, m: MemoryFunctions) -> float:
@@ -323,8 +319,7 @@ def conservative_bound_diagnostics(traj: Trajectory, tau: float) -> dict:
     k, w = traj.locate(tau)
     upto = k + 2 if w > 0.0 else k + 1
     rho0 = traj.rho0
-    g = traj.generator
-    lrhos = g.action(traj.states[:upto], g.coefficients(traj.grid[:upto]))
+    lrhos = traj.generator.action(traj.states[:upto], traj.coefficients[:upto])
     prod = hs_norm(lrhos @ rho0)
     plain = hs_norm(lrhos)
     numerator = math.sqrt(max(_q_at(traj, tau), 0.0) / 2.0)
@@ -347,18 +342,14 @@ def quarter_theta_unitary_report(alpha_rate: float, tau: float, grid_points: int
     candidates (``tau / |alpha|`` and ``|sin alpha| / |alpha_rate|``).
     Nothing is asserted about which candidate is correct.
     """
-    from .generators import Schedule, UnitaryTwoLevel, propagate, unitary_state
+    from .generators import UnitaryTwoLevel, propagate, unitary_state
     from .matcore import from_pure
 
     if alpha_rate == 0.0:
         raise ValueError("phase rate must be nonzero for the pinned-angle drive")
     if tau <= 0.0:
         raise ValueError(f"final time must be positive, got {tau}")
-    control = UnitaryControl(
-        theta0=math.pi / 4.0,
-        theta_rate=Schedule.constant(0.0),
-        alpha=Schedule.ramp(0.0, alpha_rate),
-    )
+    control = UnitaryControl(theta0=math.pi / 4.0, alpha_rate=alpha_rate)
     rho0 = from_pure(unitary_state(math.pi / 4.0, 0.0))
     grid = np.linspace(0.0, tau, grid_points)
     traj = propagate(UnitaryTwoLevel(control), rho0, grid)

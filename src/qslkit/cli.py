@@ -134,6 +134,7 @@ def _run(args: argparse.Namespace) -> int:
                     "note": report.note,
                 },
                 indent=2,
+                allow_nan=False,
             )
         )
         return 0

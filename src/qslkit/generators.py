@@ -71,122 +71,20 @@ class PositivityLossError(RuntimeError):
         self.member = member
 
 
-class Schedule:
-    """Real-valued control function of time with exact constant branches.
-
-    Supports ``value(t)``, its derivative ``rate(t)`` and the running
-    integral ``integral(t) = int_0^t value(s) ds``.  Constant and linear
-    branches are closed-form (no interpolation error); tabulated branches
-    are piecewise linear with exact segment integrals.
-    """
-
-    def __init__(self, kind: str, **kw):
-        self._kind = kind
-        self._kw = kw
-        if kind == "tabulated":
-            times = np.asarray(kw["times"], dtype=float)
-            values = np.asarray(kw["values"], dtype=float)
-            if times.ndim != 1 or times.size < 2 or values.shape != times.shape:
-                raise ValueError("tabulated schedule needs matching 1-d times/values")
-            if np.any(np.diff(times) <= 0.0):
-                raise ValueError("tabulated schedule times must be strictly increasing")
-            self._times = times
-            self._values = values
-            # running integral of the piecewise-linear value at the nodes
-            seg = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
-            self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-
-    @classmethod
-    def constant(cls, value: float) -> "Schedule":
-        return cls("constant", value=float(value))
-
-    @classmethod
-    def ramp(cls, start: float, slope: float) -> "Schedule":
-        """Linear-in-time value ``start + slope * t``."""
-        return cls("ramp", start=float(start), slope=float(slope))
-
-    @classmethod
-    def tabulated(cls, times, values) -> "Schedule":
-        return cls("tabulated", times=times, values=values)
-
-    def _locate(self, t: float) -> int:
-        times = self._times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise ValueError(f"schedule undefined at t = {t}")
-        idx = int(np.searchsorted(times, t, side="right") - 1)
-        return min(max(idx, 0), len(times) - 2)
-
-    def value(self, t: float) -> float:
-        if self._kind == "constant":
-            return self._kw["value"]
-        if self._kind == "ramp":
-            return self._kw["start"] + self._kw["slope"] * t
-        i = self._locate(t)
-        t0, t1 = self._times[i], self._times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return float((1.0 - w) * self._values[i] + w * self._values[i + 1])
-
-    def rate(self, t: float) -> float:
-        if self._kind == "constant":
-            return 0.0
-        if self._kind == "ramp":
-            return self._kw["slope"]
-        i = self._locate(t)
-        return float(
-            (self._values[i + 1] - self._values[i]) / (self._times[i + 1] - self._times[i])
-        )
-
-    def integral(self, t: float) -> float:
-        if self._kind == "constant":
-            return self._kw["value"] * t
-        if self._kind == "ramp":
-            return self._kw["start"] * t + 0.5 * self._kw["slope"] * t * t
-        if not self._times[0] <= 0.0:
-            raise ValueError("tabulated schedule must cover t = 0 to integrate from 0")
-        i = self._locate(t)
-        t0 = self._times[i]
-        v0 = self._values[i]
-        vt = self.value(t)
-        partial = 0.5 * (v0 + vt) * (t - t0)
-        zero = np.interp(0.0, self._times, self._cum)
-        return float(self._cum[i] + partial - zero)
-
-    def __repr__(self) -> str:
-        return f"Schedule({self._kind}, {self._kw})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class UnitaryControl:
-    """Two-angle control: rotation-angle rate schedule and phase schedule."""
+    """Two-angle control with linear angles ``theta0 + theta_rate t`` and ``alpha0 + alpha_rate t``."""
 
-    theta0: float
-    theta_rate: Schedule
-    alpha: Schedule
-
-    @classmethod
-    def constant(
-        cls,
-        theta_rate: float,
-        alpha: float = 0.0,
-        alpha_rate: float = 0.0,
-        theta0: float = 0.0,
-    ) -> "UnitaryControl":
-        alpha_schedule = (
-            Schedule.constant(alpha) if alpha_rate == 0.0 else Schedule.ramp(alpha, alpha_rate)
-        )
-        return cls(theta0=theta0, theta_rate=Schedule.constant(theta_rate), alpha=alpha_schedule)
+    theta0: float = 0.0
+    theta_rate: float = 0.0
+    alpha0: float = 0.0
+    alpha_rate: float = 0.0
 
     def theta(self, t: float) -> float:
-        return self.theta0 + self.theta_rate.integral(t)
+        return self.theta0 + self.theta_rate * t
 
-    def theta_dot(self, t: float) -> float:
-        return self.theta_rate.value(t)
-
-    def alpha_value(self, t: float) -> float:
-        return self.alpha.value(t)
-
-    def alpha_dot(self, t: float) -> float:
-        return self.alpha.rate(t)
+    def alpha(self, t: float) -> float:
+        return self.alpha0 + self.alpha_rate * t
 
 
 def unitary_state(theta: float, alpha: float) -> np.ndarray:
@@ -197,9 +95,9 @@ def unitary_state(theta: float, alpha: float) -> np.ndarray:
 def hamiltonian_2l(c: UnitaryControl, t: float) -> np.ndarray:
     """Driving Hamiltonian of the two-angle qubit control at time ``t``."""
     th = c.theta(t)
-    thd = c.theta_dot(t)
-    al = c.alpha_value(t)
-    ald = c.alpha_dot(t)
+    thd = c.theta_rate
+    al = c.alpha(t)
+    ald = c.alpha_rate
     sc = math.sin(th) * math.cos(th)
     hx = -thd * math.cos(al) + ald * sc * math.sin(al)
     hy = -(thd * math.sin(al) + ald * sc * math.cos(al))
@@ -209,9 +107,9 @@ def hamiltonian_2l(c: UnitaryControl, t: float) -> np.ndarray:
 
 def hamiltonian_stirap(c: UnitaryControl, t: float) -> np.ndarray:
     """Three-level adiabatic-passage Hamiltonian in the ``{|2>, |1>, |0>}`` basis."""
-    thd = c.theta_dot(t)
+    thd = c.theta_rate
     th = c.theta(t)
-    ald = c.alpha_dot(t)
+    ald = c.alpha_rate
     a01 = ald * math.cos(th)
     a12 = ald * math.sin(th)
     antisym = np.array(
@@ -329,7 +227,9 @@ class Trajectory:
     ``states`` is one ``(n, d, d)`` array; ``q_samples[k]`` is the
     quantumness between the initial and the current state;
     ``speed_samples[k]`` the generation speed ``||[rho0, L rho_t]||`` at the
-    grid time.
+    grid time.  ``coefficients`` holds the generator's table entries at the
+    grid times, the ones the propagation stepped with, so nothing after it
+    tabulates the generator again.
     """
 
     grid: np.ndarray
@@ -337,7 +237,8 @@ class Trajectory:
     rho0: np.ndarray
     q_samples: np.ndarray
     speed_samples: np.ndarray
-    generator: Generator = field(repr=False, default=None)
+    coefficients: np.ndarray = field(repr=False)
+    generator: Generator = field(repr=False)
 
     @property
     def tau_max(self) -> float:
@@ -370,8 +271,7 @@ class Trajectory:
     @functools.cached_property
     def lrho0_norms(self) -> np.ndarray:
         """``||L_t rho0||`` at every grid time, computed on first use."""
-        g = self.generator
-        return hs_norm(g.action(self.rho0, g.coefficients(self.grid)))
+        return hs_norm(self.generator.action(self.rho0, self.coefficients))
 
 
 def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
@@ -439,7 +339,8 @@ def propagate_many(gens, rho0s, grid) -> list:
     ``-POSITIVITY_ABORT`` or whose state is no longer finite; the block's
     generation speeds are taken from its ``L_t rho_t``, so only one block
     of those is held.  The witness samples are taken per member after the
-    loop.  A member's trajectory is the one it gets when propagated alone.
+    loop, and each member keeps its own copy of the table's grid-time rows.
+    A member's trajectory is the one it gets when propagated alone.
     """
     gens, rho0s = list(gens), list(rho0s)
     if not gens or len(gens) != len(rho0s):
@@ -457,7 +358,7 @@ def propagate_many(gens, rho0s, grid) -> list:
         if m.shape != (d, d):
             raise ValueError(f"dimension mismatch: generator dim {d}, state shape {m.shape}")
 
-    states, speeds = _step_batch(gens, rho_inits, grid)
+    states, speeds, coefficients = _step_batch(gens, rho_inits, grid)
     return [
         Trajectory(
             grid=grid,
@@ -465,6 +366,7 @@ def propagate_many(gens, rho0s, grid) -> list:
             rho0=rho_inits[b],
             q_samples=quantumness(rho_inits[b], states[b]),
             speed_samples=speeds[b],
+            coefficients=coefficients[b],
             generator=g,
         )
         for b, g in enumerate(gens)
@@ -472,9 +374,10 @@ def propagate_many(gens, rho0s, grid) -> list:
 
 
 def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
-    """The RK4 loop of :func:`propagate_many`: ``(B, n, d, d)`` states and ``(B, n)`` speeds.
+    """The RK4 loop of :func:`propagate_many`: ``(B, n, d, d)`` states, ``(B, n)`` speeds
+    and each member's owned copy of its grid-time table rows.
 
-    Its coefficient table and block buffers are freed on return, before the
+    The midpoint rows and the block buffers are freed on return, before the
     witness passes allocate their own stacks.
     """
     n = len(grid)
@@ -509,7 +412,7 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
             k4 = act(rho + h * k3, table[2 * k + 2])
             rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             rho = 0.5 * (rho + rho.conj().mT)
-    return states, speeds
+    return states, speeds, [table[0::2, b].copy() for b in range(len(gens))]
 
 
 def dephasing_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.ndarray:

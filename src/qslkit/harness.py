@@ -194,11 +194,8 @@ def build_scenario(cfg: ScenarioConfig):
         closed = lambda q, tau: tau_q_dephasing(q, cfg.theta, mem)  # noqa: E731
         return Dephasing(mem), rho0, grid, closed
 
-    control = UnitaryControl.constant(
-        theta_rate=cfg.theta_rate,
-        alpha=cfg.alpha0,
-        alpha_rate=cfg.alpha_rate,
-        theta0=cfg.theta0,
+    control = UnitaryControl(
+        theta0=cfg.theta0, theta_rate=cfg.theta_rate, alpha0=cfg.alpha0, alpha_rate=cfg.alpha_rate
     )
     if cfg.model == "unitary2l":
         gen = UnitaryTwoLevel(control)
@@ -488,6 +485,10 @@ def ghz_scaling(
     memoryless-limit time to reach the fixed target ``q_fix``.  Log-log
     slopes are fitted over all rows.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"invalid field 'theta': must be a finite number, got {theta}")
+    if not 0.0 < q_fix < math.inf:
+        raise ValueError(f"invalid field 'q_fix': must be finite and positive, got {q_fix}")
     if not 0.0 < beta_small <= 1e-4:
         raise ValueError(f"decay exponent must lie in (0, 1e-4], got {beta_small}")
     if not 1 <= n_max <= 12:
@@ -692,7 +693,7 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
         stride = max(2, len(grid) // 25)
         for k in range(stride, len(grid) - 2, stride):
             state = traj.states[k]
-            lrho = gen.apply(state, float(grid[k]))
+            lrho = gen.action(state, traj.coefficients[k])
             rate = quantumness_rate(rho0, state, lrho)
             q_k = traj.q_samples[k]
             speed_k = traj.speed_samples[k]

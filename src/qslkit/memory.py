@@ -6,9 +6,9 @@ overall system-bath coupling rate and ``gamma`` the inverse memory time
 (``gamma >> Gamma`` is effectively memoryless, ``gamma << Gamma``
 strongly non-Markovian).
 
-Pure dephasing only needs the accumulated kernel ``gbar`` and its time
-integral.  Energy dissipation needs the memory function ``P(t)`` defined
-by
+Pure dephasing reads the rate ``f(t)``, twice the accumulated kernel
+``int_0^t G(t, s) ds``, and its exponent ``beta(tau) = 2 int_0^tau f``.
+Energy dissipation needs the memory function ``P(t)`` defined by
 
     dP/dt = Gamma*gamma/2 - gamma*P + P^2,   P(0) = 0,
 
@@ -52,49 +52,6 @@ class OUParams:
             raise ValueError(f"coupling rate must be positive, got {self.coupling}")
         if not self.memory_rate > 0.0:
             raise ValueError(f"memory rate must be positive, got {self.memory_rate}")
-
-
-@dataclass(frozen=True)
-class MarkovLimits:
-    """Asymptotic memoryless-limit constants used by closed-form branches."""
-
-    f_inf: float
-    p_inf: float
-
-
-def markov_limits(p: OUParams) -> MarkovLimits:
-    """Memoryless-limit values: dephasing rate ``Gamma``, dissipation ``Gamma/2``."""
-    return MarkovLimits(f_inf=p.coupling, p_inf=0.5 * p.coupling)
-
-
-def ou_kernel(t: float, s: float, p: OUParams) -> complex:
-    """Bath correlation ``(Gamma*gamma/2) exp(-gamma |t-s|)`` (real for this kernel)."""
-    return complex(0.5 * p.coupling * p.memory_rate * math.exp(-p.memory_rate * abs(t - s)))
-
-
-def gbar(t: float, p: OUParams) -> complex:
-    """Accumulated kernel ``integral_0^t G(t, s) ds = (Gamma/2)(1 - exp(-gamma t))``."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return complex(0.5 * p.coupling * -math.expm1(-p.memory_rate * t))
-
-
-def f_rate(t: float, p: OUParams) -> float:
-    """Instantaneous dephasing rate ``gbar + gbar* = Gamma (1 - exp(-gamma t))``."""
-    return 2.0 * gbar(t, p).real
-
-
-def beta_integral(tau: float, p: OUParams) -> float:
-    """Dephasing exponent ``2 integral_0^tau f(t) dt``.
-
-    Closed form ``2 Gamma [tau - (1 - exp(-gamma tau)) / gamma]``; monotone
-    nondecreasing in ``tau`` and bounded above by the memoryless line
-    ``2 Gamma tau``.
-    """
-    if tau < 0.0:
-        raise ValueError(f"time must be nonnegative, got {tau}")
-    g = p.memory_rate
-    return 2.0 * p.coupling * (tau + math.expm1(-g * tau) / g)
 
 
 class MemoryFunctions:
@@ -151,28 +108,26 @@ class MemoryFunctions:
     def coupling(self) -> float:
         return self.params.coupling
 
-    def gbar(self, t: float) -> complex:
-        if self.markov:
-            if t < 0.0:
-                raise ValueError(f"time must be nonnegative, got {t}")
-            return complex(0.5 * self.params.coupling)
-        return gbar(t, self.params)
-
     def f(self, t: float) -> float:
-        """Instantaneous coherence-decay rate at time ``t``."""
+        """Coherence-decay rate ``f(t) = Gamma (1 - exp(-gamma t))``."""
+        if t < 0.0:
+            raise ValueError(f"time must be nonnegative, got {t}")
         if self.markov:
-            if t < 0.0:
-                raise ValueError(f"time must be nonnegative, got {t}")
             return self.params.coupling
-        return f_rate(t, self.params)
+        return self.params.coupling * -math.expm1(-self.params.memory_rate * t)
 
     def beta(self, tau: float) -> float:
-        """Accumulated coherence-decay exponent up to time ``tau``."""
+        """Coherence-decay exponent ``2 int_0^tau f = 2 Gamma [tau - (1 - exp(-gamma tau)) / gamma]``.
+
+        Monotone nondecreasing in ``tau`` and bounded above by the
+        memoryless line ``2 Gamma tau``.
+        """
+        if tau < 0.0:
+            raise ValueError(f"time must be nonnegative, got {tau}")
         if self.markov:
-            if tau < 0.0:
-                raise ValueError(f"time must be nonnegative, got {tau}")
             return 2.0 * self.params.coupling * tau
-        return beta_integral(tau, self.params)
+        g = self.params.memory_rate
+        return 2.0 * self.params.coupling * (tau + math.expm1(-g * tau) / g)
 
     def _check_p_time(self, t: float) -> None:
         if t < 0.0:

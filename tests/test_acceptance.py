@@ -100,7 +100,7 @@ def fig_sweeps(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def stirap_trajectory():
-    control = UnitaryControl.constant(theta_rate=0.5)
+    control = UnitaryControl(theta_rate=0.5)
     rho0 = from_pure([0.0, 0.0, 1.0])
     return propagate(Stirap(control), rho0, np.linspace(0.0, 1.0, 2001))
 
@@ -144,7 +144,7 @@ def test_c03_unitary_saturation():
     with _line(3, "unitary saturation, phase-invariant"):
         values = []
         for alpha in (0.0, math.pi / 3.0, 1.2):
-            control = UnitaryControl.constant(theta_rate=0.5, alpha=alpha)
+            control = UnitaryControl(theta_rate=0.5, alpha0=alpha)
             values.append(tau_q_unitary(control, 1.0))
         for v in values:
             assert v == pytest.approx(1.0, abs=1e-6)
@@ -318,7 +318,7 @@ def test_c11_rate_inequality(dephasing_pi8, stirap_trajectory, markov50_dissipat
         mem = MemoryFunctions(OUParams(1.0, 0.5))
         trajectories.append(propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, 2001)))
         trajectories.append(propagate(Dissipation(mem), rho0, np.linspace(0.0, 2.0, 2001)))
-        control = UnitaryControl.constant(theta_rate=0.5, alpha=0.7)
+        control = UnitaryControl(theta_rate=0.5, alpha0=0.7)
         trajectories.append(
             propagate(UnitaryTwoLevel(control), from_pure(unitary_state(0.0, 0.7)), np.linspace(0.0, 1.0, 2001))
         )

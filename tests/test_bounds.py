@@ -22,7 +22,6 @@ from qslkit.bounds import (
 from qslkit.generators import (
     Dephasing,
     Dissipation,
-    Schedule,
     UnitaryControl,
     UnitaryTwoLevel,
     apply_generator,
@@ -135,28 +134,24 @@ class TestTauQDephasing:
 
 class TestTauQUnitary:
     def test_constant_drive_saturates(self):
-        control = UnitaryControl.constant(theta_rate=0.5, alpha=0.0)
+        control = UnitaryControl(theta_rate=0.5, alpha0=0.0)
         assert tau_q_unitary(control, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_phase_invariance_is_exact(self):
         values = [
-            tau_q_unitary(UnitaryControl.constant(theta_rate=0.5, alpha=a), 1.0)
+            tau_q_unitary(UnitaryControl(theta_rate=0.5, alpha0=a), 1.0)
             for a in (0.0, math.pi / 3.0, 1.2)
         ]
         assert max(values) - min(values) < 1e-12
 
     def test_commuting_endpoint_rejected(self):
-        control = UnitaryControl.constant(theta_rate=math.pi / 2.0, alpha=0.0)
+        control = UnitaryControl(theta_rate=math.pi / 2.0, alpha0=0.0)
         with pytest.raises(ValueError, match="commuting endpoint"):
             tau_q_unitary(control, 1.0)  # theta(tau) = pi/2
 
     def test_negative_speed_argument_surfaced(self):
         # mixed-rate drive near the angle where the closed form turns negative
-        control = UnitaryControl(
-            theta0=0.76,
-            theta_rate=Schedule.constant(1.0),
-            alpha=Schedule.ramp(math.pi / 4.0, 0.1088),
-        )
+        control = UnitaryControl(theta0=0.76, theta_rate=1.0, alpha0=math.pi / 4.0, alpha_rate=0.1088)
         with pytest.raises(ValueError, match="negative speed argument"):
             tau_q_unitary(control, 1.0)
 
@@ -173,26 +168,26 @@ class TestTauQUnitary:
 
 class TestQuantumnessDissipation:
     def test_zero_integrals(self):
-        assert quantumness_dissipation(math.pi / 5.0, 0.0, 0.0) == 0.0
+        assert quantumness_dissipation(math.pi / 5.0, 0.0) == 0.0
 
     def test_equal_superposition_real_branch(self):
         b = 0.8
         expected = (1.0 - math.exp(-2.0 * b)) ** 2
-        assert quantumness_dissipation(math.pi / 4.0, b, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert quantumness_dissipation(math.pi / 4.0, b) == pytest.approx(expected, abs=1e-12)
 
     def test_full_relaxation_reaches_maximum(self):
-        assert quantumness_dissipation(math.pi / 4.0, 1e3, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert quantumness_dissipation(math.pi / 4.0, 1e3) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_angle_rejected(self):
         with pytest.raises(ValueError, match="identically zero"):
-            quantumness_dissipation(0.0, 1.0, 0.0)
+            quantumness_dissipation(0.0, 1.0)
 
     def test_matches_witness_of_closed_state(self):
         theta = math.pi / 5.0
         mem = MemoryFunctions(OUParams(1.0, 0.5))
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         for tau in (0.5, 1.0, 2.0):
-            q_closed = quantumness_dissipation(theta, mem.xi(tau), 0.0)
+            q_closed = quantumness_dissipation(theta, mem.xi(tau))
             q_witness = quantumness(rho0, dissipation_closed_state(theta, tau, mem))
             assert q_closed == pytest.approx(q_witness, abs=1e-9)
 
@@ -278,7 +273,7 @@ class TestFirstCrossing:
 
     def test_nonmonotone_witness_returns_first_crossing(self):
         # rotation drive through the half-filled angle: witness peaks then falls
-        control = UnitaryControl.constant(theta_rate=1.0, alpha=0.0)
+        control = UnitaryControl(theta_rate=1.0, alpha0=0.0)
         rho0 = from_pure(unitary_state(0.0, 0.0))
         traj = propagate(UnitaryTwoLevel(control), rho0, np.linspace(0.0, 2.5, 2501))
         crossing = first_crossing_time(traj, 0.5)

@@ -11,7 +11,6 @@ from qslkit.generators import (
     Dephasing,
     Dissipation,
     PositivityLossError,
-    Schedule,
     Stirap,
     UnitaryControl,
     UnitaryTwoLevel,
@@ -64,7 +63,7 @@ DISSIPATION_TAU = {0.1: 5.0, 0.5: 4.0, 1.0: 3.5, 2.0: 5.0, 50.0: 5.0}
 def closed_unitary(control, t):
     """Propagator of the two-angle control, used as a finite-difference oracle."""
     th = control.theta(t)
-    al = control.alpha_value(t)
+    al = control.alpha(t)
     return math.cos(th) * identity(2) + 1j * math.sin(th) * (
         math.cos(al) * SIGMA_X + math.sin(al) * SIGMA_Y
     )
@@ -77,49 +76,34 @@ def dissipation_setup(theta, gamma, tau, n):
 
 
 class TestSchedule:
+    """The two angles of :class:`UnitaryControl` are linear in time."""
+
     def test_constant(self):
-        s = Schedule.constant(0.7)
-        assert s.value(3.0) == 0.7
-        assert s.rate(3.0) == 0.0
-        assert s.integral(2.0) == pytest.approx(1.4, abs=1e-15)
+        c = UnitaryControl(theta0=0.7, alpha0=-0.3)
+        assert c == UnitaryControl(theta0=0.7, theta_rate=0.0, alpha0=-0.3, alpha_rate=0.0)
+        assert c.theta(3.0) == 0.7 and c.alpha(3.0) == -0.3
+        assert UnitaryControl().theta(5.0) == UnitaryControl().alpha(5.0) == 0.0
 
     def test_ramp(self):
-        s = Schedule.ramp(0.2, 0.5)
-        assert s.value(2.0) == pytest.approx(1.2, abs=1e-15)
-        assert s.rate(2.0) == 0.5
-        assert s.integral(2.0) == pytest.approx(0.2 * 2.0 + 0.25 * 4.0, abs=1e-15)
-
-    def test_tabulated_matches_piecewise_linear(self):
-        times = np.array([0.0, 1.0, 2.0])
-        values = np.array([0.0, 1.0, 0.5])
-        s = Schedule.tabulated(times, values)
-        assert s.value(0.5) == pytest.approx(0.5, abs=1e-15)
-        assert s.rate(0.5) == pytest.approx(1.0, abs=1e-15)
-        assert s.rate(1.5) == pytest.approx(-0.5, abs=1e-15)
-        # integral of the hat profile: quadratic pieces evaluated exactly
-        assert s.integral(1.0) == pytest.approx(0.5, abs=1e-15)
-        assert s.integral(2.0) == pytest.approx(0.5 + 0.75, abs=1e-15)
-
-    def test_undefined_time_rejected(self):
-        s = Schedule.tabulated([0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="schedule undefined"):
-            s.value(2.0)
+        c = UnitaryControl(theta0=0.2, theta_rate=0.5, alpha0=1.0, alpha_rate=-0.25)
+        assert c.theta(2.0) == pytest.approx(1.2, abs=1e-15)
+        assert c.alpha(2.0) == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(TypeError):
+            UnitaryControl(0.2, 0.5)  # keywords only: the four numbers are easy to misorder
 
 
 class TestHamiltonianTwoLevel:
     def test_constant_rate_zero_phase(self):
-        c = UnitaryControl.constant(theta_rate=0.8, alpha=0.0)
+        c = UnitaryControl(theta_rate=0.8, alpha0=0.0)
         assert np.allclose(hamiltonian_2l(c, 0.3), -0.8 * SIGMA_X)
 
     def test_constant_rate_quarter_phase(self):
-        c = UnitaryControl.constant(theta_rate=0.8, alpha=math.pi / 2.0)
+        c = UnitaryControl(theta_rate=0.8, alpha0=math.pi / 2.0)
         assert np.max(np.abs(hamiltonian_2l(c, 0.3) - (-0.8) * SIGMA_Y)) < 1e-15
 
     def test_phase_only_drive_at_quarter_angle(self):
         w = 0.6
-        c = UnitaryControl(
-            theta0=math.pi / 4.0, theta_rate=Schedule.constant(0.0), alpha=Schedule.ramp(0.4, w)
-        )
+        c = UnitaryControl(theta0=math.pi / 4.0, alpha0=0.4, alpha_rate=w)
         t = 1.1
         al = 0.4 + w * t
         expected = 0.5 * w * (math.sin(al) * SIGMA_X - math.cos(al) * SIGMA_Y + SIGMA_Z)
@@ -128,9 +112,9 @@ class TestHamiltonianTwoLevel:
     @pytest.mark.parametrize(
         "control",
         [
-            UnitaryControl(theta0=0.3, theta_rate=Schedule.constant(0.0), alpha=Schedule.ramp(0.2, 0.7)),
-            UnitaryControl(theta0=0.1, theta_rate=Schedule.constant(0.4), alpha=Schedule.ramp(0.3, -0.5)),
-            UnitaryControl.constant(theta_rate=0.5, alpha=1.2),
+            UnitaryControl(theta0=0.3, alpha0=0.2, alpha_rate=0.7),
+            UnitaryControl(theta0=0.1, theta_rate=0.4, alpha0=0.3, alpha_rate=-0.5),
+            UnitaryControl(theta_rate=0.5, alpha0=1.2),
         ],
     )
     def test_matches_finite_difference_of_propagator(self, control):
@@ -141,13 +125,13 @@ class TestHamiltonianTwoLevel:
             assert np.max(np.abs(hamiltonian_2l(control, t) - h_fd)) < 1e-9
 
     def test_hermitian(self):
-        c = UnitaryControl(theta0=0.2, theta_rate=Schedule.constant(0.3), alpha=Schedule.ramp(0.1, 0.9))
+        c = UnitaryControl(theta0=0.2, theta_rate=0.3, alpha0=0.1, alpha_rate=0.9)
         assert hermiticity_defect(hamiltonian_2l(c, 0.77)) < 1e-15
 
 
 class TestHamiltonianStirap:
     def test_rotation_only_block_structure(self):
-        c = UnitaryControl.constant(theta_rate=0.9)
+        c = UnitaryControl(theta_rate=0.9)
         h = hamiltonian_stirap(c, 0.2)
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 2] = -0.9j
@@ -155,12 +139,12 @@ class TestHamiltonianStirap:
         assert np.allclose(h, expected)
 
     def test_hermitian_by_construction(self):
-        c = UnitaryControl(theta0=0.3, theta_rate=Schedule.constant(0.4), alpha=Schedule.ramp(0.0, 0.8))
+        c = UnitaryControl(theta0=0.3, theta_rate=0.4, alpha0=0.0, alpha_rate=0.8)
         h = hamiltonian_stirap(c, 0.6)
         assert np.array_equal(h, h.conj().T)
 
     def test_population_transfer_avoids_middle_level(self):
-        control = UnitaryControl.constant(theta_rate=0.5)
+        control = UnitaryControl(theta_rate=0.5)
         rho0 = from_pure([0.0, 0.0, 1.0])
         traj = propagate(Stirap(control), rho0, np.linspace(0.0, 1.0, 2001))
         middle = max(abs(s[1, 1].real) for s in traj.states)
@@ -196,7 +180,7 @@ class TestApplyGenerator:
         mem = MemoryFunctions(OUParams(1.0, 0.7))
         gens = [
             Dephasing(mem),
-            UnitaryTwoLevel(UnitaryControl.constant(theta_rate=0.5, alpha=0.3, alpha_rate=0.2)),
+            UnitaryTwoLevel(UnitaryControl(theta_rate=0.5, alpha0=0.3, alpha_rate=0.2)),
             dissipation_setup(theta, 0.5, 1.0, 101)[0],
         ]
         for gen in gens:
@@ -234,7 +218,7 @@ class TestPropagate:
         assert np.all(np.diff(coherences) <= 1e-14)
 
     def test_unitary_preserves_purity(self):
-        control = UnitaryControl.constant(theta_rate=0.5, alpha=0.4, alpha_rate=0.3)
+        control = UnitaryControl(theta_rate=0.5, alpha0=0.4, alpha_rate=0.3)
         rho0 = from_pure(unitary_state(0.0, 0.4))
         traj = propagate(UnitaryTwoLevel(control), rho0, np.linspace(0.0, 2.0, 2001))
         for state in traj.states[::200]:
@@ -288,7 +272,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_states_are_one_stacked_array(self, dim):
-        control = UnitaryControl.constant(theta_rate=0.5, alpha_rate=0.3)
+        control = UnitaryControl(theta_rate=0.5, alpha_rate=0.3)
         gen = UnitaryTwoLevel(control) if dim == 2 else Stirap(control)
         rho0 = from_pure(np.eye(dim)[-1])
         traj = propagate(gen, rho0, np.linspace(0.0, 1.0, 101))
@@ -327,6 +311,11 @@ class TestPropagateMany:
         for g, rho0, traj in zip(gens, rho0s, batch):
             solo = propagate(g, rho0, grid)
             assert traj.generator is g
+            # the stored table is the member's own grid-time rows, bit for bit
+            table = g.coefficients(grid)
+            assert traj.coefficients.shape == table.shape and traj.coefficients.dtype == table.dtype
+            assert traj.coefficients.tobytes() == table.tobytes()
+            assert traj.coefficients.flags.owndata
             assert np.array_equal(traj.grid, solo.grid)
             assert np.array_equal(traj.rho0, solo.rho0)
             for name in ("states", "q_samples", "speed_samples"):
@@ -345,19 +334,19 @@ class TestPropagateMany:
 
     def test_unitary2l_controls(self):
         controls = [
-            UnitaryControl.constant(theta_rate=0.5, alpha=0.0, alpha_rate=0.0),
-            UnitaryControl.constant(theta_rate=0.5, alpha=1.1, alpha_rate=-0.7),
-            UnitaryControl.constant(theta_rate=0.9, alpha=2.5, alpha_rate=0.4, theta0=0.3),
+            UnitaryControl(theta_rate=0.5),
+            UnitaryControl(theta_rate=0.5, alpha0=1.1, alpha_rate=-0.7),
+            UnitaryControl(theta0=0.3, theta_rate=0.9, alpha0=2.5, alpha_rate=0.4),
         ]
         gens = [UnitaryTwoLevel(c) for c in controls]
-        rho0s = [from_pure(unitary_state(c.theta0, c.alpha_value(0.0))) for c in controls]
+        rho0s = [from_pure(unitary_state(c.theta0, c.alpha(0.0))) for c in controls]
         self.assert_matches_solo(gens, rho0s, np.linspace(0.0, 1.0, 801))
 
     def test_stirap_3x3(self):
         controls = [
-            UnitaryControl.constant(theta_rate=0.5),
-            UnitaryControl.constant(theta_rate=0.7, alpha=0.2, alpha_rate=0.8),
-            UnitaryControl(theta0=0.1, theta_rate=Schedule.constant(0.4), alpha=Schedule.ramp(0.3, -0.5)),
+            UnitaryControl(theta_rate=0.5),
+            UnitaryControl(theta_rate=0.7, alpha0=0.2, alpha_rate=0.8),
+            UnitaryControl(theta0=0.1, theta_rate=0.4, alpha0=0.3, alpha_rate=-0.5),
         ]
         rho0s = [from_pure(v) for v in ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], np.ones(3) / math.sqrt(3.0))]
         self.assert_matches_solo([Stirap(c) for c in controls], rho0s, np.linspace(0.0, 1.0, 801))

@@ -190,8 +190,9 @@ class TestRunScenario:
         CountingDephasing.tables, CountingDephasing.actions = [], 0
         reports = evaluate_targets(traj, auto_targets(float(traj.q_samples.max()), 20), "dephasing", {}, closed)
         assert sum(rep.tau_b_avg is not None for rep in reports) == 20
-        # one table over the grid and one stacked action for all 20 targets
-        assert CountingDephasing.tables == [len(grid)]
+        # no table after propagation: the trajectory keeps its grid-time rows,
+        # and one stacked action serves all 20 targets
+        assert CountingDephasing.tables == []
         assert CountingDephasing.actions == 1
 
 
@@ -423,6 +424,10 @@ class TestCli:
             (["fig2", "--tau-max", "0"], "tau_max"),
             (["run", "--grid-points", "0"], "grid_points"),
             (["run", "--tau-max", "0"], "tau_max"),
+            (["ghz", "--theta", "nan"], "theta"),
+            (["ghz", "--theta", "inf"], "theta"),
+            (["ghz", "--q-fix", "nan"], "q_fix"),
+            (["ghz", "--q-fix", "0"], "q_fix"),
         ],
     )
     def test_zero_overrides_rejected(self, tmp_path, capsys, argv, field):

@@ -1,4 +1,4 @@
-"""Memory functions: kernel integrals against quadrature, the closed-form P against RK4 and exact forms."""
+"""Memory functions: the dephasing rate against kernel quadrature, the closed-form P against RK4 and exact forms."""
 
 import math
 
@@ -13,11 +13,6 @@ from qslkit.memory import (
     MemoryFunctions,
     OUParams,
     RiccatiBlowupError,
-    beta_integral,
-    f_rate,
-    gbar,
-    markov_limits,
-    ou_kernel,
 )
 
 
@@ -86,95 +81,90 @@ def riccati_exact(t, coupling, memory_rate):
     return memory_rate / 2.0 + om * np.tan(om * np.asarray(t) + phi0)
 
 
-class TestKernel:
-    def test_equal_times(self):
-        p = OUParams(2.0, 3.0)
-        assert ou_kernel(1.5, 1.5, p) == pytest.approx(3.0, abs=1e-15)
-
-    def test_large_separation_vanishes(self):
-        p = OUParams(1.0, 1.0)
-        assert abs(ou_kernel(0.0, 100.0, p)) < 1e-40
-
-    def test_unit_rates_at_unit_separation(self):
-        p = OUParams(1.0, 1.0)
-        assert ou_kernel(1.0, 0.0, p) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
+def ou_kernel(t, s, p):
+    """Reference bath correlation ``(Gamma gamma / 2) exp(-gamma |t - s|)``."""
+    return 0.5 * p.coupling * p.memory_rate * math.exp(-p.memory_rate * abs(t - s))
 
 
 class TestGbar:
+    """The dephasing rate ``f`` is twice the accumulated kernel ``int_0^t G(t, s) ds``."""
+
     def test_zero_at_zero(self):
-        assert gbar(0.0, OUParams(1.0, 2.0)) == 0.0
+        assert MemoryFunctions(OUParams(1.0, 2.0)).f(0.0) == 0.0
 
     def test_long_time_limit(self):
-        assert gbar(1e6, OUParams(1.0, 1.0)).real == pytest.approx(0.5, abs=1e-12)
+        assert MemoryFunctions(OUParams(1.0, 1.0)).f(1e6) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_against_adaptive_quadrature(self, t):
         p = OUParams(1.3, 0.7)
-        numeric, _ = quad(lambda s: ou_kernel(t, s, p).real, 0.0, t, epsabs=1e-13, epsrel=1e-13)
-        assert gbar(t, p).real == pytest.approx(numeric, abs=1e-10)
+        numeric, _ = quad(lambda s: ou_kernel(t, s, p), 0.0, t, epsabs=1e-13, epsrel=1e-13)
+        assert MemoryFunctions(p).f(t) == pytest.approx(2.0 * numeric, abs=1e-10)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            gbar(-0.1, OUParams(1.0, 1.0))
+        for mem in (MemoryFunctions(OUParams(1.0, 1.0)), MemoryFunctions.markov_limit(1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                mem.f(-0.1)
 
     def test_monotone_and_bounded(self):
-        p = OUParams(1.0, 0.5)
-        ts = np.linspace(0.0, 20.0, 200)
-        vals = np.array([gbar(t, p).real for t in ts])
+        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        vals = np.array([mem.f(t) for t in np.linspace(0.0, 20.0, 200)])
         assert np.all(np.diff(vals) >= 0.0)
-        assert np.all(vals >= 0.0) and np.all(vals <= 0.5 * p.coupling + 1e-12)
+        assert np.all(vals >= 0.0) and np.all(vals <= mem.coupling + 1e-12)
 
 
 class TestBetaIntegral:
+    """The dephasing exponent ``beta(tau) = 2 int_0^tau f``."""
+
     def test_zero_at_zero(self):
-        assert beta_integral(0.0, OUParams(1.0, 1.0)) == 0.0
+        assert MemoryFunctions(OUParams(1.0, 1.0)).beta(0.0) == 0.0
 
     def test_markov_anchor(self):
         # memoryless limit: exponent tends to 2 * coupling * tau
-        val = beta_integral(1.0, OUParams(1.0, 1000.0))
+        val = MemoryFunctions(OUParams(1.0, 1000.0)).beta(1.0)
         assert val == pytest.approx(2.0, rel=2e-3)
 
     def test_unit_rates(self):
-        assert beta_integral(1.0, OUParams(1.0, 1.0)) == pytest.approx(
-            2.0 * math.exp(-1.0), abs=1e-14
-        )
+        assert MemoryFunctions(OUParams(1.0, 1.0)).beta(1.0) == pytest.approx(2.0 * math.exp(-1.0), abs=1e-14)
 
     # horizon shortened for the stiff ratio so the trapezoid's own
     # truncation (~h^2 gamma^2 / 6) stays below the agreement budget
     @pytest.mark.parametrize("gamma,tau", [(0.1, 2.5), (1.0, 2.5), (5.0, 1.5)])
     def test_against_trapezoid_of_rate(self, gamma, tau):
-        p = OUParams(1.0, gamma)
+        mem = MemoryFunctions(OUParams(1.0, gamma))
         ts = np.linspace(0.0, tau, 10_000)
-        numeric = float(np.trapezoid([2.0 * f_rate(t, p) for t in ts], ts))
-        assert beta_integral(tau, p) == pytest.approx(numeric, rel=1e-8)
+        numeric = float(np.trapezoid([2.0 * mem.f(t) for t in ts], ts))
+        assert mem.beta(tau) == pytest.approx(numeric, rel=1e-8)
 
     def test_bounded_by_markov_line(self):
         for gamma in (0.05, 0.5, 5.0, 500.0):
-            p = OUParams(1.0, gamma)
+            mem = MemoryFunctions(OUParams(1.0, gamma))
             for tau in (0.1, 1.0, 10.0):
-                assert 0.0 <= beta_integral(tau, p) <= 2.0 * tau + 1e-12
+                assert 0.0 <= mem.beta(tau) <= 2.0 * tau + 1e-12
 
     def test_convex_increasing(self):
-        p = OUParams(1.0, 0.7)
-        ts = np.linspace(0.0, 5.0, 400)
-        vals = np.array([beta_integral(t, p) for t in ts])
+        mem = MemoryFunctions(OUParams(1.0, 0.7))
+        vals = np.array([mem.beta(t) for t in np.linspace(0.0, 5.0, 400)])
         diffs = np.diff(vals)
         assert np.all(diffs >= 0.0)
         assert np.all(np.diff(diffs) >= -1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            beta_integral(-1.0, OUParams(1.0, 1.0))
+        for mem in (MemoryFunctions(OUParams(1.0, 1.0)), MemoryFunctions.markov_limit(1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                mem.beta(-1.0)
 
 
 class TestMarkovLimits:
+    """The memoryless limits ``f = Gamma`` and ``P = Gamma / 2``."""
+
     def test_unit_coupling(self):
-        lim = markov_limits(OUParams(1.0, 3.0))
-        assert lim.f_inf == 1.0 and lim.p_inf == 0.5
+        mem = MemoryFunctions.markov_limit(1.0)
+        assert mem.f(3.0) == 1.0 and mem.p(3.0) == 0.5
 
     def test_linear_in_coupling(self):
-        lim = markov_limits(OUParams(2.0, 3.0))
-        assert lim.f_inf == 2.0 and lim.p_inf == 1.0
+        mem = MemoryFunctions.markov_limit(2.0)
+        assert mem.f(3.0) == 2.0 and mem.p(3.0) == 1.0
 
     def test_riccati_reaches_markov_plateau(self):
         # at memory ratio 1e3 the plateau sits within 0.1% of coupling/2
@@ -342,12 +332,6 @@ class TestMemoryFunctions:
         assert mem.f(0.0) == 1.5
         assert mem.f(3.0) == 1.5
         assert mem.beta(2.0) == pytest.approx(6.0, abs=1e-15)
-
-    def test_finite_memory_branch_delegates(self):
-        p = OUParams(1.0, 0.5)
-        mem = MemoryFunctions(p)
-        assert mem.f(1.0) == pytest.approx(f_rate(1.0, p), abs=1e-15)
-        assert mem.beta(1.0) == pytest.approx(beta_integral(1.0, p), abs=1e-15)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
