@@ -48,7 +48,8 @@ class BoundReport:
     """All timescales evaluated for one quantumness target on one trajectory."""
 
     model: str
-    params: dict
+    theta: float
+    gamma_ratio: Optional[float]  # memory ratio of the open-system models (inf: memoryless), else None
     q_target: float
     reached: bool
     tau_exact: Optional[float]
@@ -160,6 +161,8 @@ def first_crossing_time(traj: Trajectory, q_target: float) -> CrossingResult:
     Never raises for unreachable targets; the result carries the maximum
     witness value attained instead.
     """
+    if not math.isfinite(q_target):
+        raise ValueError(f"invalid argument 'q_target': must be a finite number, got {q_target}")
     if q_target < 0.0:
         raise ValueError(f"quantumness target must be nonnegative, got {q_target}")
     q = traj.q_samples

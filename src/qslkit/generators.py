@@ -250,6 +250,8 @@ class Trajectory:
 
     def locate(self, tau: float) -> tuple[int, float]:
         """Grid interval ``k`` and fraction ``w`` with ``tau = grid[k] + w * step``."""
+        if not math.isfinite(tau):
+            raise ValueError(f"invalid argument 'tau': must be a finite number, got {tau}")
         grid = self.grid
         if tau < -1e-12 or tau > grid[-1] * (1.0 + 1e-12):
             raise ValueError(f"time {tau} outside trajectory grid [0, {grid[-1]}]")
@@ -279,20 +281,14 @@ def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
     return propagate_many([g], [rho0], grid)[0]
 
 
-def _shared_grid(grid, members: int) -> np.ndarray:
-    """The one uniform grid of a batch; ``grid`` may also give one (equal) grid per member."""
+def _shared_grid(grid) -> np.ndarray:
+    """The one uniform grid of a batch, checked."""
     try:
         grid = np.asarray(grid, dtype=float)
-    except ValueError:
-        raise ValueError("mixed grid in one batch: the members' grids differ in length") from None
-    if grid.ndim == 2:
-        if len(grid) != members:
-            raise ValueError(f"grid: {len(grid)} grids for {members} generators")
-        if np.any(grid != grid[0]):
-            raise ValueError("mixed grid in one batch: the members' grids differ")
-        grid = grid[0]
+    except ValueError as err:  # ragged input, such as grids of different lengths
+        raise ValueError(f"grid must be one 1-D array of times: {err}") from None
     if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid must contain at least two times")
+        raise ValueError(f"grid must be one 1-D array of at least two times, got shape {grid.shape}")
     if abs(grid[0]) > 1e-12:
         raise ValueError(f"grid must start at 0, got {grid[0]}")
     h = float(grid[1] - grid[0])
@@ -351,7 +347,7 @@ def propagate_many(gens, rho0s, grid) -> list:
             raise ValueError(f"mixed generator family in one batch: {type(g0).__name__} and {type(g).__name__}")
         if g.dim != g0.dim:
             raise ValueError(f"mixed dimension in one batch: {g0.dim} and {g.dim}")
-    grid = _shared_grid(grid, len(gens))
+    grid = _shared_grid(grid)
     d = g0.dim
     rho_inits = [as_matrix(rho0).copy() for rho0 in rho0s]
     for m in rho_inits:

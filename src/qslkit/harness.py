@@ -6,6 +6,12 @@ defaulting to one, so all times are reported in units of the inverse
 coupling; the bath memory rate is accepted as the dimensionless ratio
 ``gamma / Gamma``.
 
+One scenario pipeline serves ``run_scenario`` and the figure sweeps: it
+builds and validates every config, propagates them in one batch per
+generator family and grid, and evaluates each trajectory's quantumness
+targets through :func:`evaluate_targets`.  The validation fuzz reuses the
+batching step only and checks the speed limit without the fidelity bound.
+
 CSV output is plot-tool-ready: a single header line, comma separators,
 floats in scientific notation with 17 significant digits, and the
 sentinel ``NA`` for cells whose quantumness target was never reached.
@@ -19,7 +25,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -172,27 +178,21 @@ class ScenarioResult:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """Construct (generator, rho0, grid, closed_tau_q) for a config.
-
-    ``closed_tau_q`` maps a (quantumness, crossing-time) pair to the
-    closed-form bound where one exists, else returns ``None``.
-    """
+    """Validate a config and construct its ``(generator, rho0, grid)``."""
     cfg.validate()
     grid = np.linspace(0.0, cfg.tau_max, cfg.grid_points)
-    closed: Callable[[float, float], Optional[float]] = lambda q, tau: None
 
     if cfg.model in ("dephasing", "ghz", "dissipation"):
         mem = cfg._memory()
         rho0 = from_pure([math.cos(cfg.theta), math.sin(cfg.theta)])
-        if cfg.model == "dissipation":
-            if not cfg.markov:
-                # the step resolves both rates: h <= 1 / (25 max(gamma, Gamma))
-                h_max = 1.0 / (25.0 * max(mem.params.memory_rate, cfg.Gamma))
-                n = max(cfg.grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
-                grid = np.linspace(0.0, cfg.tau_max, n)
-            return Dissipation(mem), rho0, grid, closed
-        closed = lambda q, tau: tau_q_dephasing(q, cfg.theta, mem)  # noqa: E731
-        return Dephasing(mem), rho0, grid, closed
+        if cfg.model != "dissipation":
+            return Dephasing(mem), rho0, grid
+        if not cfg.markov:
+            # the step resolves both rates: h <= 1 / (25 max(gamma, Gamma))
+            h_max = 1.0 / (25.0 * max(mem.params.memory_rate, cfg.Gamma))
+            n = max(cfg.grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
+            grid = np.linspace(0.0, cfg.tau_max, n)
+        return Dissipation(mem), rho0, grid
 
     control = UnitaryControl(
         theta0=cfg.theta0, theta_rate=cfg.theta_rate, alpha0=cfg.alpha0, alpha_rate=cfg.alpha_rate
@@ -200,11 +200,11 @@ def build_scenario(cfg: ScenarioConfig):
     if cfg.model == "unitary2l":
         gen = UnitaryTwoLevel(control)
         rho0 = from_pure(unitary_state(cfg.theta0, cfg.alpha0))
-        return gen, rho0, grid, closed
+        return gen, rho0, grid
 
     gen = Stirap(control)
     rho0 = from_pure(np.array([0.0, 0.0, 1.0], dtype=complex))
-    return gen, rho0, grid, closed
+    return gen, rho0, grid
 
 
 def auto_targets(q_max: float, count: int) -> np.ndarray:
@@ -220,85 +220,84 @@ def auto_targets(q_max: float, count: int) -> np.ndarray:
     return np.geomspace(q_hi * 1e-3, q_hi, count)
 
 
-def evaluate_targets(
-    traj: Trajectory,
-    targets,
-    model: str,
-    params: dict,
-    closed: Callable[[float, float], Optional[float]],
-) -> list:
-    """One :class:`BoundReport` per target, unreached targets included."""
+def _or_none(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or ``None`` where it rejects its input with a ``ValueError``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return None
+
+
+def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
+    """One :class:`BoundReport` per target, unreached targets included.
+
+    The closed-form column exists for the dephasing models only; there, as
+    for the fidelity bounds, a timescale the formula rejects is ``None``.
+    """
+    gamma_ratio = cfg.gamma_ratio if cfg.model in ("dephasing", "dissipation", "ghz") else None
+    dephasing = cfg.model in ("dephasing", "ghz")
     reports = []
     for q_target in targets:
-        crossing = first_crossing_time(traj, float(q_target))
-        if not crossing.reached:
-            reports.append(
-                BoundReport(model, params, float(q_target), False, None, None, None, None, None)
-            )
-            continue
-        tau = crossing.time
-        try:
-            tau_q_closed = closed(float(q_target), tau)
-        except ValueError:
-            tau_q_closed = None
-        tau_b = {}
-        for variant in ("initial", "averaged"):
-            try:
-                tau_b[variant] = tau_b_fidelity(traj, tau, denominator=variant)
-            except ValueError:
-                tau_b[variant] = None
-        reports.append(
-            BoundReport(
-                model,
-                params,
-                float(q_target),
-                True,
+        q_target = float(q_target)
+        crossing = first_crossing_time(traj, q_target)
+        timescales = [None] * 5  # tau_exact, tau_q_numeric, tau_q_closed, tau_b, tau_b_avg
+        if crossing.reached:
+            tau = crossing.time
+            timescales = [
                 tau,
                 tau_q_at_crossing(traj, crossing),
-                tau_q_closed,
-                tau_b["initial"],
-                tau_b["averaged"],
-            )
-        )
+                _or_none(tau_q_dephasing, q_target, cfg.theta, traj.generator.memory) if dephasing else None,
+                _or_none(tau_b_fidelity, traj, tau, denominator="initial"),
+                _or_none(tau_b_fidelity, traj, tau, denominator="averaged"),
+            ]
+        reports.append(BoundReport(cfg.model, cfg.theta, gamma_ratio, q_target, crossing.reached, *timescales))
     return reports
 
 
 def _propagate_built(built: list) -> list:
     """Trajectories of built scenarios, in order: one batch per generator family and grid."""
     batches = {}
-    for i, (gen, _, grid, _) in enumerate(built):
+    for i, (gen, _, grid) in enumerate(built):
         batches.setdefault((type(gen), grid.tobytes()), []).append(i)
     trajectories = [None] * len(built)
     for members in batches.values():
-        gens, rho0s, grids, _ = zip(*(built[i] for i in members))
-        for i, traj in zip(members, propagate_many(gens, rho0s, grids)):
+        gens, rho0s, _ = zip(*(built[i] for i in members))
+        for i, traj in zip(members, propagate_many(gens, rho0s, built[members[0]][2])):
             trajectories[i] = traj
     return trajectories
 
 
+def _run_scenarios(configs: list, shared_targets: bool = False) -> list:
+    """The scenario pipeline: one :class:`ScenarioResult` per config, in order.
+
+    Every config is built and validated before any is propagated; the
+    scenarios are then stepped in one batch per generator family and grid,
+    and each is evaluated on its own q-grid.  With ``shared_targets`` (the
+    figure sweeps) all scenarios share one q-grid, capped by the lowest
+    maximum quantumness, so their rows compare target by target.
+    """
+    built = [build_scenario(cfg) for cfg in configs]
+    trajectories = _propagate_built(built)
+    q_maxes = [float(np.max(traj.q_samples)) for traj in trajectories]
+    shared = auto_targets(min(q_maxes), configs[0].q_grid) if shared_targets else None
+    results = []
+    for cfg, traj, q_max in zip(configs, trajectories, q_maxes):
+        targets = auto_targets(q_max, cfg.q_grid) if shared is None else shared
+        diagnostics = {"q_max": q_max, "targets": len(targets)}
+        if cfg.model == "dissipation":
+            mem = traj.generator.memory
+            diagnostics.update(
+                p_end=mem.p(cfg.tau_max),
+                p_inf_markov=0.5 * cfg.Gamma,
+                memory_horizon=mem.horizon if math.isfinite(mem.horizon) else None,
+            )
+        results.append(ScenarioResult(cfg, traj, evaluate_targets(traj, targets, cfg), diagnostics))
+    return results
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Propagate one configured scenario and evaluate bounds on its q-grid."""
-    gen, rho0, grid, closed = build_scenario(cfg)
-    return _scenario_result(cfg, gen, closed, propagate(gen, rho0, grid))
-
-
-def _scenario_result(cfg: ScenarioConfig, gen, closed, traj: Trajectory) -> ScenarioResult:
-    """Evaluate the bounds of a propagated scenario on its q-grid."""
-    targets = auto_targets(float(np.max(traj.q_samples)), cfg.q_grid)
-    params = {"theta": cfg.theta, "gamma_ratio": cfg.gamma_ratio if cfg.model in ("dephasing", "dissipation", "ghz") else None}
-    reports = evaluate_targets(traj, targets, cfg.model, params, closed)
-    diagnostics = {
-        "q_max": float(np.max(traj.q_samples)),
-        "targets": len(targets),
-    }
-    if cfg.model == "dissipation":
-        mem = gen.memory
-        diagnostics.update(
-            p_end=mem.p(cfg.tau_max),
-            p_inf_markov=0.5 * cfg.Gamma,
-            memory_horizon=mem.horizon if math.isfinite(mem.horizon) else None,
-        )
-    return ScenarioResult(cfg, traj, reports, diagnostics)
+    return _run_scenarios([cfg])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +323,7 @@ def write_csv(path: str, header: list, rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+#: CSV columns; each names a :class:`BoundReport` field.
 FIG1_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b"]
 SWEEP_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b_avg"]
 RUN_HEADER = [
@@ -341,6 +341,21 @@ GHZ_HEADER = ["n", "offdiagonal_factor", "q", "sqrt_q_ratio", "tau_q_fixed_targe
 
 FIG1_THETAS = (math.pi / 8.0, math.pi / 6.0, math.pi / 5.0)
 
+#: Per-target entries of the JSON run report, in order.
+_REPORT_KEYS = ("q_target", "reached", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b", "tau_b_avg", "slack")
+
+
+def _report_rows(header: list, results: list) -> list:
+    """One row per report of the results, the report fields the header names."""
+    return [[getattr(rep, column) for column in header] for result in results for rep in result.reports]
+
+
+def _sweep(out_path: str, header: list, configs: list, shared_targets: bool = False) -> list:
+    """Run the configs through one pipeline call; write and return their rows."""
+    rows = _report_rows(header, _run_scenarios(configs, shared_targets))
+    write_csv(out_path, header, rows)
+    return rows
+
 
 def fig1(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: int = 20) -> list:
     """Memoryless dephasing sweep: both timescales versus quantumness, three initial angles."""
@@ -350,42 +365,23 @@ def fig1(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: i
         )
         for theta in FIG1_THETAS
     ]
-    built = [build_scenario(cfg) for cfg in configs]
-    rows = []
-    for cfg, (gen, _, _, closed), traj in zip(configs, built, _propagate_built(built)):
-        for rep in _scenario_result(cfg, gen, closed, traj).reports:
-            rows.append(
-                [cfg.theta, math.inf, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b]
-            )
-    write_csv(out_path, FIG1_HEADER, rows)
-    return rows
+    return _sweep(out_path, FIG1_HEADER, configs)
 
 
 def _memory_sweep(out_path: str, model: str, theta: float, grid_points: int, tau_max: float, q_grid: int) -> list:
     """Sweep the memory ratio of one open-system model at a fixed angle; write and return the rows.
 
-    Every ratio is validated before any is propagated.  Targets are common
-    across the memory ratios (capped by the slowest trajectory) so rows are
-    directly comparable curve against curve.  The fidelity-bound column
-    uses the time-averaged denominator variant: the literal initial-state
-    denominator vanishes identically for this kernel (zero rate at
-    ``t = 0``).
+    Targets are common across the memory ratios (capped by the slowest
+    trajectory) so rows are directly comparable curve against curve.  The
+    fidelity-bound column uses the time-averaged denominator variant: the
+    literal initial-state denominator vanishes identically for this kernel
+    (zero rate at ``t = 0``).
     """
     configs = [
         ScenarioConfig(model=model, theta=theta, gamma=ratio, tau_max=tau_max, grid_points=grid_points, q_grid=q_grid)
         for ratio in SWEEP_GAMMA_RATIOS
     ]
-    built = [build_scenario(cfg) for cfg in configs]
-    trajectories = _propagate_built(built)
-    targets = auto_targets(min(float(np.max(traj.q_samples)) for traj in trajectories), q_grid)
-    rows = []
-    for cfg, traj, (_, _, _, closed) in zip(configs, trajectories, built):
-        for rep in evaluate_targets(traj, targets, model, {"theta": theta, "gamma_ratio": cfg.gamma}, closed):
-            rows.append(
-                [theta, cfg.gamma, rep.q_target, rep.tau_exact, rep.tau_q_numeric, rep.tau_q_closed, rep.tau_b_avg]
-            )
-    write_csv(out_path, SWEEP_HEADER, rows)
-    return rows
+    return _sweep(out_path, SWEEP_HEADER, configs, shared_targets=True)
 
 
 def fig2(out_path: str, grid_points: int = 4001, tau_max: float = 5.0, q_grid: int = 20) -> list:
@@ -405,40 +401,12 @@ def fig3(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: i
 def run_to_files(cfg: ScenarioConfig, out_path: str, report_path: Optional[str] = None) -> ScenarioResult:
     """Run one scenario, emit its sweep CSV and an optional JSON report."""
     result = run_scenario(cfg)
-    rows = []
-    gamma_cell = cfg.gamma_ratio if cfg.model in ("dephasing", "dissipation", "ghz") else None
-    for rep in result.reports:
-        rows.append(
-            [
-                cfg.model,
-                cfg.theta,
-                gamma_cell,
-                rep.q_target,
-                rep.tau_exact,
-                rep.tau_q_numeric,
-                rep.tau_q_closed,
-                rep.tau_b,
-                rep.tau_b_avg,
-            ]
-        )
-    write_csv(out_path, RUN_HEADER, rows)
+    write_csv(out_path, RUN_HEADER, _report_rows(RUN_HEADER, [result]))
     if report_path is not None:
         payload = {
             "config": dataclasses.asdict(cfg),
             "diagnostics": result.diagnostics,
-            "reports": [
-                {
-                    "q_target": rep.q_target,
-                    "reached": rep.reached,
-                    "tau_exact": rep.tau_exact,
-                    "tau_q_numeric": rep.tau_q_numeric,
-                    "tau_q_closed": rep.tau_q_closed,
-                    "tau_b": rep.tau_b,
-                    "tau_b_avg": rep.tau_b_avg,
-                    "slack": rep.slack,
-                }
-                for rep in result.reports
-            ],
+            "reports": [{key: getattr(rep, key) for key in _REPORT_KEYS} for rep in result.reports],
         }
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -645,7 +613,7 @@ def _random_scenario(seed: int, index: int) -> ScenarioConfig:
 
 
 def _fuzz_cases(seed: int, cases: int):
-    """Yield ``(cfg, gen, rho0, grid, trajectory)`` per fuzz case, in case order.
+    """Yield ``(cfg, trajectory)`` per fuzz case, in case order.
 
     Cases are propagated ``FUZZ_WINDOW`` at a time, which bounds the states
     held at once; within a window the cases of one model and grid are one
@@ -653,9 +621,7 @@ def _fuzz_cases(seed: int, cases: int):
     """
     for start in range(0, cases, FUZZ_WINDOW):
         configs = [_random_scenario(seed, j) for j in range(start, min(start + FUZZ_WINDOW, cases))]
-        built = [build_scenario(cfg) for cfg in configs]
-        for cfg, (gen, rho0, grid, _), traj in zip(configs, built, _propagate_built(built)):
-            yield cfg, gen, rho0, grid, traj
+        yield from zip(configs, _propagate_built([build_scenario(cfg) for cfg in configs]))
 
 
 def _check_dynamics_properties(seed: int, cases: int) -> list:
@@ -669,7 +635,7 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
     worst_rate_slack = math.inf  # min of (2 sqrt(2q) speed + 1e-9 - |dq/dt|)
     worst_fd = 0.0
     checked_cells = 0
-    for cfg, gen, rho0, grid, traj in _fuzz_cases(seed, cases):
+    for cfg, traj in _fuzz_cases(seed, cases):
         for state in traj.states[:: max(1, len(traj.states) // 40)]:
             worst_trace = max(worst_trace, abs(float(np.trace(state).real) - 1.0))
             worst_herm = max(worst_herm, hermiticity_defect(state))
@@ -690,11 +656,11 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
             worst_qsl = min(worst_qsl, crossing.time - tau_q)
 
         h = traj.step
-        stride = max(2, len(grid) // 25)
-        for k in range(stride, len(grid) - 2, stride):
+        stride = max(2, len(traj.grid) // 25)
+        for k in range(stride, len(traj.grid) - 2, stride):
             state = traj.states[k]
-            lrho = gen.action(state, traj.coefficients[k])
-            rate = quantumness_rate(rho0, state, lrho)
+            lrho = traj.generator.action(state, traj.coefficients[k])
+            rate = quantumness_rate(traj.rho0, state, lrho)
             q_k = traj.q_samples[k]
             speed_k = traj.speed_samples[k]
             slack = 2.0 * math.sqrt(2.0 * q_k) * speed_k + 1e-9 - abs(rate)

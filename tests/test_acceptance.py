@@ -35,9 +35,9 @@ from qslkit.generators import (
 )
 from qslkit.harness import (
     ScenarioConfig,
+    _fuzz_cases,
     _random_scenario,
     auto_targets,
-    build_scenario,
     fig1,
     fig2,
     fig3,
@@ -199,10 +199,11 @@ def test_c07_speed_limit_fuzz():
         start = time.monotonic()
         worst = math.inf
         cells = 0
-        for j in range(200):
-            cfg = _random_scenario(2026, j)
-            gen, rho0, grid, _closed = build_scenario(cfg)
-            traj = propagate(gen, rho0, grid)
+        cases = 0
+        # batched per family and grid; each member's trajectory is the one it gets alone
+        for j, (cfg, traj) in enumerate(_fuzz_cases(2026, 200)):
+            assert cfg == _random_scenario(2026, j)
+            cases += 1
             for q_target in auto_targets(float(np.max(traj.q_samples)), 20):
                 crossing = first_crossing_time(traj, float(q_target))
                 if not crossing.reached:
@@ -210,6 +211,7 @@ def test_c07_speed_limit_fuzz():
                 cells += 1
                 worst = min(worst, crossing.time - tau_q_at_crossing(traj, crossing))
         elapsed = time.monotonic() - start
+        assert cases == 200
         assert cells > 2000
         assert worst >= -1e-4, f"worst margin {worst:.3e} over {cells} cells"
         assert elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds 30s"

@@ -286,6 +286,30 @@ class TestFirstCrossing:
             first_crossing_time(traj, -0.1)
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda traj, tau: traj.locate(tau),
+            lambda traj, tau: traj.state_at(tau),
+            lambda traj, tau: tau_q_from_trajectory(traj, tau),
+            lambda traj, tau: tau_b_fidelity(traj, tau),
+        ],
+        ids=["locate", "state_at", "tau_q_from_trajectory", "tau_b_fidelity"],
+    )
+    def test_time_rejected_by_name(self, call, value):
+        traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
+        with pytest.raises(ValueError, match=f"invalid argument 'tau': must be a finite number, got {value}$"):
+            call(traj, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_crossing_target_rejected_by_name(self, value):
+        traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
+        with pytest.raises(ValueError, match=f"invalid argument 'q_target': must be a finite number, got {value}$"):
+            first_crossing_time(traj, value)
+
+
 class TestSaturationAndValidity:
     @pytest.mark.parametrize("theta", [math.pi / 8.0, math.pi / 5.0, math.pi / 6.0])
     @pytest.mark.parametrize("gamma", [None, 0.1, 0.5, 2.0])

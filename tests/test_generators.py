@@ -367,16 +367,19 @@ class TestPropagateMany:
             propagate_many([gen, gen], [rho2, rho3], grid)
 
     def test_mixed_grid_rejected(self):
+        # a batch steps on one shared 1-D grid; per-member grids, equal or not, are refused
         gen = Dephasing(MemoryFunctions.markov_limit(1.0))
         rho0 = from_pure([1.0, 0.0])
-        with pytest.raises(ValueError, match="mixed grid in one batch: the members' grids differ$"):
-            propagate_many([gen, gen], [rho0, rho0], [np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 11)])
-        with pytest.raises(ValueError, match="mixed grid in one batch: the members' grids differ in length"):
-            propagate_many([gen, gen], [rho0, rho0], [np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 21)])
-        with pytest.raises(ValueError, match="grid: 3 grids for 2 generators"):
-            propagate_many([gen, gen], [rho0, rho0], [np.linspace(0.0, 1.0, 11)] * 3)
         grid = np.linspace(0.0, 1.0, 11)
-        assert np.array_equal(propagate_many([gen, gen], [rho0, rho0], [grid, grid])[1].grid, grid)
+        with pytest.raises(ValueError, match=r"grid must be one 1-D array of at least two times, got shape \(2, 11\)$"):
+            propagate_many([gen, gen], [rho0, rho0], [grid, np.linspace(0.0, 2.0, 11)])
+        with pytest.raises(ValueError, match=r"got shape \(2, 11\)$"):
+            propagate_many([gen, gen], [rho0, rho0], [grid, grid])
+        with pytest.raises(ValueError, match="grid must be one 1-D array of times: .*inhomogeneous"):
+            propagate_many([gen, gen], [rho0, rho0], [grid, np.linspace(0.0, 1.0, 21)])
+        with pytest.raises(ValueError, match=r"got shape \(1,\)$"):
+            propagate_many([gen], [rho0], [0.0])
+        assert np.array_equal(propagate_many([gen, gen], [rho0, rho0], grid)[1].grid, grid)
 
     def test_one_state_per_generator(self):
         gen = Dephasing(MemoryFunctions.markov_limit(1.0))

@@ -1,5 +1,6 @@
 """Harness: config validation, sweeps, CSV schema/determinism, validation suite."""
 
+import dataclasses
 import json
 import math
 import os
@@ -15,11 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qslkit
-from qslkit import harness
+from qslkit import bounds, harness
+from qslkit.bounds import BoundReport
 from qslkit.cli import main as cli_main
 from qslkit.generators import Dephasing
 from qslkit.harness import (
+    FIG1_HEADER,
     FIG1_THETAS,
+    RUN_HEADER,
+    SWEEP_HEADER,
     ScenarioConfig,
     auto_targets,
     evaluate_targets,
@@ -164,9 +169,7 @@ class TestRunScenario:
             model="dephasing", theta=math.pi / 8.0, markov=True, tau_max=0.5, grid_points=501
         )
         result = run_scenario(cfg)
-        reports = evaluate_targets(
-            result.trajectory, [0.99], "dephasing", {}, lambda q, t: None
-        )
+        reports = evaluate_targets(result.trajectory, [0.99], cfg)
         assert not reports[0].reached
         assert reports[0].tau_exact is None and reports[0].tau_q_numeric is None
 
@@ -185,10 +188,10 @@ class TestRunScenario:
                 return super().action(rho, f)
 
         cfg = ScenarioConfig(model="dephasing", theta=math.pi / 5.0, gamma=0.5, tau_max=2.0, grid_points=401)
-        gen, rho0, grid, closed = harness.build_scenario(cfg)
+        gen, rho0, grid = harness.build_scenario(cfg)
         traj = harness.propagate(CountingDephasing(gen.memory), rho0, grid)
         CountingDephasing.tables, CountingDephasing.actions = [], 0
-        reports = evaluate_targets(traj, auto_targets(float(traj.q_samples.max()), 20), "dephasing", {}, closed)
+        reports = evaluate_targets(traj, auto_targets(float(traj.q_samples.max()), 20), cfg)
         assert sum(rep.tau_b_avg is not None for rep in reports) == 20
         # no table after propagation: the trajectory keeps its grid-time rows,
         # and one stacked action serves all 20 targets
@@ -197,6 +200,11 @@ class TestRunScenario:
 
 
 class TestCsvEmission:
+    @pytest.mark.parametrize("header", [FIG1_HEADER, SWEEP_HEADER, RUN_HEADER], ids=["fig1", "sweep", "run"])
+    def test_every_column_names_a_report_field(self, header):
+        fields = {f.name for f in dataclasses.fields(BoundReport)}
+        assert set(header) <= fields
+
     def test_format_cell_full_precision(self):
         assert format_cell(1.0) == "1.0000000000000000e+00"
         assert format_cell(None) == "NA"
@@ -329,28 +337,47 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(seed=0, cases=0)
 
+    def test_fuzz_makes_no_tau_b_calls(self, monkeypatch):
+        # the fuzz checks the speed limit only; the fidelity bound belongs to the figures and runs
+        calls = {"tau_b_fidelity": 0, "first_crossing_time": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            real = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, counting(name, real))
+            monkeypatch.setattr(harness, name, counting(name, real))
+        assert validate(seed=0, cases=3).passed
+        assert calls["first_crossing_time"] > 0
+        assert calls["tau_b_fidelity"] == 0
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_fuzz_batches_keep_every_case_grid(self, seed, monkeypatch):
         batches = []
 
-        def record(gens, rho0s, grids):
-            batches.append((gens, grids))
-            return [SimpleNamespace(grid=np.asarray(g), generator=gen) for gen, g in zip(gens, grids)]
+        def record(gens, rho0s, grid):
+            batches.append((gens, grid))
+            return [SimpleNamespace(grid=grid, generator=gen) for gen in gens]
 
         monkeypatch.setattr(harness, "propagate_many", record)
         cases = list(harness._fuzz_cases(seed, 30))
         assert len(cases) == 30
-        for j, (cfg, gen, _rho0, grid, traj) in enumerate(cases):
+        for j, (cfg, traj) in enumerate(cases):
             expected_cfg = harness._random_scenario(seed, j)
             assert cfg == expected_cfg
-            expected_grid = harness.build_scenario(expected_cfg)[2]
-            assert traj.grid.shape == grid.shape == expected_grid.shape
-            assert np.array_equal(traj.grid, expected_grid) and np.array_equal(grid, expected_grid)
-            assert traj.generator is gen
+            expected_gen, _rho0, expected_grid = harness.build_scenario(expected_cfg)
+            assert traj.grid.shape == expected_grid.shape
+            assert np.array_equal(traj.grid, expected_grid)
+            assert type(traj.generator) is type(expected_gen)
         assert sum(len(gens) for gens, _ in batches) == 30
-        for gens, grids in batches:
+        for gens, grid in batches:
             assert len({type(g) for g in gens}) == 1
-            assert all(np.array_equal(g, grids[0]) for g in grids)
+            assert grid.ndim == 1
         assert max(len(gens) for gens, _ in batches) > 1
 
 
@@ -384,6 +411,24 @@ class TestBatching:
         (check,) = harness._check_oracle_equivalence()
         assert check.passed
         assert batch_sizes == [6, 6]
+
+    def test_one_scenario_matches_its_run_inside_a_batch(self, batch_sizes):
+        dephasing = ScenarioConfig(model="dephasing", theta=math.pi / 5.0, gamma=0.5, tau_max=2.0, grid_points=401)
+        dissipation = ScenarioConfig(model="dissipation", theta=math.pi / 4.0, gamma=1.0, tau_max=2.0, grid_points=401)
+        configs = [
+            dephasing,
+            ScenarioConfig(model="dissipation", theta=math.pi / 6.0, gamma=0.5, tau_max=2.0, grid_points=401),
+            ScenarioConfig(model="dephasing", theta=math.pi / 8.0, markov=True, tau_max=2.0, grid_points=401),
+            dissipation,
+        ]
+        batched = harness._run_scenarios(configs)
+        assert batch_sizes == [2, 2]
+        for cfg, in_batch in ((dephasing, batched[0]), (dissipation, batched[3])):
+            alone = run_scenario(cfg)
+            assert len(alone.reports) == 20
+            assert [dataclasses.astuple(r) for r in alone.reports] == [dataclasses.astuple(r) for r in in_batch.reports]
+            assert alone.diagnostics == in_batch.diagnostics
+            assert np.array_equal(alone.trajectory.states, in_batch.trajectory.states)
 
 
 class TestCli:
