@@ -17,11 +17,17 @@ Propagation uses classical fourth-order fixed steps on a uniform grid so
 that the trajectory shares its sampling with the time averages taken by
 the bounds module.  Scenarios of one family that share a grid are stepped
 together as one ``(B, d, d)`` stack; a single scenario is a batch of one.
-States are re-Hermitized each step.  Every ``POSITIVITY_SCAN_STEPS``
-steps the new states are checked for positivity and their generation
-speeds taken; a loss beyond tolerance aborts, naming the first grid time
-where it shows, instead of being projected away, so genuine integrator or
-model errors are never masked.
+The steps are taken ``POSITIVITY_SCAN_STEPS`` grid times at a time, with
+no Python loop over single steps.  Each step of a linear generator is a
+linear map on ``vec(rho)``, so a chunk's states are first estimated as a
+prefix scan of those maps (Blelloch 1990; Martin & Cundy 2018).  Sweeps of
+the chunk's increments, added up in order, then move the estimates onto
+the rounding of the sequential steps, each re-Hermitized: bit for bit for
+dephasing and dissipation, within 1e-15 for the unitary families.  Each
+chunk is then checked for positivity and its generation speeds taken; a
+loss beyond tolerance stops the run within the chunk, naming the first
+grid time where it shows, instead of being projected away, so genuine
+integrator or model errors are never masked.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .matcore import (
     as_matrix,
     hs_norm,
     min_eigenvalue,
+    validate_density,
 )
 from .memory import MemoryFunctions
 from .witness import generation_speed, quantumness
@@ -47,7 +54,7 @@ from .witness import generation_speed, quantumness
 #: Propagation aborts once the smallest eigenvalue drops below -POSITIVITY_ABORT.
 POSITIVITY_ABORT = 1e-6
 
-#: Stepping checks the states it stored for positivity once per this many grid times.
+#: Grid times per chunk of propagation; each chunk is scanned, checked for positivity and its speeds taken at once.
 POSITIVITY_SCAN_STEPS = 64
 
 #: Relative tolerance for matching query times against a uniform grid.
@@ -92,44 +99,46 @@ def unitary_state(theta: float, alpha: float) -> np.ndarray:
     return np.array([math.sin(theta), -1j * np.exp(1j * alpha) * math.cos(theta)], dtype=complex)
 
 
-def hamiltonian_2l(c: UnitaryControl, t: float) -> np.ndarray:
-    """Driving Hamiltonian of the two-angle qubit control at time ``t``."""
+def hamiltonian_2l(c: UnitaryControl, t) -> np.ndarray:
+    """Driving Hamiltonian of the two-angle qubit control at time ``t``, or a stack for an array of times.
+
+    The squared sine is taken with ``pow`` (``np.float_power``), which
+    rounds unlike ``np.square`` on some arguments; the Hamiltonian keeps
+    ``pow``'s rounding.
+    """
+    t = np.asarray(t, dtype=float)
     th = c.theta(t)
     thd = c.theta_rate
     al = c.alpha(t)
     ald = c.alpha_rate
-    sc = math.sin(th) * math.cos(th)
-    hx = -thd * math.cos(al) + ald * sc * math.sin(al)
-    hy = -(thd * math.sin(al) + ald * sc * math.cos(al))
-    hz = ald * math.sin(th) ** 2
+    sc = np.sin(th) * np.cos(th)
+    hx = (-thd * np.cos(al) + ald * sc * np.sin(al))[..., None, None]
+    hy = (-(thd * np.sin(al) + ald * sc * np.cos(al)))[..., None, None]
+    hz = (ald * np.float_power(np.sin(th), 2.0))[..., None, None]
     return hx * SIGMA_X + hy * SIGMA_Y + hz * SIGMA_Z
 
 
-def hamiltonian_stirap(c: UnitaryControl, t: float) -> np.ndarray:
-    """Three-level adiabatic-passage Hamiltonian in the ``{|2>, |1>, |0>}`` basis."""
+def hamiltonian_stirap(c: UnitaryControl, t) -> np.ndarray:
+    """Three-level adiabatic-passage Hamiltonian in the ``{|2>, |1>, |0>}`` basis, or a stack for an array of times."""
     thd = c.theta_rate
-    th = c.theta(t)
+    th = c.theta(np.asarray(t, dtype=float))
     ald = c.alpha_rate
-    a01 = ald * math.cos(th)
-    a12 = ald * math.sin(th)
-    antisym = np.array(
-        [
-            [0.0, a01, -thd],
-            [-a01, 0.0, -a12],
-            [thd, a12, 0.0],
-        ],
-        dtype=float,
-    )
+    a01 = ald * np.cos(th)
+    a12 = ald * np.sin(th)
+    antisym = np.zeros(th.shape + (3, 3))
+    antisym[..., 0, 1], antisym[..., 0, 2] = a01, -thd
+    antisym[..., 1, 0], antisym[..., 1, 2] = -a01, -a12
+    antisym[..., 2, 0], antisym[..., 2, 1] = thd, a12
     return 1j * antisym
 
 
-def _tabulate(fn, times, shape=()) -> np.ndarray:
-    """``fn(t)`` for each time: real scalars, or complex matrices of the given ``shape``.
+def _tabulate(fn, times) -> np.ndarray:
+    """``fn(t)`` for each time, as a ``(m, 1, 1)`` table of real rates.
 
-    The table is filled in place, so no list of per-time values is held.
+    The memory functions are read one time at a time through ``math``:
+    their numpy twins round differently (see :mod:`qslkit.memory`).
     """
-    dtype = np.dtype((complex, shape)) if shape else np.dtype(float)
-    return np.fromiter((fn(float(t)) for t in times), dtype=dtype, count=len(times))
+    return np.fromiter((fn(float(t)) for t in times), dtype=float, count=len(times)).reshape(-1, 1, 1)
 
 
 class _TabulatedGenerator:
@@ -162,7 +171,7 @@ class UnitaryTwoLevel(_Unitary):
     dim: int = 2
 
     def coefficients(self, times) -> np.ndarray:
-        return _tabulate(functools.partial(hamiltonian_2l, self.control), times, (2, 2))
+        return hamiltonian_2l(self.control, times)
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ class Stirap(_Unitary):
     dim: int = 3
 
     def coefficients(self, times) -> np.ndarray:
-        return _tabulate(functools.partial(hamiltonian_stirap, self.control), times, (3, 3))
+        return hamiltonian_stirap(self.control, times)
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ class Dephasing(_TabulatedGenerator):
 
     def coefficients(self, times) -> np.ndarray:
         """Rate ``f`` per time, shaped ``(m, 1, 1)``."""
-        return _tabulate(self.memory.f, times).reshape(-1, 1, 1)
+        return _tabulate(self.memory.f, times)
 
     def action(self, rho: np.ndarray, f: np.ndarray) -> np.ndarray:
         # sigma_z rho sigma_z - rho is -2 rho off the diagonal and 0 on it, bit for bit
@@ -201,7 +210,7 @@ class Dissipation(_TabulatedGenerator):
 
     def coefficients(self, times) -> np.ndarray:
         """Memory function ``P`` per time, shaped ``(m, 1, 1)``."""
-        return _tabulate(self.memory.p, times).reshape(-1, 1, 1)
+        return _tabulate(self.memory.p, times)
 
     def action(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
         # 2 sigma_- rho sigma_+ - Pi rho - rho Pi (Pi = |1><1|) equals
@@ -323,20 +332,21 @@ def _check_positivity(states: np.ndarray, lo: int, hi: int, grid: np.ndarray) ->
 
 
 def propagate_many(gens, rho0s, grid) -> list:
-    """Propagate one initial state per generator along a shared grid, all in one loop.
+    """Propagate one initial state per generator along a shared grid, all in one batch.
 
-    The generators must be of one family and dimension.  Each family's
-    coefficient table is built once, at the grid times and the midpoints
-    (``2n - 1`` times), before the loop; each fourth-order step then applies
-    the family's action to the whole ``(B, d, d)`` stack, re-Hermitizes it
-    and stores the states.  Every ``POSITIVITY_SCAN_STEPS`` grid times the
-    new states are checked, and :class:`PositivityLossError` stops the run
-    at the first grid time whose smallest eigenvalue is below
-    ``-POSITIVITY_ABORT`` or whose state is no longer finite; the block's
-    generation speeds are taken from its ``L_t rho_t``, so only one block
-    of those is held.  The witness samples are taken per member after the
-    loop, and each member keeps its own copy of the table's grid-time rows.
-    A member's trajectory is the one it gets when propagated alone.
+    The generators must be of one family and dimension, and each initial
+    state a density matrix (:func:`~qslkit.matcore.validate_density`).
+    Each family's coefficient table is built once, at the grid times and
+    the midpoints (``2n - 1`` times); the fourth-order steps are then
+    taken a chunk of ``POSITIVITY_SCAN_STEPS`` grid times at a time for
+    the whole ``(B, d, d)`` stack (see :func:`_step_batch`).  Each chunk's
+    states are checked, and :class:`PositivityLossError` stops the run at
+    the first grid time whose smallest eigenvalue is below
+    ``-POSITIVITY_ABORT`` or whose state is no longer finite; the chunk's
+    generation speeds are taken from its ``L_t rho_t``.  The witness
+    samples are taken per member afterwards, and each member keeps its own
+    copy of the table's grid-time rows.  A member's trajectory is the one
+    it gets when propagated alone.
     """
     gens, rho0s = list(gens), list(rho0s)
     if not gens or len(gens) != len(rho0s):
@@ -350,9 +360,10 @@ def propagate_many(gens, rho0s, grid) -> list:
     grid = _shared_grid(grid)
     d = g0.dim
     rho_inits = [as_matrix(rho0).copy() for rho0 in rho0s]
-    for m in rho_inits:
+    for b, m in enumerate(rho_inits):
         if m.shape != (d, d):
             raise ValueError(f"dimension mismatch: generator dim {d}, state shape {m.shape}")
+        _check_density(m, f"rho0s[{b}]")
 
     states, speeds, coefficients = _step_batch(gens, rho_inits, grid)
     return [
@@ -369,12 +380,96 @@ def propagate_many(gens, rho0s, grid) -> list:
     ]
 
 
-def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
-    """The RK4 loop of :func:`propagate_many`: ``(B, n, d, d)`` states, ``(B, n)`` speeds
-    and each member's owned copy of its grid-time table rows.
+def _check_density(rho: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` and its failed defects unless ``rho`` is a density matrix."""
+    if not np.isfinite(rho).all():  # before the eigensolver, which fails on it
+        raise ValueError(f"invalid argument {name!r}: must be finite")
+    diag = validate_density(rho)
+    if diag.passed:
+        return
+    defects = [
+        f"{label} {value:.3e}"
+        for label, value, bad in (
+            ("hermiticity defect", diag.hermiticity_defect, diag.hermiticity_defect > diag.tol),
+            ("trace defect", diag.trace_defect, diag.trace_defect > diag.tol),
+            ("min eigenvalue", diag.min_eigenvalue, diag.min_eigenvalue < -diag.tol),
+        )
+        if bad
+    ]
+    raise ValueError(f"invalid argument {name!r}: not a density matrix within {diag.tol:g} ({', '.join(defects)})")
 
-    The midpoint rows and the block buffers are freed on return, before the
-    witness passes allocate their own stacks.
+
+def _hermitize(rho: np.ndarray) -> np.ndarray:
+    return 0.5 * (rho + rho.conj().mT)
+
+
+def _rk4_increment(act, rho: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
+    """The fourth-order increment ``(h/6)(k1 + 2 k2 + 2 k3 + k4)`` from ``rho``.
+
+    ``c0``, ``c_mid`` and ``c1`` are the table entries at the start, the
+    midpoint and the end of the step, broadcast against ``rho``; a stack
+    of states and entries takes every step of a chunk at once.
+    """
+    k1 = act(rho, c0)
+    k2 = act(rho + 0.5 * h * k1, c_mid)
+    k3 = act(rho + 0.5 * h * k2, c_mid)
+    k4 = act(rho + h * k3, c1)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _scan(act, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
+    """Estimates ``(B, m, d, d)`` of a chunk's states after each of its ``m`` steps, re-Hermitized.
+
+    One step of a linear generator is a linear map on ``vec(rho)``; its
+    matrix is the step applied to the ``d^2`` basis matrices.  The states
+    are the start state times the inclusive prefix products of these
+    maps, taken by doubling (Hillis-Steele) in ``log2 m`` batched products.
+    """
+    b, m = c0.shape[:2]
+    d = rho_lo.shape[-1]
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    # row j of transfer[:, k] is vec of basis matrix j after step k, so a row vector steps as x @ transfer
+    transfer = basis + _rk4_increment(act, basis, c0[:, :, None], c_mid[:, :, None], c1[:, :, None], h)
+    transfer = transfer.reshape(b, m, d * d, d * d)
+    shift = 1
+    while shift < m:
+        transfer[:, shift:] = transfer[:, :-shift] @ transfer[:, shift:]
+        shift *= 2
+    return _hermitize((rho_lo.reshape(b, 1, 1, d * d) @ transfer).reshape(b, m, d, d))
+
+
+def _settle(act, x: np.ndarray, c0, c_mid, c1, h: float) -> tuple:
+    """Sweep a chunk's state estimates onto the rounding of the sequential steps.
+
+    ``x`` is ``(B, m + 1, d, d)``: the chunk's start state, then the
+    estimates after each step.  A sweep takes every step's increment from
+    the current estimates and adds them up from the start state with
+    ``np.cumsum``, which adds in order, so each entry is the rounded
+    ``rho + increment`` of one sequential step, and re-Hermitizes.  Sweeps
+    repeat until one changes no bit, at most ``POSITIVITY_SCAN_STEPS``
+    times.  Where re-Hermitization is exact (dephasing, dissipation) a
+    sweep fixes at least one more state, so the result is the sequential
+    steps' bit for bit.  Returns the ``m`` states and the sweep count.
+    """
+    for sweeps in range(1, POSITIVITY_SCAN_STEPS + 1):
+        new = np.cumsum(np.concatenate([x[:, :1], _rk4_increment(act, x[:, :-1], c0, c_mid, c1, h)], axis=1), axis=1)
+        new[:, 1:] = _hermitize(new[:, 1:])
+        if np.array_equal(new.view(np.uint64), x.view(np.uint64)):
+            break
+        x = new
+    return x[:, 1:], sweeps
+
+
+def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
+    """The fourth-order steps of :func:`propagate_many`: ``(B, n, d, d)`` states, ``(B, n)``
+    speeds and each member's owned copy of its grid-time table rows.
+
+    The grid is taken in chunks of ``POSITIVITY_SCAN_STEPS`` grid times.
+    A chunk estimates its states by a prefix scan (:func:`_scan`), sweeps
+    them onto the sequential steps' rounding (:func:`_settle`), checks
+    them for positivity and takes their generation speeds; its last step
+    gives the next chunk's start state.  Only one chunk's work arrays are
+    alive at a time, and the midpoint rows are freed on return.
     """
     n = len(grid)
     d = gens[0].dim
@@ -382,33 +477,26 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     times = np.empty(2 * n - 1)
     times[0::2] = grid
     times[1::2] = grid[:-1] + 0.5 * h
-    table = np.stack([g.coefficients(times) for g in gens], axis=1)  # (2n - 1, B, ...)
+    table = np.stack([g.coefficients(times) for g in gens])  # (B, 2n - 1, ...)
     act = gens[0].action
-    rho = np.stack(rho_inits)
-    initial = rho[:, None]  # (B, 1, d, d): each member's rho0, against its block of L_t rho_t
     states = np.empty((len(gens), n, d, d), dtype=complex)
+    states[:, 0] = rho_inits
+    initial = states[:, :1].copy()  # (B, 1, d, d): each member's rho0, against a chunk of L_t rho_t
     speeds = np.empty((len(gens), n))
-    lrhos = np.empty((len(gens), POSITIVITY_SCAN_STEPS, d, d), dtype=complex)  # L_t rho_t of one block
-    scanned = 0
-    # a run that loses positivity can overflow before its block is scanned
+    # a run that loses positivity can overflow before its chunk is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            k1 = act(rho, table[2 * k])
-            states[:, k] = rho
-            lrhos[:, k - scanned] = k1
-            if k + 1 - scanned == POSITIVITY_SCAN_STEPS or k == n - 1:
-                _check_positivity(states, scanned, k + 1, grid)
-                speeds[:, scanned:k + 1] = generation_speed(initial, lrhos[:, :k + 1 - scanned])
-                scanned = k + 1
-            if k == n - 1:
-                break
-            c_mid = table[2 * k + 1]
-            k2 = act(rho + 0.5 * h * k1, c_mid)
-            k3 = act(rho + 0.5 * h * k2, c_mid)
-            k4 = act(rho + h * k3, table[2 * k + 2])
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().mT)
-    return states, speeds, [table[0::2, b].copy() for b in range(len(gens))]
+        for lo in range(0, n, POSITIVITY_SCAN_STEPS):
+            hi = min(lo + POSITIVITY_SCAN_STEPS, n)
+            m = min(hi, n - 1) - lo  # steps from lo; the last one gives the next chunk's start
+            if m:
+                rows = table[:, 2 * lo:2 * (lo + m) + 1]
+                c0, c_mid, c1 = rows[:, 0:-1:2], rows[:, 1::2], rows[:, 2::2]
+                start = states[:, lo:lo + 1]
+                x = np.concatenate([start, _scan(act, start[:, 0], c0, c_mid, c1, h)], axis=1)
+                states[:, lo + 1:lo + m + 1] = _settle(act, x, c0, c_mid, c1, h)[0]
+            _check_positivity(states, lo, hi, grid)
+            speeds[:, lo:hi] = generation_speed(initial, act(states[:, lo:hi], table[:, 2 * lo:2 * hi - 1:2]))
+    return states, speeds, [table[b, 0::2].copy() for b in range(len(gens))]
 
 
 def dephasing_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.ndarray:

@@ -62,6 +62,7 @@ from .witness import (
 )
 
 MODELS = ("unitary2l", "stirap", "dephasing", "dissipation", "ghz")
+OPEN_MODELS = ("dephasing", "dissipation", "ghz")  # the models with a bath, hence a memory ratio
 
 #: Figure-sweep memory ratios shared by the non-Markovian studies.
 SWEEP_GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0)
@@ -144,7 +145,7 @@ class ScenarioConfig:
             raise ValueError(f"invalid field 'q_grid': must be >= 1, got {self.q_grid}")
         if self.n < 1:
             raise ValueError(f"invalid field 'n': must be >= 1, got {self.n}")
-        if self.model in ("dephasing", "dissipation", "ghz") and not self.markov and self.gamma is None:
+        if self.model in OPEN_MODELS and not self.markov and self.gamma is None:
             raise ValueError("invalid field 'gamma': required unless markov is true")
         if self.model == "dissipation" and not self.markov:
             try:
@@ -160,7 +161,10 @@ class ScenarioConfig:
         return MemoryFunctions(OUParams(coupling, self.gamma * self.Gamma))
 
     @property
-    def gamma_ratio(self) -> float:
+    def gamma_ratio(self) -> Optional[float]:
+        """Memory ratio of the open-system models (``inf``: memoryless); ``None`` where ``gamma`` does not apply."""
+        if self.model not in OPEN_MODELS:
+            return None
         return math.inf if self.markov else float(self.gamma)
 
 
@@ -182,7 +186,7 @@ def build_scenario(cfg: ScenarioConfig):
     cfg.validate()
     grid = np.linspace(0.0, cfg.tau_max, cfg.grid_points)
 
-    if cfg.model in ("dephasing", "ghz", "dissipation"):
+    if cfg.model in OPEN_MODELS:
         mem = cfg._memory()
         rho0 = from_pure([math.cos(cfg.theta), math.sin(cfg.theta)])
         if cfg.model != "dissipation":
@@ -234,7 +238,6 @@ def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
     The closed-form column exists for the dephasing models only; there, as
     for the fidelity bounds, a timescale the formula rejects is ``None``.
     """
-    gamma_ratio = cfg.gamma_ratio if cfg.model in ("dephasing", "dissipation", "ghz") else None
     dephasing = cfg.model in ("dephasing", "ghz")
     reports = []
     for q_target in targets:
@@ -250,7 +253,7 @@ def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
                 _or_none(tau_b_fidelity, traj, tau, denominator="initial"),
                 _or_none(tau_b_fidelity, traj, tau, denominator="averaged"),
             ]
-        reports.append(BoundReport(cfg.model, cfg.theta, gamma_ratio, q_target, crossing.reached, *timescales))
+        reports.append(BoundReport(cfg.model, cfg.theta, cfg.gamma_ratio, q_target, crossing.reached, *timescales))
     return reports
 
 

@@ -1,11 +1,16 @@
 """Generators and propagation: Hamiltonian oracles, closed states, conservation."""
 
+import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qslkit import generators
 from qslkit.generators import (
     POSITIVITY_SCAN_STEPS,
     Dephasing,
@@ -39,7 +44,7 @@ from qslkit.witness import random_density_matrix
 class SignFlippedDephasing(Dephasing):
     """Dephasing with its rate sign-flipped, in any dimension: coherences grow and positivity breaks."""
 
-    actions = 0  # calls of the action, across instances
+    grid_times = 0  # summed length of the time axis of the stacks the action is applied to, across instances
 
     def __init__(self, dim, rate):
         super().__init__(MemoryFunctions.markov_limit(rate), dim)
@@ -48,9 +53,57 @@ class SignFlippedDephasing(Dephasing):
         return -super().coefficients(times)
 
     def action(self, rho, f):
-        SignFlippedDephasing.actions += 1
+        SignFlippedDephasing.grid_times += f.size  # one rate per member and grid time
         z = np.diag([(-1.0) ** i for i in range(self.dim)]).astype(complex)
         return f * (z @ rho @ z - rho)
+
+
+class CountingDephasing(SignFlippedDephasing):
+    """The same generator with the rate's sign kept: positivity holds and the run goes the full length."""
+
+    coefficients = Dephasing.coefficients
+
+
+def sequential_states(gens, rho0s, grid):
+    """``(B, n, d, d)`` states of the fourth-order loop, stepped one grid time after another.
+
+    The reference the chunked propagation must reproduce: each step's
+    increment added to the state, then re-Hermitized, one grid time at a time.
+    """
+    n = len(grid)
+    h = float(grid[1] - grid[0])
+    times = np.empty(2 * n - 1)
+    times[0::2] = grid
+    times[1::2] = grid[:-1] + 0.5 * h
+    table = np.stack([g.coefficients(times) for g in gens], axis=1)
+    act = gens[0].action
+    rho = np.stack(rho0s)
+    states = [rho]
+    for k in range(n - 1):
+        k1 = act(rho, table[2 * k])
+        c_mid = table[2 * k + 1]
+        k2 = act(rho + 0.5 * h * k1, c_mid)
+        k3 = act(rho + 0.5 * h * k2, c_mid)
+        k4 = act(rho + h * k3, table[2 * k + 2])
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().mT)
+        states.append(rho)
+    return np.stack(states, axis=1)
+
+
+@contextlib.contextmanager
+def recorded_chunks():
+    """Yield a list that gets ``(length of x, sweeps)`` for each chunk the propagation settles."""
+    chunks = []
+    settle = generators._settle
+
+    def recording(act, x, *args):
+        states, sweeps = settle(act, x, *args)
+        chunks.append((x.shape[1], sweeps))
+        return states, sweeps
+
+    with mock.patch.object(generators, "_settle", recording):
+        yield chunks
 
 
 GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0, 50.0)
@@ -127,6 +180,42 @@ class TestHamiltonianTwoLevel:
     def test_hermitian(self):
         c = UnitaryControl(theta0=0.2, theta_rate=0.3, alpha0=0.1, alpha_rate=0.9)
         assert hermiticity_defect(hamiltonian_2l(c, 0.77)) < 1e-15
+
+
+def math_hamiltonian_2l(c, t):
+    """The two-level Hamiltonian at one time, through ``math``."""
+    th, al = c.theta(t), c.alpha(t)
+    sc = math.sin(th) * math.cos(th)
+    hx = -c.theta_rate * math.cos(al) + c.alpha_rate * sc * math.sin(al)
+    hy = -(c.theta_rate * math.sin(al) + c.alpha_rate * sc * math.cos(al))
+    hz = c.alpha_rate * math.sin(th) ** 2
+    return hx * SIGMA_X + hy * SIGMA_Y + hz * SIGMA_Z
+
+
+def math_hamiltonian_stirap(c, t):
+    """The three-level Hamiltonian at one time, through ``math``."""
+    th, thd, ald = c.theta(t), c.theta_rate, c.alpha_rate
+    a01, a12 = ald * math.cos(th), ald * math.sin(th)
+    return 1j * np.array([[0.0, a01, -thd], [-a01, 0.0, -a12], [thd, a12, 0.0]])
+
+
+class TestHamiltonianTables:
+    """A table over many times is the per-time ``math`` formula, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "family,scalar", [(UnitaryTwoLevel, math_hamiltonian_2l), (Stirap, math_hamiltonian_stirap)]
+    )
+    def test_table_matches_math_per_time(self, family, scalar):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            theta0, theta_rate, alpha0, alpha_rate = (float(x) for x in rng.uniform(-4.0, 4.0, 4))
+            control = UnitaryControl(theta0=theta0, theta_rate=theta_rate, alpha0=alpha0, alpha_rate=alpha_rate)
+            times = np.linspace(0.0, float(rng.uniform(0.5, 8.0)), 1001)
+            table = family(control).coefficients(times)
+            expected = np.stack([scalar(control, float(t)) for t in times])
+            assert table.dtype == expected.dtype and table.shape == expected.shape
+            assert table.tobytes() == expected.tobytes()
+            assert family(control).coefficients([times[7]])[0].tobytes() == expected[7].tobytes()
 
 
 class TestHamiltonianStirap:
@@ -423,16 +512,98 @@ class TestPropagateMany:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_positivity_loss_stops_the_stepping(self, dim):
-        # the loss shows at grid index 1; one block scan later the run must stop
+        # the loss shows at grid index 1; the run must stop with the first chunk
         rho0 = from_pure(np.ones(dim) / math.sqrt(dim))
-        n = 1001
-        SignFlippedDephasing.actions = 0
-        with pytest.raises(PositivityLossError) as err:
-            propagate(SignFlippedDephasing(dim, 1.0), rho0, np.linspace(0.0, 3.0, n))
+        grid = np.linspace(0.0, 3.0, 1001)
+        SignFlippedDephasing.grid_times = 0
+        with recorded_chunks() as chunks:
+            with pytest.raises(PositivityLossError) as err:
+                propagate(SignFlippedDephasing(dim, 1.0), rho0, grid)
         assert err.value.time == 0.003
-        stepped = SignFlippedDephasing.actions
-        assert stepped <= 4 * (1 + POSITIVITY_SCAN_STEPS)
-        assert stepped < 4 * (n - 1) // 10  # a full run would take 4 (n - 1) + 1 actions
+        assert [length for length, _ in chunks] == [1 + POSITIVITY_SCAN_STEPS]  # one chunk was stepped
+        stopped = SignFlippedDephasing.grid_times
+        SignFlippedDephasing.grid_times = 0
+        propagate(CountingDephasing(dim, 1.0), rho0, grid)
+        assert stopped < SignFlippedDephasing.grid_times // 10  # a full run applies the action far more often
+
+    @pytest.mark.parametrize(
+        "rho0,defect",
+        [
+            (2.0 * from_pure([math.cos(0.3), math.sin(0.3)]), r"trace defect 1\.000e\+00"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex), r"hermiticity defect 5\.000e-01"),
+            (np.diag([1.5, -0.5]).astype(complex), r"min eigenvalue -5\.000e-01"),
+        ],
+    )
+    def test_initial_state_must_be_a_density_matrix(self, rho0, defect):
+        gen = Dephasing(MemoryFunctions.markov_limit(1.0))
+        good = from_pure([1.0, 0.0])
+        grid = np.linspace(0.0, 1.0, 11)
+        named = r"invalid argument 'rho0s\[1\]': not a density matrix within 1e-08 \("
+        with pytest.raises(ValueError, match=named + defect):
+            propagate_many([gen, gen], [good, rho0], grid)
+        with pytest.raises(ValueError, match=r"'rho0s\[0\]'.*" + defect):
+            propagate(gen, rho0, grid)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_initial_state_must_be_finite(self, dim, bad):
+        gen = SignFlippedDephasing(dim, 1.0)
+        rho0 = np.eye(dim, dtype=complex) / dim
+        rho0[0, -1] = bad
+        with pytest.raises(ValueError, match=r"^invalid argument 'rho0s\[0\]': must be finite$"):
+            propagate(gen, rho0, np.linspace(0.0, 1.0, 11))
+
+
+FAMILIES = ("dephasing", "dissipation", "unitary2l", "stirap")
+
+
+@st.composite
+def batches(draw):
+    """A batch of one family: generators, initial states and a grid whose length is no multiple of a chunk."""
+    family = draw(st.sampled_from(FAMILIES))
+    size = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 400).filter(lambda n: n % POSITIVITY_SCAN_STEPS))
+    grid = np.linspace(0.0, draw(st.floats(0.002, 0.01)) * (n - 1), n)
+    angles = st.floats(-3.0, 3.0)
+    gens, rho0s = [], []
+    for _ in range(size):
+        if family in ("dephasing", "dissipation"):
+            gamma = draw(st.sampled_from([0.5, 2.0, 10.0, 50.0, None]))  # None: memoryless
+            mem = MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(OUParams(1.0, gamma))
+            gens.append(Dephasing(mem) if family == "dephasing" else Dissipation(mem))
+            theta = draw(angles)
+            rho0s.append(from_pure([math.cos(theta), math.sin(theta)]))
+            continue
+        theta0, theta_rate, alpha0, alpha_rate = (draw(angles) for _ in range(4))
+        control = UnitaryControl(theta0=theta0, theta_rate=theta_rate, alpha0=alpha0, alpha_rate=alpha_rate)
+        if family == "unitary2l":
+            gens.append(UnitaryTwoLevel(control))
+            rho0s.append(from_pure(unitary_state(control.theta0, control.alpha0)))
+        else:
+            v = np.array([draw(angles) + 1j * draw(angles) for _ in range(3)])
+            v = v / np.linalg.norm(v) if np.linalg.norm(v) > 1e-3 else np.array([0.0, 0.0, 1.0])
+            gens.append(Stirap(control))
+            rho0s.append(from_pure(v))
+    return family, gens, rho0s, grid
+
+
+class TestScanMatchesSequentialSteps:
+    """The chunked scan reproduces the one-step-at-a-time loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=batches())
+    def test_states_match_the_sequential_loop(self, batch):
+        family, gens, rho0s, grid = batch
+        with recorded_chunks() as chunks:
+            states = np.stack([traj.states for traj in propagate_many(gens, rho0s, grid)])
+        expected = sequential_states(gens, rho0s, grid)
+        if family in ("dephasing", "dissipation"):
+            assert np.array_equal(states.view(np.uint64), expected.view(np.uint64))
+        else:
+            assert np.max(np.abs(states - expected)) <= 1e-15
+        # every chunk reaches its fixed point, a sweep that changes no bit, within a chunk's length of sweeps
+        assert len(chunks) == -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
+        assert max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
 
 
 class TestClosedStates:

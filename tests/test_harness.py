@@ -91,6 +91,20 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"invalid field '{field}'"):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            ({"model": "unitary2l"}, None),
+            ({"model": "stirap", "markov": True}, None),  # no bath: the flag does not apply either
+            ({"model": "dephasing", "gamma": 0.5}, 0.5),
+            ({"model": "dissipation", "markov": True}, math.inf),
+            ({"model": "ghz", "gamma": 2}, 2.0),
+        ],
+    )
+    def test_gamma_ratio_of_every_model(self, raw, expected):
+        ratio = ScenarioConfig.from_dict(raw).gamma_ratio
+        assert ratio == expected and type(ratio) is type(expected)
+
     def test_seed_is_not_a_config_field(self):
         with pytest.raises(ValueError, match="unknown config keys: seed"):
             ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "seed": 0})
