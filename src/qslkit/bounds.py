@@ -191,8 +191,8 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
     branch solves ``beta(tau) = -ln(1 - 2 sqrt(q)/|sin 4theta|)`` by
     monotone bisection.
     """
-    if q < 0.0:
-        raise ValueError(f"quantumness must be nonnegative, got {q}")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"invalid argument 'q': quantumness must be finite and nonnegative, got {q}")
     s4 = abs(math.sin(4.0 * theta))
     if s4 < _ZERO:
         raise ValueError("no coherence channel (sin 4theta = 0)")

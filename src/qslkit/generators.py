@@ -32,6 +32,7 @@ integrator or model errors are never masked.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -87,6 +88,12 @@ class UnitaryControl:
     alpha0: float = 0.0
     alpha_rate: float = 0.0
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"invalid field {f.name!r}: must be a finite number, got {value}")
+
     def theta(self, t: float) -> float:
         return self.theta0 + self.theta_rate * t
 
@@ -130,15 +137,6 @@ def hamiltonian_stirap(c: UnitaryControl, t) -> np.ndarray:
     antisym[..., 1, 0], antisym[..., 1, 2] = -a01, -a12
     antisym[..., 2, 0], antisym[..., 2, 1] = thd, a12
     return 1j * antisym
-
-
-def _tabulate(fn, times) -> np.ndarray:
-    """``fn(t)`` for each time, as a ``(m, 1, 1)`` table of real rates.
-
-    The memory functions are read one time at a time through ``math``:
-    their numpy twins round differently (see :mod:`qslkit.memory`).
-    """
-    return np.fromiter((fn(float(t)) for t in times), dtype=float, count=len(times)).reshape(-1, 1, 1)
 
 
 class _TabulatedGenerator:
@@ -194,7 +192,7 @@ class Dephasing(_TabulatedGenerator):
 
     def coefficients(self, times) -> np.ndarray:
         """Rate ``f`` per time, shaped ``(m, 1, 1)``."""
-        return _tabulate(self.memory.f, times)
+        return self.memory.f_table(times).reshape(-1, 1, 1)
 
     def action(self, rho: np.ndarray, f: np.ndarray) -> np.ndarray:
         # sigma_z rho sigma_z - rho is -2 rho off the diagonal and 0 on it, bit for bit
@@ -210,7 +208,7 @@ class Dissipation(_TabulatedGenerator):
 
     def coefficients(self, times) -> np.ndarray:
         """Memory function ``P`` per time, shaped ``(m, 1, 1)``."""
-        return _tabulate(self.memory.p, times)
+        return self.memory.p_table(times).reshape(-1, 1, 1)
 
     def action(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
         # 2 sigma_- rho sigma_+ - Pi rho - rho Pi (Pi = |1><1|) equals

@@ -51,7 +51,7 @@ from .generators import (
     propagate_many,
     unitary_state,
 )
-from .matcore import from_pure, hermiticity_defect, min_eigenvalue, purity
+from .matcore import commutator, from_pure, hermiticity_defect, hs_norm, min_eigenvalue, purity
 from .memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from .witness import (
     pure_state_quantumness,
@@ -524,43 +524,55 @@ class ValidationReport:
 
 
 def _check_witness_properties(seed: int, cases: int) -> list:
-    """Range, symmetry, dual-form agreement, pure-pair formula, zero-iff-commuting."""
+    """Range, symmetry, dual-form agreement, pure-pair formula, zero-iff-commuting.
+
+    Pair ``i`` is drawn from its own seed ``[seed, 1, i]``; the pairs are
+    then checked as one stack per dimension, which per matrix takes the
+    products and norms of single calls, so every margin keeps its bits.
+    """
     n_pairs = min(10_000, max(50, 50 * cases))
+    # per dimension: a, b, is-pure flags, pure-pair overlaps, commuting a, commuting b
+    # (n_pairs >= 50, so every dimension has pure, mixed and commuting pairs)
+    pairs = {dim: ([], [], [], [], [], []) for dim in (2, 3, 4)}
+    for i in range(n_pairs):
+        rng = np.random.default_rng([seed, 1, i])
+        dim = (2, 3, 4)[i % 3]
+        a_list, b_list, pure, overlaps, da_list, db_list = pairs[dim]
+        if i % 2:
+            a_list.append(random_density_matrix(dim, rng))
+            b_list.append(random_density_matrix(dim, rng))
+        else:
+            va = random_pure_state(dim, rng)
+            vb = random_pure_state(dim, rng)
+            a_list.append(from_pure(va))
+            b_list.append(from_pure(vb))
+            overlaps.append(abs(np.vdot(va, vb)) ** 2)
+        pure.append(not i % 2)
+        if i % 10 == 0:
+            # constructed commuting pair: random spectra in a shared eigenbasis
+            w = np.abs(rng.standard_normal(dim)) + 0.1
+            w2 = np.abs(rng.standard_normal(dim)) + 0.1
+            da_list.append(np.diag(w / w.sum()).astype(complex))
+            db_list.append(np.diag(w2 / w2.sum()).astype(complex))
     q_min, q_max_seen = math.inf, -math.inf
     worst_sym = 0.0
     worst_pure = 0.0
     zero_iff_ok = True
     worst_commuting_q = 0.0
-    for i in range(n_pairs):
-        rng = np.random.default_rng([seed, 1, i])
-        dim = (2, 3, 4)[i % 3]
-        if i % 2:
-            a = random_density_matrix(dim, rng)
-            b = random_density_matrix(dim, rng)
-        else:
-            va = random_pure_state(dim, rng)
-            vb = random_pure_state(dim, rng)
-            a, b = from_pure(va), from_pure(vb)
-            overlap = abs(np.vdot(va, vb)) ** 2
-            worst_pure = max(worst_pure, abs(quantumness(a, b) - pure_state_quantumness(overlap)))
+    for a_list, b_list, pure, overlaps, da_list, db_list in pairs.values():
+        a, b = np.array(a_list), np.array(b_list)
         q_ab = quantumness(a, b)
         q_ba = quantumness(b, a)
-        q_min = min(q_min, q_ab)
-        q_max_seen = max(q_max_seen, q_ab)
-        worst_sym = max(worst_sym, abs(q_ab - q_ba))
-        comm_norm = float(np.linalg.norm(a @ b - b @ a))
-        if (q_ab < 1e-12) != (comm_norm < 1e-7):
-            zero_iff_ok = False
-        if i % 10 == 0:
-            # constructed commuting pair: random spectra in a shared eigenbasis
-            w = np.abs(rng.standard_normal(dim)) + 0.1
-            w2 = np.abs(rng.standard_normal(dim)) + 0.1
-            da = np.diag(w / w.sum()).astype(complex)
-            db = np.diag(w2 / w2.sum()).astype(complex)
-            qc = quantumness(da, db)
-            worst_commuting_q = max(worst_commuting_q, qc)
-            if (qc < 1e-12) != (float(np.linalg.norm(da @ db - db @ da)) < 1e-7):
-                zero_iff_ok = False
+        q_pure = q_ab[np.array(pure)]
+        worst_pure = max(worst_pure, float(np.max(np.abs(q_pure - pure_state_quantumness(overlaps)))))
+        q_min = min(q_min, float(np.min(q_ab)))
+        q_max_seen = max(q_max_seen, float(np.max(q_ab)))
+        worst_sym = max(worst_sym, float(np.max(np.abs(q_ab - q_ba))))
+        zero_iff_ok &= bool(np.array_equal(q_ab < 1e-12, hs_norm(commutator(a, b)) < 1e-7))
+        da, db = np.array(da_list), np.array(db_list)
+        qc = quantumness(da, db)
+        worst_commuting_q = max(worst_commuting_q, float(np.max(qc)))
+        zero_iff_ok &= bool(np.array_equal(qc < 1e-12, hs_norm(commutator(da, db)) < 1e-7))
     range_ok = q_min >= 0.0 and q_max_seen <= 1.0 + 1e-9
     return [
         PropertyCheck(
@@ -639,10 +651,11 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
     worst_fd = 0.0
     checked_cells = 0
     for cfg, traj in _fuzz_cases(seed, cases):
-        for state in traj.states[:: max(1, len(traj.states) // 40)]:
-            worst_trace = max(worst_trace, abs(float(np.trace(state).real) - 1.0))
-            worst_herm = max(worst_herm, hermiticity_defect(state))
-            worst_eig = min(worst_eig, min_eigenvalue(state))
+        sample = traj.states[:: max(1, len(traj.states) // 40)]
+        trace = np.trace(sample, axis1=-2, axis2=-1).real
+        worst_trace = max(worst_trace, float(np.max(np.abs(trace - 1.0))))
+        worst_herm = max(worst_herm, hermiticity_defect(sample))
+        worst_eig = min(worst_eig, float(np.min(min_eigenvalue(sample))))
         if cfg.model == "dephasing":
             pops0 = np.diag(traj.states[0]).real
             pops_end = np.diag(traj.states[-1]).real
@@ -658,21 +671,17 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
             tau_q = tau_q_at_crossing(traj, crossing)
             worst_qsl = min(worst_qsl, crossing.time - tau_q)
 
-        h = traj.step
         stride = max(2, len(traj.grid) // 25)
-        for k in range(stride, len(traj.grid) - 2, stride):
-            state = traj.states[k]
-            lrho = traj.generator.action(state, traj.coefficients[k])
-            rate = quantumness_rate(traj.rho0, state, lrho)
-            q_k = traj.q_samples[k]
-            speed_k = traj.speed_samples[k]
-            slack = 2.0 * math.sqrt(2.0 * q_k) * speed_k + 1e-9 - abs(rate)
-            worst_rate_slack = min(worst_rate_slack, slack)
-            # five-point stencil keeps the truncation error far below the
-            # 1e-5 agreement budget even near the early-time memory kink
-            qs = traj.q_samples
-            fd = (qs[k - 2] - 8.0 * qs[k - 1] + 8.0 * qs[k + 1] - qs[k + 2]) / (12.0 * h)
-            worst_fd = max(worst_fd, abs(rate - fd))
+        ks = np.arange(stride, len(traj.grid) - 2, stride)
+        states = traj.states[ks]
+        rate = quantumness_rate(traj.rho0, states, traj.generator.action(states, traj.coefficients[ks]))
+        qs = traj.q_samples
+        slack = 2.0 * np.sqrt(2.0 * qs[ks]) * traj.speed_samples[ks] + 1e-9 - np.abs(rate)
+        worst_rate_slack = min(worst_rate_slack, np.min(slack))
+        # five-point stencil keeps the truncation error far below the
+        # 1e-5 agreement budget even near the early-time memory kink
+        fd = (qs[ks - 2] - 8.0 * qs[ks - 1] + 8.0 * qs[ks + 1] - qs[ks + 2]) / (12.0 * traj.step)
+        worst_fd = max(worst_fd, np.max(np.abs(rate - fd)))
     return [
         PropertyCheck(
             "qsl_validity",

@@ -17,14 +17,19 @@ closed form at any time.  For ``gamma < 2*Gamma`` the memory function
 diverges at a finite time; the time up to which it may be read is known
 up front, and reads at or past it are rejected.
 
-The reads take one time at a time through ``math``, not arrays through
+Every read goes through a table: :meth:`MemoryFunctions.f_table` and
+:meth:`MemoryFunctions.p_table` take a sequence of times, check its domain
+once (every time finite, the smallest nonnegative and, for ``P``, the
+largest below the horizon) and evaluate the closed form for all of them;
+the scalar reads are their one-element calls.  The transcendental
+functions are taken from ``math``, one time after another, not from
 numpy: on NumPy 2.4 (x86-64), ``np.expm1``, ``np.exp`` and ``np.log1p``
 differ from ``math.expm1``, ``math.exp`` and ``math.log1p`` by one ulp on
 1.9%, 4.6% and 6.6% of 400,000 arguments (uniform on ``[-20, 0]``,
-``[-20, 0]`` and ``[0, 10]``).  A table built with them would not round
-as the single reads do, and the fidelity bound ``tau_B`` at small
-quantumness is ill-conditioned enough to show it, so tables stay on
-``math``.
+``[-20, 0]`` and ``[0, 10]``), and the fidelity bound ``tau_B`` at small
+quantumness is ill-conditioned enough to show it.  The arithmetic around
+them is numpy's, which rounds each operation as Python floats do, so a
+table holds the bits of the per-time expressions.
 (``np.sin``/``np.cos`` matched ``math`` on every argument tried, so the
 Hamiltonians of :mod:`qslkit.generators` are tabulated as arrays.)
 """
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: The memory function may be read only while ``P`` stays below this multiple of the coupling rate.
 BLOWUP_FACTOR = 1e3
@@ -59,8 +66,8 @@ class OUParams:
     memory_rate: float
 
     def __post_init__(self):
-        if not self.coupling > 0.0:
-            raise ValueError(f"coupling rate must be positive, got {self.coupling}")
+        if not 0.0 < self.coupling < math.inf:
+            raise ValueError(f"coupling rate must be positive and finite, got {self.coupling}")
         if not self.memory_rate > 0.0:
             raise ValueError(f"memory rate must be positive, got {self.memory_rate}")
 
@@ -121,11 +128,14 @@ class MemoryFunctions:
 
     def f(self, t: float) -> float:
         """Coherence-decay rate ``f(t) = Gamma (1 - exp(-gamma t))``."""
-        if t < 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        return float(self.f_table((t,))[0])
+
+    def f_table(self, times) -> np.ndarray:
+        """:meth:`f` at each of ``times``, as a 1-D array."""
+        ts = self._checked(times, math.inf)
         if self.markov:
-            return self.params.coupling
-        return self.params.coupling * -math.expm1(-self.params.memory_rate * t)
+            return np.full(ts.shape, self.params.coupling)
+        return self.params.coupling * -_math(math.expm1, -self.params.memory_rate * ts)
 
     def beta(self, tau: float) -> float:
         """Coherence-decay exponent ``2 int_0^tau f = 2 Gamma [tau - (1 - exp(-gamma tau)) / gamma]``.
@@ -133,44 +143,54 @@ class MemoryFunctions:
         Monotone nondecreasing in ``tau`` and bounded above by the
         memoryless line ``2 Gamma tau``.
         """
-        if tau < 0.0:
-            raise ValueError(f"time must be nonnegative, got {tau}")
+        self._check_span(tau, tau, math.inf)
         if self.markov:
             return 2.0 * self.params.coupling * tau
         g = self.params.memory_rate
         return 2.0 * self.params.coupling * (tau + math.expm1(-g * tau) / g)
 
-    def _check_p_time(self, t: float) -> None:
-        if t < 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        if t >= self.horizon:
+    def _check_span(self, lo: float, hi: float, horizon: float) -> None:
+        """Reject times from ``lo`` to ``hi`` unless all are finite, nonnegative and below ``horizon``."""
+        for t in (lo, hi):
+            if not math.isfinite(t):
+                raise ValueError(f"time must be finite, got {t}")
+        if lo < 0.0:
+            raise ValueError(f"time must be nonnegative, got {lo}")
+        if hi >= horizon:
             raise RiccatiBlowupError(
                 f"memory function P reaches {BLOWUP_FACTOR:g} x coupling at t = {self.horizon:.6g} "
                 f"and diverges at t* = {self._t_star:.6g} (memory_rate < 2*coupling); "
-                f"it cannot be read at t = {t:.6g}",
+                f"it cannot be read at t = {hi:.6g}",
                 time=self.horizon,
             )
 
-    def _s(self, t: float) -> float:
-        """``exp(-r t) sinh(r t) / r`` of the hyperbolic branch (``t`` at ``r = 0``)."""
-        r = self._r
-        return t if r == 0.0 else -math.expm1(-2.0 * r * t) / (2.0 * r)
+    def _checked(self, times, horizon: float) -> np.ndarray:
+        """``times`` as a flat float array, after one domain check for all of them (a nan makes both ends nan)."""
+        ts = np.asarray(times, dtype=float).ravel()
+        if ts.size:
+            self._check_span(float(ts.min()), float(ts.max()), horizon)
+        return ts
 
     def p(self, t: float) -> float:
         """Dissipation memory function ``P(t)``."""
-        self._check_p_time(t)
+        return float(self.p_table((t,))[0])
+
+    def p_table(self, times) -> np.ndarray:
+        """:meth:`p` at each of ``times``, as a 1-D array."""
+        ts = self._checked(times, self.horizon)
         if self.markov:
-            return 0.5 * self.params.coupling
+            return np.full(ts.shape, 0.5 * self.params.coupling)
         if self._trig:
-            wt = self._omega * t
-            s = math.sin(wt) / self._omega
-            return self._drive * s / (math.cos(wt) + 0.5 * self.params.memory_rate * s)
-        s = self._s(t)
+            wt = self._omega * ts
+            s = _math(math.sin, wt) / self._omega
+            return self._drive * s / (_math(math.cos, wt) + 0.5 * self.params.memory_rate * s)
+        r = self._r
+        s = ts if r == 0.0 else -_math(math.expm1, -2.0 * r * ts) / (2.0 * r)
         return self._drive * s / (1.0 + self._a * s)
 
     def xi(self, t: float) -> float:
         """Running integral ``xi(t) = int_0^t P(s) ds`` of the memory function."""
-        self._check_p_time(t)
+        self._check_span(t, t, self.horizon)
         if self.markov:
             return 0.5 * self.params.coupling * t
         if self._trig:
@@ -178,8 +198,15 @@ class MemoryFunctions:
             half_gamma = 0.5 * self.params.memory_rate
             s = math.sin(wt) / self._omega
             return half_gamma * t - math.log1p(half_gamma * s - 2.0 * math.sin(0.5 * wt) ** 2)
-        return self._a * t - math.log1p(self._a * self._s(t))
+        r = self._r
+        s = t if r == 0.0 else -math.expm1(-2.0 * r * t) / (2.0 * r)
+        return self._a * t - math.log1p(self._a * s)
 
     def __repr__(self) -> str:
         tag = "markov" if self.markov else f"gamma={self.params.memory_rate}"
         return f"MemoryFunctions(Gamma={self.params.coupling}, {tag})"
+
+
+def _math(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` at each entry of ``x`` (numpy's twins round differently)."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)

@@ -47,35 +47,40 @@ def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
     return float(q_comm) if q_comm.ndim == 0 else q_comm
 
 
-def pure_state_quantumness(overlap_sq: float) -> float:
+def pure_state_quantumness(overlap_sq):
     """Witness of two pure states with squared overlap ``c``: ``4 c (1 - c)``.
 
     Maximal (equal to one) at ``c = 1/2``, zero for identical or
-    orthogonal states.
+    orthogonal states.  An array of overlaps gives an array of witnesses.
     """
-    c = float(overlap_sq)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"squared overlap must lie in [0, 1], got {c}")
-    return 4.0 * c * (1.0 - c)
+    c = np.asarray(overlap_sq, dtype=float)
+    inside = (c >= 0.0) & (c <= 1.0)
+    if not inside.all():
+        raise ValueError(f"squared overlap must lie in [0, 1], got {np.extract(~inside, c)[0]}")
+    q = 4.0 * c * (1.0 - c)
+    return float(q) if q.ndim == 0 else q
 
 
-def quantumness_rate(rho0: np.ndarray, rhot: np.ndarray, lrho: np.ndarray) -> float:
+def quantumness_rate(rho0: np.ndarray, rhot: np.ndarray, lrho: np.ndarray):
     """Exact time derivative of the witness along a trajectory.
 
     ``dQ/dt = -4 Tr([rho0, rho_t] [rho0, L rho_t])`` where ``lrho`` is the
-    generator applied to the current state.  A non-traceless ``lrho``
+    generator applied to the current state.  A stack of ``rhot`` with the
+    matching stack of ``lrho`` gives an array of rates, each the bits of
+    its single call.  A non-traceless ``lrho`` (any member of a stack)
     indicates a buggy generator and triggers a warning.
     """
-    trace = complex(np.trace(np.asarray(lrho, dtype=complex)))
-    if abs(trace) > TRACELESS_WARN_TOL:
+    lrho = np.asarray(lrho, dtype=complex)
+    trace = np.abs(np.trace(lrho, axis1=-2, axis2=-1))
+    if np.any(trace > TRACELESS_WARN_TOL):
         warnings.warn(
-            f"generator output is not traceless (|Tr| = {abs(trace):.3e}); "
+            f"generator output is not traceless (|Tr| = {np.max(trace):.3e}); "
             "the quantumness rate may be meaningless",
             RuntimeWarning,
             stacklevel=2,
         )
-    val = -4.0 * np.trace(commutator(rho0, rhot) @ commutator(rho0, lrho))
-    return float(val.real)
+    val = (-4.0 * np.trace(commutator(rho0, rhot) @ commutator(rho0, lrho), axis1=-2, axis2=-1)).real
+    return float(val) if val.ndim == 0 else val
 
 
 def generation_speed(rho0: np.ndarray, lrho: np.ndarray):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qslkit.bounds import (
     _running_mean,
@@ -308,6 +310,16 @@ class TestNonFiniteArguments:
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
         with pytest.raises(ValueError, match=f"invalid argument 'q_target': must be a finite number, got {value}$"):
             first_crossing_time(traj, value)
+
+    @given(
+        q=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-1e-300)),
+        markov=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dephasing_target_rejected_by_name(self, q, markov):
+        mem = MemoryFunctions.markov_limit(1.0) if markov else MemoryFunctions(OUParams(1.0, 0.4))
+        with pytest.raises(ValueError, match="invalid argument 'q': quantumness must be finite and nonnegative, got"):
+            tau_q_dephasing(q, math.pi / 8.0, mem)
 
 
 class TestSaturationAndValidity:

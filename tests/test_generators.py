@@ -144,6 +144,15 @@ class TestSchedule:
         with pytest.raises(TypeError):
             UnitaryControl(0.2, 0.5)  # keywords only: the four numbers are easy to misorder
 
+    @given(
+        field=st.sampled_from(["theta0", "theta_rate", "alpha0", "alpha_rate"]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_field_rejected_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=f"invalid field '{field}': must be a finite number, got {bad}$"):
+            UnitaryControl(**{field: bad})
+
 
 class TestHamiltonianTwoLevel:
     def test_constant_rate_zero_phase(self):

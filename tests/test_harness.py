@@ -37,6 +37,8 @@ from qslkit.harness import (
     run_to_files,
     validate,
 )
+from qslkit.matcore import from_pure
+from qslkit.witness import pure_state_quantumness, quantumness, random_density_matrix, random_pure_state
 
 
 class TestScenarioConfig:
@@ -393,6 +395,87 @@ class TestValidate:
             assert len({type(g) for g in gens}) == 1
             assert grid.ndim == 1
         assert max(len(gens) for gens, _ in batches) > 1
+
+
+#: ``validate(seed=0, cases=12)`` as the tree computed it before the witness
+#: pairs, dynamics probes and memory tables were stacked: (name, passed,
+#: repr(worst), detail) per check.  A speed-up must leave every field alone.
+GOLDEN_VALIDATE_0_12 = [
+    ("witness_range", True, "-2.8045443295821038e-05", "q in [1.247e-03, 0.999972] over 600 pairs"),
+    ("witness_symmetry", True, "0.0", "max |q(a,b) - q(b,a)|"),
+    ("witness_pure_formula", True, "2.3314683517128287e-15", "max |q - 4c(1-c)|"),
+    ("witness_zero_iff_commuting", True, "0.0", "q < 1e-12 iff commutator norm < 1e-7"),
+    ("qsl_validity", True, "np.float64(-1.228827463561899e-05)", "min(crossing - tau_q) over 240 reached cells"),
+    ("trace_preservation", True, "1.7763568394002505e-15", "max |Tr rho - 1|"),
+    ("hermiticity", True, "5.498696599114741e-17", "max entrywise |rho - rho^dag|"),
+    ("positivity", True, "-1.0547118733938987e-15", "min eigenvalue over states"),
+    ("dephasing_population_conservation", True, "0.0", "max diagonal drift"),
+    ("unitary_purity", True, "3.9968028886505635e-15", "max |Tr rho^2 - 1|"),
+    ("rate_inequality", True, "np.float64(9.999996386511611e-10)", "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)"),
+    ("rate_finite_difference", True, "np.float64(5.33685680283863e-10)", "max |dQ/dt - centered difference|"),
+    ("oracle_equivalence", True, "1.7208456881689926e-14", "max entrywise |closed - propagated|"),
+    ("mutation_canary", True, "1.0", "positivity abort at t = 0.003"),
+]
+
+
+def test_validate_report_is_golden():
+    report = validate(seed=0, cases=12)
+    assert [(c.name, c.passed, repr(c.worst), c.detail) for c in report.checks] == GOLDEN_VALIDATE_0_12
+
+
+def witness_properties_per_pair(seed, cases):
+    """Reference for ``harness._check_witness_properties``: every pair checked on its own, as the suite once did."""
+    n_pairs = min(10_000, max(50, 50 * cases))
+    q_min, q_max_seen = math.inf, -math.inf
+    worst_sym = 0.0
+    worst_pure = 0.0
+    zero_iff_ok = True
+    worst_commuting_q = 0.0
+    for i in range(n_pairs):
+        rng = np.random.default_rng([seed, 1, i])
+        dim = (2, 3, 4)[i % 3]
+        if i % 2:
+            a = random_density_matrix(dim, rng)
+            b = random_density_matrix(dim, rng)
+        else:
+            va = random_pure_state(dim, rng)
+            vb = random_pure_state(dim, rng)
+            a, b = from_pure(va), from_pure(vb)
+            overlap = abs(np.vdot(va, vb)) ** 2
+            worst_pure = max(worst_pure, abs(quantumness(a, b) - pure_state_quantumness(overlap)))
+        q_ab = quantumness(a, b)
+        q_ba = quantumness(b, a)
+        q_min = min(q_min, q_ab)
+        q_max_seen = max(q_max_seen, q_ab)
+        worst_sym = max(worst_sym, abs(q_ab - q_ba))
+        comm_norm = float(np.linalg.norm(a @ b - b @ a))
+        if (q_ab < 1e-12) != (comm_norm < 1e-7):
+            zero_iff_ok = False
+        if i % 10 == 0:
+            w = np.abs(rng.standard_normal(dim)) + 0.1
+            w2 = np.abs(rng.standard_normal(dim)) + 0.1
+            da = np.diag(w / w.sum()).astype(complex)
+            db = np.diag(w2 / w2.sum()).astype(complex)
+            qc = quantumness(da, db)
+            worst_commuting_q = max(worst_commuting_q, qc)
+            if (qc < 1e-12) != (float(np.linalg.norm(da @ db - db @ da)) < 1e-7):
+                zero_iff_ok = False
+    range_ok = q_min >= 0.0 and q_max_seen <= 1.0 + 1e-9
+    return [
+        ("witness_range", range_ok, max(0.0 - q_min, q_max_seen - 1.0), f"q in [{q_min:.3e}, {q_max_seen:.6f}] over {n_pairs} pairs"),
+        ("witness_symmetry", worst_sym <= 1e-12, worst_sym, "max |q(a,b) - q(b,a)|"),
+        ("witness_pure_formula", worst_pure <= 1e-10, worst_pure, "max |q - 4c(1-c)|"),
+        ("witness_zero_iff_commuting", zero_iff_ok, worst_commuting_q, "q < 1e-12 iff commutator norm < 1e-7"),
+    ]
+
+
+@pytest.mark.parametrize("cases", [1, 3, 10])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_witness_stacks_match_per_pair_checks(seed, cases):
+    stacked = [(c.name, c.passed, c.worst, c.detail) for c in harness._check_witness_properties(seed, cases)]
+    expected = witness_properties_per_pair(seed, cases)
+    assert stacked == expected
+    assert [type(c[2]) for c in stacked] == [type(c[2]) for c in expected]
 
 
 class TestBatching:

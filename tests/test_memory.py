@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qslkit.generators import Dissipation, propagate
@@ -338,3 +340,104 @@ class TestMemoryFunctions:
             OUParams(-1.0, 1.0)
         with pytest.raises(ValueError):
             OUParams(1.0, 0.0)
+
+
+def per_time_f(mem, t):
+    """The dephasing rate at one time, written out with ``math`` as a single read evaluates it."""
+    gamma = mem.params.memory_rate
+    return mem.coupling if math.isinf(gamma) else mem.coupling * -math.expm1(-gamma * t)
+
+
+def per_time_p(mem, t):
+    """The memory function ``P`` at one time, written out with ``math`` branch by branch."""
+    coupling, gamma = mem.coupling, mem.params.memory_rate
+    if math.isinf(gamma):
+        return 0.5 * coupling
+    drive = 0.5 * coupling * gamma
+    kappa = 0.25 * gamma * (gamma - 2.0 * coupling)
+    if kappa < 0.0:
+        w = math.sqrt(-kappa)
+        s = math.sin(w * t) / w
+        return drive * s / (math.cos(w * t) + 0.5 * gamma * s)
+    r = math.sqrt(kappa)
+    a = drive / (0.5 * gamma + r)
+    s = t if r == 0.0 else -math.expm1(-2.0 * r * t) / (2.0 * r)
+    return drive * s / (1.0 + a * s)
+
+
+#: One memory per branch: memoryless, hyperbolic, critical (r = 0 at gamma = 2 Gamma) and trigonometric.
+BRANCHES = {
+    "memoryless": MemoryFunctions.markov_limit(1.3),
+    "hyperbolic": MemoryFunctions(OUParams(1.0, 7.5)),
+    "critical": MemoryFunctions(OUParams(1.0, 2.0)),
+    "trigonometric": MemoryFunctions(OUParams(1.0, 0.6)),
+}
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestTables:
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_tables_hold_the_bits_of_per_time_reads(self, branch):
+        mem = BRANCHES[branch]
+        assert branch != "critical" or mem._r == 0.0
+        tau = min(4.0, 0.9 * mem.horizon)
+        times = np.concatenate([np.linspace(0.0, tau, 2001), np.random.default_rng(5).uniform(0.0, tau, 2000)])
+        for table, per_time in ((mem.f_table, per_time_f), (mem.p_table, per_time_p)):
+            expected = [per_time(mem, t) for t in times.tolist()]
+            assert np.array_equal(bits(table(times)), bits(expected))
+
+    @given(t=st.floats(0.0, 50.0), branch=st.sampled_from(list(BRANCHES)))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_reads_match_the_per_time_forms(self, t, branch):
+        mem = BRANCHES[branch]
+        assert mem.f(t) == per_time_f(mem, t)
+        if t < mem.horizon:
+            assert mem.p(t) == per_time_p(mem, t)
+
+    def test_table_reaching_horizon_raises(self):
+        mem = BRANCHES["trigonometric"]
+        times = np.linspace(0.0, mem.horizon, 50)
+        with pytest.raises(RiccatiBlowupError) as err:
+            mem.p_table(times)
+        assert err.value.time == mem.horizon
+        mem.p_table(times[:-1])  # below the horizon the same table reads
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_table_with_a_bad_time_raises(self, branch, bad):
+        mem = BRANCHES[branch]
+        times = np.linspace(0.0, 0.5, 20)
+        times[11] = bad
+        for table in (mem.f_table, mem.p_table):
+            with pytest.raises(ValueError, match="time must be (finite|nonnegative), got"):
+                table(times)
+
+    def test_empty_table(self):
+        mem = BRANCHES["hyperbolic"]
+        assert mem.f_table([]).shape == (0,) and mem.p_table(np.array([])).shape == (0,)
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestBoundaryChecks:
+    @given(bad=non_finite, branch=st.sampled_from(list(BRANCHES)), read=st.sampled_from(["f", "beta", "p", "xi"]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_time_rejected_by_name(self, bad, branch, read):
+        with pytest.raises(ValueError, match=f"time must be finite, got {bad}$"):
+            getattr(BRANCHES[branch], read)(bad)
+
+    @given(t=st.floats(max_value=-1e-300, allow_infinity=False), read=st.sampled_from(["f", "beta", "p", "xi"]))
+    @settings(max_examples=60, deadline=None)
+    def test_negative_time_rejected_by_name(self, t, read):
+        with pytest.raises(ValueError, match="time must be nonnegative, got"):
+            getattr(BRANCHES["hyperbolic"], read)(t)
+
+    @given(bad=non_finite, rate=st.floats(0.1, 10.0))
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_coupling_rejected_by_name(self, bad, rate):
+        with pytest.raises(ValueError, match=f"coupling rate must be positive and finite, got {bad}$"):
+            OUParams(bad, rate)

@@ -97,6 +97,14 @@ class TestPureStateQuantumness:
         with pytest.raises(ValueError):
             pure_state_quantumness(-0.1)
 
+    def test_array_of_overlaps(self):
+        cs = np.random.default_rng(8).uniform(0.0, 1.0, 50)
+        qs = pure_state_quantumness(cs)
+        assert np.array_equal(qs, [4.0 * c * (1.0 - c) for c in cs.tolist()])
+        cs[17] = math.nan
+        with pytest.raises(ValueError, match="squared overlap must lie in \\[0, 1\\], got nan"):
+            pure_state_quantumness(cs)
+
 
 class TestQuantumnessRate:
     def test_zero_at_initial_time(self):
@@ -127,6 +135,29 @@ class TestQuantumnessRate:
         rho = random_density_matrix(2, np.random.default_rng(4))
         with pytest.warns(RuntimeWarning, match="not traceless"):
             quantumness_rate(rho, rho, np.eye(2, dtype=complex))
+
+    @given(seed=seeds, dim=dims, n=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_gives_the_bits_of_per_state_calls(self, seed, dim, n):
+        rng = np.random.default_rng(seed)
+        rho0 = random_density_matrix(dim, rng)
+        rhots = np.array([random_density_matrix(dim, rng) for _ in range(n)])
+        # traceless generator outputs: commutators with random Hamiltonians
+        hs = [random_density_matrix(dim, rng) for _ in range(n)]
+        lrhos = np.array([-1j * (h @ r - r @ h) for h, r in zip(hs, rhots)])
+        rates = quantumness_rate(rho0, rhots, lrhos)
+        assert rates.shape == (n,)
+        expected = [quantumness_rate(rho0, r, lr) for r, lr in zip(rhots, lrhos)]
+        assert np.array_equal(rates.view(np.uint64), np.array(expected).view(np.uint64))
+
+    def test_stack_with_one_non_traceless_member_warns(self):
+        rng = np.random.default_rng(6)
+        rho = random_density_matrix(2, rng)
+        lrhos = np.zeros((4, 2, 2), dtype=complex)
+        lrhos[2] = np.eye(2)
+        with pytest.warns(RuntimeWarning, match="not traceless"):
+            rates = quantumness_rate(rho, np.array([rho] * 4), lrhos)
+        assert rates.shape == (4,)
 
 
 class TestGenerationSpeed:
