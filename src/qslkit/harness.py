@@ -23,6 +23,8 @@ import dataclasses
 import json
 import math
 import numbers
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -319,11 +321,46 @@ def format_cell(value) -> str:
     return f"{float(value):.16e}"
 
 
+def _check_outputs(**paths) -> None:
+    """Before any work, reject an output path with no directory or naming one; create nothing."""
+    for name, path in paths.items():
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"invalid argument {name!r}: no directory {parent!r} to write {path!r} into")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"invalid argument {name!r}: {path!r} is a directory")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, rewriting an existing file in place.
+
+    The file is opened without ``O_TRUNC``, written from the start and cut
+    at the end of the new text.  Truncating a file to zero length and
+    writing it again makes ext4 (``auto_da_alloc``) flush the new blocks on
+    close, about 50 ms per output; so does renaming a new file over it.
+    Only a regular file is cut: ``/dev/null`` and pipes (``/dev/stdout``)
+    take the write but not a truncate.  An existing file keeps its inode,
+    its mode and any links to it; a new one gets ``0o666`` under the umask.
+
+    Nothing is fsynced, as with ``open(path, "w")``.  A crash in the middle
+    of a rewrite can leave old and new bytes mixed, where a truncating
+    write would leave a prefix of the new text; outputs are deterministic,
+    so such a file is regenerated by running the command again.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_csv(path: str, header: list, rows: list) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 #: CSV columns; each names a :class:`BoundReport` field.
@@ -355,6 +392,7 @@ def _report_rows(header: list, results: list) -> list:
 
 def _sweep(out_path: str, header: list, configs: list, shared_targets: bool = False) -> list:
     """Run the configs through one pipeline call; write and return their rows."""
+    _check_outputs(out_path=out_path)
     rows = _report_rows(header, _run_scenarios(configs, shared_targets))
     write_csv(out_path, header, rows)
     return rows
@@ -402,7 +440,12 @@ def fig3(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: i
 
 
 def run_to_files(cfg: ScenarioConfig, out_path: str, report_path: Optional[str] = None) -> ScenarioResult:
-    """Run one scenario, emit its sweep CSV and an optional JSON report."""
+    """Run one scenario, emit its sweep CSV and an optional JSON report.
+
+    The report is strict JSON: the config is validated finite, an infinite
+    ``memory_horizon`` is ``null`` and the bounds reject a zero denominator.
+    """
+    _check_outputs(out_path=out_path, report_path=report_path)
     result = run_scenario(cfg)
     write_csv(out_path, RUN_HEADER, _report_rows(RUN_HEADER, [result]))
     if report_path is not None:
@@ -411,8 +454,7 @@ def run_to_files(cfg: ScenarioConfig, out_path: str, report_path: Optional[str] 
             "diagnostics": result.diagnostics,
             "reports": [{key: getattr(rep, key) for key in _REPORT_KEYS} for rep in result.reports],
         }
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_text(report_path, json.dumps(payload, indent=2, allow_nan=False))
     return result
 
 
@@ -464,6 +506,7 @@ def ghz_scaling(
         raise ValueError(f"decay exponent must lie in (0, 1e-4], got {beta_small}")
     if not 1 <= n_max <= 12:
         raise ValueError(f"qubit count cap must lie in 1..12, got {n_max}")
+    _check_outputs(out_path=out_path)
     ns = np.arange(1, n_max + 1)
     rows = []
     q_values = []

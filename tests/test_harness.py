@@ -1,12 +1,15 @@
 """Harness: config validation, sweeps, CSV schema/determinism, validation suite."""
 
+import builtins
 import dataclasses
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import tempfile
 import time
 from types import SimpleNamespace
 
@@ -299,6 +302,141 @@ class TestCsvEmission:
         run_to_files(cfg, str(tmp_path / "run.csv"), report_path=str(rep))
         diagnostics = json.loads(rep.read_text())["diagnostics"]
         assert 4.83 < diagnostics["memory_horizon"] < 4.8368
+
+
+def _old_write(path, text):
+    """The truncating write the outputs used before the in-place writer: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_RUN_CFG = {"model": "dissipation", "theta": math.pi / 4.0, "gamma": 2.0, "tau_max": 1.0, "grid_points": 501}
+
+
+class TestOutputWriter:
+    @pytest.mark.parametrize("before,after", [("x" * 500, "short\n"), ("short\n", "y" * 500)], ids=["shrink", "grow"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, before, after):
+        path = tmp_path / "out.csv"
+        path.write_text(before)
+        harness._write_text(str(path), after)
+        assert path.read_bytes() == after.encode()
+
+    def test_write_through_symlink_updates_target_and_keeps_link(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old contents, longer than the new\n")
+        link.symlink_to(target)
+        harness._write_text(str(link), "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new\n"
+
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        inode = path.stat().st_ino
+        harness._write_text(str(path), "new\n")
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_new_file_mode_matches_open_for_writing(self, tmp_path):
+        _old_write(tmp_path / "reference.csv", "x\n")
+        harness._write_text(str(tmp_path / "new.csv"), "x\n")
+        mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference.csv").stat().st_mode)
+
+    def test_fig1_to_dev_null(self):
+        assert cli_main(["fig1", "--out", os.devnull, "--grid-points", "501", "--tau-max", "1.0"]) == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_fig1_into_a_pipe(self, tmp_path):
+        argv = ["fig1", "--grid-points", "501", "--tau-max", "1.0", "--out"]
+        assert cli_main(argv + [str(tmp_path / "fig1.csv")]) == 0
+        read_end, write_end = os.pipe()  # a 10 kB CSV fits the pipe buffer, so no reader is needed
+        try:
+            assert cli_main(argv + [f"/dev/fd/{write_end}"]) == 0
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            assert fh.read() == (tmp_path / "fig1.csv").read_bytes()
+
+    def test_outputs_match_the_truncating_write(self, tmp_path):
+        out, rep = tmp_path / "fig1.csv", tmp_path / "run.json"
+        for path in (out, rep):
+            path.write_text("stale bytes, longer than any output\n" * 2000)
+        rows = fig1(str(out), grid_points=501, tau_max=2.0)
+        lines = [",".join(FIG1_HEADER)] + [",".join(format_cell(c) for c in row) for row in rows]
+        _old_write(tmp_path / "fig1-ref.csv", "\n".join(lines) + "\n")
+        assert out.read_bytes() == (tmp_path / "fig1-ref.csv").read_bytes()
+
+        cfg = ScenarioConfig.from_dict(_RUN_CFG)
+        result = run_to_files(cfg, str(tmp_path / "run.csv"), report_path=str(rep))
+        payload = {
+            "config": dataclasses.asdict(cfg),
+            "diagnostics": result.diagnostics,
+            "reports": [{key: getattr(r, key) for key in harness._REPORT_KEYS} for r in result.reports],
+        }
+        with open(tmp_path / "run-ref.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+        assert rep.read_bytes() == (tmp_path / "run-ref.json").read_bytes()
+
+    def test_no_output_is_opened_truncating(self, tmp_path, monkeypatch):
+        outputs = {str(tmp_path / name) for name in ("fig1.csv", "run.csv", "run.json")}
+        for path in outputs:
+            _old_write(path, "stale\n")
+        opened = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), "os.open", flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append((os.fspath(file), "open", mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        fig1(str(tmp_path / "fig1.csv"), grid_points=501, tau_max=1.0)
+        run_to_files(
+            ScenarioConfig.from_dict(_RUN_CFG), str(tmp_path / "run.csv"), report_path=str(tmp_path / "run.json")
+        )
+        monkeypatch.undo()
+        ours = [entry for entry in opened if entry[0] in outputs]
+        assert {path for path, _, _ in ours} == outputs
+        for path, how, flags_or_mode in ours:
+            if how == "os.open":
+                assert not flags_or_mode & os.O_TRUNC, path
+            else:
+                assert "w" not in flags_or_mode, path
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        model=st.sampled_from(harness.MODELS),
+        theta=st.floats(0.05, 1.5),
+        gamma=st.one_of(st.none(), st.floats(0.3, 5.0)),
+        tau_max=st.floats(0.2, 3.0),
+        grid_points=st.integers(101, 301),
+        q_grid=st.integers(1, 8),
+        rate=st.floats(0.3, 1.0),
+    )
+    def test_run_report_is_strict_json(self, model, theta, gamma, tau_max, grid_points, q_grid, rate):
+        raw = {"model": model, "tau_max": tau_max, "grid_points": grid_points, "q_grid": q_grid}
+        if model in harness.OPEN_MODELS:
+            raw.update(theta=theta, gamma=gamma, markov=gamma is None, n=2 if model == "ghz" else 1)
+        else:
+            raw.update(theta0=theta, theta_rate=rate, alpha_rate=rate)
+        cfg = ScenarioConfig.from_dict(raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            rep = os.path.join(tmp, "run.json")
+            run_to_files(cfg, os.path.join(tmp, "run.csv"), report_path=rep)
+            with open(rep, "r", encoding="utf-8") as fh:
+                payload = json.loads(fh.read(), parse_constant=_reject_constant)
+        assert len(payload["reports"]) == payload["diagnostics"]["targets"]
 
 
 class TestGhzScaling:
@@ -601,6 +739,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: qslkit") and "unrecognized arguments" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_report_directory_fails_before_propagating(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "propagate_many", lambda *args: calls.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dephasing", "markov": True, "grid_points": 201}))
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+        assert cli_main(argv + ["--report", str(tmp_path / "missing" / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslkit: error: ") and err.count("\n") == 1 and "'report_path'" in err
+        assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["fig1", "ghz"])
+    def test_missing_out_directory_fails_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        calls = []
+        monkeypatch.setattr(harness, "propagate_many", lambda *args: calls.append(args))
+        assert cli_main([command, "--out", str(tmp_path / "missing" / "f.csv")]) == 2
+        assert "invalid argument 'out_path': no directory" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_out_naming_a_directory_fails_before_propagating(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "propagate_many", lambda *args: calls.append(args))
+        assert cli_main(["fig2", "--out", str(tmp_path)]) == 2
+        assert "invalid argument 'out_path'" in capsys.readouterr().err
+        assert calls == []
 
     def test_ghz_command(self, tmp_path):
         out = tmp_path / "ghz.csv"
