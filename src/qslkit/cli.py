@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import harness
@@ -107,6 +108,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def _status_stream(out: str):
+    """Where to print status lines: stderr when ``out`` is the file standard output writes to, else stdout.
+
+    The two are the same file when they have the same device and inode
+    (``--out /dev/stdout``, or a path the shell redirected stdout to); a
+    ``sys.stdout`` with no file descriptor, such as a capture object, is
+    not the output.
+    """
+    try:
+        ours, theirs = os.fstat(sys.stdout.fileno()), os.stat(out)
+    except (AttributeError, OSError, ValueError):
+        return sys.stdout
+    same = (ours.st_dev, ours.st_ino) == (theirs.st_dev, theirs.st_ino)
+    return sys.stderr if same else sys.stdout
+
+
 def _run(args: argparse.Namespace) -> int:
     overrides = {
         name: getattr(args, name)
@@ -117,14 +134,15 @@ def _run(args: argparse.Namespace) -> int:
     if args.command in FIGURES:
         out = args.out or f"{args.command}.csv"
         rows = getattr(harness, args.command)(out, **overrides)
-        print(f"wrote {out} ({len(rows)} rows)")
+        print(f"wrote {out} ({len(rows)} rows)", file=_status_stream(out))
         return 0
 
     if args.command == "ghz":
         out = args.out or "ghz.csv"
         theta = args.theta if args.theta is not None else math.pi / 8.0
         report = harness.ghz_scaling(theta, args.beta, args.n_max, out, q_fix=args.q_fix)
-        print(f"wrote {out} ({len(report.rows)} rows)")
+        status = _status_stream(out)
+        print(f"wrote {out} ({len(report.rows)} rows)", file=status)
         print(
             json.dumps(
                 {
@@ -135,7 +153,8 @@ def _run(args: argparse.Namespace) -> int:
                 },
                 indent=2,
                 allow_nan=False,
-            )
+            ),
+            file=status,
         )
         return 0
 
@@ -145,7 +164,10 @@ def _run(args: argparse.Namespace) -> int:
             setattr(cfg, name, value)  # run_to_files validates before it writes anything
         out = args.out or "run.csv"
         result = harness.run_to_files(cfg, out, report_path=args.report)
-        print(f"wrote {out} ({len(result.reports)} targets, q_max={result.diagnostics['q_max']:.6g})")
+        print(
+            f"wrote {out} ({len(result.reports)} targets, q_max={result.diagnostics['q_max']:.6g})",
+            file=_status_stream(out),
+        )
         return 0
 
     if args.command == "validate":

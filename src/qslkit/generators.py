@@ -20,7 +20,9 @@ together as one ``(B, d, d)`` stack; a single scenario is a batch of one.
 The steps are taken ``POSITIVITY_SCAN_STEPS`` grid times at a time, with
 no Python loop over single steps.  Each step of a linear generator is a
 linear map on ``vec(rho)``, so a chunk's states are first estimated as a
-prefix scan of those maps (Blelloch 1990; Martin & Cundy 2018).  Sweeps of
+prefix scan of those maps (Blelloch 1990; Martin & Cundy 2018); for
+dephasing and dissipation, whose maps act entry by entry, the scan is one
+cumulative product of scalar factors.  Sweeps of
 the chunk's increments, added up in order, then move the estimates onto
 the rounding of the sequential steps, each re-Hermitized: bit for bit for
 dephasing and dissipation, within 1e-15 for the unitary families.  Each
@@ -144,12 +146,38 @@ class _TabulatedGenerator:
     dependence, one entry per time, and ``action(rho, c)`` applies the
     generator to a state or a stack of states with the matching entries
     (broadcast against the trailing ``(d, d)`` axes).  The action depends on
-    the family only, so one call steps a whole batch.
+    the family only, so one call steps a whole batch.  ``estimate_chunk``
+    seeds a chunk's states before they are settled (:func:`_step_batch`);
+    by default it is the transfer-matrix scan, which any linear action takes.
     """
 
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
         """``L_t rho`` at one time."""
         return self.action(rho, self.coefficients([t])[0])
+
+    def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
+        """Estimates ``(B, m, d, d)`` of a chunk's states after each of its ``m`` steps."""
+        return _scan(self.action, rho_lo, c0, c_mid, c1, h)
+
+
+class _Entrywise(_TabulatedGenerator):
+    """Families whose action scales each entry of ``rho`` by its own rate,
+    except that it may feed the other diagonal entries into the last one.
+
+    A step then multiplies each entry by a scalar factor, the step applied
+    to the all-ones matrix, so a chunk's estimates are one cumulative
+    product of these factors.  The last diagonal entry, the one fed, is
+    restored from the trace, which a traceless action keeps.  Only a
+    family whose action has this form may inherit this estimate.
+    """
+
+    def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
+        d = rho_lo.shape[-1]
+        factor = 1.0 + _rk4_increment(self.action, np.ones((d, d)), c0, c_mid, c1, h)
+        x = rho_lo[:, None] * np.cumprod(factor, axis=1)
+        diag = x.diagonal(axis1=-2, axis2=-1)
+        x[..., -1, -1] = np.trace(rho_lo, axis1=-2, axis2=-1)[:, None] - diag[..., :-1].sum(axis=-1)
+        return x
 
 
 class _Unitary(_TabulatedGenerator):
@@ -184,7 +212,7 @@ class Stirap(_Unitary):
 
 
 @dataclass(frozen=True)
-class Dephasing(_TabulatedGenerator):
+class Dephasing(_Entrywise):
     """Pure dephasing ``L rho = f(t) (sigma_z rho sigma_z - rho)``."""
 
     memory: MemoryFunctions
@@ -200,7 +228,7 @@ class Dephasing(_TabulatedGenerator):
 
 
 @dataclass(frozen=True)
-class Dissipation(_TabulatedGenerator):
+class Dissipation(_Entrywise):
     """Energy relaxation ``L rho = P(t) [sigma_- rho, sigma_+] + h.c.``."""
 
     memory: MemoryFunctions
@@ -463,7 +491,7 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     speeds and each member's owned copy of its grid-time table rows.
 
     The grid is taken in chunks of ``POSITIVITY_SCAN_STEPS`` grid times.
-    A chunk estimates its states by a prefix scan (:func:`_scan`), sweeps
+    A chunk estimates its states by the family's ``estimate_chunk``, sweeps
     them onto the sequential steps' rounding (:func:`_settle`), checks
     them for positivity and takes their generation speeds; its last step
     gives the next chunk's start state.  Only one chunk's work arrays are
@@ -476,7 +504,7 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     times[0::2] = grid
     times[1::2] = grid[:-1] + 0.5 * h
     table = np.stack([g.coefficients(times) for g in gens])  # (B, 2n - 1, ...)
-    act = gens[0].action
+    act, estimate = gens[0].action, gens[0].estimate_chunk
     states = np.empty((len(gens), n, d, d), dtype=complex)
     states[:, 0] = rho_inits
     initial = states[:, :1].copy()  # (B, 1, d, d): each member's rho0, against a chunk of L_t rho_t
@@ -490,7 +518,7 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
                 rows = table[:, 2 * lo:2 * (lo + m) + 1]
                 c0, c_mid, c1 = rows[:, 0:-1:2], rows[:, 1::2], rows[:, 2::2]
                 start = states[:, lo:lo + 1]
-                x = np.concatenate([start, _scan(act, start[:, 0], c0, c_mid, c1, h)], axis=1)
+                x = np.concatenate([start, estimate(start[:, 0], c0, c_mid, c1, h)], axis=1)
                 states[:, lo + 1:lo + m + 1] = _settle(act, x, c0, c_mid, c1, h)[0]
             _check_positivity(states, lo, hi, grid)
             speeds[:, lo:hi] = generation_speed(initial, act(states[:, lo:hi], table[:, 2 * lo:2 * hi - 1:2]))

@@ -33,9 +33,11 @@ def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
     """
     a = as_matrix(rho_a)
     b = as_matrix(rho_b)
-    # np.square, not ** 2: a float's ** 2 calls pow, which can round apart from an array's x * x
-    q_comm = 2.0 * np.square(hs_norm(commutator(a, b)))
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     ab = a @ b
+    # np.square, not ** 2: a float's ** 2 calls pow, which can round apart from an array's x * x
+    q_comm = 2.0 * np.square(hs_norm(ab - b @ a))
     q_trace = -4.0 * (np.trace(ab @ ab, axis1=-2, axis2=-1) - np.trace(a @ a @ b @ b, axis1=-2, axis2=-1)).real
     off = np.abs(q_comm - q_trace) > FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(q_comm))
     if np.any(off):

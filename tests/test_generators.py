@@ -92,14 +92,19 @@ def sequential_states(gens, rho0s, grid):
 
 
 @contextlib.contextmanager
-def recorded_chunks():
-    """Yield a list that gets ``(length of x, sweeps)`` for each chunk the propagation settles."""
+def recorded_chunks(estimates=None):
+    """Yield a list that gets ``(length of x, sweeps)`` for each chunk the propagation settles.
+
+    ``estimates``, if given, gets each chunk's ``(estimates, settled states)``.
+    """
     chunks = []
     settle = generators._settle
 
     def recording(act, x, *args):
         states, sweeps = settle(act, x, *args)
         chunks.append((x.shape[1], sweeps))
+        if estimates is not None:
+            estimates.append((x[:, 1:], states))
         return states, sweeps
 
     with mock.patch.object(generators, "_settle", recording):
@@ -613,6 +618,36 @@ class TestScanMatchesSequentialSteps:
         # every chunk reaches its fixed point, a sweep that changes no bit, within a chunk's length of sweeps
         assert len(chunks) == -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
         assert max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=batches())
+    def test_chunk_estimates_lie_near_the_settled_states(self, batch):
+        # the sweeps absorb a wrong estimate at the cost of more sweeps; this catches it instead
+        _, gens, rho0s, grid = batch
+        estimates = []
+        with recorded_chunks(estimates):
+            propagate_many(gens, rho0s, grid)
+        assert len(estimates) == -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
+        for estimate, settled in estimates:  # every entry, the fed ground-state population of dissipation too
+            assert np.max(np.abs(estimate - settled)) <= 1e-12
+
+    def test_dim3_entrywise_family_matches_the_sequential_loop(self):
+        # z rho z - rho through matrix products, in dimension 3: the entrywise estimate and its trace restore
+        assert CountingDephasing.estimate_chunk is Dephasing.estimate_chunk
+        gens = [CountingDephasing(3, rate) for rate in (0.5, 1.0, 4.0)]
+        rho0s = [
+            from_pure(np.ones(3) / math.sqrt(3.0)),
+            from_pure(np.array([0.6, 0.48j, -0.64])),
+            0.5 * (from_pure(np.array([0.0, 0.6, 0.8])) + np.eye(3) / 3.0),
+        ]
+        grid = np.linspace(0.0, 2.0, 301)
+        estimates = []
+        with recorded_chunks(estimates) as chunks:
+            states = np.stack([traj.states for traj in propagate_many(gens, rho0s, grid)])
+        expected = sequential_states(gens, rho0s, grid)
+        assert np.array_equal(states.view(np.uint64), expected.view(np.uint64))
+        assert len(chunks) == 5 and max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
+        assert max(np.max(np.abs(estimate - settled)) for estimate, settled in estimates) <= 1e-12
 
 
 class TestClosedStates:

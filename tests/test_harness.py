@@ -786,6 +786,34 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("command", ["fig1", "run", "ghz"])
+    def test_out_on_stdout_carries_only_the_output(self, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dephasing", "theta": 0.39, "markov": True, "grid_points": 301}))
+        argv = {
+            "fig1": ["fig1", "--grid-points", "301", "--tau-max", "1.0"],
+            "run": ["run", "--config", str(cfg_path)],
+            "ghz": ["ghz", "--n-max", "4"],
+        }[command]
+        src = os.path.dirname(os.path.dirname(qslkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "qslkit.cli", *argv, "--out", "/dev/stdout"], capture_output=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert cli_main(argv + ["--out", str(tmp_path / "file.csv")]) == 0
+        assert result.stdout == (tmp_path / "file.csv").read_bytes()  # a pipe: the status went to stderr
+        assert result.stderr.startswith(b"wrote /dev/stdout (")
+
+    def test_file_out_prints_status_on_stdout(self, tmp_path, capsys):
+        out = tmp_path / "fig1.csv"
+        assert cli_main(["fig1", "--out", str(out), "--grid-points", "301", "--tau-max", "1.0"]) == 0
+        assert capsys.readouterr() == (f"wrote {out} (60 rows)\n", "")
+        assert cli_main(["ghz", "--out", str(out), "--n-max", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"wrote {out} (4 rows)\n{{") and captured.err == ""
+
 
 class TestAutoTargets:
     def test_spans_three_decades_up_to_cap(self):
