@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .generators import Trajectory, UnitaryControl
-from .matcore import hs_norm
 from .memory import MemoryFunctions
 
 #: Bisection bracket (in units of 1/coupling) for inverting the dephasing exponent.
@@ -238,7 +237,7 @@ def unitary_speed_squared(c: UnitaryControl, t: float) -> float:
     return mixed + 2.0 * thd**2 * math.cos(2.0 * th) ** 2 + ald**2 * math.sin(th) ** 2
 
 
-def tau_q_unitary(c: UnitaryControl, tau: float, samples: int = 10_000) -> float:
+def tau_q_unitary(c: UnitaryControl, tau: float) -> float:
     """Closed-route speed-limit time for the two-angle unitary control.
 
     Numerator ``|sin 2 theta(tau)| / sqrt(2)``; denominator the
@@ -249,7 +248,7 @@ def tau_q_unitary(c: UnitaryControl, tau: float, samples: int = 10_000) -> float
     s2 = math.sin(2.0 * c.theta(tau))
     if abs(s2) < _ZERO:
         raise ValueError("commuting endpoint, Q = 0 (sin 2theta(tau) = 0)")
-    ts = np.linspace(0.0, tau, samples)
+    ts = np.linspace(0.0, tau, 10_000)
     x = np.array([unitary_speed_squared(c, t) for t in ts])
     bad = np.nonzero(x < -1e-12 * max(1.0, float(np.max(np.abs(x)))))[0]
     if len(bad):
@@ -310,57 +309,3 @@ def tau_b_fidelity(traj: Trajectory, tau: float, denominator: str = "initial") -
     if denom < _ZERO:
         raise ValueError("frozen initial state (||L rho0|| = 0)")
     return abs(1.0 - f_tau) / denom
-
-
-def conservative_bound_diagnostics(traj: Trajectory, tau: float) -> dict:
-    """Weaker chained bounds obtained by loosening the speed denominator.
-
-    Purely diagnostic: each replacement denominator upper-bounds the
-    commutator speed, so every listed time is at most the commutator
-    bound.
-    """
-    k, w = traj.locate(tau)
-    upto = k + 2 if w > 0.0 else k + 1
-    rho0 = traj.rho0
-    lrhos = traj.generator.action(traj.states[:upto], traj.coefficients[:upto])
-    prod = hs_norm(lrhos @ rho0)
-    plain = hs_norm(lrhos)
-    numerator = math.sqrt(max(_q_at(traj, tau), 0.0) / 2.0)
-    out = {"tau_q": tau_q_from_trajectory(traj, tau)}
-    for name, denom in (
-        ("tau_product", 2.0 * _running_mean(traj, prod, tau)),
-        ("tau_norm_product", 2.0 * _running_mean(traj, plain, tau) * hs_norm(rho0)),
-        ("tau_generator_norm", 2.0 * _running_mean(traj, plain, tau)),
-    ):
-        out[name] = numerator / denom if denom > _ZERO else math.inf
-    return out
-
-
-def quarter_theta_unitary_report(alpha_rate: float, tau: float, grid_points: int = 4001) -> dict:
-    """Numeric evaluation of the bound for the phase-only drive at equal superposition.
-
-    With the rotation angle pinned at ``pi/4`` the closed-form numerator
-    degenerates, so the bound is computed fully numerically from a
-    propagated trajectory and reported alongside the two closed-form
-    candidates (``tau / |alpha|`` and ``|sin alpha| / |alpha_rate|``).
-    Nothing is asserted about which candidate is correct.
-    """
-    from .generators import UnitaryTwoLevel, propagate, unitary_state
-    from .matcore import from_pure
-
-    if alpha_rate == 0.0:
-        raise ValueError("phase rate must be nonzero for the pinned-angle drive")
-    if tau <= 0.0:
-        raise ValueError(f"final time must be positive, got {tau}")
-    control = UnitaryControl(theta0=math.pi / 4.0, alpha_rate=alpha_rate)
-    rho0 = from_pure(unitary_state(math.pi / 4.0, 0.0))
-    grid = np.linspace(0.0, tau, grid_points)
-    traj = propagate(UnitaryTwoLevel(control), rho0, grid)
-    alpha_tau = alpha_rate * tau
-    return {
-        "tau": tau,
-        "tau_q_numeric": tau_q_from_trajectory(traj, tau),
-        "closed_form_tau_over_alpha": tau / abs(alpha_tau),
-        "closed_form_sin_alpha_over_rate": abs(math.sin(alpha_tau)) / abs(alpha_rate),
-    }
-

@@ -102,7 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: exit quietly as SIGPIPE would, with
+        # stdout on devnull so the flush at exit cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, RiccatiBlowupError, PositivityLossError, OSError) as err:
         print(f"qslkit: error: {err}", file=sys.stderr)
         return 2

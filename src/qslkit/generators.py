@@ -37,8 +37,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -93,8 +95,9 @@ class UnitaryControl:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"invalid field {f.name!r}: must be a finite number, got {value}")
+            # the comparison also rejects NaN and integers beyond the float range
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"invalid field {f.name!r}: must be a finite number, got {value!r}")
 
     def theta(self, t: float) -> float:
         return self.theta0 + self.theta_rate * t
@@ -142,7 +145,8 @@ def hamiltonian_stirap(c: UnitaryControl, t) -> np.ndarray:
 
 
 class _TabulatedGenerator:
-    """Protocol of the families: ``coefficients(times)`` tabulates the time
+    """Protocol of the families: ``dim`` is the family's state dimension, a
+    class attribute; ``coefficients(times)`` tabulates the time
     dependence, one entry per time, and ``action(rho, c)`` applies the
     generator to a state or a stack of states with the matching entries
     (broadcast against the trailing ``(d, d)`` axes).  The action depends on
@@ -152,8 +156,11 @@ class _TabulatedGenerator:
     """
 
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
-        """``L_t rho`` at one time."""
-        return self.action(rho, self.coefficients([t])[0])
+        """``L_t rho`` at one time, for a state or a stack of states of the family's dimension."""
+        m = as_matrix(rho)
+        if m.shape[-1] != self.dim:
+            raise ValueError(f"dimension mismatch: generator dim {self.dim}, state dim {m.shape[-1]}")
+        return self.action(m, self.coefficients([t])[0])
 
     def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
         """Estimates ``(B, m, d, d)`` of a chunk's states after each of its ``m`` steps."""
@@ -171,6 +178,10 @@ class _Entrywise(_TabulatedGenerator):
     family whose action has this form may inherit this estimate.
     """
 
+    def __post_init__(self):
+        if not isinstance(self.memory, MemoryFunctions):
+            raise ValueError(f"invalid field 'memory': must be a MemoryFunctions, got {self.memory!r}")
+
     def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
         d = rho_lo.shape[-1]
         factor = 1.0 + _rk4_increment(self.action, np.ones((d, d)), c0, c_mid, c1, h)
@@ -181,6 +192,10 @@ class _Entrywise(_TabulatedGenerator):
 
 
 class _Unitary(_TabulatedGenerator):
+    def __post_init__(self):
+        if not isinstance(self.control, UnitaryControl):
+            raise ValueError(f"invalid field 'control': must be a UnitaryControl, got {self.control!r}")
+
     def action(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
         """``-i [H, rho]`` with ``H`` the tabulated Hamiltonian."""
         out = h @ rho
@@ -194,7 +209,7 @@ class UnitaryTwoLevel(_Unitary):
     """Unitary qubit dynamics ``L rho = -i [H(t), rho]``."""
 
     control: UnitaryControl
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
     def coefficients(self, times) -> np.ndarray:
         return hamiltonian_2l(self.control, times)
@@ -205,7 +220,7 @@ class Stirap(_Unitary):
     """Three-level adiabatic-passage unitary dynamics."""
 
     control: UnitaryControl
-    dim: int = 3
+    dim: ClassVar[int] = 3
 
     def coefficients(self, times) -> np.ndarray:
         return hamiltonian_stirap(self.control, times)
@@ -216,7 +231,7 @@ class Dephasing(_Entrywise):
     """Pure dephasing ``L rho = f(t) (sigma_z rho sigma_z - rho)``."""
 
     memory: MemoryFunctions
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
     def coefficients(self, times) -> np.ndarray:
         """Rate ``f`` per time, shaped ``(m, 1, 1)``."""
@@ -232,7 +247,7 @@ class Dissipation(_Entrywise):
     """Energy relaxation ``L rho = P(t) [sigma_- rho, sigma_+] + h.c.``."""
 
     memory: MemoryFunctions
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
     def coefficients(self, times) -> np.ndarray:
         """Memory function ``P`` per time, shaped ``(m, 1, 1)``."""
@@ -247,24 +262,17 @@ class Dissipation(_Entrywise):
 Generator = Union[UnitaryTwoLevel, Stirap, Dephasing, Dissipation]
 
 
-def apply_generator(g: Generator, rho: np.ndarray, t: float) -> np.ndarray:
-    """Apply the generator to a state, validating the dimension."""
-    m = as_matrix(rho)
-    if m.shape[-1] != g.dim:
-        raise ValueError(f"dimension mismatch: generator dim {g.dim}, state dim {m.shape[-1]}")
-    return g.apply(m, t)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Propagated states on a uniform grid, with witness samples.
+    """Propagated states on a uniform grid, with witness samples; read-only.
 
     ``states`` is one ``(n, d, d)`` array; ``q_samples[k]`` is the
     quantumness between the initial and the current state;
     ``speed_samples[k]`` the generation speed ``||[rho0, L rho_t]||`` at the
     grid time.  ``coefficients`` holds the generator's table entries at the
     grid times, the ones the propagation stepped with, so nothing after it
-    tabulates the generator again.
+    tabulates the generator again.  The arrays are made read-only on
+    construction, so values computed from them on first use stay valid.
     """
 
     grid: np.ndarray
@@ -274,6 +282,10 @@ class Trajectory:
     speed_samples: np.ndarray
     coefficients: np.ndarray = field(repr=False)
     generator: Generator = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.grid, self.states, self.rho0, self.q_samples, self.speed_samples, self.coefficients):
+            a.flags.writeable = False
 
     @property
     def tau_max(self) -> float:
@@ -317,9 +329,9 @@ def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
 
 
 def _shared_grid(grid) -> np.ndarray:
-    """The one uniform grid of a batch, checked."""
+    """The one uniform grid of a batch, checked: a copy, never the caller's array."""
     try:
-        grid = np.asarray(grid, dtype=float)
+        grid = np.array(grid, dtype=float)
     except ValueError as err:  # ragged input, such as grids of different lengths
         raise ValueError(f"grid must be one 1-D array of times: {err}") from None
     if grid.ndim != 1 or len(grid) < 2:
@@ -550,18 +562,3 @@ def dissipation_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np
     pop = c * c * math.exp(-2.0 * xi)
     coh = s * c * math.exp(-xi)
     return np.array([[pop, coh], [coh, 1.0 - pop]], dtype=complex)
-
-
-def ghz_dephased_state(theta: float, n: int, beta: float) -> np.ndarray:
-    """Effective two-dimensional state of an ``n``-qubit cat state under common dephasing.
-
-    In the subspace spanned by the two branch products, the off-diagonal
-    is suppressed by ``exp(-n^2 beta)`` while the populations stay fixed.
-    """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    if beta < 0.0:
-        raise ValueError(f"decay exponent must be nonnegative, got {beta}")
-    s, c = math.sin(theta), math.cos(theta)
-    off = s * c * math.exp(-(n * n) * beta)
-    return np.array([[c * c, off], [off, s * s]], dtype=complex)

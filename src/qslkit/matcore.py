@@ -26,17 +26,10 @@ MAX_DIM = 32
 #: Norm tolerance for accepting a vector as a physical state.
 STATE_NORM_TOL = 1e-12
 
-# Pauli and ladder operators in the {|1>, |0>} basis (index 0 = excited).
+# Pauli operators in the {|1>, |0>} basis (index 0 = excited).
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |0><1|
-
-
-def identity(dim: int) -> np.ndarray:
-    """Complex identity matrix of the given dimension."""
-    return np.eye(dim, dtype=complex)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -55,11 +48,6 @@ def _one_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected one square matrix, got a stack of shape {m.shape}")
     return m
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return np.asarray(a, dtype=complex).conj().T.copy()
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Generators and propagation: Hamiltonian oracles, closed states, conservation."""
 
 import contextlib
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -19,23 +20,21 @@ from qslkit.generators import (
     Stirap,
     UnitaryControl,
     UnitaryTwoLevel,
-    apply_generator,
     dephasing_closed_state,
     dissipation_closed_state,
-    ghz_dephased_state,
     hamiltonian_2l,
     hamiltonian_stirap,
     propagate,
     propagate_many,
     unitary_state,
 )
+from qslkit.harness import ScenarioConfig, build_scenario
 from qslkit.matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     from_pure,
     hermiticity_defect,
-    identity,
     purity,
 )
 from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
@@ -47,7 +46,8 @@ class SignFlippedDephasing(Dephasing):
     grid_times = 0  # summed length of the time axis of the stacks the action is applied to, across instances
 
     def __init__(self, dim, rate):
-        super().__init__(MemoryFunctions.markov_limit(rate), dim)
+        super().__init__(MemoryFunctions.markov_limit(rate))
+        object.__setattr__(self, "dim", dim)  # the families fix dim per class; this test family takes any
 
     def coefficients(self, times):
         return -super().coefficients(times)
@@ -122,7 +122,7 @@ def closed_unitary(control, t):
     """Propagator of the two-angle control, used as a finite-difference oracle."""
     th = control.theta(t)
     al = control.alpha(t)
-    return math.cos(th) * identity(2) + 1j * math.sin(th) * (
+    return math.cos(th) * np.eye(2, dtype=complex) + 1j * math.sin(th) * (
         math.cos(al) * SIGMA_X + math.sin(al) * SIGMA_Y
     )
 
@@ -274,7 +274,7 @@ class TestApplyGenerator:
     def test_dissipation_relaxes_excited_state(self):
         gen, _, _, _ = dissipation_setup(0.0, None, 1.0, 101)
         excited = np.diag([1.0, 0.0]).astype(complex)
-        out = apply_generator(gen, excited, 0.0)
+        out = gen.apply(excited, 0.0)
         assert np.allclose(out, np.diag([-1.0, 1.0]))
 
     @pytest.mark.parametrize("theta", THETAS)
@@ -288,19 +288,21 @@ class TestApplyGenerator:
         ]
         for gen in gens:
             rho = random_density_matrix(2, rng)
-            out = apply_generator(gen, rho, 0.5)
+            out = gen.apply(rho, 0.5)
             assert abs(np.trace(out)) < 1e-10
             assert hermiticity_defect(out) < 1e-10
 
     def test_time_past_memory_horizon_rejected(self):
         gen, rho0, _, mem = dissipation_setup(math.pi / 5.0, 0.5, 1.0, 101)
         with pytest.raises(RiccatiBlowupError):
-            apply_generator(gen, rho0, mem.horizon)
+            gen.apply(rho0, mem.horizon)
 
     def test_dimension_mismatch_rejected(self):
         gen = Dephasing(MemoryFunctions.markov_limit(1.0))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_generator(gen, np.eye(3, dtype=complex) / 3.0, 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch: generator dim 2, state dim 3"):
+            gen.apply(np.eye(3, dtype=complex) / 3.0, 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch: generator dim 3, state dim 2"):
+            Stirap(UnitaryControl(alpha_rate=1.0)).apply(np.eye(2, dtype=complex) / 2.0, 0.0)
 
 
 class TestPropagate:
@@ -713,24 +715,86 @@ class TestClosedStates:
 
 
 class TestGhzState:
+    """The ``ghz`` model: the two branch products of an ``n``-qubit cat state under common
+    dephasing, an effective qubit dephased at ``n^2`` times the single-qubit rate."""
+
+    @staticmethod
+    def trajectory(model, n=1, tau=0.2):
+        cfg = ScenarioConfig(model=model, theta=math.pi / 8.0, markov=True, n=n, tau_max=tau, grid_points=501)
+        return propagate(*build_scenario(cfg))
+
     def test_single_qubit_reduces_to_dephasing(self):
-        theta, beta = math.pi / 5.0, 0.37
-        mem = MemoryFunctions.markov_limit(1.0)
-        tau = beta / 2.0  # markov branch: beta = 2 * coupling * tau
-        assert np.allclose(ghz_dephased_state(theta, 1, beta), dephasing_closed_state(theta, tau, mem))
+        assert np.array_equal(self.trajectory("ghz", 1).states, self.trajectory("dephasing").states)
 
     def test_off_diagonal_exponent_scales_quadratically(self):
-        state = ghz_dephased_state(math.pi / 8.0, 3, 0.1)
+        tau = 0.2
+        state = self.trajectory("ghz", 3, tau).states[-1]
         sc = math.sin(math.pi / 8.0) * math.cos(math.pi / 8.0)
-        assert state[0, 1].real == pytest.approx(sc * math.exp(-0.9), abs=1e-15)
+        # memoryless branch: beta = 2 * coupling * tau, suppressed by exp(-n^2 beta)
+        assert state[0, 1].real == pytest.approx(sc * math.exp(-9.0 * 2.0 * tau), abs=1e-10)
+        closed = dephasing_closed_state(math.pi / 8.0, tau, MemoryFunctions.markov_limit(9.0))
+        assert np.max(np.abs(state - closed)) < 1e-10
 
     def test_zero_exponent_is_pure(self):
-        theta = math.pi / 5.0
-        state = ghz_dephased_state(theta, 4, 0.0)
-        assert np.allclose(state, from_pure([math.cos(theta), math.sin(theta)]))
+        theta = math.pi / 8.0
+        traj = self.trajectory("ghz", 4)
+        assert np.array_equal(traj.states[0], from_pure([math.cos(theta), math.sin(theta)]))
+        assert traj.q_samples[0] == 0.0
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            ghz_dephased_state(0.1, 0, 0.1)
-        with pytest.raises(ValueError):
-            ghz_dephased_state(0.1, 2, -0.1)
+        with pytest.raises(ValueError, match="invalid field 'n'"):
+            build_scenario(ScenarioConfig(model="ghz", markov=True, n=0))
+        with pytest.raises(ValueError, match="invalid field 'gamma'"):
+            build_scenario(ScenarioConfig(model="ghz", gamma=-0.1, n=2))
+
+
+class TestReadOnlyTrajectory:
+    def test_arrays_are_read_only_so_cached_norms_stay_valid(self):
+        gen = Dephasing(MemoryFunctions.markov_limit(1.0))
+        traj = propagate(gen, from_pure([math.cos(0.3), math.sin(0.3)]), np.linspace(0.0, 1.0, 101))
+        norms = traj.lrho0_norms.copy()
+        for name in ("grid", "states", "rho0", "q_samples", "speed_samples", "coefficients"):
+            array = getattr(traj, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.rho0 = np.eye(2) / 2.0
+        assert np.array_equal(traj.lrho0_norms, norms)
+        state = traj.state_at(0.5)  # a copy the caller may write
+        state[0, 1] = 0.0
+        assert traj.states[50, 0, 1] != 0.0
+
+    def test_grid_is_copied_not_frozen_or_aliased(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        traj = propagate(Dephasing(MemoryFunctions.markov_limit(1.0)), from_pure([0.6, 0.8]), grid)
+        assert traj.grid is not grid and not np.shares_memory(traj.grid, grid)
+        assert np.array_equal(traj.grid, grid)
+        grid[1] = 7.0  # the caller's array stays writable, and writing it leaves the trajectory alone
+        assert traj.grid[1] == 0.01
+
+
+class TestConstructorsNameTheField:
+    @pytest.mark.parametrize(
+        "build,error,field",
+        [
+            (lambda: UnitaryControl(theta_rate="1"), ValueError, "invalid field 'theta_rate'"),
+            (lambda: UnitaryControl(alpha0=True), ValueError, "invalid field 'alpha0'"),
+            (lambda: UnitaryControl(theta0=10**400), ValueError, "invalid field 'theta0'"),
+            (lambda: Dephasing("x"), ValueError, "invalid field 'memory'"),
+            (lambda: Dissipation("x"), ValueError, "invalid field 'memory'"),
+            (lambda: UnitaryTwoLevel(0.5), ValueError, "invalid field 'control'"),
+            (lambda: Stirap(None), ValueError, "invalid field 'control'"),
+            # the state dimension belongs to the family, not to an instance
+            (lambda: Dephasing(MemoryFunctions.markov_limit(1.0), dim=3), TypeError, "'dim'"),
+            (lambda: Dissipation(MemoryFunctions.markov_limit(1.0), dim=3), TypeError, "'dim'"),
+            (lambda: UnitaryTwoLevel(UnitaryControl(), dim=3), TypeError, "'dim'"),
+            (lambda: Stirap(UnitaryControl(), dim=2), TypeError, "'dim'"),
+        ],
+        ids=[
+            "theta_rate-str", "alpha0-bool", "theta0-beyond-float", "dephasing-memory", "dissipation-memory",
+            "unitary2l-control", "stirap-control", "dephasing-dim", "dissipation-dim", "unitary2l-dim", "stirap-dim",
+        ],
+    )
+    def test_bad_field_rejected_at_construction(self, build, error, field):
+        with pytest.raises(error, match=field):
+            build()

@@ -786,6 +786,28 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--cases", "3"],  # buffered lines, written at the flush
+            pytest.param(
+                ["fig1", "--grid-points", "301", "--tau-max", "1.0", "--out", "/dev/stdout"],
+                marks=pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout"),
+            ),
+        ],
+        ids=["validate", "fig1"],
+    )
+    def test_closed_stdout_pipe_exits_quietly(self, argv):
+        src = os.path.dirname(os.path.dirname(qslkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qslkit.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.close()  # the reader leaves before the first write, as `qslkit ... | true` can
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), stderr) == (141, b"")
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
     @pytest.mark.parametrize("command", ["fig1", "run", "ghz"])
     def test_out_on_stdout_carries_only_the_output(self, tmp_path, command):

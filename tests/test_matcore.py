@@ -12,11 +12,9 @@ from qslkit.matcore import (
     SIGMA_Y,
     SIGMA_Z,
     commutator,
-    dagger,
     from_pure,
     hermiticity_defect,
     hs_norm,
-    identity,
     min_eigenvalue,
     purity,
     validate_density,
@@ -47,7 +45,7 @@ class TestCommutator:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            commutator(SIGMA_X, identity(3))
+            commutator(SIGMA_X, np.eye(3, dtype=complex))
 
     @given(seed=seeds, dim=dims)
     @settings(max_examples=50, deadline=None)
@@ -61,7 +59,7 @@ class TestCommutator:
     def test_commutator_of_hermitians_is_antihermitian(self, seed, dim):
         rng = np.random.default_rng(seed)
         c = commutator(random_hermitian(dim, rng), random_hermitian(dim, rng))
-        assert np.max(np.abs(c + dagger(c))) < 1e-12
+        assert np.max(np.abs(c + c.conj().T)) < 1e-12
 
 
 class TestHsNorm:
@@ -72,7 +70,7 @@ class TestHsNorm:
         assert hs_norm(np.zeros((4, 4), dtype=complex)) == 0.0
 
     def test_identity_dim3(self):
-        assert hs_norm(identity(3)) == pytest.approx(math.sqrt(3.0), abs=1e-15)
+        assert hs_norm(np.eye(3, dtype=complex)) == pytest.approx(math.sqrt(3.0), abs=1e-15)
 
     @given(
         seed=seeds,
@@ -122,7 +120,7 @@ class TestFromPure:
 
 class TestValidateDensity:
     def test_maximally_mixed_passes(self):
-        diag = validate_density(0.5 * identity(2), tol=1e-10)
+        diag = validate_density(0.5 * np.eye(2, dtype=complex), tol=1e-10)
         assert diag.passed
         assert diag.min_eigenvalue == pytest.approx(0.5, abs=1e-12)
 
@@ -159,13 +157,13 @@ class TestStacks:
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2), (4, 1, 3, 3)])
     def test_purity_rejects_a_stack_by_its_shape(self, shape):
-        stack = np.broadcast_to(identity(shape[-1]) / shape[-1], shape)
+        stack = np.broadcast_to(np.eye(shape[-1], dtype=complex) / shape[-1], shape)
         with pytest.raises(ValueError, match=r"one square matrix, got a stack of shape \(" + ", ".join(map(str, shape))):
             purity(stack)
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2), (4, 1, 3, 3)])
     def test_validate_density_rejects_a_stack_by_its_shape(self, shape):
-        stack = np.broadcast_to(identity(shape[-1]) / shape[-1], shape)
+        stack = np.broadcast_to(np.eye(shape[-1], dtype=complex) / shape[-1], shape)
         with pytest.raises(ValueError, match=r"one square matrix, got a stack of shape \(" + ", ".join(map(str, shape))):
             validate_density(stack)
 

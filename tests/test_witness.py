@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslkit.generators import Dephasing, dephasing_closed_state
-from qslkit.matcore import SIGMA_PLUS, from_pure
+from qslkit.matcore import from_pure
 from qslkit.memory import MemoryFunctions
 from qslkit.witness import (
     generation_speed,
@@ -216,4 +216,4 @@ class TestStacks:
         # a non-Hermitian member breaks the identity between the two forms
         rho0 = from_pure([1.0, 0.0])
         with pytest.raises(ArithmeticError, match="witness forms disagree: commutator 2.0 vs trace"):
-            quantumness(rho0, np.array([rho0, from_pure([0.6, 0.8]), SIGMA_PLUS]))
+            quantumness(rho0, np.array([rho0, from_pure([0.6, 0.8]), np.array([[0.0, 1.0], [0.0, 0.0]])]))
