@@ -64,6 +64,13 @@ class BoundReport:
         return self.tau_exact - self.tau_q_numeric
 
 
+def _check_finite(**values) -> None:
+    """Raise ``ValueError`` naming the first argument that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"invalid argument {name!r}: must be a finite number, got {value}")
+
+
 def _running_mean(traj: Trajectory, values: np.ndarray, tau: float) -> float:
     """Trapezoidal time average over ``[0, tau]`` of samples taken on the trajectory grid.
 
@@ -160,8 +167,7 @@ def first_crossing_time(traj: Trajectory, q_target: float) -> CrossingResult:
     Never raises for unreachable targets; the result carries the maximum
     witness value attained instead.
     """
-    if not math.isfinite(q_target):
-        raise ValueError(f"invalid argument 'q_target': must be a finite number, got {q_target}")
+    _check_finite(q_target=q_target)
     if q_target < 0.0:
         raise ValueError(f"quantumness target must be nonnegative, got {q_target}")
     q = traj.q_samples
@@ -180,6 +186,7 @@ def first_crossing_time(traj: Trajectory, q_target: float) -> CrossingResult:
 
 def quantumness_dephasing(theta: float, beta: float) -> float:
     """Closed-form dephasing witness ``(1/4) sin^2(4 theta) (1 - e^{-beta})^2``."""
+    _check_finite(theta=theta, beta=beta)
     return 0.25 * math.sin(4.0 * theta) ** 2 * (-math.expm1(-beta)) ** 2
 
 
@@ -192,6 +199,7 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"invalid argument 'q': quantumness must be finite and nonnegative, got {q}")
+    _check_finite(theta=theta)
     s4 = abs(math.sin(4.0 * theta))
     if s4 < _ZERO:
         raise ValueError("no coherence channel (sin 4theta = 0)")
@@ -243,8 +251,8 @@ def tau_q_unitary(c: UnitaryControl, tau: float) -> float:
     Numerator ``|sin 2 theta(tau)| / sqrt(2)``; denominator the
     trapezoidal average of the closed-form speed over ``[0, tau]``.
     """
-    if tau <= 0.0:
-        raise ValueError(f"final time must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"invalid argument 'tau': must be a finite positive time, got {tau}")
     s2 = math.sin(2.0 * c.theta(tau))
     if abs(s2) < _ZERO:
         raise ValueError("commuting endpoint, Q = 0 (sin 2theta(tau) = 0)")

@@ -504,8 +504,8 @@ def ghz_scaling(
         raise ValueError(f"invalid field 'q_fix': must be finite and positive, got {q_fix}")
     if not 0.0 < beta_small <= 1e-4:
         raise ValueError(f"decay exponent must lie in (0, 1e-4], got {beta_small}")
-    if not 1 <= n_max <= 12:
-        raise ValueError(f"qubit count cap must lie in 1..12, got {n_max}")
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or not 1 <= n_max <= 12:
+        raise ValueError(f"invalid field 'n_max': must be an integer in 1..12, got {n_max!r}")
     _check_outputs(out_path=out_path)
     ns = np.arange(1, n_max + 1)
     rows = []
@@ -810,8 +810,9 @@ def _check_mutation_canary() -> list:
 
 def validate(seed: int = 0, cases: int = 200) -> ValidationReport:
     """Run the randomized property suites; failures are report content."""
-    if cases < 1:
-        raise ValueError(f"cases must be >= 1, got {cases}")
+    for name, value, least in (("seed", seed, 0), ("cases", cases, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"invalid argument {name!r}: must be an integer >= {least}, got {value!r}")
     checks = []
     checks.extend(_check_witness_properties(seed, cases))
     checks.extend(_check_dynamics_properties(seed, cases))

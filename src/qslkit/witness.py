@@ -5,7 +5,10 @@ Hilbert-Schmidt norm; it vanishes iff the states commute and is
 normalized to ``[0, 1]``.  Both algebraic forms (commutator norm and the
 equivalent trace polynomial) are evaluated on every call and
 cross-checked, so a silent regression in either code path is caught at
-the point of use.
+the point of use.  The trace form is taken as elementwise contractions
+(``np.einsum``) of the shared product ``rho_a rho_b``, not as stacked
+matrix products; its bits feed only the cross-check.  A non-finite
+argument fails the cross-check and is named.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .matcore import as_matrix, commutator, hs_norm
+from .matcore import _times_fixed, as_matrix, commutator, hs_norm
 
 #: Allowed disagreement between the two algebraic forms of the witness.
 FORM_AGREEMENT_TOL = 1e-10
@@ -28,7 +31,8 @@ def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
 
     Also evaluates the equivalent trace form
     ``-4 Tr[(rho_a rho_b)^2 - rho_a^2 rho_b^2]`` and raises if the two
-    disagree beyond ``FORM_AGREEMENT_TOL``.  Either argument may be a
+    disagree beyond ``FORM_AGREEMENT_TOL``: ``ValueError`` naming a
+    non-finite argument, else ``ArithmeticError``.  Either argument may be a
     stack ``(..., d, d)``; the result is then an array of witnesses.
     """
     a = as_matrix(rho_a)
@@ -37,16 +41,25 @@ def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
         raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     ab = a @ b
     # np.square, not ** 2: a float's ** 2 calls pow, which can round apart from an array's x * x
-    q_comm = 2.0 * np.square(hs_norm(ab - b @ a))
-    q_trace = -4.0 * (np.trace(ab @ ab, axis1=-2, axis2=-1) - np.trace(a @ a @ b @ b, axis1=-2, axis2=-1)).real
-    off = np.abs(q_comm - q_trace) > FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(q_comm))
+    q_comm = 2.0 * np.square(hs_norm(ab - _times_fixed(b, a)))
+    q_trace = -4.0 * (np.einsum("...ij,...ji->...", ab, ab) - np.einsum("...ij,...jk,...ki->...", a @ a, b, b)).real
+    # written as "not within" so that a NaN fails it
+    off = ~(np.abs(q_comm - q_trace) <= FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(q_comm)))
     if np.any(off):
+        _check_finite(rho_a=a, rho_b=b)
         k = np.flatnonzero(off)[0]
         raise ArithmeticError(
             f"witness forms disagree: commutator {float(np.ravel(q_comm)[k])!r} "
             f"vs trace {float(np.ravel(q_trace)[k])!r}"
         )
     return float(q_comm) if q_comm.ndim == 0 else q_comm
+
+
+def _check_finite(**arrays) -> None:
+    """Raise ``ValueError`` naming the first argument with a non-finite entry."""
+    for name, m in arrays.items():
+        if not np.isfinite(m).all():
+            raise ValueError(f"invalid argument {name!r}: must be finite")
 
 
 def pure_state_quantumness(overlap_sq):
@@ -69,10 +82,12 @@ def quantumness_rate(rho0: np.ndarray, rhot: np.ndarray, lrho: np.ndarray):
     ``dQ/dt = -4 Tr([rho0, rho_t] [rho0, L rho_t])`` where ``lrho`` is the
     generator applied to the current state.  A stack of ``rhot`` with the
     matching stack of ``lrho`` gives an array of rates, each the bits of
-    its single call.  A non-traceless ``lrho`` (any member of a stack)
-    indicates a buggy generator and triggers a warning.
+    its single call.  A non-finite argument is rejected by name.  A
+    non-traceless ``lrho`` (any member of a stack) indicates a buggy
+    generator and triggers a warning.
     """
     lrho = np.asarray(lrho, dtype=complex)
+    _check_finite(rho0=rho0, rhot=rhot, lrho=lrho)
     trace = np.abs(np.trace(lrho, axis1=-2, axis2=-1))
     if np.any(trace > TRACELESS_WARN_TOL):
         warnings.warn(

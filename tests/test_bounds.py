@@ -28,7 +28,7 @@ from qslkit.generators import (
     propagate,
     unitary_state,
 )
-from qslkit.harness import ScenarioConfig, build_scenario
+from qslkit.harness import ScenarioConfig, build_scenario, ghz_scaling
 from qslkit.matcore import from_pure
 from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from qslkit.witness import generation_speed, quantumness
@@ -318,6 +318,25 @@ class TestNonFiniteArguments:
         mem = MemoryFunctions.markov_limit(1.0) if markov else MemoryFunctions(OUParams(1.0, 0.4))
         with pytest.raises(ValueError, match="invalid argument 'q': quantumness must be finite and nonnegative, got"):
             tau_q_dephasing(q, math.pi / 8.0, mem)
+
+    @pytest.mark.parametrize(
+        "call,name,value",
+        [
+            (lambda v: tau_q_dephasing(0.01, v, MemoryFunctions.markov_limit(1.0)), "theta", math.nan),
+            (lambda v: tau_q_dephasing(0.01, v, MemoryFunctions(OUParams(1.0, 0.4))), "theta", math.inf),
+            (lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v), "tau", math.nan),
+            (lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v), "tau", math.inf),
+            (lambda v: quantumness_dephasing(v, 0.1), "theta", math.nan),
+            (lambda v: quantumness_dephasing(math.pi / 8.0, v), "beta", -math.inf),
+            (lambda v: ghz_scaling(0.3, 1e-6, v), "n_max", 2.5),
+            (lambda v: ghz_scaling(0.3, 1e-6, v), "n_max", True),
+        ],
+        ids=["tau_q_dephasing-nan", "tau_q_dephasing-inf", "tau_q_unitary-nan", "tau_q_unitary-inf",
+             "quantumness_dephasing-theta", "quantumness_dephasing-beta", "ghz_scaling-float", "ghz_scaling-bool"],
+    )
+    def test_closed_form_argument_rejected_by_name(self, call, name, value):
+        with pytest.raises(ValueError, match=f"invalid (argument|field) '{name}': must be "):
+            call(value)
 
 
 class TestSaturationAndValidity:

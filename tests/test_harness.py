@@ -491,6 +491,21 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(seed=0, cases=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"seed": -1, "cases": 1}, "seed"),
+            ({"seed": 1.5, "cases": 1}, "seed"),
+            ({"seed": True, "cases": 1}, "seed"),
+            ({"seed": 0, "cases": 2.5}, "cases"),
+            ({"seed": 0, "cases": True}, "cases"),
+        ],
+        ids=["seed-negative", "seed-float", "seed-bool", "cases-float", "cases-bool"],
+    )
+    def test_bad_seed_or_cases_rejected_by_name(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"invalid argument '{name}': must be an integer >= "):
+            validate(**kwargs)
+
     def test_fuzz_makes_no_tau_b_calls(self, monkeypatch):
         # the fuzz checks the speed limit only; the fidelity bound belongs to the figures and runs
         calls = {"tau_b_fidelity": 0, "first_crossing_time": 0}

@@ -142,14 +142,21 @@ class TestValidateDensity:
 
 
 class TestStacks:
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stacked_calls_equal_single_calls(self, dim):
-        rng = np.random.default_rng(40 + dim)
-        stack = np.array([random_hermitian(dim, rng) for _ in range(200)])
-        other = random_hermitian(dim, rng)
-        assert np.array_equal(commutator(other, stack), [commutator(other, m) for m in stack])
-        assert np.array_equal(hs_norm(stack), [hs_norm(m) for m in stack])
-        assert np.array_equal(min_eigenvalue(stack), [min_eigenvalue(m) for m in stack])
+        # stack lengths around the chunk length of propagation, and one trajectory's length
+        for n in (1, 63, 64, 65, 200, 4001):
+            rng = np.random.default_rng(40 + dim)
+            stack = np.array([random_hermitian(dim, rng) for _ in range(n)])
+            other = random_hermitian(dim, rng)
+            assert np.array_equal(commutator(other, stack), [commutator(other, m) for m in stack])
+            assert np.array_equal(hs_norm(stack), [hs_norm(m) for m in stack])
+            assert np.array_equal(min_eigenvalue(stack), [min_eigenvalue(m) for m in stack])
+            # one fixed matrix per member (B, 1, d, d) against the members' stacks (B, n, d, d)
+            others = np.array([other, stack[0], random_hermitian(dim, rng)])[:, None]
+            stacks = np.array([stack, stack[::-1], stack])
+            expected = [[commutator(o[0], m) for m in s] for o, s in zip(others, stacks)]
+            assert np.array_equal(commutator(others, stacks), expected)
 
     def test_single_matrix_gives_a_float(self):
         assert isinstance(hs_norm(SIGMA_X), float)

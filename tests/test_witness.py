@@ -150,6 +150,22 @@ class TestQuantumnessRate:
         expected = [quantumness_rate(rho0, r, lr) for r, lr in zip(rhots, lrhos)]
         assert np.array_equal(rates.view(np.uint64), np.array(expected).view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda bad: quantumness(bad, np.eye(2) / 2), "rho_a"),
+            (lambda bad: quantumness(from_pure([1.0, 0.0]), np.array([np.eye(2) / 2, bad])), "rho_b"),
+            (lambda bad: quantumness_rate(bad, np.eye(2) / 2, np.zeros((2, 2))), "rho0"),
+            (lambda bad: quantumness_rate(np.eye(2) / 2, np.array([np.eye(2) / 2, bad]), np.zeros((2, 2, 2))), "rhot"),
+            (lambda bad: quantumness_rate(np.eye(2) / 2, np.eye(2) / 2, bad), "lrho"),
+        ],
+        ids=["quantumness-rho_a", "quantumness-rho_b", "rate-rho0", "rate-rhot", "rate-lrho"],
+    )
+    def test_nan_argument_rejected_by_name(self, call, name):
+        # a NaN fails quantumness's form check, which then names it; quantumness_rate checks finiteness itself
+        with pytest.raises(ValueError, match=f"invalid argument '{name}': must be finite$"):
+            call(np.full((2, 2), np.nan))
+
     def test_stack_with_one_non_traceless_member_warns(self):
         rng = np.random.default_rng(6)
         rho = random_density_matrix(2, rng)
@@ -201,16 +217,23 @@ class TestRandomSampling:
 
 
 class TestStacks:
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stacked_calls_equal_single_calls(self, dim):
-        rng = np.random.default_rng(50 + dim)
-        rho0 = random_density_matrix(dim, rng)
-        stack = np.array(
-            [random_density_matrix(dim, rng) if k % 2 else from_pure(random_pure_state(dim, rng)) for k in range(200)]
-        )
-        assert np.array_equal(quantumness(rho0, stack), [quantumness(rho0, s) for s in stack])
-        lrho = stack - np.eye(dim) / dim  # traceless stand-ins for L rho_t
-        assert np.array_equal(generation_speed(rho0, lrho), [generation_speed(rho0, m) for m in lrho])
+        # stack lengths around the chunk length of propagation, and one trajectory's length
+        for n in (1, 63, 64, 65, 200, 4001):
+            rng = np.random.default_rng(50 + dim)
+            rho0 = random_density_matrix(dim, rng)
+            stack = np.array(
+                [random_density_matrix(dim, rng) if k % 2 else from_pure(random_pure_state(dim, rng)) for k in range(n)]
+            )
+            assert np.array_equal(quantumness(rho0, stack), [quantumness(rho0, s) for s in stack])
+            lrho = stack - np.eye(dim) / dim  # traceless stand-ins for L rho_t
+            assert np.array_equal(generation_speed(rho0, lrho), [generation_speed(rho0, m) for m in lrho])
+            # one rho0 per member (B, 1, d, d) against the members' chunks (B, n, d, d), as propagation takes speeds
+            rho0s = np.array([rho0, stack[0], np.eye(dim) / dim])[:, None]
+            chunks = np.array([lrho, lrho[::-1], lrho])
+            expected = [[generation_speed(r[0], m) for m in chunk] for r, chunk in zip(rho0s, chunks)]
+            assert np.array_equal(generation_speed(rho0s, chunks), expected)
 
     def test_form_disagreement_in_a_stack_raises(self):
         # a non-Hermitian member breaks the identity between the two forms
