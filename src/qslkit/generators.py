@@ -26,10 +26,10 @@ cumulative product of scalar factors.  Sweeps of
 the chunk's increments, added up in order, then move the estimates onto
 the rounding of the sequential steps, each re-Hermitized: bit for bit for
 dephasing and dissipation, within 1e-15 for the unitary families.  Each
-chunk is then checked for positivity and its generation speeds taken; a
-loss beyond tolerance stops the run within the chunk, naming the first
-grid time where it shows, instead of being projected away, so genuine
-integrator or model errors are never masked.
+chunk is then checked for positivity; a loss beyond tolerance stops the
+run within the chunk, naming the first grid time where it shows, instead
+of being projected away, so genuine integrator or model errors are never
+masked.  The witness and speed samples follow, per member.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .witness import generation_speed, quantumness
 #: Propagation aborts once the smallest eigenvalue drops below -POSITIVITY_ABORT.
 POSITIVITY_ABORT = 1e-6
 
-#: Grid times per chunk of propagation; each chunk is scanned, checked for positivity and its speeds taken at once.
+#: Grid times per chunk of propagation; each chunk is scanned and checked for positivity at once.
 POSITIVITY_SCAN_STEPS = 64
 
 #: Relative tolerance for matching query times against a uniform grid.
@@ -380,11 +380,11 @@ def propagate_many(gens, rho0s, grid) -> list:
     the whole ``(B, d, d)`` stack (see :func:`_step_batch`).  Each chunk's
     states are checked, and :class:`PositivityLossError` stops the run at
     the first grid time whose smallest eigenvalue is below
-    ``-POSITIVITY_ABORT`` or whose state is no longer finite; the chunk's
-    generation speeds are taken from its ``L_t rho_t``.  The witness
-    samples are taken per member afterwards, and each member keeps its own
-    copy of the table's grid-time rows.  A member's trajectory is the one
-    it gets when propagated alone.
+    ``-POSITIVITY_ABORT`` or whose state is no longer finite.  The witness
+    samples and the generation speeds ``||[rho0, L_t rho_t]||`` are taken
+    per member afterwards, each as one stacked pass over its states, and
+    each member keeps its own copy of the table's grid-time rows.  A
+    member's trajectory is the one it gets when propagated alone.
     """
     gens, rho0s = list(gens), list(rho0s)
     if not gens or len(gens) != len(rho0s):
@@ -403,14 +403,14 @@ def propagate_many(gens, rho0s, grid) -> list:
             raise ValueError(f"dimension mismatch: generator dim {d}, state shape {m.shape}")
         _check_density(m, f"rho0s[{b}]")
 
-    states, speeds, coefficients = _step_batch(gens, rho_inits, grid)
+    states, coefficients = _step_batch(gens, rho_inits, grid)
     return [
         Trajectory(
             grid=grid,
             states=states[b],
             rho0=rho_inits[b],
             q_samples=quantumness(rho_inits[b], states[b]),
-            speed_samples=speeds[b],
+            speed_samples=generation_speed(rho_inits[b], g.action(states[b], coefficients[b])),
             coefficients=coefficients[b],
             generator=g,
         )
@@ -499,15 +499,15 @@ def _settle(act, x: np.ndarray, c0, c_mid, c1, h: float) -> tuple:
 
 
 def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
-    """The fourth-order steps of :func:`propagate_many`: ``(B, n, d, d)`` states, ``(B, n)``
-    speeds and each member's owned copy of its grid-time table rows.
+    """The fourth-order steps of :func:`propagate_many`: ``(B, n, d, d)`` states and each
+    member's owned copy of its grid-time table rows.
 
     The grid is taken in chunks of ``POSITIVITY_SCAN_STEPS`` grid times.
     A chunk estimates its states by the family's ``estimate_chunk``, sweeps
-    them onto the sequential steps' rounding (:func:`_settle`), checks
-    them for positivity and takes their generation speeds; its last step
-    gives the next chunk's start state.  Only one chunk's work arrays are
-    alive at a time, and the midpoint rows are freed on return.
+    them onto the sequential steps' rounding (:func:`_settle`) and checks
+    them for positivity; its last step gives the next chunk's start state.
+    Only one chunk's work arrays are alive at a time, and the midpoint rows
+    are freed on return.
     """
     n = len(grid)
     d = gens[0].dim
@@ -519,8 +519,6 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     act, estimate = gens[0].action, gens[0].estimate_chunk
     states = np.empty((len(gens), n, d, d), dtype=complex)
     states[:, 0] = rho_inits
-    initial = states[:, :1].copy()  # (B, 1, d, d): each member's rho0, against a chunk of L_t rho_t
-    speeds = np.empty((len(gens), n))
     # a run that loses positivity can overflow before its chunk is checked
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, POSITIVITY_SCAN_STEPS):
@@ -533,8 +531,7 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
                 x = np.concatenate([start, estimate(start[:, 0], c0, c_mid, c1, h)], axis=1)
                 states[:, lo + 1:lo + m + 1] = _settle(act, x, c0, c_mid, c1, h)[0]
             _check_positivity(states, lo, hi, grid)
-            speeds[:, lo:hi] = generation_speed(initial, act(states[:, lo:hi], table[:, 2 * lo:2 * hi - 1:2]))
-    return states, speeds, [table[b, 0::2].copy() for b in range(len(gens))]
+    return states, [table[b, 0::2].copy() for b in range(len(gens))]
 
 
 def dephasing_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.ndarray:

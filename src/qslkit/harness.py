@@ -398,18 +398,16 @@ def _sweep(out_path: str, header: list, configs: list, shared_targets: bool = Fa
     return rows
 
 
-def fig1(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: int = 20) -> list:
+def fig1(out_path: str, grid_points: int = 2001, tau_max: float = 3.0) -> list:
     """Memoryless dephasing sweep: both timescales versus quantumness, three initial angles."""
     configs = [
-        ScenarioConfig(
-            model="dephasing", theta=theta, markov=True, tau_max=tau_max, grid_points=grid_points, q_grid=q_grid
-        )
+        ScenarioConfig(model="dephasing", theta=theta, markov=True, tau_max=tau_max, grid_points=grid_points)
         for theta in FIG1_THETAS
     ]
     return _sweep(out_path, FIG1_HEADER, configs)
 
 
-def _memory_sweep(out_path: str, model: str, theta: float, grid_points: int, tau_max: float, q_grid: int) -> list:
+def _memory_sweep(out_path: str, model: str, theta: float, grid_points: int, tau_max: float) -> list:
     """Sweep the memory ratio of one open-system model at a fixed angle; write and return the rows.
 
     Targets are common across the memory ratios (capped by the slowest
@@ -419,24 +417,24 @@ def _memory_sweep(out_path: str, model: str, theta: float, grid_points: int, tau
     (zero rate at ``t = 0``).
     """
     configs = [
-        ScenarioConfig(model=model, theta=theta, gamma=ratio, tau_max=tau_max, grid_points=grid_points, q_grid=q_grid)
+        ScenarioConfig(model=model, theta=theta, gamma=ratio, tau_max=tau_max, grid_points=grid_points)
         for ratio in SWEEP_GAMMA_RATIOS
     ]
     return _sweep(out_path, SWEEP_HEADER, configs, shared_targets=True)
 
 
-def fig2(out_path: str, grid_points: int = 4001, tau_max: float = 5.0, q_grid: int = 20) -> list:
+def fig2(out_path: str, grid_points: int = 4001, tau_max: float = 5.0) -> list:
     """Finite-memory dephasing sweep at ``theta = pi/5``."""
-    return _memory_sweep(out_path, "dephasing", math.pi / 5.0, grid_points, tau_max, q_grid)
+    return _memory_sweep(out_path, "dephasing", math.pi / 5.0, grid_points, tau_max)
 
 
-def fig3(out_path: str, grid_points: int = 2001, tau_max: float = 3.0, q_grid: int = 20) -> list:
+def fig3(out_path: str, grid_points: int = 2001, tau_max: float = 3.0) -> list:
     """Finite-memory dissipation sweep at the equal-superposition angle.
 
     No closed-form bound exists for dissipation, so that column is ``NA``
     and the numeric route carries the comparison.
     """
-    return _memory_sweep(out_path, "dissipation", math.pi / 4.0, grid_points, tau_max, q_grid)
+    return _memory_sweep(out_path, "dissipation", math.pi / 4.0, grid_points, tau_max)
 
 
 def run_to_files(cfg: ScenarioConfig, out_path: str, report_path: Optional[str] = None) -> ScenarioResult:
@@ -486,7 +484,7 @@ class GhzScalingReport:
 
 def ghz_scaling(
     theta: float,
-    beta_small: float,
+    beta: float,
     n_max: int,
     out_path: Optional[str] = None,
     q_fix: float = 1e-6,
@@ -499,21 +497,21 @@ def ghz_scaling(
     slopes are fitted over all rows.
     """
     if not math.isfinite(theta):
-        raise ValueError(f"invalid field 'theta': must be a finite number, got {theta}")
+        raise ValueError(f"invalid argument 'theta': must be a finite number, got {theta}")
     if not 0.0 < q_fix < math.inf:
-        raise ValueError(f"invalid field 'q_fix': must be finite and positive, got {q_fix}")
-    if not 0.0 < beta_small <= 1e-4:
-        raise ValueError(f"decay exponent must lie in (0, 1e-4], got {beta_small}")
+        raise ValueError(f"invalid argument 'q_fix': must be finite and positive, got {q_fix}")
+    if not 0.0 < beta <= 1e-4:
+        raise ValueError(f"invalid argument 'beta': must be a number in (0, 1e-4], got {beta}")
     if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or not 1 <= n_max <= 12:
-        raise ValueError(f"invalid field 'n_max': must be an integer in 1..12, got {n_max!r}")
+        raise ValueError(f"invalid argument 'n_max': must be an integer in 1..12, got {n_max!r}")
     _check_outputs(out_path=out_path)
     ns = np.arange(1, n_max + 1)
     rows = []
     q_values = []
     tau_values = []
     for n in ns:
-        exponent = float(n * n) * beta_small
-        off = math.exp(-float(n * n) * beta_small)
+        exponent = float(n * n) * beta
+        off = math.exp(-float(n * n) * beta)
         q_n = quantumness_dephasing(theta, exponent)
         tau_n = tau_q_dephasing(q_fix, theta, MemoryFunctions.markov_limit(float(n * n)))
         q_values.append(q_n)
@@ -528,7 +526,7 @@ def ghz_scaling(
         slope_q = slope_sqrt_q = slope_tau_q = None
     if out_path is not None:
         write_csv(out_path, GHZ_HEADER, rows)
-    return GhzScalingReport(theta, beta_small, q_fix, rows, slope_q, slope_sqrt_q, slope_tau_q)
+    return GhzScalingReport(theta, beta, q_fix, rows, slope_q, slope_sqrt_q, slope_tau_q)
 
 
 # ---------------------------------------------------------------------------
@@ -569,50 +567,37 @@ class ValidationReport:
 def _check_witness_properties(seed: int, cases: int) -> list:
     """Range, symmetry, dual-form agreement, pure-pair formula, zero-iff-commuting.
 
-    Pair ``i`` is drawn from its own seed ``[seed, 1, i]``; the pairs are
-    then checked as one stack per dimension, which per matrix takes the
-    products and norms of single calls, so every margin keeps its bits.
+    Pair ``i`` has dimension ``(2, 3, 4)[i % 3]``, is pure for even ``i``
+    and brings a commuting pair for ``i % 10 == 0``.  Each dimension's pairs
+    come from one generator ``[seed, 1, dim]`` (mixed, then pure, then
+    commuting; a pair's two states in turn) and are checked as one stack.
     """
     n_pairs = min(10_000, max(50, 50 * cases))
-    # per dimension: a, b, is-pure flags, pure-pair overlaps, commuting a, commuting b
-    # (n_pairs >= 50, so every dimension has pure, mixed and commuting pairs)
-    pairs = {dim: ([], [], [], [], [], []) for dim in (2, 3, 4)}
-    for i in range(n_pairs):
-        rng = np.random.default_rng([seed, 1, i])
-        dim = (2, 3, 4)[i % 3]
-        a_list, b_list, pure, overlaps, da_list, db_list = pairs[dim]
-        if i % 2:
-            a_list.append(random_density_matrix(dim, rng))
-            b_list.append(random_density_matrix(dim, rng))
-        else:
-            va = random_pure_state(dim, rng)
-            vb = random_pure_state(dim, rng)
-            a_list.append(from_pure(va))
-            b_list.append(from_pure(vb))
-            overlaps.append(abs(np.vdot(va, vb)) ** 2)
-        pure.append(not i % 2)
-        if i % 10 == 0:
-            # constructed commuting pair: random spectra in a shared eigenbasis
-            w = np.abs(rng.standard_normal(dim)) + 0.1
-            w2 = np.abs(rng.standard_normal(dim)) + 0.1
-            da_list.append(np.diag(w / w.sum()).astype(complex))
-            db_list.append(np.diag(w2 / w2.sum()).astype(complex))
     q_min, q_max_seen = math.inf, -math.inf
     worst_sym = 0.0
     worst_pure = 0.0
     zero_iff_ok = True
     worst_commuting_q = 0.0
-    for a_list, b_list, pure, overlaps, da_list, db_list in pairs.values():
-        a, b = np.array(a_list), np.array(b_list)
+    for dim in (2, 3, 4):
+        mine = np.arange(dim - 2, n_pairs, 3)
+        n_mixed, n_commuting = np.count_nonzero(mine % 2), np.count_nonzero(mine % 10 == 0)
+        rng = np.random.default_rng([seed, 1, dim])
+        mixed = np.array([random_density_matrix(dim, rng) for _ in range(2 * n_mixed)])
+        vs = np.array([random_pure_state(dim, rng) for _ in range(2 * (len(mine) - n_mixed))])
+        states = np.concatenate([mixed, vs[:, :, None] * vs[:, None, :].conj()])  # |v><v| as from_pure takes it
+        a, b = states[0::2], states[1::2]
+        # constructed commuting pairs: random spectra in a shared eigenbasis
+        w = np.abs(rng.standard_normal((n_commuting, 2, dim))) + 0.1
+        w /= w.sum(axis=-1, keepdims=True)
+        da, db = w[:, 0, :, None] * np.eye(dim), w[:, 1, :, None] * np.eye(dim)
         q_ab = quantumness(a, b)
         q_ba = quantumness(b, a)
-        q_pure = q_ab[np.array(pure)]
-        worst_pure = max(worst_pure, float(np.max(np.abs(q_pure - pure_state_quantumness(overlaps)))))
+        overlaps = np.abs(np.vecdot(vs[0::2], vs[1::2])) ** 2
+        worst_pure = max(worst_pure, float(np.max(np.abs(q_ab[n_mixed:] - pure_state_quantumness(overlaps)))))
         q_min = min(q_min, float(np.min(q_ab)))
         q_max_seen = max(q_max_seen, float(np.max(q_ab)))
         worst_sym = max(worst_sym, float(np.max(np.abs(q_ab - q_ba))))
         zero_iff_ok &= bool(np.array_equal(q_ab < 1e-12, hs_norm(commutator(a, b)) < 1e-7))
-        da, db = np.array(da_list), np.array(db_list)
         qc = quantumness(da, db)
         worst_commuting_q = max(worst_commuting_q, float(np.max(qc)))
         zero_iff_ok &= bool(np.array_equal(qc < 1e-12, hs_norm(commutator(da, db)) < 1e-7))

@@ -11,10 +11,10 @@ Conventions shared by the whole package:
 * ``commutator``, ``hs_norm`` and ``min_eigenvalue`` also take stacks
   ``(..., d, d)`` and work per matrix; a stacked call gives bit for bit
   what the calls on the single matrices give.  A right factor fixed
-  along a stack (one matrix, or one per member ``(B, 1, d, d)`` against
-  ``(B, m, d, d)``) is one tall BLAS product ``(rows, d) @ (d, d)``; that
-  is bit for bit because the BLAS computes each output row the same way
-  whatever the row count (verified for OpenBLAS 0.3.31 at d = 2, 3, 4).
+  along a stack, one matrix against ``(..., d, d)``, is one tall BLAS
+  product ``(rows, d) @ (d, d)``; that is bit for bit because the BLAS
+  computes each output row the same way whatever the row count
+  (verified for OpenBLAS 0.3.31 at d = 2, 3, 4).
   A fixed left factor stays per matrix.  ``hermiticity_defect``
   gives the largest defect over a stack.  ``purity`` and
   ``validate_density`` take one matrix and reject a stack by its shape.
@@ -57,11 +57,8 @@ def _one_matrix(a) -> np.ndarray:
 
 def _times_fixed(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """``x @ f``, as one tall product where ``f`` is fixed along the stack ``x`` (see the module docstring)."""
-    d = x.shape[-1]
     if f.ndim == 2:
-        return (x.reshape(-1, d) @ f).reshape(x.shape)
-    if f.ndim == x.ndim and f.shape[-3] == 1 and f.shape[:-3] == x.shape[:-3]:  # one f per member
-        return (x.reshape(x.shape[:-3] + (-1, d)) @ f[..., 0, :, :]).reshape(x.shape)
+        return (x.reshape(-1, x.shape[-1]) @ f).reshape(x.shape)
     return x @ f
 
 

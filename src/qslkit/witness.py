@@ -8,7 +8,7 @@ cross-checked, so a silent regression in either code path is caught at
 the point of use.  The trace form is taken as elementwise contractions
 (``np.einsum``) of the shared product ``rho_a rho_b``, not as stacked
 matrix products; its bits feed only the cross-check.  A non-finite
-argument fails the cross-check and is named.
+argument, NaN or infinite, fails the cross-check and is named.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
     b = as_matrix(rho_b)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    ab = a @ b
-    # np.square, not ** 2: a float's ** 2 calls pow, which can round apart from an array's x * x
-    q_comm = 2.0 * np.square(hs_norm(ab - _times_fixed(b, a)))
-    q_trace = -4.0 * (np.einsum("...ij,...ji->...", ab, ab) - np.einsum("...ij,...jk,...ki->...", a @ a, b, b)).real
-    # written as "not within" so that a NaN fails it
-    off = ~(np.abs(q_comm - q_trace) <= FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(q_comm)))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite argument fails the form check, named below
+        ab = a @ b
+        # np.square, not ** 2: a float's ** 2 calls pow, which can round apart from an array's x * x
+        q_comm = 2.0 * np.square(hs_norm(ab - _times_fixed(b, a)))
+        q_trace = -4.0 * (np.einsum("...ij,...ji->...", ab, ab) - np.einsum("...ij,...jk,...ki->...", a @ a, b, b)).real
+        # written as "not within" so that a NaN fails it
+        off = ~(np.abs(q_comm - q_trace) <= FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(q_comm)))
     if np.any(off):
         _check_finite(rho_a=a, rho_b=b)
         k = np.flatnonzero(off)[0]

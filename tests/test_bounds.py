@@ -330,9 +330,13 @@ class TestNonFiniteArguments:
             (lambda v: quantumness_dephasing(math.pi / 8.0, v), "beta", -math.inf),
             (lambda v: ghz_scaling(0.3, 1e-6, v), "n_max", 2.5),
             (lambda v: ghz_scaling(0.3, 1e-6, v), "n_max", True),
+            (lambda v: ghz_scaling(0.3, v, 3), "beta", math.nan),
+            (lambda v: ghz_scaling(0.3, v, 3), "beta", 0.0),
+            (lambda v: ghz_scaling(0.3, v, 3), "beta", math.inf),
         ],
         ids=["tau_q_dephasing-nan", "tau_q_dephasing-inf", "tau_q_unitary-nan", "tau_q_unitary-inf",
-             "quantumness_dephasing-theta", "quantumness_dephasing-beta", "ghz_scaling-float", "ghz_scaling-bool"],
+             "quantumness_dephasing-theta", "quantumness_dephasing-beta", "ghz_scaling-float", "ghz_scaling-bool",
+             "ghz_scaling-beta-nan", "ghz_scaling-beta-zero", "ghz_scaling-beta-inf"],
     )
     def test_closed_form_argument_rejected_by_name(self, call, name, value):
         with pytest.raises(ValueError, match=f"invalid (argument|field) '{name}': must be "):

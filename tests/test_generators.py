@@ -38,7 +38,7 @@ from qslkit.matcore import (
     purity,
 )
 from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
-from qslkit.witness import random_density_matrix
+from qslkit.witness import generation_speed, random_density_matrix
 
 class SignFlippedDephasing(Dephasing):
     """Dephasing with its rate sign-flipped, in any dimension: coherences grow and positivity breaks."""
@@ -611,12 +611,17 @@ class TestScanMatchesSequentialSteps:
     def test_states_match_the_sequential_loop(self, batch):
         family, gens, rho0s, grid = batch
         with recorded_chunks() as chunks:
-            states = np.stack([traj.states for traj in propagate_many(gens, rho0s, grid)])
+            trajectories = propagate_many(gens, rho0s, grid)
+        states = np.stack([traj.states for traj in trajectories])
         expected = sequential_states(gens, rho0s, grid)
         if family in ("dephasing", "dissipation"):
             assert np.array_equal(states.view(np.uint64), expected.view(np.uint64))
         else:
             assert np.max(np.abs(states - expected)) <= 1e-15
+        # each speed sample is the single call on its own state, bit for bit
+        for g, traj in zip(gens, trajectories):
+            speeds = np.array([generation_speed(traj.rho0, g.apply(rho, t)) for rho, t in zip(traj.states, grid)])
+            assert np.array_equal(traj.speed_samples.view(np.uint64), speeds.view(np.uint64))
         # every chunk reaches its fixed point, a sweep that changes no bit, within a chunk's length of sweeps
         assert len(chunks) == -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
         assert max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS

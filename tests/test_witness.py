@@ -162,9 +162,10 @@ class TestQuantumnessRate:
         ids=["quantumness-rho_a", "quantumness-rho_b", "rate-rho0", "rate-rhot", "rate-lrho"],
     )
     def test_nan_argument_rejected_by_name(self, call, name):
-        # a NaN fails quantumness's form check, which then names it; quantumness_rate checks finiteness itself
-        with pytest.raises(ValueError, match=f"invalid argument '{name}': must be finite$"):
-            call(np.full((2, 2), np.nan))
+        # a NaN or an infinity fails quantumness's form check, which names it; quantumness_rate checks finiteness itself
+        for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 0.0]])):
+            with pytest.raises(ValueError, match=f"invalid argument '{name}': must be finite$"):
+                call(bad)
 
     def test_stack_with_one_non_traceless_member_warns(self):
         rng = np.random.default_rng(6)
@@ -229,7 +230,7 @@ class TestStacks:
             assert np.array_equal(quantumness(rho0, stack), [quantumness(rho0, s) for s in stack])
             lrho = stack - np.eye(dim) / dim  # traceless stand-ins for L rho_t
             assert np.array_equal(generation_speed(rho0, lrho), [generation_speed(rho0, m) for m in lrho])
-            # one rho0 per member (B, 1, d, d) against the members' chunks (B, n, d, d), as propagation takes speeds
+            # one rho0 per member (B, 1, d, d) against the members' stacks (B, n, d, d)
             rho0s = np.array([rho0, stack[0], np.eye(dim) / dim])[:, None]
             chunks = np.array([lrho, lrho[::-1], lrho])
             expected = [[generation_speed(r[0], m) for m in chunk] for r, chunk in zip(rho0s, chunks)]
