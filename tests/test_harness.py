@@ -65,6 +65,28 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="invalid field 'gamma'"):
             ScenarioConfig.from_dict({"model": "dissipation"})
 
+    @pytest.mark.parametrize("model", ["dephasing", "dissipation", "ghz"])
+    def test_memory_ratio_with_markov_flag_rejected(self, model):
+        # the memoryless model would run and drop gamma
+        with pytest.raises(ValueError, match=r"invalid field 'gamma': must be unset when 'markov' is true, got 3\.0"):
+            ScenarioConfig.from_dict({"model": model, "markov": True, "gamma": 3.0})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"model": "dissipation", "gamma": 2.0, "n": 4},
+            {"model": "dephasing", "markov": True, "n": 2},
+            {"model": "unitary2l", "n": 3},
+            {"model": "stirap", "n": 2},
+        ],
+    )
+    def test_qubit_count_off_ghz_rejected(self, raw):
+        # only ghz reads n; any other model would run with it ignored
+        with pytest.raises(ValueError, match=rf"invalid field 'n': must be 1 unless 'model' is 'ghz', got {raw['n']}"):
+            ScenarioConfig.from_dict(raw)
+        ScenarioConfig.from_dict({**raw, "n": 1})
+        ScenarioConfig.from_dict({**raw, "model": "ghz", "gamma": 2.0, "markov": False})
+
     def test_dissipation_horizon_past_memory_divergence_rejected(self):
         with pytest.raises(ValueError, match=r"invalid field 'tau_max'.*t\* = 4\.8368"):
             ScenarioConfig.from_dict({"model": "dissipation", "gamma": 0.5, "tau_max": 6})
