@@ -10,6 +10,7 @@ exit status 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -74,16 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     ghz.add_argument("--n-max", type=int, default=5, help="largest qubit count (<= 12)")
     ghz.add_argument("--q-fix", type=float, default=1e-6, help="fixed quantumness target for tau_Q(n)")
 
+    rows = harness.MODEL_FIELDS
+    common = [name for name in rows["stirap"] if all(name in names for names in rows.values())]
     run = sub.add_parser(
         "run",
         help="run one scenario from a JSON config",
-        description=(
-            "Config keys: model (unitary2l|stirap|dephasing|dissipation|ghz), theta, "
-            "Gamma, gamma (ratio gamma/Gamma), markov, tau_max, grid_points, q_grid, "
-            "n, theta0, theta_rate, alpha0, alpha_rate. Unknown keys are "
-            "rejected. CSV columns: model, theta, gamma_ratio, q_target, tau_exact, "
-            "tau_q_numeric, tau_q_closed, tau_b, tau_b_avg."
-        ),
+        description=f"Config keys of every model: {', '.join(common)}. Further keys by model: "
+        + "; ".join(f"{m}: {', '.join(n for n in names if n not in common)}" for m, names in rows.items())
+        + ". gamma is the ratio gamma/Gamma. A key its model does not take must keep its default; "
+        "unknown keys are rejected. CSV columns: model, theta, gamma_ratio, q_target, tau_exact, "
+        "tau_q_numeric, tau_q_closed, tau_b, tau_b_avg.",
     )
     _add_run_flags(run)
     run.add_argument("--config", required=True, help="path to the JSON scenario config")
@@ -166,9 +167,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "run":
-        cfg = harness.ScenarioConfig.from_json(args.config)
-        for name, value in overrides.items():
-            setattr(cfg, name, value)  # run_to_files validates before it writes anything
+        cfg = dataclasses.replace(harness.ScenarioConfig.from_json(args.config), **overrides)
         out = args.out or "run.csv"
         result = harness.run_to_files(cfg, out, report_path=args.report)
         print(

@@ -25,15 +25,14 @@ dephasing and dissipation, whose maps act entry by entry, the scan is one
 cumulative product of scalar factors.  The unitary action is a sum of
 ``d`` broadcast outer products, with no BLAS call per ``d x d`` matrix;
 only the scan's products of ``d^2 x d^2`` transfer matrices keep ``@``.
-Unitary outputs moved by at most about 1e-13 relative when the action
-left the per-matrix products.  Sweeps of
-the chunk's increments, added up in order, then move the estimates onto
-the rounding of the sequential steps, each re-Hermitized: bit for bit for
-dephasing and dissipation, within 1e-15 for the unitary families.  Each
-chunk is then checked for positivity; a loss beyond tolerance stops the
-run within the chunk, naming the first grid time where it shows, instead
-of being projected away, so genuine integrator or model errors are never
-masked.  The witness and speed samples follow, per member.
+Sweeps of the chunk's increments, added up in order, then move the
+estimates onto the rounding of the sequential steps, each re-Hermitized:
+bit for bit for dephasing and dissipation, within 1e-15 for the unitary
+families.  Each chunk is then checked for positivity; a loss beyond
+tolerance stops the run within the chunk, naming the first grid time
+where it shows, instead of being projected away, so genuine integrator
+or model errors are never masked.  The witness and speed samples follow,
+per member.
 """
 
 from __future__ import annotations

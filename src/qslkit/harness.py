@@ -6,11 +6,11 @@ defaulting to one, so all times are reported in units of the inverse
 coupling; the bath memory rate is accepted as the dimensionless ratio
 ``gamma / Gamma``.
 
-One scenario pipeline serves ``run_scenario`` and the figure sweeps: it
-builds and validates every config, propagates them in one batch per
-generator family and grid, and evaluates each trajectory's quantumness
-targets through :func:`evaluate_targets`.  The validation fuzz reuses the
-batching step only and checks the speed limit without the fidelity bound.
+A config is checked once, when built; each model takes only the fields
+it reads (``MODEL_FIELDS``).  One pipeline serves ``run_scenario`` and the
+figures: it propagates scenarios in one batch per generator family and
+grid and evaluates their targets through :func:`evaluate_targets`, which
+the fuzz reuses without the closed form and the fidelity bound.
 
 CSV output is plot-tool-ready: a single header line, comma separators,
 floats in scientific notation with 17 significant digits, and the
@@ -63,7 +63,17 @@ from .witness import (
     random_pure_state,
 )
 
-MODELS = ("unitary2l", "stirap", "dephasing", "dissipation", "ghz")
+_READ_BY_ALL = ("model", "tau_max", "grid_points", "q_grid")
+_BATH_FIELDS = ("theta", "Gamma", "gamma", "markov")
+#: The config fields each model reads (a CSV row label counts); any other field must keep its default.
+MODEL_FIELDS = {
+    "unitary2l": _READ_BY_ALL + ("theta", "markov", "theta0", "theta_rate", "alpha0", "alpha_rate"),
+    "stirap": _READ_BY_ALL + ("markov", "theta0", "theta_rate", "alpha_rate"),
+    "dephasing": _READ_BY_ALL + _BATH_FIELDS,
+    "dissipation": _READ_BY_ALL + _BATH_FIELDS,
+    "ghz": _READ_BY_ALL + _BATH_FIELDS + ("n",),
+}
+MODELS = tuple(MODEL_FIELDS)
 OPEN_MODELS = ("dephasing", "dissipation", "ghz")  # the models with a bath, hence a memory ratio
 
 #: Figure-sweep memory ratios shared by the non-Markovian studies.
@@ -80,9 +90,9 @@ FUZZ_WINDOW = 16
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated description of one runnable scenario."""
+    """One runnable scenario, checked when built; ``dataclasses.replace`` makes a checked copy."""
 
     model: str
     theta: float = math.pi / 8.0
@@ -106,9 +116,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "model" not in raw:
             raise ValueError("config requires the field 'model'")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
@@ -118,10 +126,12 @@ class ScenarioConfig:
             raise ValueError("config file must contain a JSON object")
         return cls.from_dict(raw)
 
-    def validate(self) -> None:
-        for f in dataclasses.fields(self):
+    def __post_init__(self) -> None:
+        if self.model not in MODELS:  # a tuple, so an unhashable value is compared, not hashed
+            raise ValueError(f"invalid field 'model': {self.model!r} (choose from {MODELS})")
+        for f in dataclasses.fields(self)[1:]:
             value = getattr(self, f.name)
-            if f.type == "str" or (f.type == "Optional[float]" and value is None):
+            if f.type == "Optional[float]" and value is None:
                 continue
             if f.type == "bool":
                 ok, kind = isinstance(value, bool), "a bool"
@@ -133,8 +143,10 @@ class ScenarioConfig:
                 kind = "a finite number"
             if not ok:
                 raise ValueError(f"invalid field {f.name!r}: must be {kind}, got {value!r}")
-        if self.model not in MODELS:
-            raise ValueError(f"invalid field 'model': {self.model!r} (choose from {MODELS})")
+            if f.name not in MODEL_FIELDS[self.model] and value != f.default:  # typed first: False == 0.0
+                must = "unset" if f.default is None else repr(f.default)
+                readers = " or ".join(repr(m) for m, names in MODEL_FIELDS.items() if f.name in names)
+                raise ValueError(f"invalid field {f.name!r}: must be {must} unless 'model' is {readers}, got {value!r}")
         if not self.tau_max > 0.0:
             raise ValueError(f"invalid field 'tau_max': must be positive, got {self.tau_max}")
         if self.grid_points < 100:
@@ -147,9 +159,6 @@ class ScenarioConfig:
             raise ValueError(f"invalid field 'q_grid': must be >= 1, got {self.q_grid}")
         if self.n < 1:
             raise ValueError(f"invalid field 'n': must be >= 1, got {self.n}")
-        # a field the model would drop is refused, so a config never quietly runs another model
-        if self.n != 1 and self.model != "ghz":
-            raise ValueError(f"invalid field 'n': must be 1 unless 'model' is 'ghz', got {self.n}")
         if self.markov and self.gamma is not None:
             raise ValueError(f"invalid field 'gamma': must be unset when 'markov' is true, got {self.gamma}")
         if self.model in OPEN_MODELS and not self.markov and self.gamma is None:
@@ -162,7 +171,7 @@ class ScenarioConfig:
 
     def _memory(self) -> MemoryFunctions:
         """Bath memory of the open-system models (coupling scaled by ``n^2`` for ``ghz``)."""
-        coupling = self.Gamma * (self.n * self.n if self.model == "ghz" else 1.0)
+        coupling = self.Gamma * (self.n * self.n)  # n is 1 off ghz
         if self.markov:
             return MemoryFunctions.markov_limit(coupling)
         return MemoryFunctions(OUParams(coupling, self.gamma * self.Gamma))
@@ -189,8 +198,7 @@ class ScenarioResult:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """Validate a config and construct its ``(generator, rho0, grid)``."""
-    cfg.validate()
+    """Construct the ``(generator, rho0, grid)`` of a config, which was checked when it was built."""
     grid = np.linspace(0.0, cfg.tau_max, cfg.grid_points)
 
     if cfg.model in OPEN_MODELS:
@@ -239,13 +247,14 @@ def _or_none(fn, *args, **kwargs):
         return None
 
 
-def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
+def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig, fidelity: bool = True) -> list:
     """One :class:`BoundReport` per target, unreached targets included.
 
     The closed-form column exists for the dephasing models only; there, as
     for the fidelity bounds, a timescale the formula rejects is ``None``.
+    ``fidelity=False`` (the fuzz) leaves the closed form and both fidelity bounds ``None``.
     """
-    dephasing = cfg.model in ("dephasing", "ghz")
+    dephasing = fidelity and cfg.model in ("dephasing", "ghz")
     reports = []
     for q_target in targets:
         q_target = float(q_target)
@@ -257,8 +266,8 @@ def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
                 tau,
                 tau_q_at_crossing(traj, crossing),
                 _or_none(tau_q_dephasing, q_target, cfg.theta, traj.generator.memory) if dephasing else None,
-                _or_none(tau_b_fidelity, traj, tau, denominator="initial"),
-                _or_none(tau_b_fidelity, traj, tau, denominator="averaged"),
+                _or_none(tau_b_fidelity, traj, tau, denominator="initial") if fidelity else None,
+                _or_none(tau_b_fidelity, traj, tau, denominator="averaged") if fidelity else None,
             ]
         reports.append(BoundReport(cfg.model, cfg.theta, cfg.gamma_ratio, q_target, crossing.reached, *timescales))
     return reports
@@ -280,7 +289,7 @@ def _propagate_built(built: list) -> list:
 def _run_scenarios(configs: list, shared_targets: bool = False) -> list:
     """The scenario pipeline: one :class:`ScenarioResult` per config, in order.
 
-    Every config is built and validated before any is propagated; the
+    Every scenario is built before any is propagated; the
     scenarios are then stepped in one batch per generator family and grid,
     and each is evaluated on its own q-grid.  With ``shared_targets`` (the
     figure sweeps) all scenarios share one q-grid, capped by the lowest
@@ -696,13 +705,11 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
         if cfg.model == "unitary2l":
             worst_purity = max(worst_purity, abs(purity(traj.states[-1]) - 1.0))
 
-        for q_target in auto_targets(float(np.max(traj.q_samples)), 20):
-            crossing = first_crossing_time(traj, float(q_target))
-            if not crossing.reached:
-                continue
-            checked_cells += 1
-            tau_q = tau_q_at_crossing(traj, crossing)
-            worst_qsl = min(worst_qsl, crossing.time - tau_q)
+        targets = auto_targets(float(np.max(traj.q_samples)), 20)
+        for rep in evaluate_targets(traj, targets, cfg, fidelity=False):
+            if rep.reached:
+                checked_cells += 1
+                worst_qsl = min(worst_qsl, rep.slack)
 
         stride = max(2, len(traj.grid) // 25)
         ks = np.arange(stride, len(traj.grid) - 2, stride)

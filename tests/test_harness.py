@@ -87,6 +87,51 @@ class TestScenarioConfig:
         ScenarioConfig.from_dict({**raw, "n": 1})
         ScenarioConfig.from_dict({**raw, "model": "ghz", "gamma": 2.0, "markov": False})
 
+    @pytest.mark.parametrize(
+        "build", [ScenarioConfig.from_dict, lambda raw: ScenarioConfig(**raw)], ids=["from_dict", "direct"]
+    )
+    @pytest.mark.parametrize(
+        "raw,field,must",
+        [
+            ({"model": "unitary2l", "gamma": 3.0}, "gamma", "unset"),
+            ({"model": "unitary2l", "Gamma": 5.0}, "Gamma", "1.0"),
+            ({"model": "dephasing", "markov": True, "theta_rate": 9.0}, "theta_rate", "0.5"),
+            ({"model": "dephasing", "gamma": 1.0, "theta0": 2.0}, "theta0", "0.0"),
+            ({"model": "stirap", "theta": 1.2}, "theta", repr(math.pi / 8.0)),
+            ({"model": "stirap", "alpha0": 1.0}, "alpha0", "0.0"),
+        ],
+    )
+    def test_field_its_model_does_not_read_rejected(self, build, raw, field, must):
+        # each would run with the field dropped; a value equal to the default changes nothing
+        message = rf"invalid field '{field}': must be {re.escape(must)} unless 'model' is "
+        with pytest.raises(ValueError, match=message):
+            build(raw)
+        build({**raw, field: None if must == "unset" else float(must)})
+
+    def test_config_is_frozen_and_replace_checks_again(self):
+        cfg = ScenarioConfig.from_dict({"model": "dephasing", "markov": True})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.grid_points = 10
+        assert dataclasses.replace(cfg, grid_points=501).grid_points == 501
+        with pytest.raises(ValueError, match="invalid field 'grid_points'"):
+            dataclasses.replace(cfg, grid_points=10)
+
+    def test_fuzz_and_figure_configs_load(self, monkeypatch):
+        configs = [harness._random_scenario(seed, j) for seed in range(3) for j in range(200)]
+        monkeypatch.setattr(harness, "_sweep", lambda out, header, batch, shared_targets=False: configs.extend(batch))
+        for name in ("fig1", "fig2", "fig3"):
+            getattr(harness, name)("unused.csv")
+        assert len(configs) == 600 + 3 + 4 + 4
+        for cfg in configs:
+            assert ScenarioConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+
+    def test_readme_json_blocks_load(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+            blocks = re.findall(r"^```json\n(.*?)^```", fh.read(), flags=re.M | re.S)
+        assert blocks
+        for block in blocks:
+            ScenarioConfig.from_dict(json.loads(block))
+
     def test_dissipation_horizon_past_memory_divergence_rejected(self):
         with pytest.raises(ValueError, match=r"invalid field 'tau_max'.*t\* = 4\.8368"):
             ScenarioConfig.from_dict({"model": "dissipation", "gamma": 0.5, "tau_max": 6})
