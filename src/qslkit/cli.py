@@ -20,25 +20,28 @@ from . import harness
 from .generators import PositivityLossError
 from .memory import RiccatiBlowupError
 
+
+def _columns(header: list) -> str:
+    return f"Columns: {', '.join(header)}."
+
+
 #: Figure subcommands: name -> (help, description).  Each runs the harness function of that name.
 FIGURES = {
     "fig1": (
         "memoryless dephasing: tau_Q and tau_B vs Q for three initial angles",
-        "Columns: theta, gamma_ratio (inf), q_target, tau_exact, tau_q_numeric, tau_q_closed, tau_b.",
+        _columns(harness.FIG1_HEADER) + " gamma_ratio is inf (memoryless).",
     ),
     "fig2": (
         "finite-memory dephasing: tau_Q vs Q across memory ratios (theta = pi/5)",
-        "Columns: theta, gamma_ratio, q_target, tau_exact, tau_q_numeric, "
-        "tau_q_closed, tau_b_avg. The fidelity-bound column uses the "
+        _columns(harness.SWEEP_HEADER) + " The fidelity-bound column uses the "
         "time-averaged denominator variant (the literal initial-state "
         "denominator vanishes for this kernel). Targets are shared across "
         "memory ratios.",
     ),
     "fig3": (
         "finite-memory dissipation: tau_Q vs Q across memory ratios (theta = pi/4)",
-        "Columns: theta, gamma_ratio, q_target, tau_exact, tau_q_numeric, "
-        "tau_q_closed (NA: no closed form), tau_b_avg. Targets are shared "
-        "across memory ratios.",
+        _columns(harness.SWEEP_HEADER) + " tau_q_closed is NA: dissipation has no closed form. "
+        "Targets are shared across memory ratios.",
     ),
 }
 
@@ -67,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     ghz = sub.add_parser(
         "ghz",
         help="cat-state scaling of the witness and its bound with qubit count",
-        description="Columns: n, offdiagonal_factor, q, sqrt_q_ratio, tau_q_fixed_target.",
+        description=_columns(harness.GHZ_HEADER),
     )
     ghz.add_argument("--out", default=None, help="output CSV path")
     ghz.add_argument("--theta", type=float, default=None, help="initial angle (default pi/8)")
@@ -83,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=f"Config keys of every model: {', '.join(common)}. Further keys by model: "
         + "; ".join(f"{m}: {', '.join(n for n in names if n not in common)}" for m, names in rows.items())
         + ". gamma is the ratio gamma/Gamma. A key its model does not take must keep its default; "
-        "unknown keys are rejected. CSV columns: model, theta, gamma_ratio, q_target, tau_exact, "
-        "tau_q_numeric, tau_q_closed, tau_b, tau_b_avg.",
+        f"unknown keys are rejected. CSV columns: {', '.join(harness.RUN_HEADER)}.",
     )
     _add_run_flags(run)
     run.add_argument("--config", required=True, help="path to the JSON scenario config")

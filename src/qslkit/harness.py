@@ -7,10 +7,11 @@ coupling; the bath memory rate is accepted as the dimensionless ratio
 ``gamma / Gamma``.
 
 A config is checked once, when built; each model takes only the fields
-it reads (``MODEL_FIELDS``).  One pipeline serves ``run_scenario`` and the
-figures: it propagates scenarios in one batch per generator family and
-grid and evaluates their targets through :func:`evaluate_targets`, which
-the fuzz reuses without the closed form and the fidelity bound.
+it reads (``MODEL_FIELDS``).  One pipeline serves ``run_scenario``, the
+figures and ``validate``: it builds scenarios from configs, propagates
+them in one batch per generator family and grid and evaluates their
+targets through :func:`evaluate_targets`, which the fuzz and the mutation
+canary call without the closed form and the fidelity bound.
 
 CSV output is plot-tool-ready: a single header line, comma separators,
 floats in scientific notation with 17 significant digits, and the
@@ -74,7 +75,7 @@ MODEL_FIELDS = {
     "ghz": _READ_BY_ALL + _BATH_FIELDS + ("n",),
 }
 MODELS = tuple(MODEL_FIELDS)
-OPEN_MODELS = ("dephasing", "dissipation", "ghz")  # the models with a bath, hence a memory ratio
+OPEN_MODELS = tuple(m for m, names in MODEL_FIELDS.items() if "gamma" in names)  # a bath, hence a memory ratio
 
 #: Figure-sweep memory ratios shared by the non-Markovian studies.
 SWEEP_GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0)
@@ -748,28 +749,25 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
     ]
 
 
+#: The closed-form oracle: one config per angle and per branch (of ``P``: markov, trigonometric, critical, hyperbolic).
+_ORACLE_CASES = tuple(
+    ScenarioConfig(model=model, theta=theta, gamma=gamma, markov=gamma is None, tau_max=2.0)
+    for model, gammas in (("dephasing", (None, 0.5)), ("dissipation", (None, 0.5, 2.0, 10.0)))
+    for theta in (math.pi / 8.0, math.pi / 5.0)
+    for gamma in gammas
+)
+_CLOSED_STATES = {"dephasing": dephasing_closed_state, "dissipation": dissipation_closed_state}
+
+
 def _check_oracle_equivalence() -> list:
-    """Closed-form states versus propagated states on a fixed small ensemble."""
-    tau_max = 2.0
-    grid = np.linspace(0.0, tau_max, 2001)
-    ensemble = [
-        (theta, MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(OUParams(1.0, gamma)))
-        for theta in (math.pi / 8.0, math.pi / 5.0)
-        for gamma in (0.5, 2.0, None)  # None = memoryless branch
-    ]
-    rho0s = [from_pure([math.cos(theta), math.sin(theta)]) for theta, _ in ensemble]
+    """Closed-form states versus propagated states at the midpoint and the end of each oracle case."""
     worst = 0.0
-    for family, closed_state in ((Dephasing, dephasing_closed_state), (Dissipation, dissipation_closed_state)):
-        trajectories = propagate_many([family(mem) for _, mem in ensemble], rho0s, grid)
-        for (theta, mem), traj in zip(ensemble, trajectories):
-            for tau in (0.5 * tau_max, tau_max):
-                closed = closed_state(theta, tau, mem)
-                worst = max(worst, float(np.max(np.abs(closed - traj.state_at(tau)))))
-    return [
-        PropertyCheck(
-            "oracle_equivalence", worst < 1e-6, worst, "max entrywise |closed - propagated|"
-        )
-    ]
+    for cfg, traj in zip(_ORACLE_CASES, _propagate_built([build_scenario(cfg) for cfg in _ORACLE_CASES])):
+        n = len(traj.grid)
+        for k in (n // 2, n - 1):
+            closed = _CLOSED_STATES[cfg.model](cfg.theta, float(traj.grid[k]), traj.generator.memory)
+            worst = max(worst, float(np.max(np.abs(closed - traj.states[k]))))
+    return [PropertyCheck("oracle_equivalence", worst < 1e-9, worst, "max entrywise |closed - propagated|")]
 
 
 class _TamperedDephasing(Dephasing):
@@ -781,24 +779,21 @@ class _TamperedDephasing(Dephasing):
 
 def _check_mutation_canary() -> list:
     """The suite must detect a generator with a sign-flipped rate."""
-    theta = math.pi / 8.0
-    rho0 = from_pure([math.cos(theta), math.sin(theta)])
-    gen = _TamperedDephasing(MemoryFunctions.markov_limit(1.0))
-    grid = np.linspace(0.0, 3.0, 1001)
+    cfg = ScenarioConfig(model="dephasing", markov=True, grid_points=1001)
+    gen, rho0, grid = build_scenario(cfg)
     caught = False
     detail = ""
     try:
-        traj = propagate(gen, rho0, grid)
+        traj = propagate(_TamperedDephasing(gen.memory), rho0, grid)
         q_max = float(np.max(traj.q_samples))
         if q_max > 1.0 + 1e-9:
             caught = True
             detail = f"witness range violated (max q = {q_max:.3f})"
         else:
-            crossing = first_crossing_time(traj, 0.5 * q_max)
-            if crossing.reached:
-                if crossing.time < tau_q_at_crossing(traj, crossing) - 1e-4:
-                    caught = True
-                    detail = "speed limit violated"
+            (rep,) = evaluate_targets(traj, [0.5 * q_max], cfg, fidelity=False)
+            if rep.reached and rep.slack < -1e-4:
+                caught = True
+                detail = "speed limit violated"
     except PositivityLossError as err:
         caught = True
         detail = f"positivity abort at t = {err.time:.3f}"

@@ -41,6 +41,7 @@ from qslkit.harness import (
     validate,
 )
 from qslkit.matcore import from_pure
+from qslkit.memory import MemoryFunctions
 from qslkit.witness import pure_state_quantumness, quantumness, random_density_matrix, random_pure_state
 
 
@@ -618,9 +619,10 @@ class TestValidate:
 
 
 #: ``validate(seed=0, cases=12)``: (name, passed, repr(worst), detail) per
-#: check.  The witness entries are those of the pairs drawn per dimension; the
-#: others are as the tree computed them before the dynamics probes and memory
-#: tables were stacked.  A speed-up must leave every field alone.
+#: check.  The witness entries are those of the pairs drawn per dimension and
+#: the oracle entry that of one config per closed-form branch; the others are
+#: as the tree computed them before the dynamics probes and memory tables were
+#: stacked.  A speed-up must leave every field alone.
 GOLDEN_VALIDATE_0_12 = [
     ("witness_range", True, "-1.6397573722182202e-06", "q in [1.390e-04, 0.999998] over 600 pairs"),
     ("witness_symmetry", True, "0.0", "max |q(a,b) - q(b,a)|"),
@@ -634,7 +636,7 @@ GOLDEN_VALIDATE_0_12 = [
     ("unitary_purity", True, "3.9968028886505635e-15", "max |Tr rho^2 - 1|"),
     ("rate_inequality", True, "np.float64(9.999996386511611e-10)", "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)"),
     ("rate_finite_difference", True, "np.float64(5.33685680283863e-10)", "max |dQ/dt - centered difference|"),
-    ("oracle_equivalence", True, "1.7208456881689926e-14", "max entrywise |closed - propagated|"),
+    ("oracle_equivalence", True, "1.301736496372996e-13", "max entrywise |closed - propagated|"),
     ("mutation_canary", True, "1.0", "positivity abort at t = 0.003"),
 ]
 
@@ -642,6 +644,45 @@ GOLDEN_VALIDATE_0_12 = [
 def test_validate_report_is_golden():
     report = validate(seed=0, cases=12)
     assert [(c.name, c.passed, repr(c.worst), c.detail) for c in report.checks] == GOLDEN_VALIDATE_0_12
+
+
+#: The closed-form branches of ``MemoryFunctions``, each as a test on a memory.
+MEMORY_BRANCHES = {
+    "markov": lambda m: m.markov,
+    "finite-memory": lambda m: not m.markov,
+    "trigonometric": lambda m: not m.markov and m._trig,
+    "critical": lambda m: not m.markov and not m._trig and m._r == 0.0,
+    "hyperbolic": lambda m: not m.markov and not m._trig and m._r > 0.0,
+}
+
+
+class TestOracle:
+    def test_dissipation_cases_reach_every_branch(self):
+        memories = [harness.build_scenario(cfg)[0].memory for cfg in harness._ORACLE_CASES if cfg.model == "dissipation"]
+        intended = ["markov", "trigonometric", "critical", "hyperbolic"] * 2  # per angle
+        assert [MEMORY_BRANCHES[name](m) for name, m in zip(intended, memories)] == [True] * 8
+
+    @pytest.mark.parametrize(
+        "read,branch",
+        [
+            ("xi", "markov"),
+            ("xi", "trigonometric"),
+            ("xi", "critical"),
+            ("xi", "hyperbolic"),
+            ("beta", "markov"),
+            ("beta", "finite-memory"),
+        ],
+    )
+    def test_relative_fault_of_1e_6_in_one_branch_fails(self, read, branch, monkeypatch):
+        real = getattr(MemoryFunctions, read)
+
+        def faulty(self, t):
+            value = real(self, t)
+            return value * (1.0 + 1e-6) if MEMORY_BRANCHES[branch](self) else value
+
+        monkeypatch.setattr(MemoryFunctions, read, faulty)
+        (check,) = harness._check_oracle_equivalence()
+        assert not check.passed, check
 
 
 def witness_properties_per_pair(seed, cases):
@@ -726,10 +767,10 @@ class TestBatching:
         assert sorted(batch_sizes) == [1, 3]
         assert len(rows) == 4 * 20
 
-    def test_oracle_block_is_two_batches_of_six(self, batch_sizes):
+    def test_oracle_block_is_one_batch_per_family(self, batch_sizes):
         (check,) = harness._check_oracle_equivalence()
         assert check.passed
-        assert batch_sizes == [6, 6]
+        assert batch_sizes == [4, 8]
 
     def test_one_scenario_matches_its_run_inside_a_batch(self, batch_sizes):
         dephasing = ScenarioConfig(model="dephasing", theta=math.pi / 5.0, gamma=0.5, tau_max=2.0, grid_points=401)
@@ -751,6 +792,22 @@ class TestBatching:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "command,header",
+        [
+            ("fig1", FIG1_HEADER),
+            ("fig2", SWEEP_HEADER),
+            ("fig3", SWEEP_HEADER),
+            ("ghz", harness.GHZ_HEADER),
+            ("run", RUN_HEADER),
+        ],
+    )
+    def test_help_lists_the_csv_columns(self, command, header, capsys):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert re.search(rf"[Cc]olumns: {re.escape(', '.join(header))}\.", help_text)
+
     def test_fig1_and_validate_commands(self, tmp_path):
         out = tmp_path / "fig1.csv"
         assert cli_main(["fig1", "--out", str(out), "--grid-points", "501", "--tau-max", "2.0"]) == 0
