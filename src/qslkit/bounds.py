@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .generators import Trajectory, UnitaryControl
+from .matcore import _check_number
 from .memory import MemoryFunctions
 
 #: Bisection bracket (in units of 1/coupling) for inverting the dephasing exponent.
@@ -62,13 +63,6 @@ class BoundReport:
         if self.tau_exact is None or self.tau_q_numeric is None:
             return None
         return self.tau_exact - self.tau_q_numeric
-
-
-def _check_finite(**values) -> None:
-    """Raise ``ValueError`` naming the first argument that is not a finite number."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"invalid argument {name!r}: must be a finite number, got {value}")
 
 
 def _running_mean(traj: Trajectory, values: np.ndarray, tau: float) -> float:
@@ -167,7 +161,7 @@ def first_crossing_time(traj: Trajectory, q_target: float) -> CrossingResult:
     Never raises for unreachable targets; the result carries the maximum
     witness value attained instead.
     """
-    _check_finite(q_target=q_target)
+    q_target = _check_number(q_target, "q_target")
     if q_target < 0.0:
         raise ValueError(f"quantumness target must be nonnegative, got {q_target}")
     q = traj.q_samples
@@ -186,7 +180,7 @@ def first_crossing_time(traj: Trajectory, q_target: float) -> CrossingResult:
 
 def quantumness_dephasing(theta: float, beta: float) -> float:
     """Closed-form dephasing witness ``(1/4) sin^2(4 theta) (1 - e^{-beta})^2``."""
-    _check_finite(theta=theta, beta=beta)
+    theta, beta = _check_number(theta, "theta"), _check_number(beta, "beta")
     return 0.25 * math.sin(4.0 * theta) ** 2 * (-math.expm1(-beta)) ** 2
 
 
@@ -199,7 +193,7 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"invalid argument 'q': quantumness must be finite and nonnegative, got {q}")
-    _check_finite(theta=theta)
+    theta = _check_number(theta, "theta")
     s4 = abs(math.sin(4.0 * theta))
     if s4 < _ZERO:
         raise ValueError("no coherence channel (sin 4theta = 0)")
@@ -251,7 +245,7 @@ def tau_q_unitary(c: UnitaryControl, tau: float) -> float:
     Numerator ``|sin 2 theta(tau)| / sqrt(2)``; denominator the
     trapezoidal average of the closed-form speed over ``[0, tau]``.
     """
-    if not 0.0 < tau < math.inf:
+    if not _check_number(tau, "tau") > 0.0:
         raise ValueError(f"invalid argument 'tau': must be a finite positive time, got {tau}")
     s2 = math.sin(2.0 * c.theta(tau))
     if abs(s2) < _ZERO:
@@ -277,6 +271,7 @@ def quantumness_dissipation(theta: float, xi: float) -> float:
     ``xi`` is the running integral of the memory function.  The witness
     vanishes identically at ``sin 2theta = 0`` and that input is rejected.
     """
+    theta = _check_number(theta, "theta")
     s2 = math.sin(2.0 * theta)
     if abs(s2) < _ZERO:
         raise ValueError("quantumness identically zero (sin 2theta = 0)")
@@ -286,6 +281,7 @@ def quantumness_dissipation(theta: float, xi: float) -> float:
 
 def speed_dissipation(theta: float, t: float, m: MemoryFunctions) -> float:
     """Closed-form generation speed of the dissipation model at time ``t``."""
+    theta = _check_number(theta, "theta")
     p = m.p(t)
     xi = m.xi(t)
     s2 = math.sin(2.0 * theta)

@@ -40,8 +40,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -51,6 +49,8 @@ from .matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _check_finite,
+    _check_number,
     as_matrix,
     hs_norm,
     min_eigenvalue,
@@ -97,10 +97,7 @@ class UnitaryControl:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            # the comparison also rejects NaN and integers beyond the float range
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-                raise ValueError(f"invalid field {f.name!r}: must be a finite number, got {value!r}")
+            _check_number(getattr(self, f.name), f.name, "field")
 
     def theta(self, t: float) -> float:
         return self.theta0 + self.theta_rate * t
@@ -111,6 +108,7 @@ class UnitaryControl:
 
 def unitary_state(theta: float, alpha: float) -> np.ndarray:
     """Pure state ``sin(theta)|1> - i e^{i alpha} cos(theta)|0>`` of the driven qubit."""
+    theta, alpha = _check_number(theta, "theta"), _check_number(alpha, "alpha")
     return np.array([math.sin(theta), -1j * np.exp(1j * alpha) * math.cos(theta)], dtype=complex)
 
 
@@ -303,8 +301,7 @@ class Trajectory:
 
     def locate(self, tau: float) -> tuple[int, float]:
         """Grid interval ``k`` and fraction ``w`` with ``tau = grid[k] + w * step``."""
-        if not math.isfinite(tau):
-            raise ValueError(f"invalid argument 'tau': must be a finite number, got {tau}")
+        tau = _check_number(tau, "tau")
         grid = self.grid
         if tau < -1e-12 or tau > grid[-1] * (1.0 + 1e-12):
             raise ValueError(f"time {tau} outside trajectory grid [0, {grid[-1]}]")
@@ -426,8 +423,7 @@ def propagate_many(gens, rho0s, grid) -> list:
 
 def _check_density(rho: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` and its failed defects unless ``rho`` is a density matrix."""
-    if not np.isfinite(rho).all():  # before the eigensolver, which fails on it
-        raise ValueError(f"invalid argument {name!r}: must be finite")
+    _check_finite(**{name: rho})  # before the eigensolver, which fails on it
     diag = validate_density(rho)
     if diag.passed:
         return
@@ -546,6 +542,7 @@ def dephasing_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.n
     Populations are conserved; the coherence is damped by the accumulated
     exponent ``beta(tau)``.
     """
+    theta = _check_number(theta, "theta")
     if tau < 0.0:
         raise ValueError(f"time must be nonnegative, got {tau}")
     beta = m.beta(tau)
@@ -560,6 +557,7 @@ def dissipation_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np
     The excited population decays as ``exp(-2 xi)`` and the coherence as
     ``exp(-xi)``, with ``xi`` the running integral of the memory function.
     """
+    theta = _check_number(theta, "theta")
     xi = m.xi(tau)
     s, c = math.sin(theta), math.cos(theta)
     pop = c * c * math.exp(-2.0 * xi)

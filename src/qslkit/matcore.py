@@ -22,6 +22,9 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,23 @@ STATE_NORM_TOL = 1e-12
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _check_number(value, name: str, role: str = "argument") -> float:
+    """``value`` as a float if it is a finite real number and not a bool, else ``ValueError`` naming it."""
+    if isinstance(value, float) and math.isfinite(value):  # the common case, before the slower ABC check
+        return value
+    # the comparison also rejects NaN and integers beyond the float range
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"invalid {role} {name!r}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _check_finite(**arrays) -> None:
+    """Raise ``ValueError`` naming the first argument with a non-finite entry."""
+    for name, m in arrays.items():
+        if not np.isfinite(m).all():
+            raise ValueError(f"invalid argument {name!r}: must be finite")
 
 
 def as_matrix(a) -> np.ndarray:

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .matcore import _times_fixed, as_matrix, commutator, hs_norm
+from .matcore import _check_finite, _times_fixed, as_matrix, commutator, hs_norm
 
 #: Allowed disagreement between the two algebraic forms of the witness.
 FORM_AGREEMENT_TOL = 1e-10
@@ -54,13 +54,6 @@ def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
             f"vs trace {float(np.ravel(q_trace)[k])!r}"
         )
     return float(q_comm) if q_comm.ndim == 0 else q_comm
-
-
-def _check_finite(**arrays) -> None:
-    """Raise ``ValueError`` naming the first argument with a non-finite entry."""
-    for name, m in arrays.items():
-        if not np.isfinite(m).all():
-            raise ValueError(f"invalid argument {name!r}: must be finite")
 
 
 def pure_state_quantumness(overlap_sq):

@@ -1,6 +1,7 @@
 """Bound evaluation: saturation, closed forms, hierarchy, crossing inversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qslkit.generators import (
     Dissipation,
     UnitaryControl,
     UnitaryTwoLevel,
+    dephasing_closed_state,
     dissipation_closed_state,
     propagate,
     unitary_state,
@@ -341,6 +343,56 @@ class TestNonFiniteArguments:
     def test_closed_form_argument_rejected_by_name(self, call, name, value):
         with pytest.raises(ValueError, match=f"invalid (argument|field) '{name}': must be "):
             call(value)
+
+
+_MEM = MemoryFunctions.markov_limit(1.0)
+
+
+def _traj():
+    return markov_dephasing_trajectory(0.3, n=101)[0]
+
+
+#: Every entry point that takes a scalar under the one number rule: (role, name, call with the value there).
+_NUMBER_SITES = {
+    **{
+        f"UnitaryControl-{f}": ("field", f, lambda v, f=f: UnitaryControl(**{f: v}))
+        for f in ("theta0", "theta_rate", "alpha0", "alpha_rate")
+    },
+    **{
+        f"ScenarioConfig-{f}": ("field", f, lambda v, f=f: ScenarioConfig(**{"model": "dephasing", "gamma": 0.5, f: v}))
+        for f in ("theta", "Gamma", "gamma", "tau_max", "theta0", "theta_rate", "alpha0", "alpha_rate")
+    },
+    "locate": ("argument", "tau", lambda v: _traj().locate(v)),
+    "state_at": ("argument", "tau", lambda v: _traj().state_at(v)),
+    "tau_q_from_trajectory": ("argument", "tau", lambda v: tau_q_from_trajectory(_traj(), v)),
+    "tau_b_fidelity": ("argument", "tau", lambda v: tau_b_fidelity(_traj(), v)),
+    "first_crossing_time": ("argument", "q_target", lambda v: first_crossing_time(_traj(), v)),
+    "quantumness_dephasing-theta": ("argument", "theta", lambda v: quantumness_dephasing(v, 0.1)),
+    "quantumness_dephasing-beta": ("argument", "beta", lambda v: quantumness_dephasing(0.3, v)),
+    "tau_q_dephasing": ("argument", "theta", lambda v: tau_q_dephasing(0.01, v, _MEM)),
+    "tau_q_unitary": ("argument", "tau", lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v)),
+    "ghz_scaling-theta": ("argument", "theta", lambda v: ghz_scaling(v, 1e-6, 2)),
+    "ghz_scaling-q_fix": ("argument", "q_fix", lambda v: ghz_scaling(0.3, 1e-6, 2, q_fix=v)),
+    "ghz_scaling-beta": ("argument", "beta", lambda v: ghz_scaling(0.3, v, 2)),
+    "quantumness_dissipation": ("argument", "theta", lambda v: quantumness_dissipation(v, 0.5)),
+    "speed_dissipation": ("argument", "theta", lambda v: speed_dissipation(v, 0.5, _MEM)),
+    "dephasing_closed_state": ("argument", "theta", lambda v: dephasing_closed_state(v, 0.5, _MEM)),
+    "dissipation_closed_state": ("argument", "theta", lambda v: dissipation_closed_state(v, 0.5, _MEM)),
+    "unitary_state-theta": ("argument", "theta", lambda v: unitary_state(v, 0.3)),
+    "unitary_state-alpha": ("argument", "alpha", lambda v: unitary_state(0.3, v)),
+}
+
+
+@pytest.mark.parametrize(
+    "site,value",
+    # an unset gamma is valid: it marks the memoryless bath
+    [(site, v) for site in _NUMBER_SITES for v in (True, "0.5", None, math.nan) if (site, v) != ("ScenarioConfig-gamma", None)],
+)
+def test_number_rule_names_the_rejected_value(site, value):
+    role, name, call = _NUMBER_SITES[site]
+    message = f"^invalid {role} '{name}': must be a finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 class TestSaturationAndValidity:

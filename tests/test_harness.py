@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qslkit
-from qslkit import bounds, harness
+from qslkit import bounds, generators, harness
 from qslkit.bounds import BoundReport
 from qslkit.cli import main as cli_main
 from qslkit.generators import Dephasing
@@ -533,6 +533,13 @@ class TestGhzScaling:
 
         assert report.rows[0][2] == pytest.approx(quantumness_dephasing(theta, beta), abs=1e-18)
 
+    @pytest.mark.parametrize("beta", [1e-160, 1e-200])  # a subnormal n = 1 witness, and one that is 0
+    def test_underflowing_witness_rejected_by_name(self, tmp_path, beta):
+        out = tmp_path / "ghz.csv"
+        with pytest.raises(ValueError, match=rf"^invalid argument 'beta': the n = 1 witness .* underflows, got {beta}$"):
+            ghz_scaling(math.pi / 8.0, beta, 5, str(out))
+        assert not out.exists()
+
     def test_preconditions_enforced(self):
         with pytest.raises(ValueError):
             ghz_scaling(math.pi / 8.0, 1e-3, 5)  # exponent too large
@@ -554,6 +561,12 @@ class TestValidate:
         report = validate(seed=0, cases=1)
         canary = next(c for c in report.checks if c.name == "mutation_canary")
         assert canary.passed
+
+    def test_mutation_canary_witness_range_route(self, monkeypatch):
+        # with the positivity abort out of the way the sign-flipped run is caught by the witness leaving [0, 1]
+        monkeypatch.setattr(generators, "POSITIVITY_ABORT", 1e9)
+        (canary,) = harness._check_mutation_canary()
+        assert canary.passed and canary.detail == "witness range violated (max q = 40487.233)"
 
     def test_invalid_cases_rejected(self):
         with pytest.raises(ValueError):
@@ -850,6 +863,7 @@ class TestCli:
             (["ghz", "--q-fix", "nan"], "q_fix"),
             (["ghz", "--q-fix", "0"], "q_fix"),
             (["ghz", "--beta", "nan"], "beta"),
+            (["ghz", "--beta", "1e-200"], "beta"),  # the n = 1 witness underflows to 0
         ],
     )
     def test_zero_overrides_rejected(self, tmp_path, capsys, argv, field):
@@ -860,7 +874,8 @@ class TestCli:
         assert cli_main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
         # ghz_scaling names its arguments, as bounds and validate do; the figures and run name config fields
         kind = "argument" if argv[0] == "ghz" else "field"
-        assert f"invalid {kind} '{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"qslkit: error: invalid {kind} '{field}'") and err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
     def test_missing_config_file_is_one_error_line(self, tmp_path, capsys):

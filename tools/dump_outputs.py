@@ -7,6 +7,8 @@ Run from the root of a checkout:
 OUTDIR (created if missing) receives, all through ``qslkit.cli.main``:
 
 * ``fig1.csv``, ``fig2.csv``, ``fig3.csv`` at their defaults;
+* ``ghz.csv`` and ``ghz.json``, the slopes ``ghz`` prints after its status
+  line, at the defaults;
 * ``validate.txt``, the standard output of ``validate --seed 0 --cases 200``
   followed by a line with its exit status;
 * for each of the 16 configs of ``perfbench.workloads.scenario_configs(seed, 0, 2)``
@@ -48,6 +50,11 @@ def dump(outdir: str) -> None:
         status, _ = _cli([name, "--out", os.path.join(outdir, f"{name}.csv")])
         if status != 0:
             raise SystemExit(f"{name} exited {status}")
+    status, text = _cli(["ghz", "--out", os.path.join(outdir, "ghz.csv")])
+    if status != 0:
+        raise SystemExit(f"ghz exited {status}")
+    with open(os.path.join(outdir, "ghz.json"), "w", encoding="utf-8") as fh:
+        fh.write(text.split("\n", 1)[1])  # after the status line
     status, text = _cli(["validate", "--seed", "0", "--cases", "200"])
     with open(os.path.join(outdir, "validate.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"{text}exit status {status}\n")
