@@ -10,18 +10,26 @@ generators).  This module evaluates the bound numerically from
 trajectories, provides the closed forms available for dephasing and
 unitary driving, the weaker fidelity-decay bound ``tau_B`` for
 comparison, and the exact crossing times used to test tightness.
+
+A trajectory's targets are evaluated in one pass, :func:`evaluate_crossings`:
+one boolean pass over the witness samples finds every first upcrossing,
+and the timescales are array expressions over the targets, with the bits
+of the per-target code.  Only the refinement of a crossing inside its grid
+interval and each target's prefix sum of the trapezoid terms are taken per
+target.  :func:`first_crossing_time`, :func:`tau_q_at_crossing` and
+:func:`tau_b_fidelity` are one-target calls of the same steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .generators import Trajectory, UnitaryControl
-from .matcore import _check_number
+from .matcore import _check_number, _fixed_times
 from .memory import MemoryFunctions
 
 #: Bisection bracket (in units of 1/coupling) for inverting the dephasing exponent.
@@ -65,27 +73,36 @@ class BoundReport:
         return self.tau_exact - self.tau_q_numeric
 
 
-def _running_mean(traj: Trajectory, values: np.ndarray, tau: float) -> float:
-    """Trapezoidal time average over ``[0, tau]`` of samples taken on the trajectory grid.
+def _running_mean(traj: Trajectory, values: np.ndarray, taus):
+    """Trapezoidal time averages over ``[0, tau]`` of samples taken on the trajectory grid, one per time.
 
     Inside the last grid interval the samples are interpolated linearly;
-    at ``tau = 0`` the average is the first sample.
+    at ``tau = 0`` the average is the first sample.  ``np.trapezoid``'s
+    own terms are taken once, and each time sums its own prefix of them,
+    so each area has the bits of ``np.trapezoid(values[:k + 1], dx=h)``
+    (a cumulative sum adds in another order).  A single time gives a float.
     """
-    if tau == 0.0:
-        return float(values[0])
-    k, w = traj.locate(tau)
+    t = np.asarray(taus, dtype=float)
+    ts = t.reshape(-1)
+    k, w = traj._locate(ts)
     h = traj.step
-    area = float(np.trapezoid(values[: k + 1], dx=h))
-    if w > 0.0:
-        v_tau = (1.0 - w) * values[k] + w * values[k + 1]
-        area += 0.5 * (values[k] + v_tau) * (w * h)
-    return area / tau
+    terms = h * (values[1:] + values[:-1]) / 2.0
+    area = np.array([terms[:j].sum() for j in k.tolist()])
+    v_tau = (1.0 - w) * values[k] + w * values[k + 1]
+    area = np.where(w > 0.0, area + 0.5 * (values[k] + v_tau) * (w * h), area)
+    zero = ts == 0.0
+    mean = np.where(zero, values[0], area / np.where(zero, 1.0, ts))
+    return float(mean[0]) if t.ndim == 0 else mean
 
 
-def _q_at(traj: Trajectory, tau: float) -> float:
-    k, w = traj.locate(tau)
-    q = traj.q_samples
-    return float((1.0 - w) * q[k] + w * q[k + 1]) if w > 0.0 else float(q[k])
+def _tau_q(traj: Trajectory, taus: np.ndarray, q_values: np.ndarray) -> np.ndarray:
+    """``sqrt(q / 2) / mean speed`` at each time of ``taus`` with its witness value of ``q_values``."""
+    numerator = np.sqrt(np.maximum(q_values, 0.0) / 2.0)
+    denominator = _running_mean(traj, traj.speed_samples, taus)
+    idle = denominator < _ZERO
+    if np.any(idle & ~(numerator < _ZERO)):
+        raise ValueError("no quantumness generation channel (zero mean speed)")
+    return np.where(idle, 0.0, numerator / np.where(idle, 1.0, denominator))
 
 
 def tau_q_from_trajectory(traj: Trajectory, tau: float, q_value: Optional[float] = None) -> float:
@@ -96,14 +113,11 @@ def tau_q_from_trajectory(traj: Trajectory, tau: float, q_value: Optional[float]
     crossing time the caller knows ``Q(tau)`` exactly and should pass it
     as ``q_value`` to bypass the interpolation of the witness samples.
     """
-    q_tau = _q_at(traj, tau) if q_value is None else float(q_value)
-    numerator = math.sqrt(max(q_tau, 0.0) / 2.0)
-    denominator = _running_mean(traj, traj.speed_samples, tau)
-    if denominator < _ZERO:
-        if numerator < _ZERO:
-            return 0.0
-        raise ValueError("no quantumness generation channel (zero mean speed)")
-    return numerator / denominator
+    k, w = traj.locate(tau)
+    if q_value is None:
+        q = traj.q_samples
+        q_value = (1.0 - w) * q[k] + w * q[k + 1] if w > 0.0 else q[k]
+    return float(_tau_q(traj, np.array([tau], dtype=float), np.array([q_value], dtype=float))[0])
 
 
 def tau_q_at_crossing(traj: Trajectory, crossing: "CrossingResult") -> float:
@@ -155,27 +169,89 @@ def _refine_crossing(traj: Trajectory, k: int, q_target: float) -> float:
     return linear
 
 
+def _crossings(traj: Trajectory, q_targets) -> list:
+    """The :class:`CrossingResult` of each target, from one boolean pass over the witness samples."""
+    targets = np.array([_check_number(q, "q_target") for q in q_targets], dtype=float)
+    if np.any(targets < 0.0):
+        raise ValueError(f"quantumness target must be nonnegative, got {targets[targets < 0.0][0]}")
+    q = traj.q_samples
+    q_max = float(np.max(q))
+    # grid index k >= 1 of each target's first upcrossing: q[k] reaches it and q[k - 1] is not above it,
+    # the guard against a nonmonotone start
+    up = (q[1:] >= targets[:, None]) & ~(q[:-1] > targets[:, None])
+    first = np.argmax(up, axis=1) + 1
+    found = up[np.arange(len(targets)), first - 1]
+    q0, t0 = float(q[0]), float(traj.grid[0])
+    results = []
+    for q_target, k, hit in zip(targets.tolist(), first.tolist(), found.tolist()):
+        if q_target <= q0:
+            results.append(CrossingResult(q_target, True, t0, q_max))
+        elif hit:
+            results.append(CrossingResult(q_target, True, _refine_crossing(traj, k, q_target), q_max))
+        else:
+            results.append(CrossingResult(q_target, False, None, q_max))
+    return results
+
+
 def first_crossing_time(traj: Trajectory, q_target: float) -> CrossingResult:
     """Earliest (interpolated) time the witness reaches ``q_target``.
 
     Never raises for unreachable targets; the result carries the maximum
     witness value attained instead.
     """
-    q_target = _check_number(q_target, "q_target")
-    if q_target < 0.0:
-        raise ValueError(f"quantumness target must be nonnegative, got {q_target}")
-    q = traj.q_samples
-    q_max = float(np.max(q))
-    if q_target <= q[0]:
-        return CrossingResult(q_target, True, float(traj.grid[0]), q_max)
-    idx = np.nonzero(q >= q_target)[0]
-    while len(idx) and q[idx[0] - 1] > q_target:
-        # guard against a nonmonotone start; keep the first true upcrossing
-        idx = idx[1:]
-    if len(idx) == 0:
-        return CrossingResult(q_target, False, None, q_max)
-    k = int(idx[0])
-    return CrossingResult(q_target, True, _refine_crossing(traj, k, q_target), q_max)
+    return _crossings(traj, [q_target])[0]
+
+
+def _tau_b(traj: Trajectory, taus: np.ndarray) -> tuple:
+    """Both fidelity bounds at each time of ``taus``: two lists, ``None`` where ``||L rho0||`` vanishes.
+
+    The fidelities ``Tr(rho0 rho_t)`` at the bracketing grid times come
+    from one stacked product of the states with ``rho0``.
+    """
+    k, w = traj._locate(taus)
+    f = np.trace(_fixed_times(traj.rho0, traj.states[np.concatenate([k, k + 1])]), axis1=-2, axis2=-1).real
+    f_k, f_k1 = f[: len(k)], f[len(k):]
+    gap = np.abs(1.0 - np.where(w > 0.0, (1.0 - w) * f_k + w * f_k1, f_k))
+    norms = traj.lrho0_norms
+    variants = []
+    for denom in (np.full(len(k), norms[0]), _running_mean(traj, norms, taus)):
+        frozen = denom < _ZERO
+        tau_b = gap / np.where(frozen, 1.0, denom)
+        variants.append([None if z else b for z, b in zip(frozen.tolist(), tau_b)])
+    return tuple(variants)
+
+
+class TargetTimes(NamedTuple):
+    """The crossing and timescales of one target.
+
+    A timescale is ``None`` for an unreached target; a fidelity bound is
+    also ``None`` when not asked for or when its denominator vanishes.
+    """
+
+    crossing: CrossingResult
+    tau_q_numeric: Optional[float] = None
+    tau_b: Optional[float] = None
+    tau_b_avg: Optional[float] = None
+
+
+def evaluate_crossings(traj: Trajectory, q_targets, fidelity: bool = False) -> list:
+    """One evaluation pass over a trajectory's targets: a :class:`TargetTimes` per target, in order.
+
+    Each reached target takes ``tau_q_numeric`` (its exact value in the
+    numerator) and, with ``fidelity``, both fidelity bounds: ``tau_b``
+    with the initial denominator and ``tau_b_avg`` with the averaged one.
+    Without ``fidelity`` neither they nor the trajectory's
+    ``lrho0_norms`` are computed.
+    """
+    crossings = _crossings(traj, q_targets)
+    reached = [c for c in crossings if c.reached]
+    if not reached:
+        return [TargetTimes(c) for c in crossings]
+    times = np.array([c.time for c in reached])
+    tau_q = _tau_q(traj, times, np.array([c.q_target for c in reached]))
+    tau_b = _tau_b(traj, times) if fidelity else ([None] * len(reached),) * 2
+    timescales = iter(zip(tau_q, *tau_b))
+    return [TargetTimes(c, *next(timescales)) if c.reached else TargetTimes(c) for c in crossings]
 
 
 def quantumness_dephasing(theta: float, beta: float) -> float:
@@ -191,7 +267,7 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
     branch solves ``beta(tau) = -ln(1 - 2 sqrt(q)/|sin 4theta|)`` by
     monotone bisection.
     """
-    if not 0.0 <= q < math.inf:
+    if not _check_number(q, "q") >= 0.0:
         raise ValueError(f"invalid argument 'q': quantumness must be finite and nonnegative, got {q}")
     theta = _check_number(theta, "theta")
     s4 = abs(math.sin(4.0 * theta))
@@ -211,7 +287,7 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
         raise ValueError(f"quantumness target not reachable within bracket [0, {hi}]")
     while hi - lo > BISECTION_RTOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if m.beta(mid) < beta_target:
+        if m._beta(mid) < beta_target:  # inside the checked bracket
             lo = mid
         else:
             hi = mid
@@ -301,15 +377,8 @@ def tau_b_fidelity(traj: Trajectory, tau: float, denominator: str = "initial") -
     """
     if denominator not in ("initial", "averaged"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
-    k, w = traj.locate(tau)
-    f_k = float(np.trace(traj.rho0 @ traj.states[k]).real)
-    if w > 0.0:
-        f_k1 = float(np.trace(traj.rho0 @ traj.states[k + 1]).real)
-        f_tau = (1.0 - w) * f_k + w * f_k1
-    else:
-        f_tau = f_k
-    norms = traj.lrho0_norms
-    denom = float(norms[0]) if denominator == "initial" else _running_mean(traj, norms, tau)
-    if denom < _ZERO:
+    initial, averaged = _tau_b(traj, np.array([_check_number(tau, "tau")]))
+    value = (initial if denominator == "initial" else averaged)[0]
+    if value is None:
         raise ValueError("frozen initial state (||L rho0|| = 0)")
-    return abs(1.0 - f_tau) / denom
+    return float(value)

@@ -301,14 +301,19 @@ class Trajectory:
 
     def locate(self, tau: float) -> tuple[int, float]:
         """Grid interval ``k`` and fraction ``w`` with ``tau = grid[k] + w * step``."""
-        tau = _check_number(tau, "tau")
+        k, w = self._locate(np.array([_check_number(tau, "tau")]))
+        return int(k[0]), float(w[0])
+
+    def _locate(self, taus: np.ndarray) -> tuple:
+        """:meth:`locate` for a 1-D array of finite times: an array of intervals and one of fractions."""
         grid = self.grid
-        if tau < -1e-12 or tau > grid[-1] * (1.0 + 1e-12):
-            raise ValueError(f"time {tau} outside trajectory grid [0, {grid[-1]}]")
-        tau = min(max(tau, 0.0), float(grid[-1]))
+        outside = (taus < -1e-12) | (taus > grid[-1] * (1.0 + 1e-12))
+        if outside.any():
+            raise ValueError(f"time {taus[outside][0]} outside trajectory grid [0, {grid[-1]}]")
+        taus = np.minimum(np.maximum(taus, 0.0), float(grid[-1]))
         h = self.step
-        k = min(int(tau / h), len(grid) - 2)
-        return k, (tau - float(grid[k])) / h
+        k = np.minimum((taus / h).astype(np.intp), len(grid) - 2)
+        return k, (taus - grid[k]) / h
 
     def index_of(self, tau: float) -> int:
         k, w = self.locate(tau)
@@ -386,8 +391,10 @@ def propagate_many(gens, rho0s, grid) -> list:
     ``-POSITIVITY_ABORT`` or whose state is no longer finite.  The witness
     samples and the generation speeds ``||[rho0, L_t rho_t]||`` are taken
     per member afterwards, each as one stacked pass over its states, and
-    each member keeps its own copy of the table's grid-time rows.  A
-    member's trajectory is the one it gets when propagated alone.
+    each member keeps its own copy of the table's grid-time rows.  A speed
+    that is not finite, as when the rates are so large that its square
+    overflows, raises ``ValueError`` naming the member and the first grid
+    time.  A member's trajectory is the one it gets when propagated alone.
     """
     gens, rho0s = list(gens), list(rho0s)
     if not gens or len(gens) != len(rho0s):
@@ -407,18 +414,29 @@ def propagate_many(gens, rho0s, grid) -> list:
         _check_density(m, f"rho0s[{b}]")
 
     states, coefficients = _step_batch(gens, rho_inits, grid)
-    return [
-        Trajectory(
-            grid=grid,
-            states=states[b],
-            rho0=rho_inits[b],
-            q_samples=quantumness(rho_inits[b], states[b]),
-            speed_samples=generation_speed(rho_inits[b], g.action(states[b], coefficients[b])),
-            coefficients=coefficients[b],
-            generator=g,
+    trajectories = []
+    for b, g in enumerate(gens):
+        with np.errstate(over="ignore", invalid="ignore"):  # a speed that overflows is named below
+            speeds = generation_speed(rho_inits[b], g.action(states[b], coefficients[b]))
+        bad = np.flatnonzero(~np.isfinite(speeds))
+        if len(bad):
+            member = f"batch member {b}: " if len(gens) > 1 else ""
+            raise ValueError(
+                f"{member}generation speed ||[rho0, L rho_t]|| is {speeds[bad[0]]} at t = {grid[bad[0]]:.6g}: "
+                "the generator's rates overflow double precision"
+            )
+        trajectories.append(
+            Trajectory(
+                grid=grid,
+                states=states[b],
+                rho0=rho_inits[b],
+                q_samples=quantumness(rho_inits[b], states[b]),
+                speed_samples=speeds,
+                coefficients=coefficients[b],
+                generator=g,
+            )
         )
-        for b, g in enumerate(gens)
-    ]
+    return trajectories
 
 
 def _check_density(rho: np.ndarray, name: str) -> None:

@@ -33,10 +33,8 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
-    first_crossing_time,
+    evaluate_crossings,
     quantumness_dephasing,
-    tau_b_fidelity,
-    tau_q_at_crossing,
     tau_q_dephasing,
 )
 from .generators import (
@@ -244,29 +242,27 @@ def _or_none(fn, *args, **kwargs):
 
 
 def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig, fidelity: bool = True) -> list:
-    """One :class:`BoundReport` per target, unreached targets included.
+    """One :class:`BoundReport` per target, unreached targets included, from one
+    :func:`~qslkit.bounds.evaluate_crossings` pass.
 
     The closed-form column exists for the dephasing models only; there, as
     for the fidelity bounds, a timescale the formula rejects is ``None``.
     ``fidelity=False`` (the fuzz) leaves the closed form and both fidelity bounds ``None``.
     """
+    evaluations = evaluate_crossings(traj, targets, fidelity)
     dephasing = fidelity and cfg.model in ("dephasing", "ghz")
-    reports = []
-    for q_target in targets:
-        q_target = float(q_target)
-        crossing = first_crossing_time(traj, q_target)
-        timescales = [None] * 5  # tau_exact, tau_q_numeric, tau_q_closed, tau_b, tau_b_avg
-        if crossing.reached:
-            tau = crossing.time
-            timescales = [
-                tau,
-                tau_q_at_crossing(traj, crossing),
-                _or_none(tau_q_dephasing, q_target, cfg.theta, traj.generator.memory) if dephasing else None,
-                _or_none(tau_b_fidelity, traj, tau, denominator="initial") if fidelity else None,
-                _or_none(tau_b_fidelity, traj, tau, denominator="averaged") if fidelity else None,
-            ]
-        reports.append(BoundReport(cfg.model, cfg.theta, cfg.gamma_ratio, q_target, crossing.reached, *timescales))
-    return reports
+    closed = [
+        _or_none(tau_q_dephasing, e.crossing.q_target, cfg.theta, traj.generator.memory)
+        if dephasing and e.crossing.reached else None
+        for e in evaluations
+    ]
+    return [
+        BoundReport(
+            cfg.model, cfg.theta, cfg.gamma_ratio, e.crossing.q_target, e.crossing.reached,
+            e.crossing.time, e.tau_q_numeric, c, e.tau_b, e.tau_b_avg,
+        )
+        for e, c in zip(evaluations, closed)
+    ]
 
 
 def _propagate_built(built: list) -> list:

@@ -14,8 +14,13 @@ Conventions shared by the whole package:
   along a stack, one matrix against ``(..., d, d)``, is one tall BLAS
   product ``(rows, d) @ (d, d)``; that is bit for bit because the BLAS
   computes each output row the same way whatever the row count
-  (verified for OpenBLAS 0.3.31 at d = 2, 3, 4).
-  A fixed left factor stays per matrix.  ``hermiticity_defect``
+  (verified for OpenBLAS 0.3.31 at d = 2, 3, 4).  A fixed left factor
+  ``f`` with a zero imaginary part, as every projector of a real vector
+  has, is the same tall product on the transposes, ``(x^T f^T)^T``: each
+  complex product with ``f`` is then one rounded real product, so the
+  order of the two factors moves no bit.  A complex fixed left factor
+  stays per matrix: neither that tall product nor one wide product
+  ``f @ [x_1 ... x_n]`` keeps its bits.  ``hermiticity_defect``
   gives the largest defect over a stack.  ``purity`` and
   ``validate_density`` take one matrix and reject a stack by its shape.
 """
@@ -82,16 +87,23 @@ def _times_fixed(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return x @ f
 
 
+def _fixed_times(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``f @ x``, as one tall product where ``f`` is fixed along the stack ``x`` and real (see the module docstring)."""
+    if f.ndim == 2 and not f.imag.any():
+        return (x.mT.reshape(-1, x.shape[-1]) @ f.mT).reshape(x.mT.shape).mT
+    return f @ x
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator ``AB - BA`` of two equally sized square matrices (stacks broadcast).
 
-    An ``a`` fixed along the stack ``b`` makes ``BA`` one tall BLAS product; ``AB`` stays per matrix.
+    An ``a`` fixed along the stack ``b`` makes ``BA`` one tall BLAS product, and ``AB`` too where ``a`` is real.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape[-1] != bm.shape[-1]:
         raise ValueError(f"dimension mismatch: {am.shape[-1]} vs {bm.shape[-1]}")
-    c = am @ bm
+    c = _fixed_times(am, bm)
     c -= _times_fixed(bm, am)  # in place: one stack fewer alive at a time
     return c
 

@@ -17,11 +17,14 @@ closed form at any time.  For ``gamma < 2*Gamma`` the memory function
 diverges at a finite time; the time up to which it may be read is known
 up front, and reads at or past it are rejected.
 
-Every read goes through a table: :meth:`MemoryFunctions.f_table` and
-:meth:`MemoryFunctions.p_table` take a sequence of times, check its domain
+The reads of ``f`` and ``P`` go through tables: :meth:`MemoryFunctions.f_table`
+and :meth:`MemoryFunctions.p_table` take a sequence of times, check its domain
 once (every time finite, the smallest nonnegative and, for ``P``, the
 largest below the horizon) and evaluate the closed form for all of them;
-the scalar reads are their one-element calls.  The transcendental
+the scalar reads ``f(t)`` and ``p(t)`` are their one-element calls.  Every
+scalar read (``beta`` and ``xi`` too) first takes its time through
+:func:`~qslkit.matcore._check_number`, so a bool or a string is rejected by
+name, and then checks its domain as a table does.  The transcendental
 functions are taken from ``math``, one time after another, not from
 numpy: on NumPy 2.4 (x86-64), ``np.expm1``, ``np.exp`` and ``np.log1p``
 differ from ``math.expm1``, ``math.exp`` and ``math.log1p`` by one ulp on
@@ -41,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matcore import _check_number
+
 #: The memory function may be read only while ``P`` stays below this multiple of the coupling rate.
 BLOWUP_FACTOR = 1e3
 
@@ -58,17 +63,19 @@ class OUParams:
     """Rates of the exponential bath kernel.
 
     ``coupling`` is the overall rate (Gamma), ``memory_rate`` the inverse
-    correlation time (gamma).  Both must be positive; ``memory_rate`` may
-    be ``inf`` as a marker for the exact memoryless limit.
+    correlation time (gamma).  Both must be positive numbers under the
+    rule of :func:`~qslkit.matcore._check_number`, except that
+    ``memory_rate`` may be ``inf`` as a marker for the exact memoryless
+    limit.
     """
 
     coupling: float
     memory_rate: float
 
     def __post_init__(self):
-        if not 0.0 < self.coupling < math.inf:
+        if not _check_number(self.coupling, "coupling", "field") > 0.0:
             raise ValueError(f"coupling rate must be positive and finite, got {self.coupling}")
-        if not self.memory_rate > 0.0:
+        if self.memory_rate != math.inf and not _check_number(self.memory_rate, "memory_rate", "field") > 0.0:
             raise ValueError(f"memory rate must be positive, got {self.memory_rate}")
 
 
@@ -128,7 +135,7 @@ class MemoryFunctions:
 
     def f(self, t: float) -> float:
         """Coherence-decay rate ``f(t) = Gamma (1 - exp(-gamma t))``."""
-        return float(self.f_table((t,))[0])
+        return float(self.f_table((_check_number(t, "t"),))[0])
 
     def f_table(self, times) -> np.ndarray:
         """:meth:`f` at each of ``times``, as a 1-D array."""
@@ -143,7 +150,12 @@ class MemoryFunctions:
         Monotone nondecreasing in ``tau`` and bounded above by the
         memoryless line ``2 Gamma tau``.
         """
+        tau = _check_number(tau, "tau")
         self._check_span(tau, tau, math.inf)
+        return self._beta(tau)
+
+    def _beta(self, tau: float) -> float:
+        """:meth:`beta` at a time already known to be finite and nonnegative."""
         if self.markov:
             return 2.0 * self.params.coupling * tau
         g = self.params.memory_rate
@@ -173,7 +185,7 @@ class MemoryFunctions:
 
     def p(self, t: float) -> float:
         """Dissipation memory function ``P(t)``."""
-        return float(self.p_table((t,))[0])
+        return float(self.p_table((_check_number(t, "t"),))[0])
 
     def p_table(self, times) -> np.ndarray:
         """:meth:`p` at each of ``times``, as a 1-D array."""
@@ -190,6 +202,7 @@ class MemoryFunctions:
 
     def xi(self, t: float) -> float:
         """Running integral ``xi(t) = int_0^t P(s) ds`` of the memory function."""
+        t = _check_number(t, "t")
         self._check_span(t, t, self.horizon)
         if self.markov:
             return 0.5 * self.params.coupling * t

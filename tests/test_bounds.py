@@ -1,5 +1,6 @@
 """Bound evaluation: saturation, closed forms, hierarchy, crossing inversion."""
 
+import dataclasses
 import math
 import re
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslkit.bounds import (
+    CrossingResult,
+    _refine_crossing,
     _running_mean,
+    evaluate_crossings,
     first_crossing_time,
     quantumness_dephasing,
     quantumness_dissipation,
@@ -30,7 +34,7 @@ from qslkit.generators import (
     propagate,
     unitary_state,
 )
-from qslkit.harness import ScenarioConfig, build_scenario, ghz_scaling
+from qslkit.harness import ScenarioConfig, auto_targets, build_scenario, ghz_scaling
 from qslkit.matcore import from_pure
 from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
 from qslkit.witness import generation_speed, quantumness
@@ -318,7 +322,9 @@ class TestNonFiniteArguments:
     @settings(max_examples=40, deadline=None)
     def test_dephasing_target_rejected_by_name(self, q, markov):
         mem = MemoryFunctions.markov_limit(1.0) if markov else MemoryFunctions(OUParams(1.0, 0.4))
-        with pytest.raises(ValueError, match="invalid argument 'q': quantumness must be finite and nonnegative, got"):
+        # a non-finite target falls under the number rule; a finite negative one keeps its range message
+        must = "must be a finite number" if not math.isfinite(q) else "quantumness must be finite and nonnegative"
+        with pytest.raises(ValueError, match=f"invalid argument 'q': {must}, got"):
             tau_q_dephasing(q, math.pi / 8.0, mem)
 
     @pytest.mark.parametrize(
@@ -370,6 +376,7 @@ _NUMBER_SITES = {
     "quantumness_dephasing-theta": ("argument", "theta", lambda v: quantumness_dephasing(v, 0.1)),
     "quantumness_dephasing-beta": ("argument", "beta", lambda v: quantumness_dephasing(0.3, v)),
     "tau_q_dephasing": ("argument", "theta", lambda v: tau_q_dephasing(0.01, v, _MEM)),
+    "tau_q_dephasing-q": ("argument", "q", lambda v: tau_q_dephasing(v, 0.3, _MEM)),
     "tau_q_unitary": ("argument", "tau", lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v)),
     "ghz_scaling-theta": ("argument", "theta", lambda v: ghz_scaling(v, 1e-6, 2)),
     "ghz_scaling-q_fix": ("argument", "q_fix", lambda v: ghz_scaling(0.3, 1e-6, 2, q_fix=v)),
@@ -411,3 +418,148 @@ class TestSaturationAndValidity:
             assert crossing.reached
             tau_q = tau_q_at_crossing(traj, crossing)
             assert tau_q == pytest.approx(crossing.time, rel=1e-4)
+
+
+def reference_at(traj, tau, q_value, fidelity):
+    """``tau_q`` and both ``tau_b`` at one time as the per-target code computed them: one
+    ``np.trapezoid`` per mean and one ``rho0 @ state`` product per fidelity."""
+    grid, h = traj.grid, traj.step
+    clamped = min(max(tau, 0.0), float(grid[-1]))  # Trajectory.locate, one time at a time
+    k = min(int(clamped / h), len(grid) - 2)
+    w = (clamped - float(grid[k])) / h
+
+    def mean(values):
+        if tau == 0.0:
+            return float(values[0])
+        area = float(np.trapezoid(values[: k + 1], dx=h))
+        if w > 0.0:
+            area += 0.5 * (values[k] + ((1.0 - w) * values[k] + w * values[k + 1])) * (w * h)
+        return area / tau
+
+    numerator, speed = math.sqrt(max(q_value, 0.0) / 2.0), mean(traj.speed_samples)
+    tau_q = 0.0 if speed < 1e-14 and numerator < 1e-14 else numerator / speed
+    if not fidelity:
+        return tau_q, None, None
+    fid = [float(np.trace(traj.rho0 @ traj.states[j]).real) for j in (k, k + 1)]
+    gap = abs(1.0 - ((1.0 - w) * fid[0] + w * fid[1] if w > 0.0 else fid[0]))
+    denominators = float(traj.lrho0_norms[0]), mean(traj.lrho0_norms)
+    return (tau_q, *(None if d < 1e-14 else gap / d for d in denominators))
+
+
+def reference_target(traj, q_target, fidelity):
+    """One target's crossing and timescales as the per-target code computed them."""
+    q, grid = traj.q_samples, traj.grid
+    q_max = float(np.max(q))
+    if q_target <= q[0]:
+        crossing = CrossingResult(q_target, True, float(grid[0]), q_max)
+    else:
+        idx = np.nonzero(q >= q_target)[0]
+        while len(idx) and q[idx[0] - 1] > q_target:
+            idx = idx[1:]
+        time = _refine_crossing(traj, int(idx[0]), q_target) if len(idx) else None
+        crossing = CrossingResult(q_target, bool(len(idx)), time, q_max)
+    if not crossing.reached:
+        return crossing, None, None, None
+    return (crossing, *reference_at(traj, crossing.time, q_target, fidelity))
+
+
+def hex_or_none(x):
+    return None if x is None else float(x).hex()
+
+
+def pass_trajectories():
+    """One trajectory per model, and two with their witness samples replaced: one with a
+    nonmonotone start, one rising linearly so that crossings fall on grid times."""
+    configs = [
+        ScenarioConfig(model="dephasing", markov=True, grid_points=401, tau_max=2.0),
+        ScenarioConfig(model="dephasing", theta=0.6, gamma=0.5, grid_points=401),
+        ScenarioConfig(model="dissipation", theta=math.pi / 4.0, gamma=2.0, grid_points=401),
+        ScenarioConfig(model="ghz", n=2, gamma=0.7, grid_points=401),
+        ScenarioConfig(model="unitary2l", theta_rate=1.0, alpha0=0.3, alpha_rate=0.4, tau_max=2.5, grid_points=401),
+        ScenarioConfig(model="stirap", theta_rate=0.5, alpha_rate=2.0, grid_points=401),
+    ]
+    trajs = [(cfg.model, propagate(*build_scenario(cfg))) for cfg in configs]
+    base = trajs[1][1]
+    n = len(base.grid)
+    bumpy = np.concatenate([[0.0, 0.3, 0.5, 0.2, 0.1], np.linspace(0.15, 0.9, n - 5)])
+    linear = base.grid / base.grid[-1]
+    trajs.append(("nonmonotone start", dataclasses.replace(base, q_samples=bumpy)))
+    trajs.append(("linear", dataclasses.replace(base, q_samples=linear)))
+    return trajs
+
+
+class TestEvaluationPass:
+    @pytest.mark.parametrize("fidelity", [True, False])
+    def test_every_field_has_the_bits_of_the_per_target_reference(self, fidelity):
+        on_grid = 0
+        for name, traj in pass_trajectories():
+            q = traj.q_samples
+            q_max = float(np.max(q))
+            targets = [
+                0.0,
+                float(q[0]),  # at q[0]
+                *auto_targets(q_max, 20).tolist(),
+                0.5 * float(q[-2] + q[-1]),  # a crossing in the last interval, if the witness still rises there
+                *(float(q[j]) for j in (1, 3, 7, len(q) // 2, len(q) - 1)),  # crossings at or next to grid times
+                1.5 * q_max + 1e-3,  # unreached
+                q_max + 1e-12,
+            ]
+            got = evaluate_crossings(traj, targets, fidelity)
+            assert len(got) == len(targets)
+            for target, times in zip(targets, got):
+                expected = reference_target(traj, target, fidelity)
+                assert times.crossing == expected[0], (name, target)
+                assert [hex_or_none(x) for x in times[1:]] == [hex_or_none(x) for x in expected[1:]], (name, target)
+                if times.crossing.reached and times.crossing.time > 0.0:
+                    on_grid += traj.locate(times.crossing.time)[1] == 0.0
+            assert any(not t.crossing.reached for t in got)
+        assert on_grid > 0  # some crossing time is a grid time, where no interpolation is taken
+
+    def test_nonmonotone_start_takes_the_first_upcrossing(self):
+        name, traj = pass_trajectories()[-2]
+        times = evaluate_crossings(traj, [0.25, 0.4, 0.6])
+        # 0.25 and 0.4 are first reached on the early bump, 0.6 only on the later rise
+        assert [t.crossing.time < traj.grid[2] for t in times] == [True, True, False]
+        assert times[2].crossing.time > traj.grid[5]
+
+    def test_crossing_in_the_last_interval(self):
+        traj = pass_trajectories()[0][1]
+        q = traj.q_samples
+        assert q[-1] > q[-2]
+        (times,) = evaluate_crossings(traj, [0.5 * float(q[-2] + q[-1])], fidelity=True)
+        assert traj.grid[-2] < times.crossing.time <= traj.grid[-1]
+        assert times.tau_b is not None and times.tau_b_avg is not None
+
+    def test_one_target_calls_match_the_pass(self):
+        for _, traj in pass_trajectories()[:6]:
+            targets = auto_targets(float(np.max(traj.q_samples)), 7).tolist()
+            for target, times in zip(targets, evaluate_crossings(traj, targets, fidelity=True)):
+                crossing = first_crossing_time(traj, target)
+                assert crossing == times.crossing
+                assert tau_q_at_crossing(traj, crossing) == times.tau_q_numeric
+                for variant, expected in (("initial", times.tau_b), ("averaged", times.tau_b_avg)):
+                    if expected is None:
+                        with pytest.raises(ValueError, match="frozen initial state"):
+                            tau_b_fidelity(traj, crossing.time, variant)
+                    else:
+                        assert tau_b_fidelity(traj, crossing.time, variant) == expected
+
+    def test_one_target_calls_at_grid_times(self):
+        for _, traj in pass_trajectories()[:6]:
+            n = len(traj.grid)
+            for j in (0, 1, 57, n // 2, n - 2, n - 1):
+                tau, q_j = float(traj.grid[j]), float(traj.q_samples[j])
+                tau_q, tau_b, tau_b_avg = reference_at(traj, tau, q_j, True)
+                got = [
+                    tau_q_from_trajectory(traj, tau, q_value=q_j),
+                    _or_none(tau_b_fidelity, traj, tau, "initial"),
+                    _or_none(tau_b_fidelity, traj, tau, "averaged"),
+                ]
+                assert [hex_or_none(x) for x in got] == [hex_or_none(x) for x in (tau_q, tau_b, tau_b_avg)]
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return None

@@ -484,6 +484,16 @@ def _positivity_error(gens, rho0s, grid):
 
 
 class TestPropagateMany:
+    def test_overflowing_speed_names_the_member_and_time(self):
+        rho0 = from_pure([math.cos(0.3), math.sin(0.3)])
+        gens = [Dissipation(MemoryFunctions.markov_limit(c)) for c in (1.0, 1e200)]
+        grid = np.linspace(0.0, 1e-200, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is named, not warned about
+            with pytest.raises(ValueError, match=r"^batch member 1: generation speed \|\|\[rho0, L rho_t\]\|\| is inf at t = 0: "):
+                propagate_many(gens, [rho0, rho0], grid)
+            assert propagate_many(gens[:1], [rho0], grid)[0].speed_samples.max() < 2.0
+
     @staticmethod
     def assert_matches_solo(gens, rho0s, grid):
         batch = propagate_many(gens, rho0s, grid)

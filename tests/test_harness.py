@@ -589,22 +589,23 @@ class TestValidate:
 
     def test_fuzz_makes_no_tau_b_calls(self, monkeypatch):
         # the fuzz checks the speed limit only; the fidelity bound belongs to the figures and runs
-        calls = {"tau_b_fidelity": 0, "first_crossing_time": 0}
+        passes, tau_b_calls = [], []
+        real_pass, real_tau_b = bounds.evaluate_crossings, bounds._tau_b
 
-        def counting(name, real):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
+        def recording_pass(traj, targets, fidelity=False):
+            times = real_pass(traj, targets, fidelity)
+            passes.append((traj, fidelity, times))
+            return times
 
-            return wrapper
-
-        for name in calls:
-            real = getattr(bounds, name)
-            monkeypatch.setattr(bounds, name, counting(name, real))
-            monkeypatch.setattr(harness, name, counting(name, real))
+        monkeypatch.setattr(harness, "evaluate_crossings", recording_pass)
+        monkeypatch.setattr(bounds, "_tau_b", lambda *args: tau_b_calls.append(args) or real_tau_b(*args))
         assert validate(seed=0, cases=3).passed
-        assert calls["first_crossing_time"] > 0
-        assert calls["tau_b_fidelity"] == 0
+        assert len(passes) == 3 and any(t.crossing.reached for _, _, times in passes for t in times)
+        for traj, fidelity, times in passes:
+            assert fidelity is False
+            assert all(t.tau_b is None and t.tau_b_avg is None for t in times)
+            assert "lrho0_norms" not in vars(traj)  # the cached norms were never computed
+        assert tau_b_calls == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_fuzz_batches_keep_every_case_grid(self, seed, monkeypatch):
@@ -877,6 +878,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"qslkit: error: invalid {kind} '{field}'") and err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
+
+    def test_overflowing_speed_is_one_error_line(self, tmp_path):
+        # the squared speed overflows; a subprocess, so that a RuntimeWarning would show on its stderr
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dissipation", "Gamma": 1e200, "tau_max": 1e-200, "markov": True}))
+        out = tmp_path / "o.csv"
+        src = os.path.dirname(os.path.dirname(qslkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "qslkit.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "qslkit: error: generation speed ||[rho0, L rho_t]|| is inf at t = 0: "
+            "the generator's rates overflow double precision\n"
+        )
+        assert not out.exists()
 
     def test_missing_config_file_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 2

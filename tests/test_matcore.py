@@ -11,6 +11,7 @@ from qslkit.matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _fixed_times,
     commutator,
     from_pure,
     hermiticity_defect,
@@ -181,3 +182,37 @@ class TestStacks:
         stack[1, 0, 1] += 0.25
         assert hermiticity_defect(stack) == pytest.approx(0.25, abs=1e-15)
         assert hermiticity_defect(stack[1]) == hermiticity_defect(stack)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestFixedTimes:
+    """``_fixed_times(f, x)`` is ``f @ x`` per matrix, bit for bit, whichever product it takes."""
+
+    @given(seed=seeds, dim=dims, n=st.integers(1, 80), every=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_real_fixed_factor_keeps_the_per_matrix_bits(self, seed, dim, n, every):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(dim)
+        real_factors = (from_pure(v / np.linalg.norm(v)), rng.standard_normal((dim, dim)).astype(complex))
+        x = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+        x[::every] = x[::every].real  # members with a zero imaginary part
+        for f in real_factors:
+            assert not f.imag.any()
+            assert np.array_equal(bits(_fixed_times(f, x)), bits([f @ m for m in x]))
+            assert np.array_equal(bits(_fixed_times(f, x[0])), bits(f @ x[0]))
+
+    @given(seed=seeds, dim=dims, n=st.integers(1, 80), every=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_complex_fixed_factor_stays_per_matrix(self, seed, dim, n, every):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+        x[::every] = x[::every].real
+        assert np.array_equal(bits(_fixed_times(f, x)), bits([f @ m for m in x]))
+        # one fixed matrix per member, (B, 1, d, d), is a stack of factors: per matrix too
+        fs = np.stack([f.real + 0j, f])[:, None]
+        xs = np.stack([x, x[::-1]])
+        assert np.array_equal(bits(_fixed_times(fs, xs)), bits([[g[0] @ m for m in y] for g, y in zip(fs, xs)]))

@@ -1,6 +1,7 @@
 """Memory functions: the dephasing rate against kernel quadrature, the closed-form P against RK4 and exact forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,7 +428,8 @@ class TestBoundaryChecks:
     @given(bad=non_finite, branch=st.sampled_from(list(BRANCHES)), read=st.sampled_from(["f", "beta", "p", "xi"]))
     @settings(max_examples=60, deadline=None)
     def test_non_finite_time_rejected_by_name(self, bad, branch, read):
-        with pytest.raises(ValueError, match=f"time must be finite, got {bad}$"):
+        name = "tau" if read == "beta" else "t"
+        with pytest.raises(ValueError, match=f"^invalid argument '{name}': must be a finite number, got {bad}$"):
             getattr(BRANCHES[branch], read)(bad)
 
     @given(t=st.floats(max_value=-1e-300, allow_infinity=False), read=st.sampled_from(["f", "beta", "p", "xi"]))
@@ -439,5 +441,27 @@ class TestBoundaryChecks:
     @given(bad=non_finite, rate=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_non_finite_coupling_rejected_by_name(self, bad, rate):
-        with pytest.raises(ValueError, match=f"coupling rate must be positive and finite, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^invalid field 'coupling': must be a finite number, got {bad}$"):
             OUParams(bad, rate)
+
+    @pytest.mark.parametrize("value", [True, "1", None, math.nan])
+    @pytest.mark.parametrize("read", ["f", "beta", "p", "xi"])
+    def test_time_that_is_not_a_number_rejected_by_name(self, read, value):
+        name = "tau" if read == "beta" else "t"
+        message = f"^invalid argument '{name}': must be a finite number, got {re.escape(repr(value))}$"
+        for mem in (MemoryFunctions.markov_limit(1.0), BRANCHES["trigonometric"]):
+            with pytest.raises(ValueError, match=message):
+                getattr(mem, read)(value)
+
+    @pytest.mark.parametrize("value", [True, "1", None, math.nan, -math.inf])
+    @pytest.mark.parametrize("field", ["coupling", "memory_rate"])
+    def test_rate_that_is_not_a_number_rejected_by_name(self, field, value):
+        rates = {"coupling": 1.0, "memory_rate": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^invalid field '{field}': must be a finite number, got {re.escape(repr(value))}$"):
+            OUParams(**rates)
+
+    def test_infinite_memory_rate_is_the_one_non_finite_rate_accepted(self):
+        assert MemoryFunctions(OUParams(1, math.inf)).markov
+        assert MemoryFunctions(OUParams(np.float64(2.0), np.inf)).f(0.5) == 2.0
+        with pytest.raises(ValueError, match="^invalid field 'coupling': must be a finite number, got inf$"):
+            OUParams(math.inf, math.inf)
