@@ -16,8 +16,8 @@ one boolean pass over the witness samples finds every first upcrossing,
 and the timescales are array expressions over the targets, with the bits
 of the per-target code.  Only the refinement of a crossing inside its grid
 interval and each target's prefix sum of the trapezoid terms are taken per
-target.  :func:`first_crossing_time`, :func:`tau_q_at_crossing` and
-:func:`tau_b_fidelity` are one-target calls of the same steps.
+target.  :func:`tau_q_from_trajectory` and :func:`tau_b_fidelity` take the
+same steps at any one time of the grid.
 """
 
 from __future__ import annotations
@@ -73,26 +73,23 @@ class BoundReport:
         return self.tau_exact - self.tau_q_numeric
 
 
-def _running_mean(traj: Trajectory, values: np.ndarray, taus):
-    """Trapezoidal time averages over ``[0, tau]`` of samples taken on the trajectory grid, one per time.
+def _running_mean(traj: Trajectory, values: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Trapezoidal time averages over ``[0, tau]`` of samples taken on the trajectory grid, one per time of ``taus``.
 
     Inside the last grid interval the samples are interpolated linearly;
     at ``tau = 0`` the average is the first sample.  ``np.trapezoid``'s
     own terms are taken once, and each time sums its own prefix of them,
     so each area has the bits of ``np.trapezoid(values[:k + 1], dx=h)``
-    (a cumulative sum adds in another order).  A single time gives a float.
+    (a cumulative sum adds in another order).
     """
-    t = np.asarray(taus, dtype=float)
-    ts = t.reshape(-1)
-    k, w = traj._locate(ts)
+    k, w = traj._locate(taus)
     h = traj.step
     terms = h * (values[1:] + values[:-1]) / 2.0
     area = np.array([terms[:j].sum() for j in k.tolist()])
     v_tau = (1.0 - w) * values[k] + w * values[k + 1]
     area = np.where(w > 0.0, area + 0.5 * (values[k] + v_tau) * (w * h), area)
-    zero = ts == 0.0
-    mean = np.where(zero, values[0], area / np.where(zero, 1.0, ts))
-    return float(mean[0]) if t.ndim == 0 else mean
+    zero = taus == 0.0
+    return np.where(zero, values[0], area / np.where(zero, 1.0, taus))
 
 
 def _tau_q(traj: Trajectory, taus: np.ndarray, q_values: np.ndarray) -> np.ndarray:
@@ -118,13 +115,6 @@ def tau_q_from_trajectory(traj: Trajectory, tau: float, q_value: Optional[float]
         q = traj.q_samples
         q_value = (1.0 - w) * q[k] + w * q[k + 1] if w > 0.0 else q[k]
     return float(_tau_q(traj, np.array([tau], dtype=float), np.array([q_value], dtype=float))[0])
-
-
-def tau_q_at_crossing(traj: Trajectory, crossing: "CrossingResult") -> float:
-    """Speed-limit time paired with a crossing: exact target in the numerator."""
-    if not crossing.reached:
-        raise ValueError("crossing was never reached; no time to evaluate at")
-    return tau_q_from_trajectory(traj, crossing.time, q_value=crossing.q_target)
 
 
 def _refine_crossing(traj: Trajectory, k: int, q_target: float) -> float:
@@ -176,9 +166,8 @@ def _crossings(traj: Trajectory, q_targets) -> list:
         raise ValueError(f"quantumness target must be nonnegative, got {targets[targets < 0.0][0]}")
     q = traj.q_samples
     q_max = float(np.max(q))
-    # grid index k >= 1 of each target's first upcrossing: q[k] reaches it and q[k - 1] is not above it,
-    # the guard against a nonmonotone start
-    up = (q[1:] >= targets[:, None]) & ~(q[:-1] > targets[:, None])
+    # grid index k >= 1 of each target's first upcrossing; a target above q[0] has q[k - 1] below it
+    up = q[1:] >= targets[:, None]
     first = np.argmax(up, axis=1) + 1
     found = up[np.arange(len(targets)), first - 1]
     q0, t0 = float(q[0]), float(traj.grid[0])
@@ -191,15 +180,6 @@ def _crossings(traj: Trajectory, q_targets) -> list:
         else:
             results.append(CrossingResult(q_target, False, None, q_max))
     return results
-
-
-def first_crossing_time(traj: Trajectory, q_target: float) -> CrossingResult:
-    """Earliest (interpolated) time the witness reaches ``q_target``.
-
-    Never raises for unreachable targets; the result carries the maximum
-    witness value attained instead.
-    """
-    return _crossings(traj, [q_target])[0]
 
 
 def _tau_b(traj: Trajectory, taus: np.ndarray) -> tuple:
@@ -347,7 +327,7 @@ def quantumness_dissipation(theta: float, xi: float) -> float:
     ``xi`` is the running integral of the memory function.  The witness
     vanishes identically at ``sin 2theta = 0`` and that input is rejected.
     """
-    theta = _check_number(theta, "theta")
+    theta, xi = _check_number(theta, "theta"), _check_number(xi, "xi")
     s2 = math.sin(2.0 * theta)
     if abs(s2) < _ZERO:
         raise ValueError("quantumness identically zero (sin 2theta = 0)")

@@ -65,7 +65,7 @@ POSITIVITY_ABORT = 1e-6
 #: Grid times per chunk of propagation; each chunk is scanned and checked for positivity at once.
 POSITIVITY_SCAN_STEPS = 64
 
-#: Relative tolerance for matching query times against a uniform grid.
+#: Relative tolerance of the uniform-grid check: each step may differ from the first by this times the span.
 GRID_MATCH_TOL = 1e-9
 
 _DEPHASING_PATTERN = np.array([[0.0, -2.0], [-2.0, 0.0]])
@@ -292,10 +292,6 @@ class Trajectory:
             a.flags.writeable = False
 
     @property
-    def tau_max(self) -> float:
-        return float(self.grid[-1])
-
-    @property
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
@@ -314,16 +310,6 @@ class Trajectory:
         h = self.step
         k = np.minimum((taus / h).astype(np.intp), len(grid) - 2)
         return k, (taus - grid[k]) / h
-
-    def index_of(self, tau: float) -> int:
-        k, w = self.locate(tau)
-        idx = k + 1 if w > 0.5 else k
-        if abs(self.grid[idx] - tau) > GRID_MATCH_TOL * max(1.0, self.tau_max):
-            raise ValueError(f"time {tau} is not on the trajectory grid")
-        return idx
-
-    def state_at(self, tau: float) -> np.ndarray:
-        return self.states[self.index_of(tau)].copy()
 
     @functools.cached_property
     def lrho0_norms(self) -> np.ndarray:
@@ -561,8 +547,6 @@ def dephasing_closed_state(theta: float, tau: float, m: MemoryFunctions) -> np.n
     exponent ``beta(tau)``.
     """
     theta = _check_number(theta, "theta")
-    if tau < 0.0:
-        raise ValueError(f"time must be nonnegative, got {tau}")
     beta = m.beta(tau)
     s, c = math.sin(theta), math.cos(theta)
     off = s * c * math.exp(-beta)

@@ -10,8 +10,9 @@ A config is checked once, when built; each model takes only the fields
 it reads (``MODEL_FIELDS``).  One pipeline serves ``run_scenario``, the
 figures and ``validate``: it builds scenarios from configs, propagates
 them in one batch per generator family and grid and evaluates their
-targets through :func:`evaluate_targets`, which the fuzz calls without
-the closed form and the fidelity bound.
+targets through :func:`evaluate_targets`; the fuzz takes the bare
+:func:`~qslkit.bounds.evaluate_crossings` pass, without the closed form
+and the fidelity bound.
 
 CSV output is plot-tool-ready: a single header line, comma separators,
 floats in scientific notation with 17 significant digits, and the
@@ -241,16 +242,15 @@ def _or_none(fn, *args, **kwargs):
         return None
 
 
-def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig, fidelity: bool = True) -> list:
+def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
     """One :class:`BoundReport` per target, unreached targets included, from one
-    :func:`~qslkit.bounds.evaluate_crossings` pass.
+    :func:`~qslkit.bounds.evaluate_crossings` pass with the fidelity bounds.
 
     The closed-form column exists for the dephasing models only; there, as
     for the fidelity bounds, a timescale the formula rejects is ``None``.
-    ``fidelity=False`` (the fuzz) leaves the closed form and both fidelity bounds ``None``.
     """
-    evaluations = evaluate_crossings(traj, targets, fidelity)
-    dephasing = fidelity and cfg.model in ("dephasing", "ghz")
+    evaluations = evaluate_crossings(traj, targets, fidelity=True)
+    dephasing = cfg.model in ("dephasing", "ghz")
     closed = [
         _or_none(tau_q_dephasing, e.crossing.q_target, cfg.theta, traj.generator.memory)
         if dephasing and e.crossing.reached else None
@@ -694,10 +694,10 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
             worst_purity = max(worst_purity, abs(purity(traj.states[-1]) - 1.0))
 
         targets = auto_targets(float(np.max(traj.q_samples)), 20)
-        for rep in evaluate_targets(traj, targets, cfg, fidelity=False):
-            if rep.reached:
+        for e in evaluate_crossings(traj, targets):  # no fidelity bounds: the fuzz checks the speed limit
+            if e.crossing.reached:
                 checked_cells += 1
-                worst_qsl = min(worst_qsl, rep.slack)
+                worst_qsl = min(worst_qsl, e.crossing.time - e.tau_q_numeric)
 
         stride = max(2, len(traj.grid) // 25)
         ks = np.arange(stride, len(traj.grid) - 2, stride)

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from qslkit.bounds import (
-    first_crossing_time,
+    evaluate_crossings,
     tau_b_fidelity,
-    tau_q_at_crossing,
     tau_q_dephasing,
     tau_q_from_trajectory,
     tau_q_unitary,
@@ -204,12 +203,11 @@ def test_c07_speed_limit_fuzz():
         for j, (cfg, traj) in enumerate(_fuzz_cases(2026, 200)):
             assert cfg == _random_scenario(2026, j)
             cases += 1
-            for q_target in auto_targets(float(np.max(traj.q_samples)), 20):
-                crossing = first_crossing_time(traj, float(q_target))
-                if not crossing.reached:
+            for times in evaluate_crossings(traj, auto_targets(float(np.max(traj.q_samples)), 20)):
+                if not times.crossing.reached:
                     continue
                 cells += 1
-                worst = min(worst, crossing.time - tau_q_at_crossing(traj, crossing))
+                worst = min(worst, times.crossing.time - times.tau_q_numeric)
         elapsed = time.monotonic() - start
         assert cases == 200
         assert cells > 2000
@@ -273,8 +271,9 @@ def test_c09_oracle_equivalence():
                     traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, tau, n))
                     finals.append(traj.states[-1])
                     for frac in (0.25, 0.5, 0.75, 1.0):
-                        t = float(traj.grid[int(frac * (n - 1))])
-                        diff = np.max(np.abs(dephasing_closed_state(theta, t, mem) - traj.state_at(t)))
+                        k = int(frac * (n - 1))
+                        closed = dephasing_closed_state(theta, float(traj.grid[k]), mem)
+                        diff = np.max(np.abs(closed - traj.states[k]))
                         worst_closed = max(worst_closed, float(diff))
                 worst_halving = max(worst_halving, float(np.max(np.abs(finals[0] - finals[1]))))
 
@@ -287,9 +286,9 @@ def test_c09_oracle_equivalence():
                     traj = propagate(Dissipation(mem), rho0, np.linspace(0.0, tau, n))
                     finals.append(traj.states[-1])
                     for frac in (0.25, 0.5, 0.75, 1.0):
-                        t = float(traj.grid[int(frac * (n - 1))])
+                        k = int(frac * (n - 1))
                         diff = np.max(
-                            np.abs(dissipation_closed_state(theta, t, mem) - traj.state_at(t))
+                            np.abs(dissipation_closed_state(theta, float(traj.grid[k]), mem) - traj.states[k])
                         )
                         worst_closed = max(worst_closed, float(diff))
                 worst_halving = max(worst_halving, float(np.max(np.abs(finals[0] - finals[1]))))

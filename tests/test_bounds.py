@@ -14,12 +14,10 @@ from qslkit.bounds import (
     _refine_crossing,
     _running_mean,
     evaluate_crossings,
-    first_crossing_time,
     quantumness_dephasing,
     quantumness_dissipation,
     speed_dissipation,
     tau_b_fidelity,
-    tau_q_at_crossing,
     tau_q_dephasing,
     tau_q_from_trajectory,
     tau_q_unitary,
@@ -75,15 +73,16 @@ class TestRunningMean:
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.0, n=201)
         grid = traj.grid
         values = 2.0 + np.sin(7.0 * grid) + grid**2
-        assert _running_mean(traj, values, 0.0) == values[0]
+        assert _running_mean(traj, values, np.array([0.0]))[0] == values[0]
         for j in (1, 2, 57, 200):
             expected = np.trapezoid(values[: j + 1], grid[: j + 1]) / grid[j]
-            assert _running_mean(traj, values, float(grid[j])) == pytest.approx(expected, rel=1e-12)
+            assert _running_mean(traj, values, grid[j : j + 1])[0] == pytest.approx(expected, rel=1e-12)
         for j, frac in ((0, 0.5), (41, 0.25), (199, 0.9)):
             tau = float(grid[j] + frac * traj.step)
             xs = np.append(grid[: j + 1], tau)
             ys = np.append(values[: j + 1], np.interp(tau, grid, values))
-            assert _running_mean(traj, values, tau) == pytest.approx(np.trapezoid(ys, xs) / tau, rel=1e-12)
+            expected = np.trapezoid(ys, xs) / tau
+            assert _running_mean(traj, values, np.array([tau]))[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestQuantumnessDephasing:
@@ -257,22 +256,27 @@ class TestTauBFidelity:
             tau_b_fidelity(traj, 1.0, denominator="endpoint")
 
 
+def first_crossing(traj, q_target):
+    """One target's crossing, from the evaluation pass."""
+    return evaluate_crossings(traj, [q_target])[0].crossing
+
+
 class TestFirstCrossing:
     def test_zero_target(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.0, n=201)
-        crossing = first_crossing_time(traj, 0.0)
+        crossing = first_crossing(traj, 0.0)
         assert crossing.reached and crossing.time == 0.0
 
     def test_markov_dephasing_reference_crossing(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.5)
         q_val = 0.25 * (1.0 - math.exp(-2.0)) ** 2
-        crossing = first_crossing_time(traj, q_val)
+        crossing = first_crossing(traj, q_val)
         assert crossing.reached
         assert crossing.time == pytest.approx(1.0, abs=1e-4)
 
     def test_unreached_target_reports_max(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=501)
-        crossing = first_crossing_time(traj, 0.9)
+        crossing = first_crossing(traj, 0.9)
         assert not crossing.reached
         assert crossing.time is None
         assert crossing.q_max == pytest.approx(float(np.max(traj.q_samples)), abs=0.0)
@@ -282,14 +286,14 @@ class TestFirstCrossing:
         control = UnitaryControl(theta_rate=1.0, alpha0=0.0)
         rho0 = from_pure(unitary_state(0.0, 0.0))
         traj = propagate(UnitaryTwoLevel(control), rho0, np.linspace(0.0, 2.5, 2501))
-        crossing = first_crossing_time(traj, 0.5)
+        crossing = first_crossing(traj, 0.5)
         assert crossing.reached
         assert crossing.time == pytest.approx(math.pi / 8.0, abs=1e-6)  # sin^2(2t) = 1/2
 
     def test_negative_target_rejected(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
         with pytest.raises(ValueError):
-            first_crossing_time(traj, -0.1)
+            first_crossing(traj, -0.1)
 
 
 class TestNonFiniteArguments:
@@ -298,11 +302,10 @@ class TestNonFiniteArguments:
         "call",
         [
             lambda traj, tau: traj.locate(tau),
-            lambda traj, tau: traj.state_at(tau),
             lambda traj, tau: tau_q_from_trajectory(traj, tau),
             lambda traj, tau: tau_b_fidelity(traj, tau),
         ],
-        ids=["locate", "state_at", "tau_q_from_trajectory", "tau_b_fidelity"],
+        ids=["locate", "tau_q_from_trajectory", "tau_b_fidelity"],
     )
     def test_time_rejected_by_name(self, call, value):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
@@ -313,7 +316,7 @@ class TestNonFiniteArguments:
     def test_crossing_target_rejected_by_name(self, value):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
         with pytest.raises(ValueError, match=f"invalid argument 'q_target': must be a finite number, got {value}$"):
-            first_crossing_time(traj, value)
+            first_crossing(traj, value)
 
     @given(
         q=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-1e-300)),
@@ -369,10 +372,9 @@ _NUMBER_SITES = {
         for f in ("theta", "Gamma", "gamma", "tau_max", "theta0", "theta_rate", "alpha0", "alpha_rate")
     },
     "locate": ("argument", "tau", lambda v: _traj().locate(v)),
-    "state_at": ("argument", "tau", lambda v: _traj().state_at(v)),
     "tau_q_from_trajectory": ("argument", "tau", lambda v: tau_q_from_trajectory(_traj(), v)),
     "tau_b_fidelity": ("argument", "tau", lambda v: tau_b_fidelity(_traj(), v)),
-    "first_crossing_time": ("argument", "q_target", lambda v: first_crossing_time(_traj(), v)),
+    "first_crossing_time": ("argument", "q_target", lambda v: first_crossing(_traj(), v)),
     "quantumness_dephasing-theta": ("argument", "theta", lambda v: quantumness_dephasing(v, 0.1)),
     "quantumness_dephasing-beta": ("argument", "beta", lambda v: quantumness_dephasing(0.3, v)),
     "tau_q_dephasing": ("argument", "theta", lambda v: tau_q_dephasing(0.01, v, _MEM)),
@@ -382,8 +384,10 @@ _NUMBER_SITES = {
     "ghz_scaling-q_fix": ("argument", "q_fix", lambda v: ghz_scaling(0.3, 1e-6, 2, q_fix=v)),
     "ghz_scaling-beta": ("argument", "beta", lambda v: ghz_scaling(0.3, v, 2)),
     "quantumness_dissipation": ("argument", "theta", lambda v: quantumness_dissipation(v, 0.5)),
+    "quantumness_dissipation-xi": ("argument", "xi", lambda v: quantumness_dissipation(0.3, v)),
     "speed_dissipation": ("argument", "theta", lambda v: speed_dissipation(v, 0.5, _MEM)),
     "dephasing_closed_state": ("argument", "theta", lambda v: dephasing_closed_state(v, 0.5, _MEM)),
+    "dephasing_closed_state-tau": ("argument", "tau", lambda v: dephasing_closed_state(0.3, v, _MEM)),
     "dissipation_closed_state": ("argument", "theta", lambda v: dissipation_closed_state(v, 0.5, _MEM)),
     "unitary_state-theta": ("argument", "theta", lambda v: unitary_state(v, 0.3)),
     "unitary_state-alpha": ("argument", "alpha", lambda v: unitary_state(0.3, v)),
@@ -413,11 +417,10 @@ class TestSaturationAndValidity:
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         n = max(2001, int(150 * (gamma or 1.0)) + 1)
         traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, n))
-        for q_target in np.geomspace(1e-3, 0.95, 8) * float(np.max(traj.q_samples)):
-            crossing = first_crossing_time(traj, float(q_target))
-            assert crossing.reached
-            tau_q = tau_q_at_crossing(traj, crossing)
-            assert tau_q == pytest.approx(crossing.time, rel=1e-4)
+        targets = np.geomspace(1e-3, 0.95, 8) * float(np.max(traj.q_samples))
+        for times in evaluate_crossings(traj, targets):
+            assert times.crossing.reached
+            assert times.tau_q_numeric == pytest.approx(times.crossing.time, rel=1e-4)
 
 
 def reference_at(traj, tau, q_value, fidelity):
@@ -534,9 +537,8 @@ class TestEvaluationPass:
         for _, traj in pass_trajectories()[:6]:
             targets = auto_targets(float(np.max(traj.q_samples)), 7).tolist()
             for target, times in zip(targets, evaluate_crossings(traj, targets, fidelity=True)):
-                crossing = first_crossing_time(traj, target)
-                assert crossing == times.crossing
-                assert tau_q_at_crossing(traj, crossing) == times.tau_q_numeric
+                crossing = times.crossing
+                assert tau_q_from_trajectory(traj, crossing.time, q_value=target) == times.tau_q_numeric
                 for variant, expected in (("initial", times.tau_b), ("averaged", times.tau_b_avg)):
                     if expected is None:
                         with pytest.raises(ValueError, match="frozen initial state"):

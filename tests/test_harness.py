@@ -45,6 +45,14 @@ from qslkit.memory import MemoryFunctions
 from qslkit.witness import pure_state_quantumness, quantumness, random_density_matrix, random_pure_state
 
 
+def _readme_blocks(language: str) -> list:
+    """The fenced code blocks of README.md in ``language``; there is at least one."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(rf"^```{language}\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    assert blocks
+    return blocks
+
+
 class TestScenarioConfig:
     def test_unknown_keys_rejected_by_name(self):
         with pytest.raises(ValueError, match="unknown config keys: colour, speed"):
@@ -127,11 +135,13 @@ class TestScenarioConfig:
             assert ScenarioConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_readme_json_blocks_load(self):
-        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
-            blocks = re.findall(r"^```json\n(.*?)^```", fh.read(), flags=re.M | re.S)
-        assert blocks
-        for block in blocks:
+        for block in _readme_blocks("json"):
             ScenarioConfig.from_dict(json.loads(block))
+
+    def test_readme_python_blocks_run(self):
+        # the library sketch calls the public API by name, so a deleted or renamed name fails here
+        for block in _readme_blocks("python"):
+            exec(compile(block, "README.md", "exec"), {})
 
     def test_dissipation_horizon_past_memory_divergence_rejected(self):
         with pytest.raises(ValueError, match=r"invalid field 'tau_max'.*t\* = 4\.8368"):

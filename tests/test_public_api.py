@@ -28,11 +28,11 @@ def test_all_lists_exactly_the_imported_public_names():
 
 # Public names with no use inside the package: the paper's closed forms that the
 # tests hold the numerics against, the figures ``cli`` reaches by name, and the
-# one-target calls of the evaluation pass (``bounds.evaluate_crossings``), which
-# the package evaluates for all targets at once.
+# reads of ``tau_Q`` and ``tau_B`` at any one time of a trajectory, which the
+# package evaluates only at crossings, all at once (``bounds.evaluate_crossings``).
 UNREFERENCED_KEEP = (
     {"tau_q_unitary", "quantumness_dissipation", "speed_dissipation"}
-    | {"first_crossing_time", "tau_q_at_crossing", "tau_b_fidelity"}
+    | {"tau_q_from_trajectory", "tau_b_fidelity"}
     | set(FIGURES)
 )
 
