@@ -9,7 +9,6 @@ times and the weaker fidelity-decay bound.
 
 from .bounds import (
     BoundReport,
-    CrossingResult,
     evaluate_crossings,
     quantumness_dephasing,
     quantumness_dissipation,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CrossingResult",
     "DensityDiagnostics",
     "Dephasing",
     "Dissipation",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,33 +38,26 @@ BISECTION_SPAN = 1e3
 #: Relative tolerance of the bisection solve.
 BISECTION_RTOL = 1e-10
 
+#: Threshold of the dimensionless sine and witness tests; rates, which carry a unit of time, are tested for exact zeros.
 _ZERO = 1e-14
 
 
 @dataclass(frozen=True)
-class CrossingResult:
-    """First time a trajectory reaches a quantumness target."""
-
-    q_target: float
-    reached: bool
-    time: Optional[float]
-    q_max: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """All timescales evaluated for one quantumness target on one trajectory."""
+    """The crossing and all timescales of one quantumness target on one trajectory.
 
-    model: str
-    theta: float
-    gamma_ratio: Optional[float]  # memory ratio of the open-system models (inf: memoryless), else None
+    A timescale is ``None`` for an unreached target.  A fidelity bound is
+    also ``None`` when not asked for or when its denominator vanishes, and
+    ``tau_q_closed`` where no closed form was added.
+    """
+
     q_target: float
     reached: bool
     tau_exact: Optional[float]
-    tau_q_numeric: Optional[float]
-    tau_q_closed: Optional[float]
-    tau_b: Optional[float]
-    tau_b_avg: Optional[float]
+    tau_q_numeric: Optional[float] = None
+    tau_q_closed: Optional[float] = None
+    tau_b: Optional[float] = None
+    tau_b_avg: Optional[float] = None
 
     @property
     def slack(self) -> Optional[float]:
@@ -96,7 +89,7 @@ def _tau_q(traj: Trajectory, taus: np.ndarray, q_values: np.ndarray) -> np.ndarr
     """``sqrt(q / 2) / mean speed`` at each time of ``taus`` with its witness value of ``q_values``."""
     numerator = np.sqrt(np.maximum(q_values, 0.0) / 2.0)
     denominator = _running_mean(traj, traj.speed_samples, taus)
-    idle = denominator < _ZERO
+    idle = denominator == 0.0
     if np.any(idle & ~(numerator < _ZERO)):
         raise ValueError("no quantumness generation channel (zero mean speed)")
     return np.where(idle, 0.0, numerator / np.where(idle, 1.0, denominator))
@@ -160,12 +153,11 @@ def _refine_crossing(traj: Trajectory, k: int, q_target: float) -> float:
 
 
 def _crossings(traj: Trajectory, q_targets) -> list:
-    """The :class:`CrossingResult` of each target, from one boolean pass over the witness samples."""
+    """``(q_target, time)`` per target, ``time`` ``None`` if unreached, from one boolean pass over the witness samples."""
     targets = np.array([_check_number(q, "q_target") for q in q_targets], dtype=float)
     if np.any(targets < 0.0):
         raise ValueError(f"quantumness target must be nonnegative, got {targets[targets < 0.0][0]}")
     q = traj.q_samples
-    q_max = float(np.max(q))
     # grid index k >= 1 of each target's first upcrossing; a target above q[0] has q[k - 1] below it
     up = q[1:] >= targets[:, None]
     first = np.argmax(up, axis=1) + 1
@@ -174,11 +166,9 @@ def _crossings(traj: Trajectory, q_targets) -> list:
     results = []
     for q_target, k, hit in zip(targets.tolist(), first.tolist(), found.tolist()):
         if q_target <= q0:
-            results.append(CrossingResult(q_target, True, t0, q_max))
-        elif hit:
-            results.append(CrossingResult(q_target, True, _refine_crossing(traj, k, q_target), q_max))
+            results.append((q_target, t0))
         else:
-            results.append(CrossingResult(q_target, False, None, q_max))
+            results.append((q_target, _refine_crossing(traj, k, q_target) if hit else None))
     return results
 
 
@@ -195,43 +185,34 @@ def _tau_b(traj: Trajectory, taus: np.ndarray) -> tuple:
     norms = traj.lrho0_norms
     variants = []
     for denom in (np.full(len(k), norms[0]), _running_mean(traj, norms, taus)):
-        frozen = denom < _ZERO
+        frozen = denom == 0.0
         tau_b = gap / np.where(frozen, 1.0, denom)
         variants.append([None if z else b for z, b in zip(frozen.tolist(), tau_b)])
     return tuple(variants)
 
 
-class TargetTimes(NamedTuple):
-    """The crossing and timescales of one target.
-
-    A timescale is ``None`` for an unreached target; a fidelity bound is
-    also ``None`` when not asked for or when its denominator vanishes.
-    """
-
-    crossing: CrossingResult
-    tau_q_numeric: Optional[float] = None
-    tau_b: Optional[float] = None
-    tau_b_avg: Optional[float] = None
-
-
 def evaluate_crossings(traj: Trajectory, q_targets, fidelity: bool = False) -> list:
-    """One evaluation pass over a trajectory's targets: a :class:`TargetTimes` per target, in order.
+    """One evaluation pass over a trajectory's targets: a :class:`BoundReport` per target, in order.
 
     Each reached target takes ``tau_q_numeric`` (its exact value in the
     numerator) and, with ``fidelity``, both fidelity bounds: ``tau_b``
     with the initial denominator and ``tau_b_avg`` with the averaged one.
     Without ``fidelity`` neither they nor the trajectory's
-    ``lrho0_norms`` are computed.
+    ``lrho0_norms`` are computed.  The pass leaves ``tau_q_closed`` unset.
     """
     crossings = _crossings(traj, q_targets)
-    reached = [c for c in crossings if c.reached]
+    reached = [(q, t) for q, t in crossings if t is not None]
     if not reached:
-        return [TargetTimes(c) for c in crossings]
-    times = np.array([c.time for c in reached])
-    tau_q = _tau_q(traj, times, np.array([c.q_target for c in reached]))
+        return [BoundReport(q, False, None) for q, _ in crossings]
+    targets, times = np.array(reached).T
+    tau_q = _tau_q(traj, times, targets)
     tau_b = _tau_b(traj, times) if fidelity else ([None] * len(reached),) * 2
     timescales = iter(zip(tau_q, *tau_b))
-    return [TargetTimes(c, *next(timescales)) if c.reached else TargetTimes(c) for c in crossings]
+    reports = []
+    for q, t in crossings:
+        numeric, b, b_avg = (None,) * 3 if t is None else next(timescales)
+        reports.append(BoundReport(q, t is not None, t, numeric, tau_b=b, tau_b_avg=b_avg))
+    return reports
 
 
 def quantumness_dephasing(theta: float, beta: float) -> float:
@@ -316,7 +297,7 @@ def tau_q_unitary(c: UnitaryControl, tau: float) -> float:
             "(sample outside the closed form's validity; use the numeric route)"
         )
     mean_speed = float(np.trapezoid(np.sqrt(np.clip(x, 0.0, None)), ts)) / tau
-    if mean_speed < _ZERO:
+    if mean_speed == 0.0:
         raise ValueError("no quantumness generation channel (zero mean speed)")
     return abs(s2) / (math.sqrt(2.0) * mean_speed)
 

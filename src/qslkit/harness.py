@@ -249,19 +249,14 @@ def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
     The closed-form column exists for the dephasing models only; there, as
     for the fidelity bounds, a timescale the formula rejects is ``None``.
     """
-    evaluations = evaluate_crossings(traj, targets, fidelity=True)
-    dephasing = cfg.model in ("dephasing", "ghz")
-    closed = [
-        _or_none(tau_q_dephasing, e.crossing.q_target, cfg.theta, traj.generator.memory)
-        if dephasing and e.crossing.reached else None
-        for e in evaluations
-    ]
+    reports = evaluate_crossings(traj, targets, fidelity=True)
+    if cfg.model not in ("dephasing", "ghz"):
+        return reports
+    memory = traj.generator.memory
     return [
-        BoundReport(
-            cfg.model, cfg.theta, cfg.gamma_ratio, e.crossing.q_target, e.crossing.reached,
-            e.crossing.time, e.tau_q_numeric, c, e.tau_b, e.tau_b_avg,
-        )
-        for e, c in zip(evaluations, closed)
+        dataclasses.replace(rep, tau_q_closed=_or_none(tau_q_dephasing, rep.q_target, cfg.theta, memory))
+        if rep.reached else rep
+        for rep in reports
     ]
 
 
@@ -369,7 +364,7 @@ def write_csv(path: str, header: list, rows: list) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-#: CSV columns; each names a :class:`BoundReport` field.
+#: CSV columns; each names a :class:`BoundReport` field or a label of the scenario's config.
 FIG1_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b"]
 SWEEP_HEADER = ["theta", "gamma_ratio", "q_target", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b_avg"]
 RUN_HEADER = [
@@ -388,12 +383,17 @@ GHZ_HEADER = ["n", "offdiagonal_factor", "q", "sqrt_q_ratio", "tau_q_fixed_targe
 FIG1_THETAS = (math.pi / 8.0, math.pi / 6.0, math.pi / 5.0)
 
 #: Per-target entries of the JSON run report, in order.
-_REPORT_KEYS = ("q_target", "reached", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b", "tau_b_avg", "slack")
+_REPORT_KEYS = tuple(f.name for f in dataclasses.fields(BoundReport)) + ("slack",)
 
 
 def _report_rows(header: list, results: list) -> list:
-    """One row per report of the results, the report fields the header names."""
-    return [[getattr(rep, column) for column in header] for result in results for rep in result.reports]
+    """One row per report of the results: the columns the header names, a label (``model``, ``theta``,
+    ``gamma_ratio``) from the result's config and any other column from the report."""
+    return [
+        [getattr(rep if column in _REPORT_KEYS else result.config, column) for column in header]
+        for result in results
+        for rep in result.reports
+    ]
 
 
 def _sweep(out_path: str, header: list, configs: list, shared_targets: bool = False) -> list:
@@ -694,10 +694,10 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
             worst_purity = max(worst_purity, abs(purity(traj.states[-1]) - 1.0))
 
         targets = auto_targets(float(np.max(traj.q_samples)), 20)
-        for e in evaluate_crossings(traj, targets):  # no fidelity bounds: the fuzz checks the speed limit
-            if e.crossing.reached:
+        for rep in evaluate_crossings(traj, targets):  # no fidelity bounds: the fuzz checks the speed limit
+            if rep.reached:
                 checked_cells += 1
-                worst_qsl = min(worst_qsl, e.crossing.time - e.tau_q_numeric)
+                worst_qsl = min(worst_qsl, rep.slack)
 
         stride = max(2, len(traj.grid) // 25)
         ks = np.arange(stride, len(traj.grid) - 2, stride)

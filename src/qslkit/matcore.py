@@ -12,9 +12,11 @@ Conventions shared by the whole package:
   ``(..., d, d)`` and work per matrix; a stacked call gives bit for bit
   what the calls on the single matrices give.  A right factor fixed
   along a stack, one matrix against ``(..., d, d)``, is one tall BLAS
-  product ``(rows, d) @ (d, d)``; that is bit for bit because the BLAS
-  computes each output row the same way whatever the row count
-  (verified for OpenBLAS 0.3.31 at d = 2, 3, 4).  A fixed left factor
+  product ``(rows, d) @ (d, d)``; that is bit for bit where the BLAS
+  computes each output row the same way whatever the row count.  For
+  OpenBLAS 0.3.31 that holds at d = 2 and 3 under its default, Haswell
+  and Zen kernels, but at d = 4 only under the AVX-512 kernel it picks on
+  an AVX-512 CPU (ROADMAP item 2).  A fixed left factor
   ``f`` with a zero imaginary part, as every projector of a real vector
   has, is the same tall product on the transposes, ``(x^T f^T)^T``: each
   complex product with ``f`` is then one rounded real product, so the

@@ -203,11 +203,11 @@ def test_c07_speed_limit_fuzz():
         for j, (cfg, traj) in enumerate(_fuzz_cases(2026, 200)):
             assert cfg == _random_scenario(2026, j)
             cases += 1
-            for times in evaluate_crossings(traj, auto_targets(float(np.max(traj.q_samples)), 20)):
-                if not times.crossing.reached:
+            for rep in evaluate_crossings(traj, auto_targets(float(np.max(traj.q_samples)), 20)):
+                if not rep.reached:
                     continue
                 cells += 1
-                worst = min(worst, times.crossing.time - times.tau_q_numeric)
+                worst = min(worst, rep.tau_exact - rep.tau_q_numeric)
         elapsed = time.monotonic() - start
         assert cases == 200
         assert cells > 2000

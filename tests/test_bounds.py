@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslkit.bounds import (
-    CrossingResult,
     _refine_crossing,
     _running_mean,
     evaluate_crossings,
@@ -257,29 +256,29 @@ class TestTauBFidelity:
 
 
 def first_crossing(traj, q_target):
-    """One target's crossing, from the evaluation pass."""
-    return evaluate_crossings(traj, [q_target])[0].crossing
+    """One target's report, from the evaluation pass."""
+    return evaluate_crossings(traj, [q_target])[0]
 
 
 class TestFirstCrossing:
     def test_zero_target(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.0, n=201)
         crossing = first_crossing(traj, 0.0)
-        assert crossing.reached and crossing.time == 0.0
+        assert crossing.reached and crossing.tau_exact == 0.0
 
     def test_markov_dephasing_reference_crossing(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.5)
         q_val = 0.25 * (1.0 - math.exp(-2.0)) ** 2
         crossing = first_crossing(traj, q_val)
         assert crossing.reached
-        assert crossing.time == pytest.approx(1.0, abs=1e-4)
+        assert crossing.tau_exact == pytest.approx(1.0, abs=1e-4)
 
     def test_unreached_target_reports_max(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=501)
         crossing = first_crossing(traj, 0.9)
         assert not crossing.reached
-        assert crossing.time is None
-        assert crossing.q_max == pytest.approx(float(np.max(traj.q_samples)), abs=0.0)
+        assert crossing.tau_exact is None
+        assert float(np.max(traj.q_samples)) < 0.9
 
     def test_nonmonotone_witness_returns_first_crossing(self):
         # rotation drive through the half-filled angle: witness peaks then falls
@@ -288,7 +287,7 @@ class TestFirstCrossing:
         traj = propagate(UnitaryTwoLevel(control), rho0, np.linspace(0.0, 2.5, 2501))
         crossing = first_crossing(traj, 0.5)
         assert crossing.reached
-        assert crossing.time == pytest.approx(math.pi / 8.0, abs=1e-6)  # sin^2(2t) = 1/2
+        assert crossing.tau_exact == pytest.approx(math.pi / 8.0, abs=1e-6)  # sin^2(2t) = 1/2
 
     def test_negative_target_rejected(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
@@ -418,9 +417,9 @@ class TestSaturationAndValidity:
         n = max(2001, int(150 * (gamma or 1.0)) + 1)
         traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, n))
         targets = np.geomspace(1e-3, 0.95, 8) * float(np.max(traj.q_samples))
-        for times in evaluate_crossings(traj, targets):
-            assert times.crossing.reached
-            assert times.tau_q_numeric == pytest.approx(times.crossing.time, rel=1e-4)
+        for rep in evaluate_crossings(traj, targets):
+            assert rep.reached
+            assert rep.tau_q_numeric == pytest.approx(rep.tau_exact, rel=1e-4)
 
 
 def reference_at(traj, tau, q_value, fidelity):
@@ -450,20 +449,19 @@ def reference_at(traj, tau, q_value, fidelity):
 
 
 def reference_target(traj, q_target, fidelity):
-    """One target's crossing and timescales as the per-target code computed them."""
+    """One target's ``(q_target, reached, tau_exact)`` and timescales as the per-target code computed them."""
     q, grid = traj.q_samples, traj.grid
-    q_max = float(np.max(q))
     if q_target <= q[0]:
-        crossing = CrossingResult(q_target, True, float(grid[0]), q_max)
+        time = float(grid[0])
     else:
         idx = np.nonzero(q >= q_target)[0]
         while len(idx) and q[idx[0] - 1] > q_target:
             idx = idx[1:]
         time = _refine_crossing(traj, int(idx[0]), q_target) if len(idx) else None
-        crossing = CrossingResult(q_target, bool(len(idx)), time, q_max)
-    if not crossing.reached:
+    crossing = (q_target, time is not None, time)
+    if time is None:
         return crossing, None, None, None
-    return (crossing, *reference_at(traj, crossing.time, q_target, fidelity))
+    return (crossing, *reference_at(traj, time, q_target, fidelity))
 
 
 def hex_or_none(x):
@@ -509,42 +507,43 @@ class TestEvaluationPass:
             ]
             got = evaluate_crossings(traj, targets, fidelity)
             assert len(got) == len(targets)
-            for target, times in zip(targets, got):
+            for target, rep in zip(targets, got):
                 expected = reference_target(traj, target, fidelity)
-                assert times.crossing == expected[0], (name, target)
-                assert [hex_or_none(x) for x in times[1:]] == [hex_or_none(x) for x in expected[1:]], (name, target)
-                if times.crossing.reached and times.crossing.time > 0.0:
-                    on_grid += traj.locate(times.crossing.time)[1] == 0.0
-            assert any(not t.crossing.reached for t in got)
+                assert (rep.q_target, rep.reached, rep.tau_exact) == expected[0], (name, target)
+                timescales = (rep.tau_q_numeric, rep.tau_b, rep.tau_b_avg)
+                assert [hex_or_none(x) for x in timescales] == [hex_or_none(x) for x in expected[1:]], (name, target)
+                assert rep.tau_q_closed is None  # the pass adds no closed form
+                if rep.reached and rep.tau_exact > 0.0:
+                    on_grid += traj.locate(rep.tau_exact)[1] == 0.0
+            assert any(not rep.reached for rep in got)
         assert on_grid > 0  # some crossing time is a grid time, where no interpolation is taken
 
     def test_nonmonotone_start_takes_the_first_upcrossing(self):
         name, traj = pass_trajectories()[-2]
-        times = evaluate_crossings(traj, [0.25, 0.4, 0.6])
+        reports = evaluate_crossings(traj, [0.25, 0.4, 0.6])
         # 0.25 and 0.4 are first reached on the early bump, 0.6 only on the later rise
-        assert [t.crossing.time < traj.grid[2] for t in times] == [True, True, False]
-        assert times[2].crossing.time > traj.grid[5]
+        assert [rep.tau_exact < traj.grid[2] for rep in reports] == [True, True, False]
+        assert reports[2].tau_exact > traj.grid[5]
 
     def test_crossing_in_the_last_interval(self):
         traj = pass_trajectories()[0][1]
         q = traj.q_samples
         assert q[-1] > q[-2]
-        (times,) = evaluate_crossings(traj, [0.5 * float(q[-2] + q[-1])], fidelity=True)
-        assert traj.grid[-2] < times.crossing.time <= traj.grid[-1]
-        assert times.tau_b is not None and times.tau_b_avg is not None
+        (rep,) = evaluate_crossings(traj, [0.5 * float(q[-2] + q[-1])], fidelity=True)
+        assert traj.grid[-2] < rep.tau_exact <= traj.grid[-1]
+        assert rep.tau_b is not None and rep.tau_b_avg is not None
 
     def test_one_target_calls_match_the_pass(self):
         for _, traj in pass_trajectories()[:6]:
             targets = auto_targets(float(np.max(traj.q_samples)), 7).tolist()
-            for target, times in zip(targets, evaluate_crossings(traj, targets, fidelity=True)):
-                crossing = times.crossing
-                assert tau_q_from_trajectory(traj, crossing.time, q_value=target) == times.tau_q_numeric
-                for variant, expected in (("initial", times.tau_b), ("averaged", times.tau_b_avg)):
+            for target, rep in zip(targets, evaluate_crossings(traj, targets, fidelity=True)):
+                assert tau_q_from_trajectory(traj, rep.tau_exact, q_value=target) == rep.tau_q_numeric
+                for variant, expected in (("initial", rep.tau_b), ("averaged", rep.tau_b_avg)):
                     if expected is None:
                         with pytest.raises(ValueError, match="frozen initial state"):
-                            tau_b_fidelity(traj, crossing.time, variant)
+                            tau_b_fidelity(traj, rep.tau_exact, variant)
                     else:
-                        assert tau_b_fidelity(traj, crossing.time, variant) == expected
+                        assert tau_b_fidelity(traj, rep.tau_exact, variant) == expected
 
     def test_one_target_calls_at_grid_times(self):
         for _, traj in pass_trajectories()[:6]:

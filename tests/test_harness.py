@@ -69,6 +69,10 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "grid_points": 10})
         with pytest.raises(ValueError, match="invalid field 'model'"):
             ScenarioConfig.from_dict({"model": "teleportation"})
+        with pytest.raises(ValueError, match="invalid field 'Gamma': must be positive, got 0.0"):
+            ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "Gamma": 0.0})
+        with pytest.raises(ValueError, match="invalid field 'q_grid': must be >= 1, got 0"):
+            ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "q_grid": 0})
 
     def test_memory_rate_required_without_markov_flag(self):
         with pytest.raises(ValueError, match="invalid field 'gamma'"):
@@ -222,6 +226,9 @@ class TestScenarioConfig:
         path.write_text(json.dumps({"model": "dephasing", "theta": 0.3, "markov": True}))
         cfg = ScenarioConfig.from_json(str(path))
         assert cfg.model == "dephasing" and cfg.markov
+        path.write_text(json.dumps([{"model": "dephasing", "markov": True}]))
+        with pytest.raises(ValueError, match="config file must contain a JSON object"):
+            ScenarioConfig.from_json(str(path))
 
 
 class TestRunScenario:
@@ -261,6 +268,33 @@ class TestRunScenario:
         assert result.trajectory.states[0].shape == (2, 2)
         assert all(rep.reached for rep in result.reports)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"model": "dephasing", "markov": True},
+            {"model": "dephasing", "gamma": 0.5},
+            {"model": "dissipation", "markov": True},
+            {"model": "dissipation", "gamma": 0.5},
+        ],
+        ids=["dephasing-markov", "dephasing-memory", "dissipation-markov", "dissipation-memory"],
+    )
+    def test_times_scale_with_the_unit_of_time(self, raw):
+        # Gamma = 1e-15 is the Gamma = 1 scenario in a unit of time 1e15 times smaller
+        unit, scaled = (run_scenario(ScenarioConfig(**raw, Gamma=g, tau_max=3.0 / g)) for g in (1.0, 1e-15))
+        assert len(unit.reports) == len(scaled.reports) == unit.config.q_grid
+        for a, b in zip(unit.reports, scaled.reports):
+            assert b.q_target == pytest.approx(a.q_target, rel=1e-12)
+            for column in ("tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b", "tau_b_avg"):
+                t_unit, t_scaled = getattr(a, column), getattr(b, column)
+                assert (t_unit is None) == (t_scaled is None), column
+                if t_unit is None:
+                    continue
+                # the finite-memory closed form stops its bisection at a width of
+                # BISECTION_RTOL * max(1, tau): absolute below tau = 1, so not scale-free
+                bisection = column == "tau_q_closed" and not raw.get("markov")
+                width = bounds.BISECTION_RTOL * max(1.0, t_unit) if bisection else 0.0
+                assert t_scaled * 1e-15 == pytest.approx(t_unit, rel=1e-12, abs=width), column
+
     def test_unreached_targets_marked_not_fabricated(self):
         cfg = ScenarioConfig(
             model="dephasing", theta=math.pi / 8.0, markov=True, tau_max=0.5, grid_points=501
@@ -269,6 +303,7 @@ class TestRunScenario:
         reports = evaluate_targets(result.trajectory, [0.99], cfg)
         assert not reports[0].reached
         assert reports[0].tau_exact is None and reports[0].tau_q_numeric is None
+        assert reports[0].slack is None
 
 
     def test_tau_b_norms_computed_once_per_trajectory(self):
@@ -299,8 +334,15 @@ class TestRunScenario:
 class TestCsvEmission:
     @pytest.mark.parametrize("header", [FIG1_HEADER, SWEEP_HEADER, RUN_HEADER], ids=["fig1", "sweep", "run"])
     def test_every_column_names_a_report_field(self, header):
+        # the scenario labels are read from the config; every other column is a field of the per-target record
         fields = {f.name for f in dataclasses.fields(BoundReport)}
-        assert set(header) <= fields
+        labels = set(header) - fields
+        assert labels and labels <= {"model", "theta", "gamma_ratio"} and not labels & fields
+        cfg = ScenarioConfig(model="dephasing", markov=True)
+        assert all(hasattr(cfg, label) for label in labels)
+        assert harness._REPORT_KEYS == (
+            "q_target", "reached", "tau_exact", "tau_q_numeric", "tau_q_closed", "tau_b", "tau_b_avg", "slack"
+        )
 
     def test_format_cell_full_precision(self):
         assert format_cell(1.0) == "1.0000000000000000e+00"
@@ -535,6 +577,10 @@ class TestGhzScaling:
         assert report.slope_sqrt_q == pytest.approx(2.0, abs=0.02)
         assert report.slope_q == pytest.approx(4.0, abs=0.04)
         assert report.slope_tau_q == pytest.approx(-2.0, abs=0.05)
+        # one qubit count leaves no line to fit
+        report = ghz_scaling(math.pi / 8.0, 1e-6, 1)
+        assert len(report.rows) == 1
+        assert report.slope_q is None and report.slope_sqrt_q is None and report.slope_tau_q is None
 
     def test_single_qubit_row_matches_dephasing(self):
         theta, beta = math.pi / 8.0, 1e-6
@@ -603,17 +649,17 @@ class TestValidate:
         real_pass, real_tau_b = bounds.evaluate_crossings, bounds._tau_b
 
         def recording_pass(traj, targets, fidelity=False):
-            times = real_pass(traj, targets, fidelity)
-            passes.append((traj, fidelity, times))
-            return times
+            reports = real_pass(traj, targets, fidelity)
+            passes.append((traj, fidelity, reports))
+            return reports
 
         monkeypatch.setattr(harness, "evaluate_crossings", recording_pass)
         monkeypatch.setattr(bounds, "_tau_b", lambda *args: tau_b_calls.append(args) or real_tau_b(*args))
         assert validate(seed=0, cases=3).passed
-        assert len(passes) == 3 and any(t.crossing.reached for _, _, times in passes for t in times)
-        for traj, fidelity, times in passes:
+        assert len(passes) == 3 and any(rep.reached for _, _, reports in passes for rep in reports)
+        for traj, fidelity, reports in passes:
             assert fidelity is False
-            assert all(t.tau_b is None and t.tau_b_avg is None for t in times)
+            assert all(rep.tau_b is None and rep.tau_b_avg is None for rep in reports)
             assert "lrho0_norms" not in vars(traj)  # the cached norms were never computed
         assert tau_b_calls == []
 
@@ -956,12 +1002,17 @@ class TestCli:
         assert "invalid argument 'out_path'" in capsys.readouterr().err
         assert calls == []
 
-    def test_ghz_command(self, tmp_path):
+    def test_ghz_command(self, tmp_path, capsys):
         out = tmp_path / "ghz.csv"
         assert cli_main(["ghz", "--out", str(out), "--n-max", "4"]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "n,offdiagonal_factor,q,sqrt_q_ratio,tau_q_fixed_target"
         assert len(lines) == 5
+        capsys.readouterr()
+        assert cli_main(["ghz", "--out", str(out), "--n-max", "1"]) == 0
+        slopes = json.loads(capsys.readouterr().out.split("\n", 1)[1])  # after the status line
+        assert [slopes[key] for key in ("slope_q", "slope_sqrt_q", "slope_tau_q")] == [None, None, None]
+        assert len(out.read_text().splitlines()) == 2
 
     def test_console_entry_point(self, tmp_path):
         # the child imports the same qslkit tree as this test
