@@ -29,10 +29,10 @@ from typing import Optional
 import numpy as np
 
 from .generators import Trajectory, UnitaryControl
-from .matcore import _check_number, _fixed_times
+from .matcore import _check_number, _product
 from .memory import MemoryFunctions
 
-#: Bisection bracket (in units of 1/coupling) for inverting the dephasing exponent.
+#: Bisection bracket (in units of 1/coupling) for inverting the dephasing exponent, doubled until it holds the root.
 BISECTION_SPAN = 1e3
 
 #: Relative tolerance of the bisection solve.
@@ -179,7 +179,7 @@ def _tau_b(traj: Trajectory, taus: np.ndarray) -> tuple:
     from one stacked product of the states with ``rho0``.
     """
     k, w = traj._locate(taus)
-    f = np.trace(_fixed_times(traj.rho0, traj.states[np.concatenate([k, k + 1])]), axis1=-2, axis2=-1).real
+    f = np.trace(_product(traj.rho0, traj.states[np.concatenate([k, k + 1])]), axis1=-2, axis2=-1).real
     f_k, f_k1 = f[: len(k)], f[len(k):]
     gap = np.abs(1.0 - np.where(w > 0.0, (1.0 - w) * f_k + w * f_k1, f_k))
     norms = traj.lrho0_norms
@@ -244,8 +244,8 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
     if m.markov:
         return beta_target / (2.0 * gamma_c)
     lo, hi = 0.0, BISECTION_SPAN / gamma_c
-    if m.beta(hi) < beta_target:
-        raise ValueError(f"quantumness target not reachable within bracket [0, {hi}]")
+    while m.beta(hi) < beta_target:  # ends: beta >= 2 Gamma (tau - 1/gamma) grows without bound
+        lo, hi = hi, 2.0 * hi
     while hi - lo > BISECTION_RTOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if m._beta(mid) < beta_target:  # inside the checked bracket

@@ -66,8 +66,8 @@ _READ_BY_ALL = ("model", "tau_max", "grid_points", "q_grid")
 _BATH_FIELDS = ("theta", "Gamma", "gamma", "markov")
 #: The config fields each model reads (a CSV row label counts); any other field must keep its default.
 MODEL_FIELDS = {
-    "unitary2l": _READ_BY_ALL + ("theta", "markov", "theta0", "theta_rate", "alpha0", "alpha_rate"),
-    "stirap": _READ_BY_ALL + ("markov", "theta0", "theta_rate", "alpha_rate"),
+    "unitary2l": _READ_BY_ALL + ("theta", "theta0", "theta_rate", "alpha0", "alpha_rate"),
+    "stirap": _READ_BY_ALL + ("theta0", "theta_rate", "alpha_rate"),
     "dephasing": _READ_BY_ALL + _BATH_FIELDS,
     "dissipation": _READ_BY_ALL + _BATH_FIELDS,
     "ghz": _READ_BY_ALL + _BATH_FIELDS + ("n",),
@@ -154,6 +154,12 @@ class ScenarioConfig:
             raise ValueError(f"invalid field 'q_grid': must be >= 1, got {self.q_grid}")
         if self.n < 1:
             raise ValueError(f"invalid field 'n': must be >= 1, got {self.n}")
+        try:
+            finite = math.isfinite(self.Gamma * (self.n * self.n))  # the coupling of _memory
+        except OverflowError:  # n^2 beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("invalid field 'n': the coupling Gamma * n^2 overflows double precision")
         if self.markov and self.gamma is not None:
             raise ValueError(f"invalid field 'gamma': must be unset when 'markov' is true, got {self.gamma}")
         if self.model in OPEN_MODELS and not self.markov and self.gamma is None:

@@ -10,21 +10,18 @@ Conventions shared by the whole package:
   allocated arrays.  Supported dimensions are 1..32.
 * ``commutator``, ``hs_norm`` and ``min_eigenvalue`` also take stacks
   ``(..., d, d)`` and work per matrix; a stacked call gives bit for bit
-  what the calls on the single matrices give.  A right factor fixed
-  along a stack, one matrix against ``(..., d, d)``, is one tall BLAS
-  product ``(rows, d) @ (d, d)``; that is bit for bit where the BLAS
-  computes each output row the same way whatever the row count.  For
-  OpenBLAS 0.3.31 that holds at d = 2 and 3 under its default, Haswell
-  and Zen kernels, but at d = 4 only under the AVX-512 kernel it picks on
-  an AVX-512 CPU (ROADMAP item 2).  A fixed left factor
-  ``f`` with a zero imaginary part, as every projector of a real vector
-  has, is the same tall product on the transposes, ``(x^T f^T)^T``: each
-  complex product with ``f`` is then one rounded real product, so the
-  order of the two factors moves no bit.  A complex fixed left factor
-  stays per matrix: neither that tall product nor one wide product
-  ``f @ [x_1 ... x_n]`` keeps its bits.  ``hermiticity_defect``
-  gives the largest defect over a stack.  ``purity`` and
-  ``validate_density`` take one matrix and reject a stack by its shape.
+  what the calls on the single matrices give.  A single matrix fixed
+  along a stack is multiplied by one rule, ``_product``: tall at d <= 3,
+  per matrix otherwise.  Tall is one BLAS product ``(rows, d) @ (d, d)``
+  for a fixed right factor, and the same on the transposes,
+  ``(x^T f^T)^T``, for a fixed left factor with a zero imaginary part
+  (each complex product with it is then one rounded real product); a
+  complex left factor stays per matrix.  Both keep the per-matrix bits
+  where the BLAS computes each output row the same way whatever the row
+  count, as OpenBLAS 0.3.31 does at d <= 3 under every kernel tried.
+  ``hermiticity_defect`` gives the largest defect over a stack.
+  ``purity`` and ``validate_density`` take one matrix and reject a stack
+  by its shape.
 """
 
 from __future__ import annotations
@@ -82,31 +79,28 @@ def _one_matrix(a) -> np.ndarray:
     return m
 
 
-def _times_fixed(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """``x @ f``, as one tall product where ``f`` is fixed along the stack ``x`` (see the module docstring)."""
-    if f.ndim == 2:
-        return (x.reshape(-1, x.shape[-1]) @ f).reshape(x.shape)
-    return x @ f
-
-
-def _fixed_times(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``f @ x``, as one tall product where ``f`` is fixed along the stack ``x`` and real (see the module docstring)."""
-    if f.ndim == 2 and not f.imag.any():
-        return (x.mT.reshape(-1, x.shape[-1]) @ f.mT).reshape(x.mT.shape).mT
-    return f @ x
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, tall where a single matrix is fixed along the other's stack at d <= 3 (see the module docstring)."""
+    # bits checked at d <= 3 under OpenBLAS 0.3.31's SkylakeX, Haswell, Zen, Sandybridge, Nehalem and Prescott kernels
+    if a.shape[-1] <= 3:
+        if b.ndim == 2 and a.ndim > 2:
+            return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape)
+        if a.ndim == 2 and b.ndim > 2 and not a.imag.any():
+            return (b.mT.reshape(-1, b.shape[-1]) @ a.mT).reshape(b.mT.shape).mT
+    return a @ b
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator ``AB - BA`` of two equally sized square matrices (stacks broadcast).
 
-    An ``a`` fixed along the stack ``b`` makes ``BA`` one tall BLAS product, and ``AB`` too where ``a`` is real.
+    A matrix fixed along the other's stack is multiplied by the module's rule: tall at d <= 3, per matrix otherwise.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape[-1] != bm.shape[-1]:
         raise ValueError(f"dimension mismatch: {am.shape[-1]} vs {bm.shape[-1]}")
-    c = _fixed_times(am, bm)
-    c -= _times_fixed(bm, am)  # in place: one stack fewer alive at a time
+    c = _product(am, bm)
+    c -= _product(bm, am)  # in place: one stack fewer alive at a time
     return c
 
 

@@ -6,13 +6,13 @@ normalized to ``[0, 1]``.  Both algebraic forms (commutator norm and the
 equivalent trace polynomial) are evaluated on every call and
 cross-checked, so a silent regression in either code path is caught at
 the point of use.  A fixed ``rho_a`` against a stack of ``rho_b`` takes
-its products as tall products (:mod:`qslkit.matcore`), with the bits of
-the per-matrix ones.  The trace form is taken as two-operand
-contractions (``np.einsum``): ``Tr[(rho_a rho_b)^2]`` of the shared
-product, and ``Tr(rho_a^2 rho_b^2)`` as ``Tr(rho_b (rho_b rho_a^2))`` by
-cyclicity, so ``rho_a^2`` is a fixed right factor; its bits feed only the
-cross-check.  A non-finite argument, NaN or infinite, fails the
-cross-check and is named.
+its products by the rule of :mod:`qslkit.matcore`: tall at d <= 3, per
+matrix otherwise, with the per-matrix bits either way.  The trace form
+is taken as two-operand contractions (``np.einsum``):
+``Tr[(rho_a rho_b)^2]`` of the shared product, and ``Tr(rho_a^2 rho_b^2)``
+as ``Tr(rho_b (rho_b rho_a^2))`` by cyclicity, so ``rho_a^2`` is a fixed
+right factor; its bits feed only the cross-check.  A non-finite
+argument, NaN or infinite, fails the cross-check and is named.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .matcore import _check_finite, _fixed_times, _times_fixed, as_matrix, commutator, hs_norm
+from .matcore import _check_finite, _product, as_matrix, commutator, hs_norm
 
 #: Allowed disagreement between the two algebraic forms of the witness.
 FORM_AGREEMENT_TOL = 1e-10
@@ -44,10 +44,10 @@ def quantumness(rho_a: np.ndarray, rho_b: np.ndarray):
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite argument fails the form check, named below
-        ab = _fixed_times(a, b)
+        ab = _product(a, b)
         # np.square, not ** 2: a float's ** 2 calls pow, which can round apart from an array's x * x
-        q_comm = 2.0 * np.square(hs_norm(ab - _times_fixed(b, a)))
-        a2b2 = np.einsum("...ij,...ji->...", b, _times_fixed(b, a @ a))  # Tr(a^2 b^2) by cyclicity
+        q_comm = 2.0 * np.square(hs_norm(ab - _product(b, a)))
+        a2b2 = np.einsum("...ij,...ji->...", b, _product(b, a @ a))  # Tr(a^2 b^2) by cyclicity
         q_trace = -4.0 * (np.einsum("...ij,...ji->...", ab, ab) - a2b2).real
         # written as "not within" so that a NaN fails it
         off = ~(np.abs(q_comm - q_trace) <= FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(q_comm)))

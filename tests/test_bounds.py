@@ -50,6 +50,12 @@ class TestTauQFromTrajectory:
         traj, _ = markov_dephasing_trajectory(0.0, tau=1.0, n=201)
         assert tau_q_from_trajectory(traj, 1.0) == 0.0
 
+    def test_witness_without_speed_rejected(self):
+        # a witness value the null dynamics never generated has no mean speed to divide by
+        traj, _ = markov_dephasing_trajectory(0.0, tau=1.0, n=201)
+        with pytest.raises(ValueError, match=r"no quantumness generation channel \(zero mean speed\)"):
+            tau_q_from_trajectory(traj, 1.0, q_value=0.5)
+
     def test_markov_dephasing_saturates(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0)
         assert tau_q_from_trajectory(traj, 1.0) == pytest.approx(1.0, abs=1e-4)
@@ -152,6 +158,12 @@ class TestTauQUnitary:
         control = UnitaryControl(theta_rate=math.pi / 2.0, alpha0=0.0)
         with pytest.raises(ValueError, match="commuting endpoint"):
             tau_q_unitary(control, 1.0)  # theta(tau) = pi/2
+
+    def test_static_control_rejected(self):
+        # theta stays at 0.3, so Q > 0, but nothing drives it
+        control = UnitaryControl(theta0=0.3, theta_rate=0.0, alpha_rate=0.0)
+        with pytest.raises(ValueError, match=r"no quantumness generation channel \(zero mean speed\)"):
+            tau_q_unitary(control, 1.0)
 
     def test_negative_speed_argument_surfaced(self):
         # mixed-rate drive near the angle where the closed form turns negative
@@ -343,10 +355,13 @@ class TestNonFiniteArguments:
             (lambda v: ghz_scaling(0.3, v, 3), "beta", math.nan),
             (lambda v: ghz_scaling(0.3, v, 3), "beta", 0.0),
             (lambda v: ghz_scaling(0.3, v, 3), "beta", math.inf),
+            (lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v), "tau", 0.0),
+            (lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v), "tau", -1.0),
         ],
         ids=["tau_q_dephasing-nan", "tau_q_dephasing-inf", "tau_q_unitary-nan", "tau_q_unitary-inf",
              "quantumness_dephasing-theta", "quantumness_dephasing-beta", "ghz_scaling-float", "ghz_scaling-bool",
-             "ghz_scaling-beta-nan", "ghz_scaling-beta-zero", "ghz_scaling-beta-inf"],
+             "ghz_scaling-beta-nan", "ghz_scaling-beta-zero", "ghz_scaling-beta-inf", "tau_q_unitary-zero",
+             "tau_q_unitary-negative"],
     )
     def test_closed_form_argument_rejected_by_name(self, call, name, value):
         with pytest.raises(ValueError, match=f"invalid (argument|field) '{name}': must be "):
@@ -532,6 +547,13 @@ class TestEvaluationPass:
         (rep,) = evaluate_crossings(traj, [0.5 * float(q[-2] + q[-1])], fidelity=True)
         assert traj.grid[-2] < rep.tau_exact <= traj.grid[-1]
         assert rep.tau_b is not None and rep.tau_b_avg is not None
+
+    def test_crossing_on_a_two_sample_grid_is_linear(self):
+        # no third sample for the quadratic stencil
+        mem = MemoryFunctions.markov_limit(1.0)
+        traj = propagate(Dephasing(mem), from_pure([math.cos(0.3), math.sin(0.3)]), np.linspace(0.0, 1.0, 2))
+        (rep,) = evaluate_crossings(traj, [0.5 * float(traj.q_samples[1])])
+        assert rep.tau_exact == 0.5
 
     def test_one_target_calls_match_the_pass(self):
         for _, traj in pass_trajectories()[:6]:

@@ -1,5 +1,6 @@
 """Harness: config validation, sweeps, CSV schema/determinism, validation suite."""
 
+import ast
 import builtins
 import dataclasses
 import json
@@ -112,6 +113,7 @@ class TestScenarioConfig:
             ({"model": "dephasing", "gamma": 1.0, "theta0": 2.0}, "theta0", "0.0"),
             ({"model": "stirap", "theta": 1.2}, "theta", repr(math.pi / 8.0)),
             ({"model": "stirap", "alpha0": 1.0}, "alpha0", "0.0"),
+            ({"model": "stirap", "markov": True}, "markov", "False"),  # no bath: no memory to drop
         ],
     )
     def test_field_its_model_does_not_read_rejected(self, build, raw, field, must):
@@ -119,7 +121,7 @@ class TestScenarioConfig:
         message = rf"invalid field '{field}': must be {re.escape(must)} unless 'model' is "
         with pytest.raises(ValueError, match=message):
             build(raw)
-        build({**raw, field: None if must == "unset" else float(must)})
+        build({**raw, field: None if must == "unset" else ast.literal_eval(must)})
 
     def test_config_is_frozen_and_replace_checks_again(self):
         cfg = ScenarioConfig.from_dict({"model": "dephasing", "markov": True})
@@ -182,7 +184,7 @@ class TestScenarioConfig:
         "raw,expected",
         [
             ({"model": "unitary2l"}, None),
-            ({"model": "stirap", "markov": True}, None),  # no bath: the flag does not apply either
+            ({"model": "stirap"}, None),
             ({"model": "dephasing", "gamma": 0.5}, 0.5),
             ({"model": "dissipation", "markov": True}, math.inf),
             ({"model": "ghz", "gamma": 2}, 2.0),
@@ -304,6 +306,24 @@ class TestRunScenario:
         assert not reports[0].reached
         assert reports[0].tau_exact is None and reports[0].tau_q_numeric is None
         assert reports[0].slack is None
+
+    def test_closed_form_rejecting_its_input_leaves_none(self):
+        # sin 4 theta = 0 at theta = pi/4: the closed form has no coherence channel to invert
+        cfg = ScenarioConfig(model="dephasing", theta=math.pi / 4.0, markov=True, tau_max=0.5, grid_points=501)
+        (rep,) = evaluate_targets(run_scenario(cfg).trajectory, [0.0], cfg)
+        assert rep.reached and rep.tau_exact == 0.0
+        assert rep.tau_q_closed is None
+
+    def test_closed_form_past_the_first_bisection_bracket(self):
+        # a memory time of 1e7 / Gamma: the crossings lie up to 6e3 / Gamma, past the first bracket of 1e3 / Gamma
+        cfg = ScenarioConfig(model="dephasing", gamma=1e-7, tau_max=2e4, theta=0.5)
+        reached = [rep for rep in run_scenario(cfg).reports if rep.reached]
+        assert len(reached) == 20 and max(rep.tau_exact for rep in reached) > bounds.BISECTION_SPAN
+        memory = cfg._memory()
+        for rep in reached:
+            assert rep.tau_q_closed is not None
+            q = bounds.quantumness_dephasing(cfg.theta, memory.beta(rep.tau_q_closed))
+            assert q == pytest.approx(rep.q_target, rel=1e-9)
 
 
     def test_tau_b_norms_computed_once_per_trajectory(self):
@@ -954,6 +974,19 @@ class TestCli:
             "the generator's rates overflow double precision\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [{"n": 10**200}, {"n": 10**154, "Gamma": 2.0}], ids=["n-squared", "coupling"])
+    def test_overflowing_ghz_coupling_is_one_error_line(self, tmp_path, capsys, raw):
+        # n^2 beyond the float range, and a coupling Gamma * n^2 beyond it
+        raw = {"model": "ghz", "markov": True, **raw}
+        message = "invalid field 'n': the coupling Gamma * n^2 overflows double precision"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig(**raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"qslkit: error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_config_file_is_one_error_line(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 2

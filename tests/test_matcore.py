@@ -11,7 +11,7 @@ from qslkit.matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _fixed_times,
+    _product,
     commutator,
     from_pure,
     hermiticity_defect,
@@ -107,6 +107,13 @@ class TestFromPure:
         with pytest.raises(ValueError, match="not normalized"):
             from_pure([1.0, 1.0])
 
+    @pytest.mark.parametrize("size", [0, 33])
+    def test_dimension_outside_the_supported_range_rejected(self, size):
+        v = np.zeros(size)
+        v[:1] = 1.0
+        with pytest.raises(ValueError, match=rf"state dimension {size} outside supported range 1\.\.32"):
+            from_pure(v)
+
     @given(seed=seeds, dim=dims)
     @settings(max_examples=50, deadline=None)
     def test_trace_one_and_idempotent(self, seed, dim):
@@ -159,6 +166,18 @@ class TestStacks:
             expected = [[commutator(o[0], m) for m in s] for o, s in zip(others, stacks)]
             assert np.array_equal(commutator(others, stacks), expected)
 
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            ((2, 3), r"expected a square matrix, got shape \(2, 3\)"),
+            ((33, 33), r"dimension 33 outside supported range 1\.\.32"),
+        ],
+        ids=["not-square", "too-large"],
+    )
+    def test_commutator_rejects_a_shape_by_name(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            commutator(np.zeros(shape), np.zeros(shape))
+
     def test_single_matrix_gives_a_float(self):
         assert isinstance(hs_norm(SIGMA_X), float)
         assert isinstance(min_eigenvalue(SIGMA_X), float)
@@ -189,7 +208,7 @@ def bits(x):
 
 
 class TestFixedTimes:
-    """``_fixed_times(f, x)`` is ``f @ x`` per matrix, bit for bit, whichever product it takes."""
+    """``_product(f, x)`` is ``f @ x`` per matrix, bit for bit, whichever product it takes."""
 
     @given(seed=seeds, dim=dims, n=st.integers(1, 80), every=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -201,8 +220,8 @@ class TestFixedTimes:
         x[::every] = x[::every].real  # members with a zero imaginary part
         for f in real_factors:
             assert not f.imag.any()
-            assert np.array_equal(bits(_fixed_times(f, x)), bits([f @ m for m in x]))
-            assert np.array_equal(bits(_fixed_times(f, x[0])), bits(f @ x[0]))
+            assert np.array_equal(bits(_product(f, x)), bits([f @ m for m in x]))
+            assert np.array_equal(bits(_product(f, x[0])), bits(f @ x[0]))
 
     @given(seed=seeds, dim=dims, n=st.integers(1, 80), every=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -211,8 +230,8 @@ class TestFixedTimes:
         f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
         x[::every] = x[::every].real
-        assert np.array_equal(bits(_fixed_times(f, x)), bits([f @ m for m in x]))
+        assert np.array_equal(bits(_product(f, x)), bits([f @ m for m in x]))
         # one fixed matrix per member, (B, 1, d, d), is a stack of factors: per matrix too
         fs = np.stack([f.real + 0j, f])[:, None]
         xs = np.stack([x, x[::-1]])
-        assert np.array_equal(bits(_fixed_times(fs, xs)), bits([[g[0] @ m for m in y] for g, y in zip(fs, xs)]))
+        assert np.array_equal(bits(_product(fs, xs)), bits([[g[0] @ m for m in y] for g, y in zip(fs, xs)]))
