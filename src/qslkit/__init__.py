@@ -59,7 +59,7 @@ from .matcore import (
     purity,
     validate_density,
 )
-from .memory import MemoryFunctions, OUParams, RiccatiBlowupError
+from .memory import MemoryFunctions, RiccatiBlowupError
 from .witness import (
     generation_speed,
     pure_state_quantumness,
@@ -78,7 +78,6 @@ __all__ = [
     "Dissipation",
     "GhzScalingReport",
     "MemoryFunctions",
-    "OUParams",
     "PositivityLossError",
     "RiccatiBlowupError",
     "SIGMA_X",

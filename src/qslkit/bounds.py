@@ -240,40 +240,42 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
             f"unreachable quantumness for this initial state (2 sqrt(q)/|sin 4theta| = {x:.6g})"
         )
     beta_target = -math.log1p(-x)
-    gamma_c = m.coupling
     if m.markov:
-        return beta_target / (2.0 * gamma_c)
-    lo, hi = 0.0, BISECTION_SPAN / gamma_c
-    while m.beta(hi) < beta_target:  # ends: beta >= 2 Gamma (tau - 1/gamma) grows without bound
-        lo, hi = hi, 2.0 * hi
+        return beta_target / (2.0 * m.coupling)
+    cap = float(np.finfo(float).max)
+    lo, hi = 0.0, min(BISECTION_SPAN / m.coupling, cap)
+    while m.beta(hi) < beta_target:  # beta >= 2 Gamma (tau - 1/gamma) grows without bound
+        if hi == cap:
+            raise ValueError(f"quantumness target q = {q!r} is unreachable in double precision (tau > {cap:.6g})")
+        lo, hi = hi, min(2.0 * hi, cap)
     while hi - lo > BISECTION_RTOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halving is exact, so these are the bits of 0.5 * (lo + hi), without its overflow
         if m._beta(mid) < beta_target:  # inside the checked bracket
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
-def unitary_speed_squared(c: UnitaryControl, t: float) -> float:
-    """Squared generation speed of the two-angle control, evaluated verbatim.
+def unitary_speed_squared(c: UnitaryControl, t):
+    """Squared generation speed of the two-angle control at time ``t``, or an array for an array of times.
 
-    The mixed rate term can turn negative for some controls; callers must
-    surface that instead of taking absolute values (the fully numeric
-    trajectory route is the cross-check).
+    Evaluated verbatim, with squares taken by ``pow`` (``np.float_power``) as
+    in :func:`~qslkit.generators.hamiltonian_2l`.  The mixed rate term can
+    turn negative for some controls; callers must surface that instead of
+    taking absolute values (the fully numeric trajectory route is the cross-check).
     """
-    th = c.theta(t)
+    times = np.asarray(t, dtype=float)
+    th = c.theta(times)
     thd = c.theta_rate
-    al = c.alpha(t)
+    al = c.alpha(times)
     ald = c.alpha_rate
-    mixed = (
-        -2.0
-        * ald
-        * math.sin(th) ** 2
-        * math.sin(4.0 * th)
-        * (ald * math.cos(al) ** 2 * math.sin(th) + thd * math.sin(2.0 * al))
-    )
-    return mixed + 2.0 * thd**2 * math.cos(2.0 * th) ** 2 + ald**2 * math.sin(th) ** 2
+    sin_th = np.sin(th)
+    sin2_th = np.float_power(sin_th, 2.0)
+    inner = ald * np.float_power(np.cos(al), 2.0) * sin_th + thd * np.sin(2.0 * al)
+    mixed = -2.0 * ald * sin2_th * np.sin(4.0 * th) * inner
+    x = mixed + 2.0 * thd**2 * np.float_power(np.cos(2.0 * th), 2.0) + ald**2 * sin2_th
+    return float(x) if times.ndim == 0 else x
 
 
 def tau_q_unitary(c: UnitaryControl, tau: float) -> float:
@@ -288,7 +290,7 @@ def tau_q_unitary(c: UnitaryControl, tau: float) -> float:
     if abs(s2) < _ZERO:
         raise ValueError("commuting endpoint, Q = 0 (sin 2theta(tau) = 0)")
     ts = np.linspace(0.0, tau, 10_000)
-    x = np.array([unitary_speed_squared(c, t) for t in ts])
+    x = unitary_speed_squared(c, ts)
     bad = np.nonzero(x < -1e-12 * max(1.0, float(np.max(np.abs(x)))))[0]
     if len(bad):
         k = int(bad[0])

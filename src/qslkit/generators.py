@@ -14,25 +14,26 @@ and acts on a stack ``(..., d, d)`` of states with one array expression;
 ``apply(rho, t)`` is that action at a single time.
 
 Propagation uses classical fourth-order fixed steps on a uniform grid so
-that the trajectory shares its sampling with the time averages taken by
-the bounds module.  Scenarios of one family that share a grid are stepped
+that the trajectory shares its sampling with the time averages taken by the
+bounds module.  Scenarios of one family that share a grid are stepped
 together as one ``(B, d, d)`` stack; a single scenario is a batch of one.
-The steps are taken ``POSITIVITY_SCAN_STEPS`` grid times at a time, with
-no Python loop over single steps.  Each step of a linear generator is a
-linear map on ``vec(rho)``, so a chunk's states are first estimated as a
-prefix scan of those maps (Blelloch 1990; Martin & Cundy 2018); for
-dephasing and dissipation, whose maps act entry by entry, the scan is one
-cumulative product of scalar factors.  The unitary action is a sum of
-``d`` broadcast outer products, with no BLAS call per ``d x d`` matrix;
-only the scan's products of ``d^2 x d^2`` transfer matrices keep ``@``.
-Sweeps of the chunk's increments, added up in order, then move the
-estimates onto the rounding of the sequential steps, each re-Hermitized:
-bit for bit for dephasing and dissipation, within 1e-15 for the unitary
-families.  Each chunk is then checked for positivity; a loss beyond
-tolerance stops the run within the chunk, naming the first grid time
-where it shows, instead of being projected away, so genuine integrator
-or model errors are never masked.  The witness and speed samples follow,
-per member.
+The steps are taken ``POSITIVITY_SCAN_STEPS`` grid times at a time, with no
+Python loop over single steps.  Each step of a linear generator is a linear
+map on ``vec(rho)``, so a chunk's states are first estimated as a prefix
+scan of those maps (Blelloch 1990; Martin & Cundy 2018); for dephasing and
+dissipation, whose maps act entry by entry, the scan is one cumulative
+product of scalar factors.  The unitary action is a sum of ``d`` broadcast
+outer products, with no BLAS call per ``d x d`` matrix; only the scan's
+products of ``d^2 x d^2`` transfer matrices keep ``@``.  Sweeps of the
+chunk's increments, added up in order, then move the estimates onto the
+rounding of the sequential steps, each re-Hermitized: bit for bit for
+dephasing and dissipation, within 1e-15 for the unitary families.  A sweep
+writes each state from the states before it alone, so the estimate sets
+only the sweep count, never a bit.  Each chunk is then checked for
+positivity; a loss beyond tolerance stops the run within the chunk, naming
+the first grid time where it shows, instead of being projected away, so
+genuine integrator or model errors are never masked.  The witness and speed
+samples follow, per member.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class _TabulatedGenerator:
     generator to a state or a stack of states with the matching entries
     (broadcast against the trailing ``(d, d)`` axes).  The action depends on
     the family only, so one call steps a whole batch.  ``estimate_chunk``
-    seeds a chunk's states before they are settled (:func:`_step_batch`);
+    seeds a chunk's states, which sets only the sweep count of :func:`_settle`;
     by default it is the transfer-matrix scan, which any linear action takes.
     """
 
@@ -175,8 +176,8 @@ class _Entrywise(_TabulatedGenerator):
     A step then multiplies each entry by a scalar factor, the step applied
     to the all-ones matrix, so a chunk's estimates are one cumulative
     product of these factors.  The last diagonal entry, the one fed, is
-    restored from the trace, which a traceless action keeps.  Only a
-    family whose action has this form may inherit this estimate.
+    restored from the trace, which a traceless action keeps.  A family of
+    another form would settle to the same states, after more sweeps.
     """
 
     def __post_init__(self):

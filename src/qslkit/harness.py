@@ -53,7 +53,7 @@ from .generators import (
     unitary_state,
 )
 from .matcore import _check_number, commutator, from_pure, hermiticity_defect, hs_norm, min_eigenvalue, purity
-from .memory import MemoryFunctions, OUParams, RiccatiBlowupError
+from .memory import MemoryFunctions, RiccatiBlowupError
 from .witness import (
     pure_state_quantumness,
     quantumness,
@@ -173,9 +173,7 @@ class ScenarioConfig:
     def _memory(self) -> MemoryFunctions:
         """Bath memory of the open-system models (coupling scaled by ``n^2`` for ``ghz``)."""
         coupling = self.Gamma * (self.n * self.n)  # n is 1 off ghz
-        if self.markov:
-            return MemoryFunctions.markov_limit(coupling)
-        return MemoryFunctions(OUParams(coupling, self.gamma * self.Gamma))
+        return MemoryFunctions(coupling, math.inf if self.markov else self.gamma * self.Gamma)
 
     @property
     def gamma_ratio(self) -> Optional[float]:
@@ -209,7 +207,7 @@ def build_scenario(cfg: ScenarioConfig):
             return Dephasing(mem), rho0, grid
         if not cfg.markov:
             # the step resolves both rates: h <= 1 / (25 max(gamma, Gamma))
-            h_max = 1.0 / (25.0 * max(mem.params.memory_rate, cfg.Gamma))
+            h_max = 1.0 / (25.0 * max(mem.memory_rate, cfg.Gamma))
             n = max(cfg.grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
             grid = np.linspace(0.0, cfg.tau_max, n)
         return Dissipation(mem), rho0, grid
@@ -525,16 +523,20 @@ def ghz_scaling(
         [int(n), math.exp(-float(n * n) * beta), q_n, math.sqrt(q_n / q_values[0]), tau_n]
         for n, q_n, tau_n in zip(ns, q_values, tau_values)
     ]
-    if n_max >= 2:
-        logn = np.log(ns.astype(float))
-        slope_q = float(np.polyfit(logn, np.log(q_values), 1)[0])
-        slope_sqrt_q = float(np.polyfit(logn, 0.5 * np.log(q_values), 1)[0])
-        slope_tau_q = float(np.polyfit(logn, np.log(tau_values), 1)[0])
-    else:
-        slope_q = slope_sqrt_q = slope_tau_q = None
+    logn, log_q = [math.log(n) for n in ns.tolist()], [math.log(v) for v in q_values]
+    slope_q, slope_sqrt_q = _slope(logn, log_q), _slope(logn, [0.5 * v for v in log_q])
+    slope_tau_q = _slope(logn, [math.log(v) for v in tau_values])
     if out_path is not None:
         write_csv(out_path, GHZ_HEADER, rows)
     return GhzScalingReport(theta, beta, q_fix, rows, slope_q, slope_sqrt_q, slope_tau_q)
+
+
+def _slope(xs: list, ys: list) -> Optional[float]:
+    """Least-squares slope of ``ys`` over ``xs``, ``None`` for one point, in Python floats that no BLAS kernel moves."""
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - x_bar for x in xs]
+    sxx = math.fsum(d * d for d in dx)
+    return math.fsum(d * (y - y_bar) for d, y in zip(dx, ys)) / sxx if sxx else None
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ Hamiltonians of :mod:`qslkit.generators` are tabulated as arrays.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,35 +57,17 @@ class RiccatiBlowupError(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True)
-class OUParams:
-    """Rates of the exponential bath kernel.
-
-    ``coupling`` is the overall rate (Gamma), ``memory_rate`` the inverse
-    correlation time (gamma).  Both must be positive numbers under the
-    rule of :func:`~qslkit.matcore._check_number`, except that
-    ``memory_rate`` may be ``inf`` as a marker for the exact memoryless
-    limit.
-    """
-
-    coupling: float
-    memory_rate: float
-
-    def __post_init__(self):
-        if not _check_number(self.coupling, "coupling", "field") > 0.0:
-            raise ValueError(f"coupling rate must be positive and finite, got {self.coupling}")
-        if self.memory_rate != math.inf and not _check_number(self.memory_rate, "memory_rate", "field") > 0.0:
-            raise ValueError(f"memory rate must be positive, got {self.memory_rate}")
-
-
 class MemoryFunctions:
     """Closed-form memory functions of the exponential kernel, with a memoryless branch.
 
-    Dephasing reads the rate ``f`` and its exponent ``beta``; dissipation
-    reads ``P`` and its running integral ``xi``.  With ``memory_rate = inf``
-    (``markov`` is then true) the exact limits ``f = Gamma`` (hence
-    ``beta = 2 Gamma tau``) and ``P = Gamma/2`` (hence ``xi = Gamma t / 2``)
-    are used.
+    ``coupling`` is the overall rate (Gamma) and ``memory_rate`` the inverse
+    correlation time (gamma), both positive numbers under the rule of
+    :func:`~qslkit.matcore._check_number`.  Dephasing reads the rate ``f``
+    and its exponent ``beta``; dissipation reads ``P`` and its running
+    integral ``xi``.  The one non-finite rate taken, ``memory_rate = inf``,
+    marks the memoryless limit (``markov`` is then true), where the exact
+    limits ``f = Gamma`` (hence ``beta = 2 Gamma tau``) and ``P = Gamma/2``
+    (hence ``xi = Gamma t / 2``) are used.
 
     ``u = exp(-xi)`` linearizes the equation of ``P`` to
     ``u'' + gamma u' + (Gamma gamma / 2) u = 0`` with ``u(0) = 1`` and
@@ -101,14 +82,19 @@ class MemoryFunctions:
     :class:`RiccatiBlowupError`.
     """
 
-    def __init__(self, params: OUParams):
-        self.params = params
-        self.markov = math.isinf(params.memory_rate)
+    def __init__(self, coupling: float, memory_rate: float):
+        if not _check_number(coupling, "coupling") > 0.0:
+            raise ValueError(f"coupling rate must be positive and finite, got {coupling}")
+        if memory_rate != math.inf and not _check_number(memory_rate, "memory_rate") > 0.0:
+            raise ValueError(f"memory rate must be positive, got {memory_rate}")
+        self.coupling = coupling
+        self.memory_rate = memory_rate
+        self.markov = memory_rate == math.inf
         self.horizon = math.inf
         self._t_star = math.inf
         if self.markov:
             return
-        coupling, gamma = params.coupling, params.memory_rate
+        gamma = memory_rate
         self._drive = 0.5 * coupling * gamma
         kappa = 0.25 * gamma * (gamma - 2.0 * coupling)
         self._trig = kappa < 0.0
@@ -127,11 +113,7 @@ class MemoryFunctions:
 
     @classmethod
     def markov_limit(cls, coupling: float) -> "MemoryFunctions":
-        return cls(OUParams(coupling=coupling, memory_rate=math.inf))
-
-    @property
-    def coupling(self) -> float:
-        return self.params.coupling
+        return cls(coupling, math.inf)
 
     def f(self, t: float) -> float:
         """Coherence-decay rate ``f(t) = Gamma (1 - exp(-gamma t))``."""
@@ -141,8 +123,8 @@ class MemoryFunctions:
         """:meth:`f` at each of ``times``, as a 1-D array."""
         ts = self._checked(times, math.inf)
         if self.markov:
-            return np.full(ts.shape, self.params.coupling)
-        return self.params.coupling * -_math(math.expm1, -self.params.memory_rate * ts)
+            return np.full(ts.shape, self.coupling)
+        return self.coupling * -_math(math.expm1, -self.memory_rate * ts)
 
     def beta(self, tau: float) -> float:
         """Coherence-decay exponent ``2 int_0^tau f = 2 Gamma [tau - (1 - exp(-gamma tau)) / gamma]``.
@@ -157,9 +139,9 @@ class MemoryFunctions:
     def _beta(self, tau: float) -> float:
         """:meth:`beta` at a time already known to be finite and nonnegative."""
         if self.markov:
-            return 2.0 * self.params.coupling * tau
-        g = self.params.memory_rate
-        return 2.0 * self.params.coupling * (tau + math.expm1(-g * tau) / g)
+            return 2.0 * self.coupling * tau
+        g = self.memory_rate
+        return 2.0 * self.coupling * (tau + math.expm1(-g * tau) / g)
 
     def _check_span(self, lo: float, hi: float, horizon: float) -> None:
         """Reject times from ``lo`` to ``hi`` unless all are finite, nonnegative and below ``horizon``."""
@@ -191,11 +173,11 @@ class MemoryFunctions:
         """:meth:`p` at each of ``times``, as a 1-D array."""
         ts = self._checked(times, self.horizon)
         if self.markov:
-            return np.full(ts.shape, 0.5 * self.params.coupling)
+            return np.full(ts.shape, 0.5 * self.coupling)
         if self._trig:
             wt = self._omega * ts
             s = _math(math.sin, wt) / self._omega
-            return self._drive * s / (_math(math.cos, wt) + 0.5 * self.params.memory_rate * s)
+            return self._drive * s / (_math(math.cos, wt) + 0.5 * self.memory_rate * s)
         r = self._r
         s = ts if r == 0.0 else -_math(math.expm1, -2.0 * r * ts) / (2.0 * r)
         return self._drive * s / (1.0 + self._a * s)
@@ -205,10 +187,10 @@ class MemoryFunctions:
         t = _check_number(t, "t")
         self._check_span(t, t, self.horizon)
         if self.markov:
-            return 0.5 * self.params.coupling * t
+            return 0.5 * self.coupling * t
         if self._trig:
             wt = self._omega * t
-            half_gamma = 0.5 * self.params.memory_rate
+            half_gamma = 0.5 * self.memory_rate
             s = math.sin(wt) / self._omega
             return half_gamma * t - math.log1p(half_gamma * s - 2.0 * math.sin(0.5 * wt) ** 2)
         r = self._r
@@ -216,8 +198,8 @@ class MemoryFunctions:
         return self._a * t - math.log1p(self._a * s)
 
     def __repr__(self) -> str:
-        tag = "markov" if self.markov else f"gamma={self.params.memory_rate}"
-        return f"MemoryFunctions(Gamma={self.params.coupling}, {tag})"
+        tag = "markov" if self.markov else f"gamma={self.memory_rate}"
+        return f"MemoryFunctions(Gamma={self.coupling}, {tag})"
 
 
 def _math(fn, x: np.ndarray) -> np.ndarray:

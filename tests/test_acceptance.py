@@ -44,7 +44,7 @@ from qslkit.harness import (
     run_scenario,
 )
 from qslkit.matcore import from_pure
-from qslkit.memory import MemoryFunctions, OUParams
+from qslkit.memory import MemoryFunctions
 from qslkit.witness import (
     pure_state_quantumness,
     quantumness,
@@ -264,7 +264,7 @@ def test_c09_oracle_equivalence():
             rho0 = from_pure([math.cos(theta), math.sin(theta)])
             for gamma in (0.1, 0.5, 1.0, 2.0, 50.0):
                 # dephasing over the full horizon
-                mem = MemoryFunctions(OUParams(1.0, gamma))
+                mem = MemoryFunctions(1.0, gamma)
                 tau = 5.0
                 finals = []
                 for n in (2501, 5001):
@@ -316,7 +316,7 @@ def test_c11_rate_inequality(dephasing_pi8, stirap_trajectory, markov50_dissipat
         # add finite-memory dephasing/dissipation and a driven-qubit trajectory
         theta = math.pi / 5.0
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
-        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        mem = MemoryFunctions(1.0, 0.5)
         trajectories.append(propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, 2001)))
         trajectories.append(propagate(Dissipation(mem), rho0, np.linspace(0.0, 2.0, 2001)))
         control = UnitaryControl(theta_rate=0.5, alpha0=0.7)

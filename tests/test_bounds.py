@@ -20,6 +20,7 @@ from qslkit.bounds import (
     tau_q_dephasing,
     tau_q_from_trajectory,
     tau_q_unitary,
+    unitary_speed_squared,
 )
 from qslkit.generators import (
     Dephasing,
@@ -33,7 +34,7 @@ from qslkit.generators import (
 )
 from qslkit.harness import ScenarioConfig, auto_targets, build_scenario, ghz_scaling
 from qslkit.matcore import from_pure
-from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
+from qslkit.memory import MemoryFunctions, RiccatiBlowupError
 from qslkit.witness import generation_speed, quantumness
 
 
@@ -114,11 +115,11 @@ class TestTauQDephasing:
     def test_memory_slows_quantumness_generation(self):
         q_val = 0.1
         t_markov = tau_q_dephasing(q_val, math.pi / 8.0, MemoryFunctions.markov_limit(1.0))
-        t_memory = tau_q_dephasing(q_val, math.pi / 8.0, MemoryFunctions(OUParams(1.0, 0.1)))
+        t_memory = tau_q_dephasing(q_val, math.pi / 8.0, MemoryFunctions(1.0, 0.1))
         assert t_memory > t_markov
 
     def test_bisection_solves_exponent_equation(self):
-        mem = MemoryFunctions(OUParams(1.0, 0.4))
+        mem = MemoryFunctions(1.0, 0.4)
         theta, q_val = math.pi / 5.0, 0.05
         tau = tau_q_dephasing(q_val, theta, mem)
         beta_target = -math.log1p(-2.0 * math.sqrt(q_val) / abs(math.sin(4.0 * theta)))
@@ -128,6 +129,18 @@ class TestTauQDephasing:
         with pytest.raises(ValueError, match="unreachable quantumness"):
             tau_q_dephasing(0.9, math.pi / 8.0, MemoryFunctions.markov_limit(1.0))
 
+    @pytest.mark.parametrize("memory_rate", [1.0, 1e-306])
+    def test_bracket_holds_a_root_near_the_float_range(self, memory_rate):
+        # the first bracket, 1e3 / coupling, overflows; the root does not
+        mem = MemoryFunctions(1e-306, memory_rate)
+        tau = tau_q_dephasing(0.01, 0.3, mem)
+        assert math.isfinite(tau)
+        assert quantumness_dephasing(0.3, mem.beta(tau)) == pytest.approx(0.01, rel=1e-9)
+
+    def test_root_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^quantumness target q = 0.01 is unreachable in double precision"):
+            tau_q_dephasing(0.01, 0.3, MemoryFunctions(1e-310, 1.0))
+
     def test_degenerate_angle_rejected(self):
         with pytest.raises(ValueError, match="no coherence channel"):
             tau_q_dephasing(0.1, math.pi / 4.0, MemoryFunctions.markov_limit(1.0))
@@ -136,13 +149,36 @@ class TestTauQDephasing:
     def test_monotone_decreasing_in_memory_rate(self, theta):
         q_val = 0.02
         taus = [
-            tau_q_dephasing(q_val, theta, MemoryFunctions(OUParams(1.0, g)))
+            tau_q_dephasing(q_val, theta, MemoryFunctions(1.0, g))
             for g in (0.1, 0.3, 0.5, 1.0, 2.0)
         ]
         assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
+def speed_squared_per_time(c, t):
+    """The squared speed of the two-angle control at one time, written out with ``math``."""
+    th, thd, al, ald = c.theta(t), c.theta_rate, c.alpha(t), c.alpha_rate
+    inner = ald * math.cos(al) ** 2 * math.sin(th) + thd * math.sin(2.0 * al)
+    mixed = -2.0 * ald * math.sin(th) ** 2 * math.sin(4.0 * th) * inner
+    return mixed + 2.0 * thd**2 * math.cos(2.0 * th) ** 2 + ald**2 * math.sin(th) ** 2
+
+
 class TestTauQUnitary:
+    @pytest.mark.parametrize(
+        "control",
+        [
+            UnitaryControl(theta_rate=0.5, alpha0=1.2),
+            UnitaryControl(theta0=0.3, theta_rate=0.7, alpha0=0.4, alpha_rate=0.3),
+            UnitaryControl(theta0=-2.1, theta_rate=2.9, alpha0=2.8, alpha_rate=-1.7),
+        ],
+    )
+    def test_speed_over_an_array_of_times_has_the_bits_of_each_time(self, control):
+        ts = np.linspace(0.0, 5.0, 2001)
+        expected = [speed_squared_per_time(control, t) for t in ts.tolist()]
+        assert np.array_equal(unitary_speed_squared(control, ts), expected)
+        assert [unitary_speed_squared(control, t) for t in ts[:50].tolist()] == expected[:50]
+        assert type(unitary_speed_squared(control, 0.5)) is float
+
     def test_constant_drive_saturates(self):
         control = UnitaryControl(theta_rate=0.5, alpha0=0.0)
         assert tau_q_unitary(control, 1.0) == pytest.approx(1.0, abs=1e-6)
@@ -200,7 +236,7 @@ class TestQuantumnessDissipation:
 
     def test_matches_witness_of_closed_state(self):
         theta = math.pi / 5.0
-        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        mem = MemoryFunctions(1.0, 0.5)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         for tau in (0.5, 1.0, 2.0):
             q_closed = quantumness_dissipation(theta, mem.xi(tau))
@@ -224,7 +260,7 @@ class TestSpeedDissipation:
 
     def test_matches_compositional_route(self):
         theta, t = math.pi / 5.0, 1.0
-        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        mem = MemoryFunctions(1.0, 0.5)
         gen = Dissipation(mem)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         rho_t = dissipation_closed_state(theta, t, mem)
@@ -232,7 +268,7 @@ class TestSpeedDissipation:
         assert speed_dissipation(theta, t, mem) == pytest.approx(composed, abs=1e-7)
 
     def test_time_past_memory_horizon_rejected(self):
-        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        mem = MemoryFunctions(1.0, 0.5)
         with pytest.raises(RiccatiBlowupError):
             speed_dissipation(math.pi / 4.0, mem.horizon, mem)
 
@@ -254,7 +290,7 @@ class TestTauBFidelity:
     def test_frozen_initial_state_rejected(self):
         # finite-memory kernel: the rate vanishes at t = 0
         theta = math.pi / 5.0
-        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        mem = MemoryFunctions(1.0, 0.5)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 1.0, 201))
         with pytest.raises(ValueError, match="frozen initial state"):
@@ -335,7 +371,7 @@ class TestNonFiniteArguments:
     )
     @settings(max_examples=40, deadline=None)
     def test_dephasing_target_rejected_by_name(self, q, markov):
-        mem = MemoryFunctions.markov_limit(1.0) if markov else MemoryFunctions(OUParams(1.0, 0.4))
+        mem = MemoryFunctions.markov_limit(1.0) if markov else MemoryFunctions(1.0, 0.4)
         # a non-finite target falls under the number rule; a finite negative one keeps its range message
         must = "must be a finite number" if not math.isfinite(q) else "quantumness must be finite and nonnegative"
         with pytest.raises(ValueError, match=f"invalid argument 'q': {must}, got"):
@@ -345,7 +381,7 @@ class TestNonFiniteArguments:
         "call,name,value",
         [
             (lambda v: tau_q_dephasing(0.01, v, MemoryFunctions.markov_limit(1.0)), "theta", math.nan),
-            (lambda v: tau_q_dephasing(0.01, v, MemoryFunctions(OUParams(1.0, 0.4))), "theta", math.inf),
+            (lambda v: tau_q_dephasing(0.01, v, MemoryFunctions(1.0, 0.4)), "theta", math.inf),
             (lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v), "tau", math.nan),
             (lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v), "tau", math.inf),
             (lambda v: quantumness_dephasing(v, 0.1), "theta", math.nan),
@@ -427,7 +463,7 @@ class TestSaturationAndValidity:
         if gamma is None:
             mem = MemoryFunctions.markov_limit(1.0)
         else:
-            mem = MemoryFunctions(OUParams(1.0, gamma))
+            mem = MemoryFunctions(1.0, gamma)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         n = max(2001, int(150 * (gamma or 1.0)) + 1)
         traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, n))

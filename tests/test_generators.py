@@ -8,11 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslkit import generators
 from qslkit.generators import (
+    POSITIVITY_ABORT,
     POSITIVITY_SCAN_STEPS,
     Dephasing,
     Dissipation,
@@ -35,9 +36,10 @@ from qslkit.matcore import (
     SIGMA_Z,
     from_pure,
     hermiticity_defect,
+    min_eigenvalue,
     purity,
 )
-from qslkit.memory import MemoryFunctions, OUParams, RiccatiBlowupError
+from qslkit.memory import MemoryFunctions, RiccatiBlowupError
 from qslkit.witness import generation_speed, random_density_matrix
 
 class SignFlippedDephasing(Dephasing):
@@ -128,7 +130,7 @@ def closed_unitary(control, t):
 
 
 def dissipation_setup(theta, gamma, tau, n):
-    mem = MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(OUParams(1.0, gamma))
+    mem = MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(1.0, gamma)
     rho0 = from_pure([math.cos(theta), math.sin(theta)])
     return Dissipation(mem), rho0, np.linspace(0.0, tau, n), mem
 
@@ -280,7 +282,7 @@ class TestApplyGenerator:
     @pytest.mark.parametrize("theta", THETAS)
     def test_output_traceless_and_hermitian(self, theta):
         rng = np.random.default_rng(17)
-        mem = MemoryFunctions(OUParams(1.0, 0.7))
+        mem = MemoryFunctions(1.0, 0.7)
         gens = [
             Dephasing(mem),
             UnitaryTwoLevel(UnitaryControl(theta_rate=0.5, alpha0=0.3, alpha_rate=0.2)),
@@ -383,7 +385,7 @@ class TestUnitaryAction:
 class TestPropagate:
     def test_dephasing_conserves_populations(self):
         theta = math.pi / 5.0
-        mem = MemoryFunctions(OUParams(1.0, 1.0))
+        mem = MemoryFunctions(1.0, 1.0)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, 1001))
         for state in traj.states[::100]:
@@ -391,7 +393,7 @@ class TestPropagate:
 
     def test_dephasing_coherence_monotone_nonincreasing(self):
         theta = math.pi / 5.0
-        mem = MemoryFunctions(OUParams(1.0, 0.3))
+        mem = MemoryFunctions(1.0, 0.3)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, 1001))
         coherences = np.array([abs(s[0, 1]) for s in traj.states])
@@ -509,7 +511,7 @@ class TestPropagateMany:
                 assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
 
     def test_dephasing_memory_ratios_and_angles(self):
-        gens = [Dephasing(MemoryFunctions(OUParams(1.0, g))) for g in GAMMA_RATIOS]
+        gens = [Dephasing(MemoryFunctions(1.0, g)) for g in GAMMA_RATIOS]
         gens.append(Dephasing(MemoryFunctions.markov_limit(1.0)))
         rho0s = [from_pure([math.cos(th), math.sin(th)]) for th in np.linspace(0.2, 1.3, len(gens))]
         self.assert_matches_solo(gens, rho0s, np.linspace(0.0, 3.0, 801))
@@ -667,7 +669,7 @@ def batches(draw):
     for _ in range(size):
         if family in ("dephasing", "dissipation"):
             gamma = draw(st.sampled_from([0.5, 2.0, 10.0, 50.0, None]))  # None: memoryless
-            mem = MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(OUParams(1.0, gamma))
+            mem = MemoryFunctions.markov_limit(1.0) if gamma is None else MemoryFunctions(1.0, gamma)
             gens.append(Dephasing(mem) if family == "dephasing" else Dissipation(mem))
             theta = draw(angles)
             rho0s.append(from_pure([math.cos(theta), math.sin(theta)]))
@@ -685,17 +687,40 @@ def batches(draw):
     return family, gens, rho0s, grid
 
 
+# a batch the strategy can draw whose member 1 loses positivity at t = 3.185 (min eigenvalue -1.0045e-6, the
+# grid time before -0.9991e-6): the fourth-order drift of a pure state's zero eigenvalue at fast rates and a long step
+_LOST = np.array([-0.26 - 0.43j, 0.23 + 0.42j, 0.51 - 0.51j])
+ABORTING_BATCH = (
+    "stirap",
+    [
+        Stirap(UnitaryControl(theta0=0.4, theta_rate=0.5, alpha0=-1.0, alpha_rate=0.5)),
+        Stirap(UnitaryControl(theta0=-2.53, theta_rate=3.0, alpha0=0.92, alpha_rate=3.0)),
+    ],
+    [from_pure(np.array([0.0, 0.0, 1.0])), from_pure(_LOST / np.linalg.norm(_LOST))],
+    np.linspace(0.0, 0.0098 * 329, 330),
+)
+
+
 class TestScanMatchesSequentialSteps:
     """The chunked scan reproduces the one-step-at-a-time loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(batch=batches())
+    @example(batch=ABORTING_BATCH)
     def test_states_match_the_sequential_loop(self, batch):
         family, gens, rho0s, grid = batch
+        expected = sequential_states(gens, rho0s, grid)
+        lost = ~(min_eigenvalue(expected) >= -POSITIVITY_ABORT)
+        if lost.any():  # the run stops where the loop's loss shows first: earliest grid time, then lowest member
+            first = np.where(lost.any(axis=1), lost.argmax(axis=1), len(grid))
+            member = int(np.argmin(first))
+            with pytest.raises(PositivityLossError) as err:
+                propagate_many(gens, rho0s, grid)
+            assert (err.value.member, err.value.time) == (member, float(grid[first[member]]))
+            return
         with recorded_chunks() as chunks:
             trajectories = propagate_many(gens, rho0s, grid)
         states = np.stack([traj.states for traj in trajectories])
-        expected = sequential_states(gens, rho0s, grid)
         if family in ("dephasing", "dissipation"):
             assert np.array_equal(states.view(np.uint64), expected.view(np.uint64))
         else:
@@ -710,13 +735,18 @@ class TestScanMatchesSequentialSteps:
 
     @settings(max_examples=60, deadline=None)
     @given(batch=batches())
+    @example(batch=ABORTING_BATCH)
     def test_chunk_estimates_lie_near_the_settled_states(self, batch):
         # the sweeps absorb a wrong estimate at the cost of more sweeps; this catches it instead
         _, gens, rho0s, grid = batch
         estimates = []
-        with recorded_chunks(estimates):
-            propagate_many(gens, rho0s, grid)
-        assert len(estimates) == -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
+        settled = -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
+        try:
+            with recorded_chunks(estimates):
+                propagate_many(gens, rho0s, grid)
+        except PositivityLossError as err:  # the chunks settled up to the abort are checked all the same
+            settled = min(settled, int(np.flatnonzero(grid == err.time)[0]) // POSITIVITY_SCAN_STEPS + 1)
+        assert len(estimates) == settled
         for estimate, settled in estimates:  # every entry, the fed ground-state population of dissipation too
             assert np.max(np.abs(estimate - settled)) <= 1e-12
 
@@ -738,11 +768,35 @@ class TestScanMatchesSequentialSteps:
         assert len(chunks) == 5 and max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
         assert max(np.max(np.abs(estimate - settled)) for estimate, settled in estimates) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig(model="dephasing", gamma=0.5, grid_points=401),
+            ScenarioConfig(model="dissipation", gamma=0.5, grid_points=401),
+            ScenarioConfig(model="unitary2l", theta0=0.3, theta_rate=0.7, alpha0=0.4, alpha_rate=0.3, grid_points=401),
+            ScenarioConfig(model="stirap", theta_rate=0.7, alpha_rate=2.0, grid_points=401),
+        ],
+        ids=lambda cfg: cfg.model,
+    )
+    def test_the_estimate_sets_only_the_sweep_count(self, config):
+        # a sweep writes state j from states 0..j-1 alone, so any estimate settles to the same bits
+        gen, rho0, grid = build_scenario(config)
+        reference = propagate(gen, rho0, grid)
+
+        def start_state_repeated(self, rho_lo, c0, c_mid, c1, h):
+            return np.repeat(rho_lo[:, None], c0.shape[1], axis=1)
+
+        with mock.patch.object(type(gen), "estimate_chunk", start_state_repeated), recorded_chunks() as chunks:
+            traj = propagate(gen, rho0, grid)
+        for name in ("states", "q_samples", "speed_samples"):
+            assert np.array_equal(getattr(traj, name).view(np.uint64), getattr(reference, name).view(np.uint64))
+        assert len(chunks) == 7 and max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
+
 
 class TestClosedStates:
     def test_dephasing_initial_time(self):
         theta = math.pi / 5.0
-        mem = MemoryFunctions(OUParams(1.0, 1.0))
+        mem = MemoryFunctions(1.0, 1.0)
         assert np.allclose(
             dephasing_closed_state(theta, 0.0, mem),
             from_pure([math.cos(theta), math.sin(theta)]),
@@ -755,7 +809,7 @@ class TestClosedStates:
 
     def test_dephasing_closed_matches_propagated(self):
         theta, gamma, tau = math.pi / 5.0, 1.0, 1.0
-        mem = MemoryFunctions(OUParams(1.0, gamma))
+        mem = MemoryFunctions(1.0, gamma)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, tau, 2001))
         assert np.max(np.abs(dephasing_closed_state(theta, tau, mem) - traj.states[-1])) < 1e-7
@@ -781,7 +835,7 @@ class TestClosedStates:
         for theta in THETAS:
             rho0 = from_pure([math.cos(theta), math.sin(theta)])
             for gamma in GAMMA_RATIOS:
-                mem = MemoryFunctions(OUParams(1.0, gamma))
+                mem = MemoryFunctions(1.0, gamma)
                 tau = 5.0
                 traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, tau, 2501))
                 for frac in (0.4, 1.0):

@@ -14,7 +14,6 @@ from qslkit.matcore import from_pure
 from qslkit.memory import (
     BLOWUP_FACTOR,
     MemoryFunctions,
-    OUParams,
     RiccatiBlowupError,
 )
 
@@ -84,33 +83,33 @@ def riccati_exact(t, coupling, memory_rate):
     return memory_rate / 2.0 + om * np.tan(om * np.asarray(t) + phi0)
 
 
-def ou_kernel(t, s, p):
+def ou_kernel(t, s, mem):
     """Reference bath correlation ``(Gamma gamma / 2) exp(-gamma |t - s|)``."""
-    return 0.5 * p.coupling * p.memory_rate * math.exp(-p.memory_rate * abs(t - s))
+    return 0.5 * mem.coupling * mem.memory_rate * math.exp(-mem.memory_rate * abs(t - s))
 
 
 class TestGbar:
     """The dephasing rate ``f`` is twice the accumulated kernel ``int_0^t G(t, s) ds``."""
 
     def test_zero_at_zero(self):
-        assert MemoryFunctions(OUParams(1.0, 2.0)).f(0.0) == 0.0
+        assert MemoryFunctions(1.0, 2.0).f(0.0) == 0.0
 
     def test_long_time_limit(self):
-        assert MemoryFunctions(OUParams(1.0, 1.0)).f(1e6) == pytest.approx(1.0, abs=1e-12)
+        assert MemoryFunctions(1.0, 1.0).f(1e6) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_against_adaptive_quadrature(self, t):
-        p = OUParams(1.3, 0.7)
-        numeric, _ = quad(lambda s: ou_kernel(t, s, p), 0.0, t, epsabs=1e-13, epsrel=1e-13)
-        assert MemoryFunctions(p).f(t) == pytest.approx(2.0 * numeric, abs=1e-10)
+        mem = MemoryFunctions(1.3, 0.7)
+        numeric, _ = quad(lambda s: ou_kernel(t, s, mem), 0.0, t, epsabs=1e-13, epsrel=1e-13)
+        assert mem.f(t) == pytest.approx(2.0 * numeric, abs=1e-10)
 
     def test_negative_time_rejected(self):
-        for mem in (MemoryFunctions(OUParams(1.0, 1.0)), MemoryFunctions.markov_limit(1.0)):
+        for mem in (MemoryFunctions(1.0, 1.0), MemoryFunctions.markov_limit(1.0)):
             with pytest.raises(ValueError, match="nonnegative"):
                 mem.f(-0.1)
 
     def test_monotone_and_bounded(self):
-        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        mem = MemoryFunctions(1.0, 0.5)
         vals = np.array([mem.f(t) for t in np.linspace(0.0, 20.0, 200)])
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all(vals >= 0.0) and np.all(vals <= mem.coupling + 1e-12)
@@ -120,40 +119,40 @@ class TestBetaIntegral:
     """The dephasing exponent ``beta(tau) = 2 int_0^tau f``."""
 
     def test_zero_at_zero(self):
-        assert MemoryFunctions(OUParams(1.0, 1.0)).beta(0.0) == 0.0
+        assert MemoryFunctions(1.0, 1.0).beta(0.0) == 0.0
 
     def test_markov_anchor(self):
         # memoryless limit: exponent tends to 2 * coupling * tau
-        val = MemoryFunctions(OUParams(1.0, 1000.0)).beta(1.0)
+        val = MemoryFunctions(1.0, 1000.0).beta(1.0)
         assert val == pytest.approx(2.0, rel=2e-3)
 
     def test_unit_rates(self):
-        assert MemoryFunctions(OUParams(1.0, 1.0)).beta(1.0) == pytest.approx(2.0 * math.exp(-1.0), abs=1e-14)
+        assert MemoryFunctions(1.0, 1.0).beta(1.0) == pytest.approx(2.0 * math.exp(-1.0), abs=1e-14)
 
     # horizon shortened for the stiff ratio so the trapezoid's own
     # truncation (~h^2 gamma^2 / 6) stays below the agreement budget
     @pytest.mark.parametrize("gamma,tau", [(0.1, 2.5), (1.0, 2.5), (5.0, 1.5)])
     def test_against_trapezoid_of_rate(self, gamma, tau):
-        mem = MemoryFunctions(OUParams(1.0, gamma))
+        mem = MemoryFunctions(1.0, gamma)
         ts = np.linspace(0.0, tau, 10_000)
         numeric = float(np.trapezoid([2.0 * mem.f(t) for t in ts], ts))
         assert mem.beta(tau) == pytest.approx(numeric, rel=1e-8)
 
     def test_bounded_by_markov_line(self):
         for gamma in (0.05, 0.5, 5.0, 500.0):
-            mem = MemoryFunctions(OUParams(1.0, gamma))
+            mem = MemoryFunctions(1.0, gamma)
             for tau in (0.1, 1.0, 10.0):
                 assert 0.0 <= mem.beta(tau) <= 2.0 * tau + 1e-12
 
     def test_convex_increasing(self):
-        mem = MemoryFunctions(OUParams(1.0, 0.7))
+        mem = MemoryFunctions(1.0, 0.7)
         vals = np.array([mem.beta(t) for t in np.linspace(0.0, 5.0, 400)])
         diffs = np.diff(vals)
         assert np.all(diffs >= 0.0)
         assert np.all(np.diff(diffs) >= -1e-12)
 
     def test_negative_time_rejected(self):
-        for mem in (MemoryFunctions(OUParams(1.0, 1.0)), MemoryFunctions.markov_limit(1.0)):
+        for mem in (MemoryFunctions(1.0, 1.0), MemoryFunctions.markov_limit(1.0)):
             with pytest.raises(ValueError, match="nonnegative"):
                 mem.beta(-1.0)
 
@@ -171,7 +170,7 @@ class TestMarkovLimits:
 
     def test_riccati_reaches_markov_plateau(self):
         # at memory ratio 1e3 the plateau sits within 0.1% of coupling/2
-        mem = MemoryFunctions(OUParams(1.0, 1000.0))
+        mem = MemoryFunctions(1.0, 1000.0)
         assert mem.p(0.02) == pytest.approx(0.5, rel=1e-3)
 
 
@@ -179,13 +178,13 @@ class TestRiccati:
     """The closed-form memory function ``P`` and its running integral ``xi``."""
 
     def test_initial_value_zero(self):
-        mem = MemoryFunctions(OUParams(1.0, 2.0))
+        mem = MemoryFunctions(1.0, 2.0)
         assert mem.p(0.0) == 0.0
         assert mem.xi(0.0) == 0.0
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0, 50.0])
     def test_against_closed_form(self, gamma):
-        mem = MemoryFunctions(OUParams(1.0, gamma))
+        mem = MemoryFunctions(1.0, gamma)
         grid = np.linspace(0.0, 2.0, 2001)
         assert np.max(np.abs(closed_p(mem, grid) - riccati_exact(grid, 1.0, gamma))) < 1e-12
 
@@ -193,7 +192,7 @@ class TestRiccati:
         "gamma", [0.1, 0.5, 1.0, 2.0, 2.0 * (1.0 - 1e-9), 2.0 * (1.0 + 1e-9), 2.5, 8.0, 50.0]
     )
     def test_against_rk4_reference(self, gamma):
-        mem = MemoryFunctions(OUParams(1.0, gamma))
+        mem = MemoryFunctions(1.0, gamma)
         grid = reference_grid(3.0, gamma)
         p_ref, xi_ref = riccati_rk4(grid, 1.0, gamma)
         assert np.max(np.abs(closed_p(mem, grid) - p_ref.real)) < 1e-9
@@ -202,34 +201,33 @@ class TestRiccati:
     def test_markov_regime_plateau(self):
         # the plateau differs from coupling/2 by coupling/(2 gamma) + O(gamma^-2),
         # i.e. about 1% of the coupling rate at ratio 50
-        mem = MemoryFunctions(OUParams(1.0, 50.0))
+        mem = MemoryFunctions(1.0, 50.0)
         assert abs(mem.p(1.0) - 0.5) <= 0.01
 
     def test_no_overflow_at_large_memory_rate(self):
-        mem = MemoryFunctions(OUParams(1.0, 50.0))
+        mem = MemoryFunctions(1.0, 50.0)
         for t in (5.0, 50.0, 1e4):
             assert math.isfinite(mem.p(t)) and math.isfinite(mem.xi(t))
         assert mem.horizon == math.inf
 
     def test_degenerate_fixed_point(self):
         # at memory ratio exactly 2 the two roots merge at the coupling rate
-        p = OUParams(1.0, 2.0)
-        disc = p.memory_rate**2 - 2.0 * p.coupling * p.memory_rate
+        mem = MemoryFunctions(1.0, 2.0)
+        disc = mem.memory_rate**2 - 2.0 * mem.coupling * mem.memory_rate
         assert disc == 0.0
-        assert p.memory_rate / 2.0 == p.coupling
-        mem = MemoryFunctions(p)
+        assert mem.memory_rate / 2.0 == mem.coupling
         # algebraic approach: P(t) = c^2 t / (1 + c t)
         assert mem.p(500.0) == pytest.approx(1.0, rel=2.5e-3)
         grid = np.linspace(0.0, 500.0, 25_001)
         assert np.max(np.abs(closed_p(mem, grid) - riccati_exact(grid, 1.0, 2.0))) < 1e-12
 
     def test_small_time_expansion(self):
-        mem = MemoryFunctions(OUParams(1.0, 2.0))
+        mem = MemoryFunctions(1.0, 2.0)
         t = 0.005  # t <= 0.01 / gamma
         assert mem.p(t) == pytest.approx(0.5 * 1.0 * 2.0 * t, rel=1e-2)
 
     def test_finite_time_divergence_detected(self):
-        mem = MemoryFunctions(OUParams(1.0, 0.5))
+        mem = MemoryFunctions(1.0, 0.5)
         with pytest.raises(RiccatiBlowupError) as err:
             mem.p(5.0)
         # analytic divergence time of the tangent branch
@@ -239,32 +237,32 @@ class TestRiccati:
         assert err.value.time == pytest.approx(t_div, abs=5e-3)
 
     def test_grid_must_start_at_zero(self):
-        gen, rho0 = Dissipation(MemoryFunctions(OUParams(1.0, 1.0))), from_pure([1.0, 0.0])
+        gen, rho0 = Dissipation(MemoryFunctions(1.0, 1.0)), from_pure([1.0, 0.0])
         with pytest.raises(ValueError, match="start at 0"):
             propagate(gen, rho0, np.linspace(0.5, 1.0, 101))
 
     def test_grid_must_be_uniform(self):
-        gen, rho0 = Dissipation(MemoryFunctions(OUParams(1.0, 1.0))), from_pure([1.0, 0.0])
+        gen, rho0 = Dissipation(MemoryFunctions(1.0, 1.0)), from_pure([1.0, 0.0])
         grid = np.concatenate([np.linspace(0.0, 0.5, 51), np.linspace(0.6, 1.0, 41)])
         with pytest.raises(ValueError, match="uniform"):
             propagate(gen, rho0, grid)
 
     def test_xi_matches_posthoc_trapezoid(self):
         # fine grid so the trapezoid's own truncation stays below the budget
-        mem = MemoryFunctions(OUParams(1.0, 1.0))
+        mem = MemoryFunctions(1.0, 1.0)
         grid = np.linspace(0.0, 2.0, 10_001)
         p = closed_p(mem, grid)
         posthoc = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1])) * (grid[1] - grid[0])])
         assert np.max(np.abs(closed_xi(mem, grid) - posthoc)) < 1e-8
 
     def test_xi_matches_quadrature_of_exact_solution(self):
-        mem = MemoryFunctions(OUParams(1.0, 8.0))
+        mem = MemoryFunctions(1.0, 8.0)
         xi_quad, _ = quad(lambda s: float(riccati_exact(s, 1.0, 8.0)), 0.0, 2.0, epsabs=1e-12)
         assert mem.xi(2.0) == pytest.approx(xi_quad, abs=1e-9)
 
     def test_b_monotone_and_p_in_range_for_weak_memory(self):
         for gamma in (2.0, 5.0, 50.0):
-            mem = MemoryFunctions(OUParams(1.0, gamma))
+            mem = MemoryFunctions(1.0, gamma)
             grid = np.linspace(0.0, 3.0, 3001)
             p = closed_p(mem, grid)
             assert np.all(np.diff(closed_xi(mem, grid)) >= -1e-12)
@@ -277,14 +275,14 @@ class TestRiccati:
         p_ref, xi_ref = riccati_rk4(np.linspace(0.0, 1.0, 1001), 1.0, 4.0)
         assert np.max(np.abs(p_ref.imag)) < 1e-14
         assert np.max(np.abs(xi_ref.imag)) < 1e-14
-        mem = MemoryFunctions(OUParams(1.0, 4.0))
+        mem = MemoryFunctions(1.0, 4.0)
         assert isinstance(mem.p(0.5), float) and isinstance(mem.xi(0.5), float)
 
 
 class TestMemoryHorizon:
     @pytest.mark.parametrize("gamma,t_div", [(1.0, 4.712), (0.5, 4.837)])
     def test_horizon_precedes_divergence(self, gamma, t_div):
-        mem = MemoryFunctions(OUParams(1.0, gamma))
+        mem = MemoryFunctions(1.0, gamma)
         assert t_star(1.0, gamma) == pytest.approx(t_div, abs=5e-4)
         assert mem.horizon < t_star(1.0, gamma)
         # P is near BLOWUP_FACTOR * coupling just before the horizon
@@ -292,7 +290,7 @@ class TestMemoryHorizon:
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 1.9])
     def test_p_and_xi_rejected_at_and_past_horizon(self, gamma):
-        mem = MemoryFunctions(OUParams(1.0, gamma))
+        mem = MemoryFunctions(1.0, gamma)
         for t in (mem.horizon, mem.horizon + 1e-9, 2.0 * mem.horizon):
             for read in (mem.p, mem.xi):
                 with pytest.raises(RiccatiBlowupError, match=r"t\* = ") as err:
@@ -302,11 +300,11 @@ class TestMemoryHorizon:
 
     @pytest.mark.parametrize("gamma", [2.0, 2.5, 50.0])
     def test_no_horizon_without_divergence(self, gamma):
-        assert MemoryFunctions(OUParams(1.0, gamma)).horizon == math.inf
+        assert MemoryFunctions(1.0, gamma).horizon == math.inf
         assert MemoryFunctions.markov_limit(1.0).horizon == math.inf
 
     def test_negative_time_rejected(self):
-        for mem in (MemoryFunctions(OUParams(1.0, 0.5)), MemoryFunctions.markov_limit(1.0)):
+        for mem in (MemoryFunctions(1.0, 0.5), MemoryFunctions.markov_limit(1.0)):
             for read in (mem.p, mem.xi):
                 with pytest.raises(ValueError, match="nonnegative"):
                     read(-0.1)
@@ -323,7 +321,7 @@ class TestMarkovDissipation:
 
 class TestMemoryFunctions:
     def test_infinite_memory_rate_is_the_markov_limit(self):
-        mem = MemoryFunctions(OUParams(1.0, math.inf))
+        mem = MemoryFunctions(1.0, math.inf)
         ref = MemoryFunctions.markov_limit(1.0)
         assert mem.markov
         for t in (0.0, 0.3, 1.0, 4.0):
@@ -338,20 +336,20 @@ class TestMemoryFunctions:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            OUParams(-1.0, 1.0)
+            MemoryFunctions(-1.0, 1.0)
         with pytest.raises(ValueError):
-            OUParams(1.0, 0.0)
+            MemoryFunctions(1.0, 0.0)
 
 
 def per_time_f(mem, t):
     """The dephasing rate at one time, written out with ``math`` as a single read evaluates it."""
-    gamma = mem.params.memory_rate
+    gamma = mem.memory_rate
     return mem.coupling if math.isinf(gamma) else mem.coupling * -math.expm1(-gamma * t)
 
 
 def per_time_p(mem, t):
     """The memory function ``P`` at one time, written out with ``math`` branch by branch."""
-    coupling, gamma = mem.coupling, mem.params.memory_rate
+    coupling, gamma = mem.coupling, mem.memory_rate
     if math.isinf(gamma):
         return 0.5 * coupling
     drive = 0.5 * coupling * gamma
@@ -369,9 +367,9 @@ def per_time_p(mem, t):
 #: One memory per branch: memoryless, hyperbolic, critical (r = 0 at gamma = 2 Gamma) and trigonometric.
 BRANCHES = {
     "memoryless": MemoryFunctions.markov_limit(1.3),
-    "hyperbolic": MemoryFunctions(OUParams(1.0, 7.5)),
-    "critical": MemoryFunctions(OUParams(1.0, 2.0)),
-    "trigonometric": MemoryFunctions(OUParams(1.0, 0.6)),
+    "hyperbolic": MemoryFunctions(1.0, 7.5),
+    "critical": MemoryFunctions(1.0, 2.0),
+    "trigonometric": MemoryFunctions(1.0, 0.6),
 }
 
 
@@ -441,8 +439,8 @@ class TestBoundaryChecks:
     @given(bad=non_finite, rate=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_non_finite_coupling_rejected_by_name(self, bad, rate):
-        with pytest.raises(ValueError, match=f"^invalid field 'coupling': must be a finite number, got {bad}$"):
-            OUParams(bad, rate)
+        with pytest.raises(ValueError, match=f"^invalid argument 'coupling': must be a finite number, got {bad}$"):
+            MemoryFunctions(bad, rate)
 
     @pytest.mark.parametrize("value", [True, "1", None, math.nan])
     @pytest.mark.parametrize("read", ["f", "beta", "p", "xi"])
@@ -457,11 +455,11 @@ class TestBoundaryChecks:
     @pytest.mark.parametrize("field", ["coupling", "memory_rate"])
     def test_rate_that_is_not_a_number_rejected_by_name(self, field, value):
         rates = {"coupling": 1.0, "memory_rate": 0.5, field: value}
-        with pytest.raises(ValueError, match=f"^invalid field '{field}': must be a finite number, got {re.escape(repr(value))}$"):
-            OUParams(**rates)
+        with pytest.raises(ValueError, match=f"^invalid argument '{field}': must be a finite number, got {re.escape(repr(value))}$"):
+            MemoryFunctions(**rates)
 
     def test_infinite_memory_rate_is_the_one_non_finite_rate_accepted(self):
-        assert MemoryFunctions(OUParams(1, math.inf)).markov
-        assert MemoryFunctions(OUParams(np.float64(2.0), np.inf)).f(0.5) == 2.0
-        with pytest.raises(ValueError, match="^invalid field 'coupling': must be a finite number, got inf$"):
-            OUParams(math.inf, math.inf)
+        assert MemoryFunctions(1, math.inf).markov
+        assert MemoryFunctions(np.float64(2.0), np.inf).f(0.5) == 2.0
+        with pytest.raises(ValueError, match="^invalid argument 'coupling': must be a finite number, got inf$"):
+            MemoryFunctions(math.inf, math.inf)
