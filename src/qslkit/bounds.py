@@ -240,13 +240,17 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
             f"unreachable quantumness for this initial state (2 sqrt(q)/|sin 4theta| = {x:.6g})"
         )
     beta_target = -math.log1p(-x)
-    if m.markov:
-        return beta_target / (2.0 * m.coupling)
     cap = float(np.finfo(float).max)
+    unreachable = f"quantumness target q = {q!r} is unreachable in double precision (tau > {cap:.6g})"
+    if m.markov:
+        tau = beta_target / (2.0 * m.coupling)
+        if tau > cap:  # a subnormal coupling overflows the quotient
+            raise ValueError(unreachable)
+        return tau
     lo, hi = 0.0, min(BISECTION_SPAN / m.coupling, cap)
     while m.beta(hi) < beta_target:  # beta >= 2 Gamma (tau - 1/gamma) grows without bound
         if hi == cap:
-            raise ValueError(f"quantumness target q = {q!r} is unreachable in double precision (tau > {cap:.6g})")
+            raise ValueError(unreachable)
         lo, hi = hi, min(2.0 * hi, cap)
     while hi - lo > BISECTION_RTOL * max(1.0, hi):
         mid = 0.5 * lo + 0.5 * hi  # halving is exact, so these are the bits of 0.5 * (lo + hi), without its overflow

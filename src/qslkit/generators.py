@@ -17,23 +17,28 @@ Propagation uses classical fourth-order fixed steps on a uniform grid so
 that the trajectory shares its sampling with the time averages taken by the
 bounds module.  Scenarios of one family that share a grid are stepped
 together as one ``(B, d, d)`` stack; a single scenario is a batch of one.
-The steps are taken ``POSITIVITY_SCAN_STEPS`` grid times at a time, with no
-Python loop over single steps.  Each step of a linear generator is a linear
-map on ``vec(rho)``, so a chunk's states are first estimated as a prefix
-scan of those maps (Blelloch 1990; Martin & Cundy 2018); for dephasing and
-dissipation, whose maps act entry by entry, the scan is one cumulative
-product of scalar factors.  The unitary action is a sum of ``d`` broadcast
-outer products, with no BLAS call per ``d x d`` matrix; only the scan's
-products of ``d^2 x d^2`` transfer matrices keep ``@``.  Sweeps of the
-chunk's increments, added up in order, then move the estimates onto the
-rounding of the sequential steps, each re-Hermitized: bit for bit for
-dephasing and dissipation, within 1e-15 for the unitary families.  A sweep
-writes each state from the states before it alone, so the estimate sets
-only the sweep count, never a bit.  Each chunk is then checked for
-positivity; a loss beyond tolerance stops the run within the chunk, naming
-the first grid time where it shows, instead of being projected away, so
-genuine integrator or model errors are never masked.  The witness and speed
-samples follow, per member.
+The steps are taken on a sliding exact frontier, with no Python loop over
+single steps: states up to the frontier are final, and the states past it
+are estimates.  Each step of a linear generator is a linear map on
+``vec(rho)``, so the estimates are first taken, ``POSITIVITY_SCAN_STEPS``
+grid times at a time, as a prefix scan of those maps (Blelloch 1990;
+Martin & Cundy 2018); for dephasing and dissipation, whose maps act entry
+by entry, the scan is one cumulative product of scalar factors.  The
+unitary action is a sum of ``d`` broadcast outer products, with no BLAS
+call per ``d x d`` matrix; only the scan's products of ``d^2 x d^2``
+transfer matrices keep ``@``.  A sweep takes the increments of the
+``POSITIVITY_SCAN_STEPS`` steps past the frontier from the current
+estimates, adds them in order onto the running sum at the frontier and
+re-Hermitizes: the first state it changes is final, as is every state
+before it, so the frontier moves there and the later states are the next
+estimates.  The states are the sequential steps' rounding: bit for bit for
+dephasing and dissipation, within 1e-15 for the unitary families.  A
+sweep writes each state from the states before it alone, so the estimate
+sets only the sweep count, never a bit.  Every ``POSITIVITY_SCAN_STEPS``
+newly final states are checked for positivity; a loss beyond tolerance
+stops the run there, naming the first grid time where it shows, instead
+of being projected away, so genuine integrator or model errors are never
+masked.  The witness and speed samples follow, per member.
 """
 
 from __future__ import annotations
@@ -63,8 +68,11 @@ from .witness import generation_speed, quantumness
 #: Propagation aborts once the smallest eigenvalue drops below -POSITIVITY_ABORT.
 POSITIVITY_ABORT = 1e-6
 
-#: Grid times per chunk of propagation; each chunk is scanned and checked for positivity at once.
-POSITIVITY_SCAN_STEPS = 64
+#: Grid times per window of propagation: the steps a sweep takes past the exact frontier, the states
+#: estimated at once, and the newly final states checked for positivity at once.
+POSITIVITY_SCAN_STEPS = 256
+
+_SCAN_PIECE = 64  # steps per stack of transfer-matrix products in _scan, which bounds its temporaries
 
 #: Relative tolerance of the uniform-grid check: each step may differ from the first by this times the span.
 GRID_MATCH_TOL = 1e-9
@@ -153,8 +161,9 @@ class _TabulatedGenerator:
     generator to a state or a stack of states with the matching entries
     (broadcast against the trailing ``(d, d)`` axes).  The action depends on
     the family only, so one call steps a whole batch.  ``estimate_chunk``
-    seeds a chunk's states, which sets only the sweep count of :func:`_settle`;
-    by default it is the transfer-matrix scan, which any linear action takes.
+    estimates a block of states past the frontier, which sets only the
+    sweep count of :func:`_sweep`; by default it is the transfer-matrix
+    scan, which any linear action takes.
     """
 
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
@@ -165,7 +174,7 @@ class _TabulatedGenerator:
         return self.action(m, self.coefficients([t])[0])
 
     def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
-        """Estimates ``(B, m, d, d)`` of a chunk's states after each of its ``m`` steps."""
+        """Estimates ``(B, m, d, d)`` of the states after each of ``m`` steps from ``rho_lo``."""
         return _scan(self.action, rho_lo, c0, c_mid, c1, h)
 
 
@@ -174,10 +183,10 @@ class _Entrywise(_TabulatedGenerator):
     except that it may feed the other diagonal entries into the last one.
 
     A step then multiplies each entry by a scalar factor, the step applied
-    to the all-ones matrix, so a chunk's estimates are one cumulative
+    to the all-ones matrix, so a block's estimates are one cumulative
     product of these factors.  The last diagonal entry, the one fed, is
     restored from the trace, which a traceless action keeps.  A family of
-    another form would settle to the same states, after more sweeps.
+    another form would reach the same states, after more sweeps.
     """
 
     def __post_init__(self):
@@ -371,9 +380,9 @@ def propagate_many(gens, rho0s, grid) -> list:
     state a density matrix (:func:`~qslkit.matcore.validate_density`).
     Each family's coefficient table is built once, at the grid times and
     the midpoints (``2n - 1`` times); the fourth-order steps are then
-    taken a chunk of ``POSITIVITY_SCAN_STEPS`` grid times at a time for
-    the whole ``(B, d, d)`` stack (see :func:`_step_batch`).  Each chunk's
-    states are checked, and :class:`PositivityLossError` stops the run at
+    taken for the whole ``(B, d, d)`` stack by sweeps of up to
+    ``POSITIVITY_SCAN_STEPS`` grid times (see :func:`_step_batch`).  The
+    final states are checked, and :class:`PositivityLossError` stops the run at
     the first grid time whose smallest eigenvalue is below
     ``-POSITIVITY_ABORT`` or whose state is no longer finite.  The witness
     samples and the generation speeds ``||[rho0, L_t rho_t]||`` are taken
@@ -453,7 +462,7 @@ def _rk4_increment(act, rho: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
 
     ``c0``, ``c_mid`` and ``c1`` are the table entries at the start, the
     midpoint and the end of the step, broadcast against ``rho``; a stack
-    of states and entries takes every step of a chunk at once.
+    of states and entries takes every step of a window at once.
     """
     k1 = act(rho, c0)
     k2 = act(rho + 0.5 * h * k1, c_mid)
@@ -463,58 +472,69 @@ def _rk4_increment(act, rho: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
 
 
 def _scan(act, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
-    """Estimates ``(B, m, d, d)`` of a chunk's states after each of its ``m`` steps, re-Hermitized.
+    """Estimates ``(B, m, d, d)`` of the states after each of ``m`` steps from ``rho_lo``, re-Hermitized.
 
     One step of a linear generator is a linear map on ``vec(rho)``; its
     matrix is the step applied to the ``d^2`` basis matrices.  The states
     are the start state times the inclusive prefix products of these
-    maps, taken by doubling (Hillis-Steele) in ``log2 m`` batched products.
+    maps, taken by doubling (Hillis-Steele) in ``log2 m`` batched products,
+    in pieces of at most ``_SCAN_PIECE`` steps, each started from the last
+    estimate of the piece before it.
     """
     b, m = c0.shape[:2]
     d = rho_lo.shape[-1]
     basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    # row j of transfer[:, k] is vec of basis matrix j after step k, so a row vector steps as x @ transfer
-    transfer = basis + _rk4_increment(act, basis, c0[:, :, None], c_mid[:, :, None], c1[:, :, None], h)
-    transfer = transfer.reshape(b, m, d * d, d * d)
-    shift = 1
-    while shift < m:
-        transfer[:, shift:] = transfer[:, :-shift] @ transfer[:, shift:]
-        shift *= 2
-    return _hermitize((rho_lo.reshape(b, 1, 1, d * d) @ transfer).reshape(b, m, d, d))
+    out = np.empty((b, m, d, d), dtype=complex)
+    for lo in range(0, m, _SCAN_PIECE):
+        hi = min(lo + _SCAN_PIECE, m)
+        rows = (c[:, lo:hi, None] for c in (c0, c_mid, c1))
+        # row j of transfer[:, k] is vec of basis matrix j after step k, so a row vector steps as x @ transfer
+        transfer = (basis + _rk4_increment(act, basis, *rows, h)).reshape(b, hi - lo, d * d, d * d)
+        shift = 1
+        while shift < hi - lo:
+            transfer[:, shift:] = transfer[:, :-shift] @ transfer[:, shift:]
+            shift *= 2
+        out[:, lo:hi] = _hermitize((rho_lo.reshape(b, 1, 1, d * d) @ transfer).reshape(b, hi - lo, d, d))
+        rho_lo = out[:, hi - 1]
+    return out
 
 
-def _settle(act, x: np.ndarray, c0, c_mid, c1, h: float) -> tuple:
-    """Sweep a chunk's state estimates onto the rounding of the sequential steps.
+def _sweep(act, x: np.ndarray, total: np.ndarray, c0, c_mid, c1, h: float) -> tuple:
+    """One sweep of a window past the exact frontier, in place.
 
-    ``x`` is ``(B, m + 1, d, d)``: the chunk's start state, then the
-    estimates after each step.  A sweep takes every step's increment from
-    the current estimates and adds them up from the start state with
-    ``np.cumsum``, which adds in order, so each entry is the rounded
-    ``rho + increment`` of one sequential step, and re-Hermitizes.  Sweeps
-    repeat until one changes no bit, at most ``POSITIVITY_SCAN_STEPS``
-    times.  Where re-Hermitization is exact (dephasing, dissipation) a
-    sweep fixes at least one more state, so the result is the sequential
-    steps' bit for bit.  Returns the ``m`` states and the sweep count.
+    ``x`` is ``(B, m + 1, d, d)``: the final state at the frontier, then
+    the estimates after each of the window's ``m`` steps; ``total`` is the
+    running sum at the frontier, the state before its re-Hermitization.
+    The sweep takes every step's increment from the current estimates,
+    adds them in order onto ``total`` with ``np.cumsum``, so each entry is
+    the rounded ``rho + increment`` of one sequential step, re-Hermitizes
+    and writes the results over the estimates.  The first state that moved
+    by a bit in any member is final, since it was taken from final states
+    alone, and so is every state before it.  Returns how many of the ``m``
+    states are now final (at least one; all ``m`` when none moved) and the
+    running sum at the last of them.
     """
-    for sweeps in range(1, POSITIVITY_SCAN_STEPS + 1):
-        new = np.cumsum(np.concatenate([x[:, :1], _rk4_increment(act, x[:, :-1], c0, c_mid, c1, h)], axis=1), axis=1)
-        new[:, 1:] = _hermitize(new[:, 1:])
-        if np.array_equal(new.view(np.uint64), x.view(np.uint64)):
-            break
-        x = new
-    return x[:, 1:], sweeps
+    sums = np.cumsum(np.concatenate([total[:, None], _rk4_increment(act, x[:, :-1], c0, c_mid, c1, h)], axis=1), axis=1)
+    new = _hermitize(sums[:, 1:])
+    moved = np.not_equal(new.view(np.uint64), x[:, 1:].view(np.uint64)).any(axis=(0, 2, 3))
+    final = int(moved.argmax()) + 1 if moved.any() else len(moved)
+    x[:, 1:] = new
+    return final, sums[:, final].copy()
 
 
 def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     """The fourth-order steps of :func:`propagate_many`: ``(B, n, d, d)`` states and each
     member's owned copy of its grid-time table rows.
 
-    The grid is taken in chunks of ``POSITIVITY_SCAN_STEPS`` grid times.
-    A chunk estimates its states by the family's ``estimate_chunk``, sweeps
-    them onto the sequential steps' rounding (:func:`_settle`) and checks
-    them for positivity; its last step gives the next chunk's start state.
-    Only one chunk's work arrays are alive at a time, and the midpoint rows
-    are freed on return.
+    States up to the frontier ``j`` are final; the states past it hold
+    estimates.  Each :func:`_sweep` takes the window of the next
+    ``POSITIVITY_SCAN_STEPS`` steps and moves the frontier past the
+    states it made final.  When the window passes the estimates, the
+    family's ``estimate_chunk`` extends them by one block of
+    ``POSITIVITY_SCAN_STEPS`` steps, from the last estimate.  Each
+    ``POSITIVITY_SCAN_STEPS`` newly final states, and the last ones, are
+    checked for positivity.  Only one window's work arrays are alive at a
+    time, and the midpoint rows are freed on return.
     """
     n = len(grid)
     d = gens[0].dim
@@ -523,21 +543,30 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     times[0::2] = grid
     times[1::2] = grid[:-1] + 0.5 * h
     table = np.stack([g.coefficients(times) for g in gens])  # (B, 2n - 1, ...)
+
+    def steps(lo, hi):  # the table entries at the start, midpoint and end of the steps from lo to hi
+        rows = table[:, 2 * lo:2 * hi + 1]
+        return rows[:, 0:-1:2], rows[:, 1::2], rows[:, 2::2]
+
     act, estimate = gens[0].action, gens[0].estimate_chunk
+    w = POSITIVITY_SCAN_STEPS
     states = np.empty((len(gens), n, d, d), dtype=complex)
     states[:, 0] = rho_inits
-    # a run that loses positivity can overflow before its chunk is checked
+    total = states[:, 0].copy()
+    j = known = checked = 0  # states to j are final, estimates reach known, and states before checked passed
+    # a run that loses positivity can overflow before its states are checked
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, POSITIVITY_SCAN_STEPS):
-            hi = min(lo + POSITIVITY_SCAN_STEPS, n)
-            m = min(hi, n - 1) - lo  # steps from lo; the last one gives the next chunk's start
-            if m:
-                rows = table[:, 2 * lo:2 * (lo + m) + 1]
-                c0, c_mid, c1 = rows[:, 0:-1:2], rows[:, 1::2], rows[:, 2::2]
-                start = states[:, lo:lo + 1]
-                x = np.concatenate([start, estimate(start[:, 0], c0, c_mid, c1, h)], axis=1)
-                states[:, lo + 1:lo + m + 1] = _settle(act, x, c0, c_mid, c1, h)[0]
-            _check_positivity(states, lo, hi, grid)
+        while j < n - 1:
+            hi = min(j + w, n - 1)
+            if known < hi:
+                top = min(known + w, n - 1)
+                states[:, known + 1:top + 1] = estimate(states[:, known], *steps(known, top), h)
+                known = top
+            final, total = _sweep(act, states[:, j:hi + 1], total, *steps(j, hi), h)
+            j += final
+            if j + 1 - checked >= w or j == n - 1:
+                _check_positivity(states, checked, j + 1, grid)
+                checked = j + 1
     return states, [table[b, 0::2].copy() for b in range(len(gens))]
 
 

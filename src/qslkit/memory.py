@@ -62,9 +62,10 @@ class MemoryFunctions:
 
     ``coupling`` is the overall rate (Gamma) and ``memory_rate`` the inverse
     correlation time (gamma), both positive numbers under the rule of
-    :func:`~qslkit.matcore._check_number`.  Dephasing reads the rate ``f``
-    and its exponent ``beta``; dissipation reads ``P`` and its running
-    integral ``xi``.  The one non-finite rate taken, ``memory_rate = inf``,
+    :func:`~qslkit.matcore._check_number`.  Both are read-only, since the
+    reads keep values derived from them on construction.  Dephasing reads
+    the rate ``f`` and its exponent ``beta``; dissipation reads ``P`` and
+    its running integral ``xi``.  The one non-finite rate taken, ``memory_rate = inf``,
     marks the memoryless limit (``markov`` is then true), where the exact
     limits ``f = Gamma`` (hence ``beta = 2 Gamma tau``) and ``P = Gamma/2``
     (hence ``xi = Gamma t / 2``) are used.
@@ -87,8 +88,8 @@ class MemoryFunctions:
             raise ValueError(f"coupling rate must be positive and finite, got {coupling}")
         if memory_rate != math.inf and not _check_number(memory_rate, "memory_rate") > 0.0:
             raise ValueError(f"memory rate must be positive, got {memory_rate}")
-        self.coupling = coupling
-        self.memory_rate = memory_rate
+        self._coupling = coupling
+        self._memory_rate = memory_rate
         self.markov = memory_rate == math.inf
         self.horizon = math.inf
         self._t_star = math.inf
@@ -110,6 +111,16 @@ class MemoryFunctions:
             # a = gamma/2 - r, written without the cancellation for gamma >> Gamma
             self._r = math.sqrt(kappa)
             self._a = self._drive / (0.5 * gamma + self._r)
+
+    @property
+    def coupling(self) -> float:
+        """The overall rate Gamma."""
+        return self._coupling
+
+    @property
+    def memory_rate(self) -> float:
+        """The inverse correlation time gamma, ``inf`` when memoryless."""
+        return self._memory_rate
 
     @classmethod
     def markov_limit(cls, coupling: float) -> "MemoryFunctions":

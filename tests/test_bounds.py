@@ -141,6 +141,12 @@ class TestTauQDephasing:
         with pytest.raises(ValueError, match=r"^quantumness target q = 0.01 is unreachable in double precision"):
             tau_q_dephasing(0.01, 0.3, MemoryFunctions(1e-310, 1.0))
 
+    def test_memoryless_root_past_the_float_range_rejected(self):
+        # beta* / (2 Gamma) overflows at a subnormal coupling; at 1e-300 it is still a float
+        with pytest.raises(ValueError, match=r"^quantumness target q = 0.01 is unreachable in double precision"):
+            tau_q_dephasing(0.01, 0.3, MemoryFunctions.markov_limit(1e-310))
+        assert tau_q_dephasing(0.01, 0.3, MemoryFunctions.markov_limit(1e-300)) == pytest.approx(1.2077042143671e299)
+
     def test_degenerate_angle_rejected(self):
         with pytest.raises(ValueError, match="no coherence channel"):
             tau_q_dephasing(0.1, math.pi / 4.0, MemoryFunctions.markov_limit(1.0))

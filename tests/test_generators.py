@@ -29,7 +29,7 @@ from qslkit.generators import (
     propagate_many,
     unitary_state,
 )
-from qslkit.harness import ScenarioConfig, build_scenario
+from qslkit.harness import FIG1_THETAS, ScenarioConfig, build_scenario
 from qslkit.matcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -69,7 +69,7 @@ class CountingDephasing(SignFlippedDephasing):
 def sequential_states(gens, rho0s, grid):
     """``(B, n, d, d)`` states of the fourth-order loop, stepped one grid time after another.
 
-    The reference the chunked propagation must reproduce: each step's
+    The reference the swept propagation must reproduce: each step's
     increment added to the state, then re-Hermitized, one grid time at a time.
     """
     n = len(grid)
@@ -94,23 +94,46 @@ def sequential_states(gens, rho0s, grid):
 
 
 @contextlib.contextmanager
-def recorded_chunks(estimates=None):
-    """Yield a list that gets ``(length of x, sweeps)`` for each chunk the propagation settles.
-
-    ``estimates``, if given, gets each chunk's ``(estimates, settled states)``.
-    """
-    chunks = []
-    settle = generators._settle
+def recorded_sweeps():
+    """Yield a list that gets ``(window steps, states made final, those states)`` for each sweep of the propagation."""
+    sweeps = []
+    sweep = generators._sweep
 
     def recording(act, x, *args):
-        states, sweeps = settle(act, x, *args)
-        chunks.append((x.shape[1], sweeps))
-        if estimates is not None:
-            estimates.append((x[:, 1:], states))
-        return states, sweeps
+        final, total = sweep(act, x, *args)
+        sweeps.append((x.shape[1] - 1, final, x[:, 1:final + 1].copy()))
+        return final, total
 
-    with mock.patch.object(generators, "_settle", recording):
-        yield chunks
+    with mock.patch.object(generators, "_sweep", recording):
+        yield sweeps
+
+
+@contextlib.contextmanager
+def recorded_estimates(family):
+    """Yield a list that gets each block of estimates the family's ``estimate_chunk`` returns, in order."""
+    blocks = []
+    estimate = family.estimate_chunk
+
+    def recording(self, *args):
+        block = estimate(self, *args)
+        blocks.append(block.copy())
+        return block
+
+    with mock.patch.object(family, "estimate_chunk", recording):
+        yield blocks
+
+
+def frontier_walk(sweeps, n):
+    """The frontier the sweeps reached and the states they made final, ``(B, frontier, d, d)`` in grid order.
+
+    Each sweep must take the next window, ``POSITIVITY_SCAN_STEPS`` steps
+    or the rest of the grid, and make at least one more state final.
+    """
+    j = 0
+    for steps, final, _ in sweeps:
+        assert steps == min(POSITIVITY_SCAN_STEPS, n - 1 - j) and 1 <= final <= steps
+        j += final
+    return j, np.concatenate([states for *_, states in sweeps], axis=1)
 
 
 GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0, 50.0)
@@ -326,11 +349,11 @@ def unitary_action_operands(cls, shape, rng):
     def states(*lead):
         return np.stack([random_density_matrix(d, rng) for _ in range(math.prod(lead))]).reshape(*lead, d, d)
 
-    if shape == "scan basis":  # the transfer-matrix build of a chunk: each step's table entry against the d^2 basis
+    if shape == "scan basis":  # the transfer-matrix build of a block: each step's table entry against the d^2 basis
         return np.eye(d * d, dtype=complex).reshape(d * d, d, d), tables(3, 8)[:, :, None]
     if shape == "scan stage":  # its later fourth-order stages, on the stepped basis
         return states(3, 8, d * d), tables(3, 8)[:, :, None]
-    if shape == "sweep":  # a settling sweep: each member's states against its entries
+    if shape == "sweep":  # a sweep of a window: each member's states against its entries
         return states(3, 8), tables(3, 8)
     if shape == "post-pass":  # one member's speeds: its states against its grid-time table
         return states(201), tables(1, 201)[0]
@@ -612,15 +635,17 @@ class TestPropagateMany:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_positivity_loss_stops_the_stepping(self, dim):
-        # the loss shows at grid index 1; the run must stop with the first chunk
+        # the loss shows at grid index 1; the run must stop once the first window's states are final
         rho0 = from_pure(np.ones(dim) / math.sqrt(dim))
-        grid = np.linspace(0.0, 3.0, 1001)
+        grid = np.linspace(0.0, 30.0, 10001)
         SignFlippedDephasing.grid_times = 0
-        with recorded_chunks() as chunks:
+        with recorded_sweeps() as sweeps:
             with pytest.raises(PositivityLossError) as err:
                 propagate(SignFlippedDephasing(dim, 1.0), rho0, grid)
         assert err.value.time == 0.003
-        assert [length for length, _ in chunks] == [1 + POSITIVITY_SCAN_STEPS]  # one chunk was stepped
+        frontier, _ = frontier_walk(sweeps, len(grid))
+        # positivity is checked as soon as POSITIVITY_SCAN_STEPS states are final, and no later
+        assert frontier - sweeps[-1][1] < POSITIVITY_SCAN_STEPS - 1 <= frontier < 2 * POSITIVITY_SCAN_STEPS
         stopped = SignFlippedDephasing.grid_times
         SignFlippedDephasing.grid_times = 0
         propagate(CountingDephasing(dim, 1.0), rho0, grid)
@@ -659,11 +684,15 @@ FAMILIES = ("dephasing", "dissipation", "unitary2l", "stirap")
 
 @st.composite
 def batches(draw):
-    """A batch of one family: generators, initial states and a grid whose length is no multiple of a chunk."""
+    """A batch of one family: generators, initial states and a grid of up to ``3 * POSITIVITY_SCAN_STEPS + 1``
+    times, whose length is no multiple of a window.
+
+    The grid ends by t = 3.99, clear of the horizon of the dissipation memory at ratio 0.5.
+    """
     family = draw(st.sampled_from(FAMILIES))
     size = draw(st.integers(1, 4))
-    n = draw(st.integers(2, 400).filter(lambda n: n % POSITIVITY_SCAN_STEPS))
-    grid = np.linspace(0.0, draw(st.floats(0.002, 0.01)) * (n - 1), n)
+    n = draw(st.integers(2, 3 * POSITIVITY_SCAN_STEPS + 1).filter(lambda n: n % POSITIVITY_SCAN_STEPS))
+    grid = np.linspace(0.0, draw(st.floats(0.002, min(0.01, 3.99 / (n - 1)))) * (n - 1), n)
     angles = st.floats(-3.0, 3.0)
     gens, rho0s = [], []
     for _ in range(size):
@@ -702,7 +731,7 @@ ABORTING_BATCH = (
 
 
 class TestScanMatchesSequentialSteps:
-    """The chunked scan reproduces the one-step-at-a-time loop."""
+    """The sweeps on the exact frontier reproduce the one-step-at-a-time loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(batch=batches())
@@ -718,7 +747,7 @@ class TestScanMatchesSequentialSteps:
                 propagate_many(gens, rho0s, grid)
             assert (err.value.member, err.value.time) == (member, float(grid[first[member]]))
             return
-        with recorded_chunks() as chunks:
+        with recorded_sweeps() as sweeps:
             trajectories = propagate_many(gens, rho0s, grid)
         states = np.stack([traj.states for traj in trajectories])
         if family in ("dephasing", "dissipation"):
@@ -729,9 +758,10 @@ class TestScanMatchesSequentialSteps:
         for g, traj in zip(gens, trajectories):
             speeds = np.array([generation_speed(traj.rho0, g.apply(rho, t)) for rho, t in zip(traj.states, grid)])
             assert np.array_equal(traj.speed_samples.view(np.uint64), speeds.view(np.uint64))
-        # every chunk reaches its fixed point, a sweep that changes no bit, within a chunk's length of sweeps
-        assert len(chunks) == -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
-        assert max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
+        # the frontier walks the whole grid, and the states the sweeps made final are the trajectories'
+        frontier, final = frontier_walk(sweeps, len(grid))
+        assert frontier == len(grid) - 1
+        assert np.array_equal(final.view(np.uint64), states[:, 1:].view(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(batch=batches())
@@ -739,16 +769,20 @@ class TestScanMatchesSequentialSteps:
     def test_chunk_estimates_lie_near_the_settled_states(self, batch):
         # the sweeps absorb a wrong estimate at the cost of more sweeps; this catches it instead
         _, gens, rho0s, grid = batch
-        estimates = []
-        settled = -(-(len(grid) - 1) // POSITIVITY_SCAN_STEPS)
-        try:
-            with recorded_chunks(estimates):
+        n = len(grid)
+        with recorded_estimates(type(gens[0])) as blocks, recorded_sweeps() as sweeps:
+            try:
                 propagate_many(gens, rho0s, grid)
-        except PositivityLossError as err:  # the chunks settled up to the abort are checked all the same
-            settled = min(settled, int(np.flatnonzero(grid == err.time)[0]) // POSITIVITY_SCAN_STEPS + 1)
-        assert len(estimates) == settled
-        for estimate, settled in estimates:  # every entry, the fed ground-state population of dissipation too
-            assert np.max(np.abs(estimate - settled)) <= 1e-12
+            except PositivityLossError:  # the states made final up to the abort are checked all the same
+                pass
+        frontier, final = frontier_walk(sweeps, n)
+        # blocks of POSITIVITY_SCAN_STEPS steps from the start, one more each time a window reaches past them
+        last_window_end = min(frontier - sweeps[-1][1] + POSITIVITY_SCAN_STEPS, n - 1)
+        assert [block.shape[1] for block in blocks] == [
+            min(POSITIVITY_SCAN_STEPS, n - 1 - lo) for lo in range(0, last_window_end, POSITIVITY_SCAN_STEPS)
+        ]
+        # every entry, the fed ground-state population of dissipation too
+        assert np.max(np.abs(np.concatenate(blocks, axis=1)[:, :frontier] - final)) <= 1e-12
 
     def test_dim3_entrywise_family_matches_the_sequential_loop(self):
         # z rho z - rho through matrix products, in dimension 3: the entrywise estimate and its trace restore
@@ -760,13 +794,13 @@ class TestScanMatchesSequentialSteps:
             0.5 * (from_pure(np.array([0.0, 0.6, 0.8])) + np.eye(3) / 3.0),
         ]
         grid = np.linspace(0.0, 2.0, 301)
-        estimates = []
-        with recorded_chunks(estimates) as chunks:
+        with recorded_estimates(CountingDephasing) as blocks, recorded_sweeps() as sweeps:
             states = np.stack([traj.states for traj in propagate_many(gens, rho0s, grid)])
         expected = sequential_states(gens, rho0s, grid)
         assert np.array_equal(states.view(np.uint64), expected.view(np.uint64))
-        assert len(chunks) == 5 and max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
-        assert max(np.max(np.abs(estimate - settled)) for estimate, settled in estimates) <= 1e-12
+        frontier, final = frontier_walk(sweeps, len(grid))
+        assert frontier == 300 and np.array_equal(final.view(np.uint64), states[:, 1:].view(np.uint64))
+        assert np.max(np.abs(np.concatenate(blocks, axis=1) - states[:, 1:])) <= 1e-12
 
     @pytest.mark.parametrize(
         "config",
@@ -781,16 +815,33 @@ class TestScanMatchesSequentialSteps:
     def test_the_estimate_sets_only_the_sweep_count(self, config):
         # a sweep writes state j from states 0..j-1 alone, so any estimate settles to the same bits
         gen, rho0, grid = build_scenario(config)
-        reference = propagate(gen, rho0, grid)
+        with recorded_sweeps() as reference_sweeps:
+            reference = propagate(gen, rho0, grid)
 
         def start_state_repeated(self, rho_lo, c0, c_mid, c1, h):
             return np.repeat(rho_lo[:, None], c0.shape[1], axis=1)
 
-        with mock.patch.object(type(gen), "estimate_chunk", start_state_repeated), recorded_chunks() as chunks:
+        with mock.patch.object(type(gen), "estimate_chunk", start_state_repeated), recorded_sweeps() as sweeps:
             traj = propagate(gen, rho0, grid)
         for name in ("states", "q_samples", "speed_samples"):
             assert np.array_equal(getattr(traj, name).view(np.uint64), getattr(reference, name).view(np.uint64))
-        assert len(chunks) == 7 and max(sweeps for _, sweeps in chunks) < POSITIVITY_SCAN_STEPS
+        # both walk the whole grid; the start state, a worse estimate, only takes more sweeps
+        assert frontier_walk(sweeps, len(grid))[0] == frontier_walk(reference_sweeps, len(grid))[0] == 400
+        assert len(reference_sweeps) < len(sweeps)
+
+    def test_sweep_budget_of_the_fig1_batch(self):
+        # fig1's batch, three memoryless dephasing members at 2,001 points, takes 30 sweeps (84 in 64-step chunks
+        # settled one by one). The cumprod estimate and the sweeps call no BLAS, so the count does not move with
+        # the BLAS kernel; the bound leaves a 10% margin over the count
+        scenarios = [
+            build_scenario(ScenarioConfig(model="dephasing", theta=theta, markov=True, tau_max=3.0, grid_points=2001))
+            for theta in FIG1_THETAS
+        ]
+        gens, rho0s, grids = zip(*scenarios)
+        with recorded_sweeps() as sweeps:
+            propagate_many(gens, rho0s, grids[0])
+        assert frontier_walk(sweeps, 2001)[0] == 2000
+        assert len(sweeps) <= 33
 
 
 class TestClosedStates:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qslkit
-from qslkit import bounds, generators, harness
+from qslkit import bounds, cli, generators, harness
 from qslkit.bounds import BoundReport
 from qslkit.cli import main as cli_main
 from qslkit.generators import Dephasing
@@ -912,6 +912,37 @@ class TestCli:
         out = tmp_path / "run.csv"
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("model,")
+
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        # main parses with one parser per process: each call gives what it gives with a parser of its own
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dephasing", "markov": True, "tau_max": 1.0, "grid_points": 201}))
+        out = tmp_path / "run.csv"
+        calls = [
+            ["run", "--config", str(cfg_path), "--out", str(out)],
+            ["run", "--config", str(cfg_path), "--turbo", "9"],
+            ["validate", "--seed", "1", "--cases", "1"],
+        ]
+
+        def results(alone):
+            got = []
+            for argv in calls:
+                if alone:
+                    cli._parser.cache_clear()
+                out.unlink(missing_ok=True)
+                try:
+                    status = cli_main(argv)
+                except SystemExit as exit_info:
+                    status = exit_info.code
+                captured = capsys.readouterr()
+                got.append((status, captured.out, captured.err, out.read_text() if out.exists() else None))
+            return got
+
+        together = results(alone=False)
+        assert cli._parser() is cli._parser()
+        assert [status for status, *_ in together] == [0, 2, 0]
+        assert together[0][3].startswith("model,") and "unrecognized arguments: --turbo 9" in together[1][2]
+        assert together == results(alone=True)
 
     def test_unknown_config_key_fails_loudly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

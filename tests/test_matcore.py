@@ -152,8 +152,8 @@ class TestValidateDensity:
 class TestStacks:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stacked_calls_equal_single_calls(self, dim):
-        # stack lengths around the chunk length of propagation, and one trajectory's length
-        for n in (1, 63, 64, 65, 200, 4001):
+        # stack lengths around the scan piece and the window of propagation, and one trajectory's length
+        for n in (1, 63, 64, 65, 200, 256, 257, 4001):
             rng = np.random.default_rng(40 + dim)
             stack = np.array([random_hermitian(dim, rng) for _ in range(n)])
             other = random_hermitian(dim, rng)

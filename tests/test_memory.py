@@ -340,6 +340,15 @@ class TestMemoryFunctions:
         with pytest.raises(ValueError):
             MemoryFunctions(1.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["coupling", "memory_rate"])
+    def test_rates_are_read_only(self, name):
+        # the reads keep values derived from the rates on construction, so a new rate would desync them
+        mem = MemoryFunctions(1.0, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(mem, name, 10.0)
+        assert (mem.coupling, mem.memory_rate) == (1.0, 0.5)
+        assert mem.p(1.0) == MemoryFunctions(1.0, 0.5).p(1.0)
+
 
 def per_time_f(mem, t):
     """The dephasing rate at one time, written out with ``math`` as a single read evaluates it."""

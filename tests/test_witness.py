@@ -220,8 +220,8 @@ class TestRandomSampling:
 class TestStacks:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stacked_calls_equal_single_calls(self, dim):
-        # stack lengths around the chunk length of propagation, and one trajectory's length
-        for n in (1, 63, 64, 65, 200, 4001):
+        # stack lengths around the scan piece and the window of propagation, and one trajectory's length
+        for n in (1, 63, 64, 65, 200, 256, 257, 4001):
             rng = np.random.default_rng(50 + dim)
             rho0 = random_density_matrix(dim, rng)
             stack = np.array(
