@@ -20,12 +20,13 @@ together as one ``(B, d, d)`` stack; a single scenario is a batch of one.
 The steps are taken on a sliding exact frontier, with no Python loop over
 single steps: states up to the frontier are final, and the states past it
 are estimates.  Each step of a linear generator is a linear map on
-``vec(rho)``, so the estimates are first taken, ``POSITIVITY_SCAN_STEPS``
-grid times at a time, as a prefix scan of those maps (Blelloch 1990;
-Martin & Cundy 2018); for dephasing and dissipation, whose maps act entry
-by entry, the scan is one cumulative product of scalar factors.  The
+``vec(rho)``, and one rule estimates a block of ``POSITIVITY_SCAN_STEPS``
+states: carry the start state through each step's map in order.  For
+dephasing and dissipation, whose maps act entry by entry, that is one
+cumulative product of scalar factors; for the unitary families it is a
+product of ``d^2 x d^2`` transfer matrices, one after another.  The
 unitary action is a sum of ``d`` broadcast outer products, with no BLAS
-call per ``d x d`` matrix; only the scan's products of ``d^2 x d^2``
+call per ``d x d`` matrix; only the estimate's products with the
 transfer matrices keep ``@``.  A sweep takes the increments of the
 ``POSITIVITY_SCAN_STEPS`` steps past the frontier from the current
 estimates, adds them in order onto the running sum at the frontier and
@@ -72,7 +73,7 @@ POSITIVITY_ABORT = 1e-6
 #: estimated at once, and the newly final states checked for positivity at once.
 POSITIVITY_SCAN_STEPS = 256
 
-_SCAN_PIECE = 64  # steps per stack of transfer-matrix products in _scan, which bounds its temporaries
+_TRANSFER_PIECE = 64  # steps whose transfer matrices are built at once, which bounds the basis action's temporaries
 
 #: Relative tolerance of the uniform-grid check: each step may differ from the first by this times the span.
 GRID_MATCH_TOL = 1e-9
@@ -162,8 +163,9 @@ class _TabulatedGenerator:
     (broadcast against the trailing ``(d, d)`` axes).  The action depends on
     the family only, so one call steps a whole batch.  ``estimate_chunk``
     estimates a block of states past the frontier, which sets only the
-    sweep count of :func:`_sweep`; by default it is the transfer-matrix
-    scan, which any linear action takes.
+    sweep count of :func:`_sweep`: it carries the start state through
+    each step's map in order, by default as a product of transfer
+    matrices, which any linear action takes.
     """
 
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
@@ -174,8 +176,26 @@ class _TabulatedGenerator:
         return self.action(m, self.coefficients([t])[0])
 
     def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
-        """Estimates ``(B, m, d, d)`` of the states after each of ``m`` steps from ``rho_lo``."""
-        return _scan(self.action, rho_lo, c0, c_mid, c1, h)
+        """Estimates ``(B, m, d, d)`` of the states after each of ``m`` steps from ``rho_lo``, re-Hermitized.
+
+        One step of a linear generator is a linear map on ``vec(rho)``; its
+        matrix is the step applied to the ``d^2`` basis matrices, built
+        ``_TRANSFER_PIECE`` steps at a time.  The start state is carried
+        through these maps in order.
+        """
+        b, m = c0.shape[:2]
+        d = rho_lo.shape[-1]
+        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        x = np.empty((b, m + 1, 1, d * d), dtype=complex)
+        x[:, 0, 0] = rho_lo.reshape(b, d * d)
+        for lo in range(0, m, _TRANSFER_PIECE):
+            hi = min(lo + _TRANSFER_PIECE, m)
+            rows = (c[:, lo:hi, None] for c in (c0, c_mid, c1))
+            # row j of transfer[:, k] is vec of basis matrix j after step k, so a row vector steps as x @ transfer
+            transfer = (basis + _rk4_increment(self.action, basis, *rows, h)).reshape(b, hi - lo, d * d, d * d)
+            for k in range(lo, hi):
+                np.matmul(x[:, k], transfer[:, k - lo], out=x[:, k + 1])
+        return _hermitize(x[:, 1:].reshape(b, m, d, d))
 
 
 class _Entrywise(_TabulatedGenerator):
@@ -313,7 +333,7 @@ class Trajectory:
     def _locate(self, taus: np.ndarray) -> tuple:
         """:meth:`locate` for a 1-D array of finite times: an array of intervals and one of fractions."""
         grid = self.grid
-        outside = (taus < -1e-12) | (taus > grid[-1] * (1.0 + 1e-12))
+        outside = (taus < -1e-12 * grid[-1]) | (taus > grid[-1] * (1.0 + 1e-12))
         if outside.any():
             raise ValueError(f"time {taus[outside][0]} outside trajectory grid [0, {grid[-1]}]")
         taus = np.minimum(np.maximum(taus, 0.0), float(grid[-1]))
@@ -340,12 +360,10 @@ def _shared_grid(grid) -> np.ndarray:
         raise ValueError(f"grid must be one 1-D array of times: {err}") from None
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError(f"grid must be one 1-D array of at least two times, got shape {grid.shape}")
-    if abs(grid[0]) > 1e-12:
+    if abs(grid[0]) > 1e-12 * abs(grid[-1]):
         raise ValueError(f"grid must start at 0, got {grid[0]}")
     h = float(grid[1] - grid[0])
-    if h <= 0.0 or not np.allclose(
-        np.diff(grid), h, rtol=0.0, atol=GRID_MATCH_TOL * max(1.0, float(grid[-1]))
-    ):
+    if h <= 0.0 or not np.allclose(np.diff(grid), h, rtol=0.0, atol=GRID_MATCH_TOL * float(grid[-1])):
         raise ValueError("grid must be uniformly increasing")
     return grid
 
@@ -469,34 +487,6 @@ def _rk4_increment(act, rho: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
     k3 = act(rho + 0.5 * h * k2, c_mid)
     k4 = act(rho + h * k3, c1)
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _scan(act, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
-    """Estimates ``(B, m, d, d)`` of the states after each of ``m`` steps from ``rho_lo``, re-Hermitized.
-
-    One step of a linear generator is a linear map on ``vec(rho)``; its
-    matrix is the step applied to the ``d^2`` basis matrices.  The states
-    are the start state times the inclusive prefix products of these
-    maps, taken by doubling (Hillis-Steele) in ``log2 m`` batched products,
-    in pieces of at most ``_SCAN_PIECE`` steps, each started from the last
-    estimate of the piece before it.
-    """
-    b, m = c0.shape[:2]
-    d = rho_lo.shape[-1]
-    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    out = np.empty((b, m, d, d), dtype=complex)
-    for lo in range(0, m, _SCAN_PIECE):
-        hi = min(lo + _SCAN_PIECE, m)
-        rows = (c[:, lo:hi, None] for c in (c0, c_mid, c1))
-        # row j of transfer[:, k] is vec of basis matrix j after step k, so a row vector steps as x @ transfer
-        transfer = (basis + _rk4_increment(act, basis, *rows, h)).reshape(b, hi - lo, d * d, d * d)
-        shift = 1
-        while shift < hi - lo:
-            transfer[:, shift:] = transfer[:, :-shift] @ transfer[:, shift:]
-            shift *= 2
-        out[:, lo:hi] = _hermitize((rho_lo.reshape(b, 1, 1, d * d) @ transfer).reshape(b, hi - lo, d, d))
-        rho_lo = out[:, hi - 1]
-    return out
 
 
 def _sweep(act, x: np.ndarray, total: np.ndarray, c0, c_mid, c1, h: float) -> tuple:

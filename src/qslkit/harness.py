@@ -450,15 +450,18 @@ def fig3(out_path: str, grid_points: int = 2001, tau_max: float = 3.0) -> list:
 def run_to_files(cfg: ScenarioConfig, out_path: str, report_path: Optional[str] = None) -> ScenarioResult:
     """Run one scenario, emit its sweep CSV and an optional JSON report.
 
-    The report is strict JSON: the config is validated finite, an infinite
-    ``memory_horizon`` is ``null`` and the bounds reject a zero denominator.
+    The report's ``config`` holds the fields the model reads
+    (``MODEL_FIELDS``), so :meth:`ScenarioConfig.from_dict` rebuilds the
+    config from it.  The report is strict JSON: the config is validated
+    finite, an infinite ``memory_horizon`` is ``null`` and the bounds
+    reject a zero denominator.
     """
     _check_outputs(out_path=out_path, report_path=report_path)
     result = run_scenario(cfg)
     write_csv(out_path, RUN_HEADER, _report_rows(RUN_HEADER, [result]))
     if report_path is not None:
         payload = {
-            "config": dataclasses.asdict(cfg),
+            "config": {name: getattr(cfg, name) for name in MODEL_FIELDS[cfg.model]},
             "diagnostics": result.diagnostics,
             "reports": [{key: getattr(rep, key) for key in _REPORT_KEYS} for rep in result.reports],
         }

@@ -62,8 +62,9 @@ class MemoryFunctions:
 
     ``coupling`` is the overall rate (Gamma) and ``memory_rate`` the inverse
     correlation time (gamma), both positive numbers under the rule of
-    :func:`~qslkit.matcore._check_number`.  Both are read-only, since the
-    reads keep values derived from them on construction.  Dephasing reads
+    :func:`~qslkit.matcore._check_number`.  Every attribute is read-only,
+    the values derived from the rates on construction included, so no
+    assignment can put them out of step.  Dephasing reads
     the rate ``f`` and its exponent ``beta``; dissipation reads ``P`` and
     its running integral ``xi``.  The one non-finite rate taken, ``memory_rate = inf``,
     marks the memoryless limit (``markov`` is then true), where the exact
@@ -88,39 +89,31 @@ class MemoryFunctions:
             raise ValueError(f"coupling rate must be positive and finite, got {coupling}")
         if memory_rate != math.inf and not _check_number(memory_rate, "memory_rate") > 0.0:
             raise ValueError(f"memory rate must be positive, got {memory_rate}")
-        self._coupling = coupling
-        self._memory_rate = memory_rate
-        self.markov = memory_rate == math.inf
-        self.horizon = math.inf
-        self._t_star = math.inf
-        if self.markov:
-            return
-        gamma = memory_rate
-        self._drive = 0.5 * coupling * gamma
-        kappa = 0.25 * gamma * (gamma - 2.0 * coupling)
-        self._trig = kappa < 0.0
-        if self._trig:
-            w = math.sqrt(-kappa)
-            limit = BLOWUP_FACTOR * coupling
-            self._omega = w
-            self._t_star = (math.pi - math.atan(2.0 * w / gamma)) / w
-            # P = limit where tan(omega t) = -2 limit omega / (gamma (limit - Gamma)), before the pole
-            self.horizon = (math.pi - math.atan(2.0 * limit * w / (gamma * (limit - coupling)))) / w
-        else:
-            # u = exp(-a t) (1 + a s(t)) with s = (1 - exp(-2 r t)) / (2 r) and
-            # a = gamma/2 - r, written without the cancellation for gamma >> Gamma
-            self._r = math.sqrt(kappa)
-            self._a = self._drive / (0.5 * gamma + self._r)
+        markov = memory_rate == math.inf
+        fields = dict(coupling=coupling, memory_rate=memory_rate, markov=markov, horizon=math.inf, _t_star=math.inf)
+        if not markov:
+            gamma = memory_rate
+            drive = 0.5 * coupling * gamma
+            kappa = 0.25 * gamma * (gamma - 2.0 * coupling)
+            fields.update(_drive=drive, _trig=kappa < 0.0)
+            if kappa < 0.0:
+                w = math.sqrt(-kappa)
+                limit = BLOWUP_FACTOR * coupling
+                fields.update(
+                    _omega=w,
+                    _t_star=(math.pi - math.atan(2.0 * w / gamma)) / w,
+                    # P = limit where tan(omega t) = -2 limit omega / (gamma (limit - Gamma)), before the pole
+                    horizon=(math.pi - math.atan(2.0 * limit * w / (gamma * (limit - coupling)))) / w,
+                )
+            else:
+                # u = exp(-a t) (1 + a s(t)) with s = (1 - exp(-2 r t)) / (2 r) and
+                # a = gamma/2 - r, written without the cancellation for gamma >> Gamma
+                r = math.sqrt(kappa)
+                fields.update(_r=r, _a=drive / (0.5 * gamma + r))
+        vars(self).update(fields)
 
-    @property
-    def coupling(self) -> float:
-        """The overall rate Gamma."""
-        return self._coupling
-
-    @property
-    def memory_rate(self) -> float:
-        """The inverse correlation time gamma, ``inf`` when memoryless."""
-        return self._memory_rate
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"MemoryFunctions is read-only: cannot set {name!r}")
 
     @classmethod
     def markov_limit(cls, coupling: float) -> "MemoryFunctions":

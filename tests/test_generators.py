@@ -498,6 +498,26 @@ class TestPropagate:
             with pytest.raises(ValueError, match="outside trajectory grid"):
                 traj.locate(bad)
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e-3, 1.0, 1e6])
+    def test_nonuniform_grid_is_rejected_in_any_unit_of_time(self, scale):
+        # the step doubles once, in every unit of time; a grid passed as uniform would label the states it
+        # steps with times one step past those they were stepped to
+        rho0 = from_pure([math.cos(0.3), math.sin(0.3)])
+        gen = Dephasing(MemoryFunctions.markov_limit(0.1 / scale))
+        with pytest.raises(ValueError, match="uniformly increasing"):
+            propagate(gen, rho0, scale * np.array([0.0, 1.0, 3.0, 4.0]))
+        assert propagate(gen, rho0, scale * np.linspace(0.0, 4.0, 5)).grid[-1] == 4.0 * scale
+
+    def test_start_and_locate_tolerances_are_relative_to_the_span(self):
+        rho0 = from_pure([math.cos(0.3), math.sin(0.3)])
+        gen = Dephasing(MemoryFunctions.markov_limit(1e12))
+        with pytest.raises(ValueError, match="start at 0"):
+            propagate(gen, rho0, np.linspace(1e-13, 1e-12, 11))
+        traj = propagate(gen, rho0, np.linspace(0.0, 1e-12, 11))
+        with pytest.raises(ValueError, match="outside trajectory grid"):
+            traj.locate(-1e-13)
+        assert traj.locate(-1e-25) == (0, 0.0)
+
 
 def _positivity_error(gens, rho0s, grid):
     with pytest.raises(PositivityLossError) as err:
@@ -842,6 +862,30 @@ class TestScanMatchesSequentialSteps:
             propagate_many(gens, rho0s, grids[0])
         assert frontier_walk(sweeps, 2001)[0] == 2000
         assert len(sweeps) <= 33
+
+    @pytest.mark.parametrize(
+        "config, budget",
+        [
+            pytest.param(
+                ScenarioConfig(model="unitary2l", theta=0.17, theta0=0.17, theta_rate=0.97, alpha0=5.17,
+                               alpha_rate=0.3, tau_max=1.57, grid_points=1376),
+                22,
+                id="unitary2l",
+            ),
+            pytest.param(
+                ScenarioConfig(model="stirap", theta_rate=1.08, alpha_rate=1.77, tau_max=1.46, grid_points=1593),
+                52,
+                id="stirap",
+            ),
+        ],
+    )
+    def test_sweep_budget_of_a_unitary_run(self, config, budget):
+        # the carried transfer-matrix estimate takes 20 (unitary2l) and 48 (stirap) sweeps, under the default, Haswell
+        # and Zen BLAS kernels alike; the bound leaves a 10% margin, so a worse estimate fails here, not only in the bench
+        with recorded_sweeps() as sweeps:
+            propagate(*build_scenario(config))
+        assert frontier_walk(sweeps, config.grid_points)[0] == config.grid_points - 1
+        assert len(sweeps) <= budget
 
 
 class TestClosedStates:

@@ -27,6 +27,7 @@ from qslkit.generators import Dephasing
 from qslkit.harness import (
     FIG1_HEADER,
     FIG1_THETAS,
+    MODEL_FIELDS,
     RUN_HEADER,
     SWEEP_HEADER,
     ScenarioConfig,
@@ -443,6 +444,15 @@ class TestCsvEmission:
         diagnostics = json.loads(rep.read_text())["diagnostics"]
         assert 4.83 < diagnostics["memory_horizon"] < 4.8368
 
+    def test_report_config_holds_the_fields_the_model_reads(self, tmp_path):
+        # stirap reads none of theta, Gamma, gamma, n and alpha0, so its report lists none of them
+        cfg = ScenarioConfig(model="stirap", theta_rate=0.7, alpha_rate=2.0, tau_max=1.0, grid_points=201)
+        rep = tmp_path / "run.json"
+        run_to_files(cfg, str(tmp_path / "run.csv"), report_path=str(rep))
+        config = json.loads(rep.read_text())["config"]
+        assert tuple(config) == MODEL_FIELDS["stirap"]
+        assert ScenarioConfig.from_dict(config) == cfg
+
 
 def _old_write(path, text):
     """The truncating write the outputs used before the in-place writer: the byte reference."""
@@ -515,7 +525,7 @@ class TestOutputWriter:
         cfg = ScenarioConfig.from_dict(_RUN_CFG)
         result = run_to_files(cfg, str(tmp_path / "run.csv"), report_path=str(rep))
         payload = {
-            "config": dataclasses.asdict(cfg),
+            "config": {name: getattr(cfg, name) for name in MODEL_FIELDS[cfg.model]},
             "diagnostics": result.diagnostics,
             "reports": [{key: getattr(r, key) for key in harness._REPORT_KEYS} for r in result.reports],
         }

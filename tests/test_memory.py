@@ -349,6 +349,16 @@ class TestMemoryFunctions:
         assert (mem.coupling, mem.memory_rate) == (1.0, 0.5)
         assert mem.p(1.0) == MemoryFunctions(1.0, 0.5).p(1.0)
 
+    @pytest.mark.parametrize("name, value", [("markov", True), ("horizon", 1e9), ("_t_star", 1e9)])
+    def test_derived_values_are_read_only(self, name, value):
+        # a larger horizon would let p read past the pole, and markov the memoryless values
+        mem = MemoryFunctions(1.0, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(mem, name, value)
+        with pytest.raises(RiccatiBlowupError):
+            mem.p(5.0)
+        assert (mem.f(1.0), mem.p(1.0)) == (MemoryFunctions(1.0, 0.5).f(1.0), MemoryFunctions(1.0, 0.5).p(1.0))
+
 
 def per_time_f(mem, t):
     """The dephasing rate at one time, written out with ``math`` as a single read evaluates it."""
