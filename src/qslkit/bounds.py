@@ -154,9 +154,7 @@ def _refine_crossing(traj: Trajectory, k: int, q_target: float) -> float:
 
 def _crossings(traj: Trajectory, q_targets) -> list:
     """``(q_target, time)`` per target, ``time`` ``None`` if unreached, from one boolean pass over the witness samples."""
-    targets = np.array([_check_number(q, "q_target") for q in q_targets], dtype=float)
-    if np.any(targets < 0.0):
-        raise ValueError(f"quantumness target must be nonnegative, got {targets[targets < 0.0][0]}")
+    targets = np.array([_check_number(q, "q_target", ge=0.0) for q in q_targets], dtype=float)
     q = traj.q_samples
     # grid index k >= 1 of each target's first upcrossing; a target above q[0] has q[k - 1] below it
     up = q[1:] >= targets[:, None]
@@ -228,8 +226,7 @@ def tau_q_dephasing(q: float, theta: float, m: MemoryFunctions) -> float:
     branch solves ``beta(tau) = -ln(1 - 2 sqrt(q)/|sin 4theta|)`` by
     monotone bisection.
     """
-    if not _check_number(q, "q") >= 0.0:
-        raise ValueError(f"invalid argument 'q': quantumness must be finite and nonnegative, got {q}")
+    _check_number(q, "q", ge=0.0)
     theta = _check_number(theta, "theta")
     s4 = abs(math.sin(4.0 * theta))
     if s4 < _ZERO:
@@ -288,8 +285,7 @@ def tau_q_unitary(c: UnitaryControl, tau: float) -> float:
     Numerator ``|sin 2 theta(tau)| / sqrt(2)``; denominator the
     trapezoidal average of the closed-form speed over ``[0, tau]``.
     """
-    if not _check_number(tau, "tau") > 0.0:
-        raise ValueError(f"invalid argument 'tau': must be a finite positive time, got {tau}")
+    _check_number(tau, "tau", gt=0.0)
     s2 = math.sin(2.0 * c.theta(tau))
     if abs(s2) < _ZERO:
         raise ValueError("commuting endpoint, Q = 0 (sin 2theta(tau) = 0)")

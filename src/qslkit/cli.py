@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=_columns(harness.GHZ_HEADER),
     )
     ghz.add_argument("--out", default=None, help="output CSV path")
-    ghz.add_argument("--theta", type=float, default=None, help="initial angle (default pi/8)")
+    ghz.add_argument("--theta", type=float, default=math.pi / 8.0, help="initial angle (default pi/8 = %(default)s)")
     ghz.add_argument("--beta", type=float, default=1e-6, help="single-qubit decay exponent (<= 1e-4)")
     ghz.add_argument("--n-max", type=int, default=5, help="largest qubit count (<= 12)")
     ghz.add_argument("--q-fix", type=float, default=1e-6, help="fixed quantumness target for tau_Q(n)")
@@ -156,8 +156,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "ghz":
         out = args.out or "ghz.csv"
-        theta = args.theta if args.theta is not None else math.pi / 8.0
-        report = harness.ghz_scaling(theta, args.beta, args.n_max, out, q_fix=args.q_fix)
+        report = harness.ghz_scaling(args.theta, args.beta, args.n_max, out, q_fix=args.q_fix)
         status = _status_stream(out)
         print(f"wrote {out} ({len(report.rows)} rows)", file=status)
         print(

@@ -335,7 +335,7 @@ class Trajectory:
         grid = self.grid
         outside = (taus < -1e-12 * grid[-1]) | (taus > grid[-1] * (1.0 + 1e-12))
         if outside.any():
-            raise ValueError(f"time {taus[outside][0]} outside trajectory grid [0, {grid[-1]}]")
+            raise ValueError(f"invalid argument 'tau': must be on the grid [0, {grid[-1]}], got {taus[outside][0]}")
         taus = np.minimum(np.maximum(taus, 0.0), float(grid[-1]))
         h = self.step
         k = np.minimum((taus / h).astype(np.intp), len(grid) - 2)
@@ -516,14 +516,14 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     """The fourth-order steps of :func:`propagate_many`: ``(B, n, d, d)`` states and each
     member's owned copy of its grid-time table rows.
 
-    States up to the frontier ``j`` are final; the states past it hold
-    estimates.  Each :func:`_sweep` takes the window of the next
-    ``POSITIVITY_SCAN_STEPS`` steps and moves the frontier past the
-    states it made final.  When the window passes the estimates, the
-    family's ``estimate_chunk`` extends them by one block of
-    ``POSITIVITY_SCAN_STEPS`` steps, from the last estimate.  Each
-    ``POSITIVITY_SCAN_STEPS`` newly final states, and the last ones, are
-    checked for positivity.  Only one window's work arrays are alive at a
+    States up to the frontier ``j`` are final; the states past it hold estimates.  Each
+    :func:`_sweep` takes the window of the next ``POSITIVITY_SCAN_STEPS`` steps and moves the
+    frontier past the states it made final.  When the window passes the estimates,
+    ``estimate_chunk`` extends them by one block of that many steps: from the state there if it
+    is final, or if only the first window swept it, from estimates no sweep had moved; else from
+    the last estimate, since at fast rates repeated sweeps can move a state far past the frontier
+    off its final bits before they settle it.  Each ``POSITIVITY_SCAN_STEPS`` newly final states,
+    and the last ones, are checked for positivity.  Only one window's work arrays are alive at a
     time, and the midpoint rows are freed on return.
     """
     n = len(grid)
@@ -550,8 +550,9 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
             hi = min(j + w, n - 1)
             if known < hi:
                 top = min(known + w, n - 1)
-                states[:, known + 1:top + 1] = estimate(states[:, known], *steps(known, top), h)
-                known = top
+                start = states[:, known] if known <= max(j, w) else tail  # final, or the first window's end
+                states[:, known + 1:top + 1] = estimate(start, *steps(known, top), h)
+                known, tail = top, states[:, top].copy()
             final, total = _sweep(act, states[:, j:hi + 1], total, *steps(j, hi), h)
             j += final
             if j + 1 - checked >= w or j == n - 1:

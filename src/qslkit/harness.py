@@ -24,10 +24,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -52,7 +51,8 @@ from .generators import (
     propagate_many,
     unitary_state,
 )
-from .matcore import _check_number, commutator, from_pure, hermiticity_defect, hs_norm, min_eigenvalue, purity
+from .matcore import _check_bool, _check_integer, _check_number
+from .matcore import commutator, from_pure, hermiticity_defect, hs_norm, min_eigenvalue, purity
 from .memory import MemoryFunctions, RiccatiBlowupError
 from .witness import (
     pure_state_quantumness,
@@ -95,13 +95,13 @@ class ScenarioConfig:
 
     model: str
     theta: float = math.pi / 8.0
-    Gamma: float = 1.0
-    gamma: Optional[float] = None  # memory ratio gamma / Gamma
+    Gamma: float = field(default=1.0, metadata={"gt": 0.0})
+    gamma: Optional[float] = field(default=None, metadata={"gt": 0.0})  # memory ratio gamma / Gamma
     markov: bool = False
-    tau_max: float = 3.0
-    grid_points: int = 2001
-    q_grid: int = 20
-    n: int = 1
+    tau_max: float = field(default=3.0, metadata={"gt": 0.0})
+    grid_points: int = field(default=2001, metadata={"ge": 100})
+    q_grid: int = field(default=20, metadata={"ge": 1})
+    n: int = field(default=1, metadata={"ge": 1})
     theta0: float = 0.0
     theta_rate: float = 0.5
     alpha0: float = 0.0
@@ -128,32 +128,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:  # a tuple, so an unhashable value is compared, not hashed
             raise ValueError(f"invalid field 'model': {self.model!r} (choose from {MODELS})")
-        for f in dataclasses.fields(self)[1:]:
-            value = getattr(self, f.name)
-            if f.type == "Optional[float]" and value is None:
-                continue
-            if f.type not in ("bool", "int"):
-                _check_number(value, f.name, "field")
-            elif isinstance(value, bool) != (f.type == "bool") or not isinstance(value, numbers.Integral):
-                # a bool is an Integral: a bool field takes bools only, an int field integers but no bool
-                kind = "a bool" if f.type == "bool" else "an integer"
-                raise ValueError(f"invalid field {f.name!r}: must be {kind}, got {value!r}")
-            if f.name not in MODEL_FIELDS[self.model] and value != f.default:  # typed first: False == 0.0
-                must = "unset" if f.default is None else repr(f.default)
-                readers = " or ".join(repr(m) for m, names in MODEL_FIELDS.items() if f.name in names)
-                raise ValueError(f"invalid field {f.name!r}: must be {must} unless 'model' is {readers}, got {value!r}")
-        if not self.tau_max > 0.0:
-            raise ValueError(f"invalid field 'tau_max': must be positive, got {self.tau_max}")
-        if self.grid_points < 100:
-            raise ValueError(f"invalid field 'grid_points': must be >= 100, got {self.grid_points}")
-        if not self.Gamma > 0.0:
-            raise ValueError(f"invalid field 'Gamma': must be positive, got {self.Gamma}")
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise ValueError(f"invalid field 'gamma': must be positive, got {self.gamma}")
-        if self.q_grid < 1:
-            raise ValueError(f"invalid field 'q_grid': must be >= 1, got {self.q_grid}")
-        if self.n < 1:
-            raise ValueError(f"invalid field 'n': must be >= 1, got {self.n}")
+        for name, check, bounds, default in _FIELD_RULES:
+            value = getattr(self, name)
+            if value is not None or default is not None:  # an unset gamma marks a memoryless bath, or none
+                check(value, name, "field", **bounds)
+            if name not in MODEL_FIELDS[self.model] and value != default:  # typed first: False == 0.0
+                must = "unset" if default is None else repr(default)
+                readers = " or ".join(repr(m) for m, names in MODEL_FIELDS.items() if name in names)
+                raise ValueError(f"invalid field {name!r}: must be {must} unless 'model' is {readers}, got {value!r}")
         try:
             finite = math.isfinite(self.Gamma * (self.n * self.n))  # the coupling of _memory
         except OverflowError:  # n^2 beyond the float range
@@ -181,6 +163,11 @@ class ScenarioConfig:
         if self.model not in OPEN_MODELS:
             return None
         return math.inf if self.markov else float(self.gamma)
+
+
+_RULES = {"float": _check_number, "Optional[float]": _check_number, "int": _check_integer, "bool": _check_bool}
+#: ``(name, rule, bounds, default)`` per field after 'model': its type picks the rule, its metadata the bounds.
+_FIELD_RULES = tuple((f.name, _RULES[f.type], dict(f.metadata), f.default) for f in fields(ScenarioConfig)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +497,9 @@ def ghz_scaling(
     slopes are fitted over all rows.
     """
     _check_number(theta, "theta")
-    if not _check_number(q_fix, "q_fix") > 0.0:
-        raise ValueError(f"invalid argument 'q_fix': must be finite and positive, got {q_fix}")
-    if not 0.0 < _check_number(beta, "beta") <= 1e-4:
-        raise ValueError(f"invalid argument 'beta': must be a number in (0, 1e-4], got {beta}")
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or not 1 <= n_max <= 12:
-        raise ValueError(f"invalid argument 'n_max': must be an integer in 1..12, got {n_max!r}")
+    _check_number(q_fix, "q_fix", gt=0.0)
+    _check_number(beta, "beta", gt=0.0, le=1e-4)
+    _check_integer(n_max, "n_max", ge=1, le=12)
     _check_outputs(out_path=out_path)
     ns = np.arange(1, n_max + 1)
     q_values = [quantumness_dephasing(theta, float(n * n) * beta) for n in ns]
@@ -793,9 +777,8 @@ def _check_mutation_canary() -> list:
 
 def validate(seed: int = 0, cases: int = 200) -> ValidationReport:
     """Run the randomized property suites; failures are report content."""
-    for name, value, least in (("seed", seed, 0), ("cases", cases, 1)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"invalid argument {name!r}: must be an integer >= {least}, got {value!r}")
+    _check_integer(seed, "seed", ge=0)
+    _check_integer(cases, "cases", ge=1)
     checks = []
     checks.extend(_check_witness_properties(seed, cases))
     checks.extend(_check_dynamics_properties(seed, cases))

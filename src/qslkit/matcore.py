@@ -44,14 +44,37 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _check_number(value, name: str, role: str = "argument") -> float:
-    """``value`` as a float if it is a finite real number and not a bool, else ``ValueError`` naming it."""
-    if isinstance(value, float) and math.isfinite(value):  # the common case, before the slower ABC check
+def _invalid(role: str, name: str, kind: str, value, gt=None, ge=None, le=None) -> ValueError:
+    """The one message of a rejected scalar: ``invalid <role> '<name>': must be <kind> <bounds>, got <repr>``."""
+    bounds = " and".join(f" {op} {b:g}" for op, b in ((">", gt), (">=", ge), ("<=", le)) if b is not None)
+    return ValueError(f"invalid {role} {name!r}: must be {kind}{bounds}, got {value!r}")
+
+
+def _check_number(value, name: str, role: str = "argument", *, gt=None, ge=None, le=None) -> float:
+    """``value`` as a float if it is a finite real number, not a bool, and ``> gt``, ``>= ge``, ``<= le`` if given."""
+    if not (isinstance(value, float) and math.isfinite(value)):  # the common case first, before the slower ABC check
+        # the comparison also rejects NaN and integers beyond the float range
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+            raise _invalid(role, name, "a finite number", value, gt, ge, le)
+        value = float(value)
+    if (gt is None or value > gt) and (ge is None or value >= ge) and (le is None or value <= le):
         return value
-    # the comparison also rejects NaN and integers beyond the float range
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-        raise ValueError(f"invalid {role} {name!r}: must be a finite number, got {value!r}")
-    return float(value)
+    raise _invalid(role, name, "a finite number", value, gt, ge, le)
+
+
+def _check_integer(value, name: str, role: str = "argument", *, ge=None, le=None):
+    """``value`` if it is an integer (an ``Integral``, not a bool), ``>= ge`` and ``<= le`` where given."""
+    integral = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral and (ge is None or value >= ge) and (le is None or value <= le):
+        return value
+    raise _invalid(role, name, "an integer", value, ge=ge, le=le)
+
+
+def _check_bool(value, name: str, role: str = "argument") -> bool:
+    """``value`` if it is a bool."""
+    if isinstance(value, bool):
+        return value
+    raise _invalid(role, name, "a bool", value)
 
 
 def _check_finite(**arrays) -> None:
@@ -172,8 +195,9 @@ def validate_density(rho: np.ndarray, tol: float = 1e-8) -> DensityDiagnostics:
     """Check Hermiticity, unit trace and positivity of ``rho``.
 
     Purely diagnostic: reports defects against ``tol``; raises only for
-    input that is not one square matrix.
+    input that is not one square matrix, or a ``tol`` that is not a positive number.
     """
+    _check_number(tol, "tol", gt=0.0)
     m = _one_matrix(rho)
     herm = hermiticity_defect(m)
     trace = abs(float(np.trace(m).real) - 1.0)

@@ -22,9 +22,9 @@ and :meth:`MemoryFunctions.p_table` take a sequence of times, check its domain
 once (every time finite, the smallest nonnegative and, for ``P``, the
 largest below the horizon) and evaluate the closed form for all of them;
 the scalar reads ``f(t)`` and ``p(t)`` are their one-element calls.  Every
-scalar read (``beta`` and ``xi`` too) first takes its time through
-:func:`~qslkit.matcore._check_number`, so a bool or a string is rejected by
-name, and then checks its domain as a table does.  The transcendental
+scalar read (``beta`` and ``xi`` too) takes its time, and a table its two
+ends, through :func:`~qslkit.matcore._check_number` as a number ``>= 0``, so
+a bool, a string or a negative time is rejected by name.  The transcendental
 functions are taken from ``math``, one time after another, not from
 numpy: on NumPy 2.4 (x86-64), ``np.expm1``, ``np.exp`` and ``np.log1p``
 differ from ``math.expm1``, ``math.exp`` and ``math.log1p`` by one ulp on
@@ -85,10 +85,9 @@ class MemoryFunctions:
     """
 
     def __init__(self, coupling: float, memory_rate: float):
-        if not _check_number(coupling, "coupling") > 0.0:
-            raise ValueError(f"coupling rate must be positive and finite, got {coupling}")
-        if memory_rate != math.inf and not _check_number(memory_rate, "memory_rate") > 0.0:
-            raise ValueError(f"memory rate must be positive, got {memory_rate}")
+        _check_number(coupling, "coupling", gt=0.0)
+        if memory_rate != math.inf:
+            _check_number(memory_rate, "memory_rate", gt=0.0)
         markov = memory_rate == math.inf
         fields = dict(coupling=coupling, memory_rate=memory_rate, markov=markov, horizon=math.inf, _t_star=math.inf)
         if not markov:
@@ -121,7 +120,7 @@ class MemoryFunctions:
 
     def f(self, t: float) -> float:
         """Coherence-decay rate ``f(t) = Gamma (1 - exp(-gamma t))``."""
-        return float(self.f_table((_check_number(t, "t"),))[0])
+        return float(self.f_table((_check_number(t, "t", ge=0.0),))[0])
 
     def f_table(self, times) -> np.ndarray:
         """:meth:`f` at each of ``times``, as a 1-D array."""
@@ -136,9 +135,7 @@ class MemoryFunctions:
         Monotone nondecreasing in ``tau`` and bounded above by the
         memoryless line ``2 Gamma tau``.
         """
-        tau = _check_number(tau, "tau")
-        self._check_span(tau, tau, math.inf)
-        return self._beta(tau)
+        return self._beta(_check_number(tau, "tau", ge=0.0))
 
     def _beta(self, tau: float) -> float:
         """:meth:`beta` at a time already known to be finite and nonnegative."""
@@ -150,10 +147,7 @@ class MemoryFunctions:
     def _check_span(self, lo: float, hi: float, horizon: float) -> None:
         """Reject times from ``lo`` to ``hi`` unless all are finite, nonnegative and below ``horizon``."""
         for t in (lo, hi):
-            if not math.isfinite(t):
-                raise ValueError(f"time must be finite, got {t}")
-        if lo < 0.0:
-            raise ValueError(f"time must be nonnegative, got {lo}")
+            _check_number(t, "times", ge=0.0)
         if hi >= horizon:
             raise RiccatiBlowupError(
                 f"memory function P reaches {BLOWUP_FACTOR:g} x coupling at t = {self.horizon:.6g} "
@@ -171,7 +165,7 @@ class MemoryFunctions:
 
     def p(self, t: float) -> float:
         """Dissipation memory function ``P(t)``."""
-        return float(self.p_table((_check_number(t, "t"),))[0])
+        return float(self.p_table((_check_number(t, "t", ge=0.0),))[0])
 
     def p_table(self, times) -> np.ndarray:
         """:meth:`p` at each of ``times``, as a 1-D array."""
@@ -188,7 +182,7 @@ class MemoryFunctions:
 
     def xi(self, t: float) -> float:
         """Running integral ``xi(t) = int_0^t P(s) ds`` of the memory function."""
-        t = _check_number(t, "t")
+        t = _check_number(t, "t", ge=0.0)
         self._check_span(t, t, self.horizon)
         if self.markov:
             return 0.5 * self.coupling * t
@@ -202,8 +196,9 @@ class MemoryFunctions:
         return self._a * t - math.log1p(self._a * s)
 
     def __repr__(self) -> str:
-        tag = "markov" if self.markov else f"gamma={self.memory_rate}"
-        return f"MemoryFunctions(Gamma={self.coupling}, {tag})"
+        if self.markov:
+            return f"MemoryFunctions.markov_limit(coupling={self.coupling!r})"
+        return f"MemoryFunctions(coupling={self.coupling!r}, memory_rate={self.memory_rate!r})"
 
 
 def _math(fn, x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .matcore import _check_finite, _product, as_matrix, commutator, hs_norm
+from .matcore import MAX_DIM, _check_finite, _check_integer, _product, as_matrix, commutator, hs_norm
 
 #: Allowed disagreement between the two algebraic forms of the witness.
 FORM_AGREEMENT_TOL = 1e-10
@@ -106,12 +106,14 @@ def generation_speed(rho0: np.ndarray, lrho: np.ndarray):
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like random pure state from a normalized complex Gaussian vector."""
+    _check_integer(dim, "dim", ge=1, le=MAX_DIM)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank mixed state ``W W^dag / Tr(W W^dag)``."""
+    _check_integer(dim, "dim", ge=1, le=MAX_DIM)
     w = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = w @ w.conj().T
     return m / np.trace(m).real

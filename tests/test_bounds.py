@@ -32,10 +32,10 @@ from qslkit.generators import (
     propagate,
     unitary_state,
 )
-from qslkit.harness import ScenarioConfig, auto_targets, build_scenario, ghz_scaling
-from qslkit.matcore import from_pure
+from qslkit.harness import ScenarioConfig, auto_targets, build_scenario, ghz_scaling, validate
+from qslkit.matcore import from_pure, validate_density
 from qslkit.memory import MemoryFunctions, RiccatiBlowupError
-from qslkit.witness import generation_speed, quantumness
+from qslkit.witness import generation_speed, quantumness, random_density_matrix, random_pure_state
 
 
 def markov_dephasing_trajectory(theta, tau=1.0, n=2001):
@@ -70,7 +70,7 @@ class TestTauQFromTrajectory:
 
     def test_time_outside_grid_rejected(self):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=1.0, n=201)
-        with pytest.raises(ValueError, match="outside trajectory grid"):
+        with pytest.raises(ValueError, match=r"^invalid argument 'tau': must be on the grid \[0, 1\.0\], got 2\.0$"):
             tau_q_from_trajectory(traj, 2.0)
 
 
@@ -368,7 +368,7 @@ class TestNonFiniteArguments:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_crossing_target_rejected_by_name(self, value):
         traj, _ = markov_dephasing_trajectory(math.pi / 8.0, tau=0.5, n=101)
-        with pytest.raises(ValueError, match=f"invalid argument 'q_target': must be a finite number, got {value}$"):
+        with pytest.raises(ValueError, match=f"invalid argument 'q_target': must be a finite number >= 0, got {value}$"):
             first_crossing(traj, value)
 
     @given(
@@ -378,9 +378,8 @@ class TestNonFiniteArguments:
     @settings(max_examples=40, deadline=None)
     def test_dephasing_target_rejected_by_name(self, q, markov):
         mem = MemoryFunctions.markov_limit(1.0) if markov else MemoryFunctions(1.0, 0.4)
-        # a non-finite target falls under the number rule; a finite negative one keeps its range message
-        must = "must be a finite number" if not math.isfinite(q) else "quantumness must be finite and nonnegative"
-        with pytest.raises(ValueError, match=f"invalid argument 'q': {must}, got"):
+        # a non-finite target and a negative one fall under one rule, with one message
+        with pytest.raises(ValueError, match=f"^invalid argument 'q': must be a finite number >= 0, got {re.escape(repr(q))}$"):
             tau_q_dephasing(q, math.pi / 8.0, mem)
 
     @pytest.mark.parametrize(
@@ -450,6 +449,18 @@ _NUMBER_SITES = {
 }
 
 
+#: The bounds of the sites above that have one, as the message states them.
+_BOUNDS_OF = {
+    **{f"ScenarioConfig-{f}": " > 0" for f in ("Gamma", "gamma", "tau_max")},
+    "first_crossing_time": " >= 0",
+    "tau_q_dephasing-q": " >= 0",
+    "tau_q_unitary": " > 0",
+    "ghz_scaling-q_fix": " > 0",
+    "ghz_scaling-beta": " > 0 and <= 0.0001",
+    "dephasing_closed_state-tau": " >= 0",
+}
+
+
 @pytest.mark.parametrize(
     "site,value",
     # an unset gamma is valid: it marks the memoryless bath
@@ -457,9 +468,88 @@ _NUMBER_SITES = {
 )
 def test_number_rule_names_the_rejected_value(site, value):
     role, name, call = _NUMBER_SITES[site]
-    message = f"^invalid {role} '{name}': must be a finite number, got {re.escape(repr(value))}$"
+    message = f"^invalid {role} '{name}': must be a finite number{_BOUNDS_OF.get(site, '')}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+#: The cases of a bound at 0: the bound itself, taken when the bound is closed, and the float just below it.
+_POSITIVE = [(0.0, False), (-5e-324, False)]
+_NONNEGATIVE = [(0.0, True), (-5e-324, False)]
+_RNG = np.random.default_rng(0)
+
+
+def _config(**fields):
+    return ScenarioConfig(**{"model": "dephasing", "markov": True, **fields})
+
+
+#: Every bounded scalar: (role, name, requirement, call with the value there, cases). A case is a value on a
+#: bound or just past it and whether the rule takes it: on a closed bound yes, on an open one and past either no.
+_BOUNDED_SITES = {
+    "ScenarioConfig-Gamma": ("field", "Gamma", "a finite number > 0", lambda v: _config(Gamma=v), _POSITIVE),
+    "ScenarioConfig-gamma": ("field", "gamma", "a finite number > 0", lambda v: _config(markov=False, gamma=v),
+                             _POSITIVE),
+    "ScenarioConfig-tau_max": ("field", "tau_max", "a finite number > 0", lambda v: _config(tau_max=v), _POSITIVE),
+    "ScenarioConfig-grid_points": ("field", "grid_points", "an integer >= 100", lambda v: _config(grid_points=v),
+                                   [(100, True), (99, False)]),
+    "ScenarioConfig-q_grid": ("field", "q_grid", "an integer >= 1", lambda v: _config(q_grid=v),
+                              [(1, True), (0, False)]),
+    "ScenarioConfig-n": ("field", "n", "an integer >= 1", lambda v: _config(model="ghz", n=v), [(1, True), (0, False)]),
+    "ghz_scaling-q_fix": ("argument", "q_fix", "a finite number > 0", lambda v: ghz_scaling(0.3, 1e-6, 2, q_fix=v),
+                          _POSITIVE),
+    "ghz_scaling-beta": ("argument", "beta", "a finite number > 0 and <= 0.0001", lambda v: ghz_scaling(0.3, v, 2),
+                         _POSITIVE + [(1e-4, True), (math.nextafter(1e-4, math.inf), False)]),
+    "ghz_scaling-n_max": ("argument", "n_max", "an integer >= 1 and <= 12", lambda v: ghz_scaling(0.3, 1e-6, v),
+                          [(1, True), (0, False), (12, True), (13, False)]),
+    "validate-seed": ("argument", "seed", "an integer >= 0", lambda v: validate(seed=v, cases=1),
+                      [(0, True), (-1, False)]),
+    "validate-cases": ("argument", "cases", "an integer >= 1", lambda v: validate(seed=0, cases=v),
+                       [(1, True), (0, False)]),
+    "MemoryFunctions-coupling": ("argument", "coupling", "a finite number > 0", lambda v: MemoryFunctions(v, 0.5),
+                                 _POSITIVE),
+    "MemoryFunctions-memory_rate": ("argument", "memory_rate", "a finite number > 0",
+                                    lambda v: MemoryFunctions(1.0, v), _POSITIVE),
+    **{
+        f"MemoryFunctions.{read}": ("argument", "tau" if read == "beta" else "t", "a finite number >= 0",
+                                    lambda v, read=read: getattr(MemoryFunctions(1.0, 0.5), read)(v), _NONNEGATIVE)
+        for read in ("f", "beta", "p", "xi")
+    },
+    **{
+        f"MemoryFunctions.{table}": ("argument", "times", "a finite number >= 0",
+                                     lambda v, table=table: getattr(MemoryFunctions(1.0, 0.5), table)([0.5, v]),
+                                     _NONNEGATIVE)
+        for table in ("f_table", "p_table")
+    },
+    "evaluate_crossings": ("argument", "q_target", "a finite number >= 0", lambda v: first_crossing(_traj(), v),
+                           _NONNEGATIVE),
+    "tau_q_dephasing": ("argument", "q", "a finite number >= 0", lambda v: tau_q_dephasing(v, 0.3, _MEM), _NONNEGATIVE),
+    "tau_q_unitary": ("argument", "tau", "a finite number > 0",
+                      lambda v: tau_q_unitary(UnitaryControl(theta_rate=0.5), v), _POSITIVE),
+    **{
+        sampler.__name__: ("argument", "dim", "an integer >= 1 and <= 32", lambda v, sampler=sampler: sampler(v, _RNG),
+                           [(1, True), (0, False), (32, True), (33, False)])
+        for sampler in (random_pure_state, random_density_matrix)
+    },
+    "validate_density": ("argument", "tol", "a finite number > 0", lambda v: validate_density(np.eye(2) / 2.0, v),
+                         _POSITIVE),
+}
+
+
+@pytest.mark.parametrize(
+    "site,value,taken",
+    # and a bool at each scalar; a table's times are an array, whose bools numpy reads as numbers
+    [(site, v, taken) for site, (_, name, *_, cases) in _BOUNDED_SITES.items()
+     for v, taken in cases + [(True, False)] * (name != "times")],
+)
+def test_bound_rule_names_the_rejected_value(site, value, taken):
+    # one rule for every bounded scalar: the message names it and states the whole requirement, whatever the fault
+    role, name, must, call, _ = _BOUNDED_SITES[site]
+    if taken:
+        call(value)
+    else:
+        message = f"^invalid {role} '{name}': must be {must}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
 
 
 class TestSaturationAndValidity:

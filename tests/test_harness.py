@@ -71,9 +71,9 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "grid_points": 10})
         with pytest.raises(ValueError, match="invalid field 'model'"):
             ScenarioConfig.from_dict({"model": "teleportation"})
-        with pytest.raises(ValueError, match="invalid field 'Gamma': must be positive, got 0.0"):
+        with pytest.raises(ValueError, match="invalid field 'Gamma': must be a finite number > 0, got 0.0"):
             ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "Gamma": 0.0})
-        with pytest.raises(ValueError, match="invalid field 'q_grid': must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="invalid field 'q_grid': must be an integer >= 1, got 0"):
             ScenarioConfig.from_dict({"model": "dephasing", "markov": True, "q_grid": 0})
 
     def test_memory_rate_required_without_markov_flag(self):
@@ -1075,6 +1075,16 @@ class TestCli:
         assert cli_main(["fig2", "--out", str(tmp_path)]) == 2
         assert "invalid argument 'out_path'" in capsys.readouterr().err
         assert calls == []
+
+    def test_ghz_theta_default_is_in_the_parser(self, tmp_path, capsys, monkeypatch):
+        # the parser holds the default angle, so --help shows it and the command passes it on unchanged
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["ghz", "--help"])
+        assert "initial angle (default pi/8 = 0.39269908169872414)" in " ".join(capsys.readouterr().out.split())
+        thetas, real = [], harness.ghz_scaling
+        monkeypatch.setattr(harness, "ghz_scaling", lambda theta, *rest, **kw: thetas.append(theta) or real(theta, *rest, **kw))
+        assert cli_main(["ghz", "--out", str(tmp_path / "ghz.csv"), "--n-max", "2"]) == 0
+        assert thetas == [math.pi / 8.0]
 
     def test_ghz_command(self, tmp_path, capsys):
         out = tmp_path / "ghz.csv"

@@ -105,7 +105,7 @@ class TestGbar:
 
     def test_negative_time_rejected(self):
         for mem in (MemoryFunctions(1.0, 1.0), MemoryFunctions.markov_limit(1.0)):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="^invalid argument 't': must be a finite number >= 0, got -0.1$"):
                 mem.f(-0.1)
 
     def test_monotone_and_bounded(self):
@@ -153,7 +153,7 @@ class TestBetaIntegral:
 
     def test_negative_time_rejected(self):
         for mem in (MemoryFunctions(1.0, 1.0), MemoryFunctions.markov_limit(1.0)):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="^invalid argument 'tau': must be a finite number >= 0, got -1.0$"):
                 mem.beta(-1.0)
 
 
@@ -306,7 +306,7 @@ class TestMemoryHorizon:
     def test_negative_time_rejected(self):
         for mem in (MemoryFunctions(1.0, 0.5), MemoryFunctions.markov_limit(1.0)):
             for read in (mem.p, mem.xi):
-                with pytest.raises(ValueError, match="nonnegative"):
+                with pytest.raises(ValueError, match="^invalid argument 't': must be a finite number >= 0, got -0.1$"):
                     read(-0.1)
 
 
@@ -430,7 +430,8 @@ class TestTables:
         times = np.linspace(0.0, 0.5, 20)
         times[11] = bad
         for table in (mem.f_table, mem.p_table):
-            with pytest.raises(ValueError, match="time must be (finite|nonnegative), got"):
+            # a nan makes both ends nan; an infinite time is the largest
+            with pytest.raises(ValueError, match=f"^invalid argument 'times': must be a finite number >= 0, got {bad}$"):
                 table(times)
 
     def test_empty_table(self):
@@ -446,26 +447,27 @@ class TestBoundaryChecks:
     @settings(max_examples=60, deadline=None)
     def test_non_finite_time_rejected_by_name(self, bad, branch, read):
         name = "tau" if read == "beta" else "t"
-        with pytest.raises(ValueError, match=f"^invalid argument '{name}': must be a finite number, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^invalid argument '{name}': must be a finite number >= 0, got {bad}$"):
             getattr(BRANCHES[branch], read)(bad)
 
     @given(t=st.floats(max_value=-1e-300, allow_infinity=False), read=st.sampled_from(["f", "beta", "p", "xi"]))
     @settings(max_examples=60, deadline=None)
     def test_negative_time_rejected_by_name(self, t, read):
-        with pytest.raises(ValueError, match="time must be nonnegative, got"):
+        name = "tau" if read == "beta" else "t"
+        with pytest.raises(ValueError, match=f"^invalid argument '{name}': must be a finite number >= 0, got {re.escape(repr(t))}$"):
             getattr(BRANCHES["hyperbolic"], read)(t)
 
     @given(bad=non_finite, rate=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_non_finite_coupling_rejected_by_name(self, bad, rate):
-        with pytest.raises(ValueError, match=f"^invalid argument 'coupling': must be a finite number, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^invalid argument 'coupling': must be a finite number > 0, got {bad}$"):
             MemoryFunctions(bad, rate)
 
     @pytest.mark.parametrize("value", [True, "1", None, math.nan])
     @pytest.mark.parametrize("read", ["f", "beta", "p", "xi"])
     def test_time_that_is_not_a_number_rejected_by_name(self, read, value):
         name = "tau" if read == "beta" else "t"
-        message = f"^invalid argument '{name}': must be a finite number, got {re.escape(repr(value))}$"
+        message = f"^invalid argument '{name}': must be a finite number >= 0, got {re.escape(repr(value))}$"
         for mem in (MemoryFunctions.markov_limit(1.0), BRANCHES["trigonometric"]):
             with pytest.raises(ValueError, match=message):
                 getattr(mem, read)(value)
@@ -474,11 +476,30 @@ class TestBoundaryChecks:
     @pytest.mark.parametrize("field", ["coupling", "memory_rate"])
     def test_rate_that_is_not_a_number_rejected_by_name(self, field, value):
         rates = {"coupling": 1.0, "memory_rate": 0.5, field: value}
-        with pytest.raises(ValueError, match=f"^invalid argument '{field}': must be a finite number, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^invalid argument '{field}': must be a finite number > 0, got {re.escape(repr(value))}$"):
             MemoryFunctions(**rates)
 
     def test_infinite_memory_rate_is_the_one_non_finite_rate_accepted(self):
         assert MemoryFunctions(1, math.inf).markov
         assert MemoryFunctions(np.float64(2.0), np.inf).f(0.5) == 2.0
-        with pytest.raises(ValueError, match="^invalid argument 'coupling': must be a finite number, got inf$"):
+        with pytest.raises(ValueError, match="^invalid argument 'coupling': must be a finite number > 0, got inf$"):
             MemoryFunctions(math.inf, math.inf)
+
+
+@pytest.mark.parametrize(
+    "mem,text",
+    [
+        (MemoryFunctions(1.3, 0.7), "MemoryFunctions(coupling=1.3, memory_rate=0.7)"),
+        (MemoryFunctions(2, 5.0), "MemoryFunctions(coupling=2, memory_rate=5.0)"),
+        (MemoryFunctions.markov_limit(0.1 + 0.2), "MemoryFunctions.markov_limit(coupling=0.30000000000000004)"),
+        (MemoryFunctions(1.0, math.inf), "MemoryFunctions.markov_limit(coupling=1.0)"),
+    ],
+    ids=["finite-memory", "int-coupling", "memoryless", "inf-memory-rate"],
+)
+def test_repr_reads_back_as_the_constructor_call(mem, text):
+    # the constructor's names, not the config's Gamma and gamma (there a ratio), and every digit of the rates
+    assert repr(mem) == text
+    again = eval(text, {"MemoryFunctions": MemoryFunctions})
+    assert (again.coupling, again.memory_rate, again.markov, again.horizon) == (
+        mem.coupling, mem.memory_rate, mem.markov, mem.horizon
+    )
