@@ -160,14 +160,11 @@ def _crossings(traj: Trajectory, q_targets) -> list:
     up = q[1:] >= targets[:, None]
     first = np.argmax(up, axis=1) + 1
     found = up[np.arange(len(targets)), first - 1]
-    q0, t0 = float(q[0]), float(traj.grid[0])
-    results = []
-    for q_target, k, hit in zip(targets.tolist(), first.tolist(), found.tolist()):
-        if q_target <= q0:
-            results.append((q_target, t0))
-        else:
-            results.append((q_target, _refine_crossing(traj, k, q_target) if hit else None))
-    return results
+    q0 = float(q[0])  # a target at or below it is reached at the grid's start, 0
+    return [
+        (q_target, 0.0 if q_target <= q0 else _refine_crossing(traj, k, q_target) if hit else None)
+        for q_target, k, hit in zip(targets.tolist(), first.tolist(), found.tolist())
+    ]
 
 
 def _tau_b(traj: Trajectory, taus: np.ndarray) -> tuple:

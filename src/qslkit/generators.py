@@ -13,10 +13,11 @@ table over the times the integrator visits (a rate, or a Hamiltonian),
 and acts on a stack ``(..., d, d)`` of states with one array expression;
 ``apply(rho, t)`` is that action at a single time.
 
-Propagation uses classical fourth-order fixed steps on a uniform grid so
-that the trajectory shares its sampling with the time averages taken by the
-bounds module.  Scenarios of one family that share a grid are stepped
-together as one ``(B, d, d)`` stack; a single scenario is a batch of one.
+Propagation uses classical fourth-order fixed steps on a uniform grid,
+``np.linspace(0.0, tau_max, grid_points)`` made once per batch, so that the
+trajectory shares its sampling with the time averages taken by the bounds
+module.  Scenarios of one family that share a grid are stepped together as
+one ``(B, d, d)`` stack; a single scenario is a batch of one.
 The steps are taken on a sliding exact frontier, with no Python loop over
 single steps: states up to the frontier are final, and the states past it
 are estimates.  Each step of a linear generator is a linear map on
@@ -47,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -57,6 +59,7 @@ from .matcore import (
     SIGMA_Y,
     SIGMA_Z,
     _check_finite,
+    _check_integer,
     _check_number,
     as_matrix,
     hs_norm,
@@ -74,9 +77,6 @@ POSITIVITY_ABORT = 1e-6
 POSITIVITY_SCAN_STEPS = 256
 
 _TRANSFER_PIECE = 64  # steps whose transfer matrices are built at once, which bounds the basis action's temporaries
-
-#: Relative tolerance of the uniform-grid check: each step may differ from the first by this times the span.
-GRID_MATCH_TOL = 1e-9
 
 _DEPHASING_PATTERN = np.array([[0.0, -2.0], [-2.0, 0.0]])
 _DISSIPATION_PATTERN = np.array([[-2.0, -1.0], [-1.0, 0.0]])
@@ -172,7 +172,7 @@ class _TabulatedGenerator:
         """``L_t rho`` at one time, for a state or a stack of states of the family's dimension."""
         m = as_matrix(rho)
         if m.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: generator dim {self.dim}, state dim {m.shape[-1]}")
+            raise ValueError(f"invalid argument 'rho': must be of the generator's dimension {self.dim}, got {m.shape[-1]}")
         return self.action(m, self.coefficients([t])[0])
 
     def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
@@ -347,25 +347,9 @@ class Trajectory:
         return hs_norm(self.generator.action(self.rho0, self.coefficients))
 
 
-def propagate(g: Generator, rho0: np.ndarray, grid) -> Trajectory:
-    """Propagate ``rho0`` along the grid: :func:`propagate_many` with one member."""
-    return propagate_many([g], [rho0], grid)[0]
-
-
-def _shared_grid(grid) -> np.ndarray:
-    """The one uniform grid of a batch, checked: a copy, never the caller's array."""
-    try:
-        grid = np.array(grid, dtype=float)
-    except ValueError as err:  # ragged input, such as grids of different lengths
-        raise ValueError(f"grid must be one 1-D array of times: {err}") from None
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError(f"grid must be one 1-D array of at least two times, got shape {grid.shape}")
-    if abs(grid[0]) > 1e-12 * abs(grid[-1]):
-        raise ValueError(f"grid must start at 0, got {grid[0]}")
-    h = float(grid[1] - grid[0])
-    if h <= 0.0 or not np.allclose(np.diff(grid), h, rtol=0.0, atol=GRID_MATCH_TOL * float(grid[-1])):
-        raise ValueError("grid must be uniformly increasing")
-    return grid
+def propagate(g: Generator, rho0: np.ndarray, tau_max: float, grid_points: int) -> Trajectory:
+    """Propagate ``rho0`` up to ``tau_max``: :func:`propagate_many` with one member."""
+    return propagate_many([g], [rho0], tau_max, grid_points)[0]
 
 
 def _check_positivity(states: np.ndarray, lo: int, hi: int, grid: np.ndarray) -> None:
@@ -391,40 +375,48 @@ def _check_positivity(states: np.ndarray, lo: int, hi: int, grid: np.ndarray) ->
     raise PositivityLossError(f"{member}state positivity lost at t = {t:.6g} ({detail})", time=t, member=b)
 
 
-def propagate_many(gens, rho0s, grid) -> list:
-    """Propagate one initial state per generator along a shared grid, all in one batch.
+def propagate_many(gens, rho0s, tau_max: float, grid_points: int) -> list:
+    """Propagate one initial state per generator up to ``tau_max``, all in one batch.
 
-    The generators must be of one family and dimension, and each initial
-    state a density matrix (:func:`~qslkit.matcore.validate_density`).
-    Each family's coefficient table is built once, at the grid times and
-    the midpoints (``2n - 1`` times); the fourth-order steps are then
-    taken for the whole ``(B, d, d)`` stack by sweeps of up to
-    ``POSITIVITY_SCAN_STEPS`` grid times (see :func:`_step_batch`).  The
-    final states are checked, and :class:`PositivityLossError` stops the run at
-    the first grid time whose smallest eigenvalue is below
-    ``-POSITIVITY_ABORT`` or whose state is no longer finite.  The witness
-    samples and the generation speeds ``||[rho0, L_t rho_t]||`` are taken
-    per member afterwards, each as one stacked pass over its states, and
-    each member keeps its own copy of the table's grid-time rows.  A speed
-    that is not finite, as when the rates are so large that its square
-    overflows, raises ``ValueError`` naming the member and the first grid
-    time.  A member's trajectory is the one it gets when propagated alone.
+    The batch shares one uniform grid, made here from a number ``tau_max > 0``
+    and an integer ``grid_points >= 2`` as ``np.linspace(0.0, tau_max,
+    grid_points)``; its step must be a normal float (``>= sys.float_info.min``),
+    or the grid times would round onto each other.  The generators must be of
+    one family and dimension, and each initial state a density matrix
+    (:func:`~qslkit.matcore.validate_density`).  Each family's coefficient
+    table is built once, at the grid times and the midpoints (``2n - 1``
+    times); the fourth-order steps are then taken for the whole ``(B, d, d)``
+    stack by sweeps of up to ``POSITIVITY_SCAN_STEPS`` grid times (see
+    :func:`_step_batch`).  The final states are checked, and
+    :class:`PositivityLossError` stops the run at the first grid time whose
+    smallest eigenvalue is below ``-POSITIVITY_ABORT`` or whose state is no
+    longer finite.  The witness samples and the generation speeds
+    ``||[rho0, L_t rho_t]||`` are taken per member afterwards, each as one
+    stacked pass over its states, and each member keeps its own copy of the
+    table's grid-time rows.  A speed that is not finite, as when the rates are
+    so large that its square overflows, raises ``ValueError`` naming the
+    member and the first grid time.  A member's trajectory is the one it gets
+    when propagated alone.
     """
     gens, rho0s = list(gens), list(rho0s)
     if not gens or len(gens) != len(rho0s):
-        raise ValueError(f"need one initial state per generator, got {len(gens)} generators and {len(rho0s)} states")
+        raise ValueError(f"invalid argument 'gens': must be one per initial state, at least one, got {len(gens)} for {len(rho0s)}")
     g0 = gens[0]
     for g in gens[1:]:
         if type(g) is not type(g0):
-            raise ValueError(f"mixed generator family in one batch: {type(g0).__name__} and {type(g).__name__}")
+            raise ValueError(f"invalid argument 'gens': must be of one family, got {type(g0).__name__} and {type(g).__name__}")
         if g.dim != g0.dim:
-            raise ValueError(f"mixed dimension in one batch: {g0.dim} and {g.dim}")
-    grid = _shared_grid(grid)
+            raise ValueError(f"invalid argument 'gens': must be of one dimension, got {g0.dim} and {g.dim}")
+    tau_max, grid_points = _check_number(tau_max, "tau_max", gt=0.0), _check_integer(grid_points, "grid_points", ge=2)
+    grid = np.linspace(0.0, tau_max, grid_points)
+    if grid[1] < sys.float_info.min:  # the step: a subnormal one rounds grid times onto each other
+        must = f"must give a grid step >= {sys.float_info.min!r}"
+        raise ValueError(f"invalid arguments 'tau_max' and 'grid_points': {must}, got {tau_max!r} and {grid_points!r}")
     d = g0.dim
     rho_inits = [as_matrix(rho0).copy() for rho0 in rho0s]
     for b, m in enumerate(rho_inits):
         if m.shape != (d, d):
-            raise ValueError(f"dimension mismatch: generator dim {d}, state shape {m.shape}")
+            raise ValueError(f"invalid argument 'rho0s[{b}]': must be {d} x {d} as the generators, got shape {m.shape}")
         _check_density(m, f"rho0s[{b}]")
 
     states, coefficients = _step_batch(gens, rho_inits, grid)

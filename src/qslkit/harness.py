@@ -53,7 +53,7 @@ from .generators import (
 )
 from .matcore import _check_bool, _check_integer, _check_number
 from .matcore import commutator, from_pure, hermiticity_defect, hs_norm, min_eigenvalue, purity
-from .memory import MemoryFunctions, RiccatiBlowupError
+from .memory import MemoryFunctions, RiccatiBlowupError, _float_range_error
 from .witness import (
     pure_state_quantumness,
     quantumness,
@@ -146,16 +146,20 @@ class ScenarioConfig:
             raise ValueError(f"invalid field 'gamma': must be unset when 'markov' is true, got {self.gamma}")
         if self.model in OPEN_MODELS and not self.markov and self.gamma is None:
             raise ValueError("invalid field 'gamma': required unless markov is true")
-        if self.model == "dissipation" and not self.markov:
+        if self.model in OPEN_MODELS and not self.markov:
             try:
-                self._memory().p(self.tau_max)
+                memory = self._memory()  # a ValueError: the bath's derived values leave the float range
+                if self.model == "dissipation":
+                    memory.p(self.tau_max)
             except RiccatiBlowupError as err:
                 raise ValueError(f"invalid field 'tau_max': {self.tau_max} is past the memory horizon: {err}") from None
+            except ValueError:
+                raise _float_range_error("field", "Gamma", "gamma", self.Gamma, self.gamma) from None
 
     def _memory(self) -> MemoryFunctions:
-        """Bath memory of the open-system models (coupling scaled by ``n^2`` for ``ghz``)."""
+        """Bath memory of the open models (``n^2`` times the coupling for ``ghz``); a ``gamma * Gamma`` that overflows is rejected."""
         coupling = self.Gamma * (self.n * self.n)  # n is 1 off ghz
-        return MemoryFunctions(coupling, math.inf if self.markov else self.gamma * self.Gamma)
+        return MemoryFunctions(coupling, math.inf if self.markov else _check_number(self.gamma * self.Gamma, "memory_rate"))
 
     @property
     def gamma_ratio(self) -> Optional[float]:
@@ -184,20 +188,16 @@ class ScenarioResult:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """Construct the ``(generator, rho0, grid)`` of a config, which was checked when it was built."""
-    grid = np.linspace(0.0, cfg.tau_max, cfg.grid_points)
-
+    """Construct the ``(generator, rho0, tau_max, grid_points)`` of a config, which was checked when it was built."""
     if cfg.model in OPEN_MODELS:
         mem = cfg._memory()
         rho0 = from_pure([math.cos(cfg.theta), math.sin(cfg.theta)])
         if cfg.model != "dissipation":
-            return Dephasing(mem), rho0, grid
-        if not cfg.markov:
-            # the step resolves both rates: h <= 1 / (25 max(gamma, Gamma))
-            h_max = 1.0 / (25.0 * max(mem.memory_rate, cfg.Gamma))
-            n = max(cfg.grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
-            grid = np.linspace(0.0, cfg.tau_max, n)
-        return Dissipation(mem), rho0, grid
+            return Dephasing(mem), rho0, cfg.tau_max, cfg.grid_points
+        if cfg.markov:
+            return Dissipation(mem), rho0, cfg.tau_max, cfg.grid_points
+        h_max = 1.0 / (25.0 * max(mem.memory_rate, cfg.Gamma))  # the step resolves both rates
+        return Dissipation(mem), rho0, cfg.tau_max, max(cfg.grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
 
     control = UnitaryControl(
         theta0=cfg.theta0, theta_rate=cfg.theta_rate, alpha0=cfg.alpha0, alpha_rate=cfg.alpha_rate
@@ -205,11 +205,11 @@ def build_scenario(cfg: ScenarioConfig):
     if cfg.model == "unitary2l":
         gen = UnitaryTwoLevel(control)
         rho0 = from_pure(unitary_state(cfg.theta0, cfg.alpha0))
-        return gen, rho0, grid
+        return gen, rho0, cfg.tau_max, cfg.grid_points
 
     gen = Stirap(control)
     rho0 = from_pure(np.array([0.0, 0.0, 1.0], dtype=complex))
-    return gen, rho0, grid
+    return gen, rho0, cfg.tau_max, cfg.grid_points
 
 
 def auto_targets(q_max: float, count: int) -> np.ndarray:
@@ -254,12 +254,12 @@ def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
 def _propagate_built(built: list) -> list:
     """Trajectories of built scenarios, in order: one batch per generator family and grid."""
     batches = {}
-    for i, (gen, _, grid) in enumerate(built):
-        batches.setdefault((type(gen), grid.tobytes()), []).append(i)
+    for i, (gen, _, tau_max, grid_points) in enumerate(built):
+        batches.setdefault((type(gen), tau_max, grid_points), []).append(i)
     trajectories = [None] * len(built)
-    for members in batches.values():
-        gens, rho0s, _ = zip(*(built[i] for i in members))
-        for i, traj in zip(members, propagate_many(gens, rho0s, built[members[0]][2])):
+    for (_, tau_max, grid_points), members in batches.items():
+        gens, rho0s = zip(*(built[i][:2] for i in members))
+        for i, traj in zip(members, propagate_many(gens, rho0s, tau_max, grid_points)):
             trajectories[i] = traj
     return trajectories
 
@@ -764,9 +764,9 @@ def _check_mutation_canary() -> list:
 
     The speed limit is not read: it holds for any linear generator, so a tampered rate cannot break it.
     """
-    gen, rho0, grid = build_scenario(ScenarioConfig(model="dephasing", markov=True, grid_points=1001))
+    gen, rho0, tau_max, grid_points = build_scenario(ScenarioConfig(model="dephasing", markov=True, grid_points=1001))
     try:
-        q_max = float(np.max(propagate(_TamperedDephasing(gen.memory), rho0, grid).q_samples))
+        q_max = float(np.max(propagate(_TamperedDephasing(gen.memory), rho0, tau_max, grid_points).q_samples))
     except PositivityLossError as err:
         caught, detail = True, f"positivity abort at t = {err.time:.3f}"
     else:

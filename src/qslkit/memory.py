@@ -57,6 +57,11 @@ class RiccatiBlowupError(RuntimeError):
         self.time = time
 
 
+def _float_range_error(role: str, a: str, b: str, x, y) -> ValueError:
+    """The one message of the bath rates ``a = x`` and ``b = y`` whose memory functions leave the float range."""
+    return ValueError(f"invalid {role}s {a!r} and {b!r}: must give memory functions within the float range, got {x!r} and {y!r}")
+
+
 class MemoryFunctions:
     """Closed-form memory functions of the exponential kernel, with a memoryless branch.
 
@@ -81,7 +86,8 @@ class MemoryFunctions:
     where ``P`` diverges.  ``horizon`` is the exact earlier time at which
     ``P`` reaches ``BLOWUP_FACTOR * Gamma`` (``inf`` when ``P`` stays
     bounded); reading ``P`` or ``xi`` at or past it raises
-    :class:`RiccatiBlowupError`.
+    :class:`RiccatiBlowupError`.  Rates whose derived values leave the float
+    range are rejected by one ``ValueError`` that names both.
     """
 
     def __init__(self, coupling: float, memory_rate: float):
@@ -94,11 +100,10 @@ class MemoryFunctions:
             gamma = memory_rate
             drive = 0.5 * coupling * gamma
             kappa = 0.25 * gamma * (gamma - 2.0 * coupling)
-            fields.update(_drive=drive, _trig=kappa < 0.0)
             if kappa < 0.0:
                 w = math.sqrt(-kappa)
                 limit = BLOWUP_FACTOR * coupling
-                fields.update(
+                derived = dict(
                     _omega=w,
                     _t_star=(math.pi - math.atan(2.0 * w / gamma)) / w,
                     # P = limit where tan(omega t) = -2 limit omega / (gamma (limit - Gamma)), before the pole
@@ -108,7 +113,11 @@ class MemoryFunctions:
                 # u = exp(-a t) (1 + a s(t)) with s = (1 - exp(-2 r t)) / (2 r) and
                 # a = gamma/2 - r, written without the cancellation for gamma >> Gamma
                 r = math.sqrt(kappa)
-                fields.update(_r=r, _a=drive / (0.5 * gamma + r))
+                # 0.5 * gamma + r is 0 only for the smallest subnormal gamma, where a is lost
+                derived = dict(_r=r, _a=drive / (0.5 * gamma + r) if 0.5 * gamma + r else math.nan)
+            if not all(map(math.isfinite, (drive, *derived.values()))):
+                raise _float_range_error("argument", "coupling", "memory_rate", coupling, memory_rate)
+            fields.update(derived, _drive=drive, _trig=kappa < 0.0)
         vars(self).update(fields)
 
     def __setattr__(self, name: str, value) -> None:

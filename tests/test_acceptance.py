@@ -84,7 +84,7 @@ def dephasing_pi8():
     theta = math.pi / 8.0
     mem = MemoryFunctions.markov_limit(1.0)
     rho0 = from_pure([math.cos(theta), math.sin(theta)])
-    traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 1.0, 2001))
+    traj = propagate(Dephasing(mem), rho0, 1.0, 2001)
     return theta, mem, traj
 
 
@@ -101,7 +101,7 @@ def fig_sweeps(tmp_path_factory):
 def stirap_trajectory():
     control = UnitaryControl(theta_rate=0.5)
     rho0 = from_pure([0.0, 0.0, 1.0])
-    return propagate(Stirap(control), rho0, np.linspace(0.0, 1.0, 2001))
+    return propagate(Stirap(control), rho0, 1.0, 2001)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ def test_c01_dephasing_saturation(dephasing_pi8):
         theta = math.pi / 8.0
         mem = MemoryFunctions.markov_limit(1.0)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
-        traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 1.0, 2001))
+        traj = propagate(Dephasing(mem), rho0, 1.0, 2001)
         q_tau = float(traj.q_samples[-1])
         assert q_tau == pytest.approx(Q_REF, abs=1e-9)
         assert tau_q_from_trajectory(traj, 1.0) == pytest.approx(1.0, abs=1e-4)
@@ -268,7 +268,7 @@ def test_c09_oracle_equivalence():
                 tau = 5.0
                 finals = []
                 for n in (2501, 5001):
-                    traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, tau, n))
+                    traj = propagate(Dephasing(mem), rho0, tau, n)
                     finals.append(traj.states[-1])
                     for frac in (0.25, 0.5, 0.75, 1.0):
                         k = int(frac * (n - 1))
@@ -283,7 +283,7 @@ def test_c09_oracle_equivalence():
                 n_base = int(math.ceil(tau / h_target)) + 1
                 finals = []
                 for n in (n_base, 2 * n_base - 1):
-                    traj = propagate(Dissipation(mem), rho0, np.linspace(0.0, tau, n))
+                    traj = propagate(Dissipation(mem), rho0, tau, n)
                     finals.append(traj.states[-1])
                     for frac in (0.25, 0.5, 0.75, 1.0):
                         k = int(frac * (n - 1))
@@ -317,11 +317,11 @@ def test_c11_rate_inequality(dephasing_pi8, stirap_trajectory, markov50_dissipat
         theta = math.pi / 5.0
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         mem = MemoryFunctions(1.0, 0.5)
-        trajectories.append(propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, 2001)))
-        trajectories.append(propagate(Dissipation(mem), rho0, np.linspace(0.0, 2.0, 2001)))
+        trajectories.append(propagate(Dephasing(mem), rho0, 3.0, 2001))
+        trajectories.append(propagate(Dissipation(mem), rho0, 2.0, 2001))
         control = UnitaryControl(theta_rate=0.5, alpha0=0.7)
         trajectories.append(
-            propagate(UnitaryTwoLevel(control), from_pure(unitary_state(0.0, 0.7)), np.linspace(0.0, 1.0, 2001))
+            propagate(UnitaryTwoLevel(control), from_pure(unitary_state(0.0, 0.7)), 1.0, 2001)
         )
 
         worst_slack = math.inf

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qslkit.generators import (
     dephasing_closed_state,
     dissipation_closed_state,
     propagate,
+    propagate_many,
     unitary_state,
 )
 from qslkit.harness import ScenarioConfig, auto_targets, build_scenario, ghz_scaling, validate
@@ -41,7 +43,7 @@ from qslkit.witness import generation_speed, quantumness, random_density_matrix,
 def markov_dephasing_trajectory(theta, tau=1.0, n=2001):
     mem = MemoryFunctions.markov_limit(1.0)
     rho0 = from_pure([math.cos(theta), math.sin(theta)])
-    traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, tau, n))
+    traj = propagate(Dephasing(mem), rho0, tau, n)
     return traj, mem
 
 
@@ -65,7 +67,7 @@ class TestTauQFromTrajectory:
         theta, tau, n = math.pi / 4.0, 1.0, 2001
         mem = MemoryFunctions.markov_limit(1.0)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
-        traj = propagate(Dissipation(mem), rho0, np.linspace(0.0, tau, n))
+        traj = propagate(Dissipation(mem), rho0, tau, n)
         assert tau_q_from_trajectory(traj, tau) == pytest.approx(1.0, abs=1e-3)
 
     def test_time_outside_grid_rejected(self):
@@ -298,7 +300,7 @@ class TestTauBFidelity:
         theta = math.pi / 5.0
         mem = MemoryFunctions(1.0, 0.5)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
-        traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 1.0, 201))
+        traj = propagate(Dephasing(mem), rho0, 1.0, 201)
         with pytest.raises(ValueError, match="frozen initial state"):
             tau_b_fidelity(traj, 1.0, denominator="initial")
         assert tau_b_fidelity(traj, 1.0, denominator="averaged") > 0.0
@@ -338,7 +340,7 @@ class TestFirstCrossing:
         # rotation drive through the half-filled angle: witness peaks then falls
         control = UnitaryControl(theta_rate=1.0, alpha0=0.0)
         rho0 = from_pure(unitary_state(0.0, 0.0))
-        traj = propagate(UnitaryTwoLevel(control), rho0, np.linspace(0.0, 2.5, 2501))
+        traj = propagate(UnitaryTwoLevel(control), rho0, 2.5, 2501)
         crossing = first_crossing(traj, 0.5)
         assert crossing.reached
         assert crossing.tau_exact == pytest.approx(math.pi / 8.0, abs=1e-6)  # sin^2(2t) = 1/2
@@ -532,6 +534,12 @@ _BOUNDED_SITES = {
     },
     "validate_density": ("argument", "tol", "a finite number > 0", lambda v: validate_density(np.eye(2) / 2.0, v),
                          _POSITIVE),
+    "propagate_many-tau_max": ("argument", "tau_max", "a finite number > 0",
+                               lambda v: propagate_many([Dephasing(_MEM)], [from_pure([0.6, 0.8])], v, 2),
+                               [(0.0, False), (sys.float_info.min, True), (math.nan, False)]),
+    "propagate_many-grid_points": ("argument", "grid_points", "an integer >= 2",
+                                   lambda v: propagate_many([Dephasing(_MEM)], [from_pure([0.6, 0.8])], 1.0, v),
+                                   [(1, False), (2, True), (11.0, False)]),
 }
 
 
@@ -562,7 +570,7 @@ class TestSaturationAndValidity:
             mem = MemoryFunctions(1.0, gamma)
         rho0 = from_pure([math.cos(theta), math.sin(theta)])
         n = max(2001, int(150 * (gamma or 1.0)) + 1)
-        traj = propagate(Dephasing(mem), rho0, np.linspace(0.0, 3.0, n))
+        traj = propagate(Dephasing(mem), rho0, 3.0, n)
         targets = np.geomspace(1e-3, 0.95, 8) * float(np.max(traj.q_samples))
         for rep in evaluate_crossings(traj, targets):
             assert rep.reached
@@ -683,7 +691,7 @@ class TestEvaluationPass:
     def test_crossing_on_a_two_sample_grid_is_linear(self):
         # no third sample for the quadratic stencil
         mem = MemoryFunctions.markov_limit(1.0)
-        traj = propagate(Dephasing(mem), from_pure([math.cos(0.3), math.sin(0.3)]), np.linspace(0.0, 1.0, 2))
+        traj = propagate(Dephasing(mem), from_pure([math.cos(0.3), math.sin(0.3)]), 1.0, 2)
         (rep,) = evaluate_crossings(traj, [0.5 * float(traj.q_samples[1])])
         assert rep.tau_exact == 0.5
 

@@ -341,8 +341,8 @@ class TestRunScenario:
                 return super().action(rho, f)
 
         cfg = ScenarioConfig(model="dephasing", theta=math.pi / 5.0, gamma=0.5, tau_max=2.0, grid_points=401)
-        gen, rho0, grid = harness.build_scenario(cfg)
-        traj = harness.propagate(CountingDephasing(gen.memory), rho0, grid)
+        gen, rho0, tau_max, grid_points = harness.build_scenario(cfg)
+        traj = harness.propagate(CountingDephasing(gen.memory), rho0, tau_max, grid_points)
         CountingDephasing.tables, CountingDephasing.actions = [], 0
         reports = evaluate_targets(traj, auto_targets(float(traj.q_samples.max()), 20), cfg)
         assert sum(rep.tau_b_avg is not None for rep in reports) == 20
@@ -697,9 +697,9 @@ class TestValidate:
     def test_fuzz_batches_keep_every_case_grid(self, seed, monkeypatch):
         batches = []
 
-        def record(gens, rho0s, grid):
-            batches.append((gens, grid))
-            return [SimpleNamespace(grid=grid, generator=gen) for gen in gens]
+        def record(gens, rho0s, tau_max, grid_points):
+            batches.append((gens, tau_max, grid_points))
+            return [SimpleNamespace(grid=(tau_max, grid_points), generator=gen) for gen in gens]
 
         monkeypatch.setattr(harness, "propagate_many", record)
         cases = list(harness._fuzz_cases(seed, 30))
@@ -707,15 +707,14 @@ class TestValidate:
         for j, (cfg, traj) in enumerate(cases):
             expected_cfg = harness._random_scenario(seed, j)
             assert cfg == expected_cfg
-            expected_gen, _rho0, expected_grid = harness.build_scenario(expected_cfg)
-            assert traj.grid.shape == expected_grid.shape
-            assert np.array_equal(traj.grid, expected_grid)
+            expected_gen, _rho0, *expected_grid = harness.build_scenario(expected_cfg)
+            assert traj.grid == tuple(expected_grid)
             assert type(traj.generator) is type(expected_gen)
-        assert sum(len(gens) for gens, _ in batches) == 30
-        for gens, grid in batches:
+        assert sum(len(gens) for gens, *_ in batches) == 30
+        for gens, tau_max, grid_points in batches:
             assert len({type(g) for g in gens}) == 1
-            assert grid.ndim == 1
-        assert max(len(gens) for gens, _ in batches) > 1
+            assert isinstance(tau_max, float) and isinstance(grid_points, int)
+        assert max(len(gens) for gens, *_ in batches) > 1
 
 
 #: ``validate(seed=0, cases=12)``: (name, passed, repr(worst), detail) per
@@ -847,9 +846,9 @@ class TestBatching:
         sizes = []
         real = harness.propagate_many
 
-        def counting(gens, rho0s, grid):
+        def counting(gens, rho0s, tau_max, grid_points):
             sizes.append(len(gens))
-            return real(gens, rho0s, grid)
+            return real(gens, rho0s, tau_max, grid_points)
 
         monkeypatch.setattr(harness, "propagate_many", counting)
         return sizes
@@ -1027,6 +1026,48 @@ class TestCli:
         cfg_path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == f"qslkit: error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rates", [(1.0, 5e-324), (1e300, 1.0), (1e200, 1e200)], ids=["tiny-gamma", "huge-Gamma", "rate-overflows"]
+    )
+    def test_bath_rates_past_the_float_range_are_one_error_line(self, tmp_path, capsys, rates):
+        # the bath's rates are Gamma and gamma * Gamma: the memory functions' derived values would leave the float
+        # range, or the rate would overflow to inf, the memoryless marker
+        raw = {"model": "dissipation", "Gamma": rates[0], "gamma": rates[1]}
+        message = (
+            "invalid fields 'Gamma' and 'gamma': must give memory functions within the float range, "
+            f"got {rates[0]!r} and {rates[1]!r}"
+        )
+        for model in ("dissipation", "dephasing", "ghz"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ScenarioConfig(**{**raw, "model": model})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"qslkit: error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("raw", [{"model": "dephasing", "markov": True}, {"model": "unitary2l"}], ids=["open", "closed"])
+    def test_tau_max_too_small_for_the_grid_is_one_error_line(self, tmp_path, capsys, raw):
+        # tau_max / (grid_points - 1) below the smallest normal float would round grid times onto each other
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**raw, "tau_max": 1e-320}))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        message = (
+            f"invalid arguments 'tau_max' and 'grid_points': must give a grid step >= {sys.float_info.min!r}, "
+            "got 1e-320 and 2001"
+        )
+        assert capsys.readouterr().err == f"qslkit: error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_grid_points_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        # numpy refuses the grid's size; the grid step is not computed from an integer that no float holds
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dephasing", "markov": True, "grid_points": 10**400}))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslkit: error: ") and err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
     def test_missing_config_file_is_one_error_line(self, tmp_path, capsys):

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qslkit.generators import Dissipation, propagate
-from qslkit.matcore import from_pure
 from qslkit.memory import (
     BLOWUP_FACTOR,
     MemoryFunctions,
@@ -235,17 +233,6 @@ class TestRiccati:
         t_div = (math.pi / 2.0 + math.atan(0.5 / (2.0 * om))) / om
         assert err.value.time == mem.horizon
         assert err.value.time == pytest.approx(t_div, abs=5e-3)
-
-    def test_grid_must_start_at_zero(self):
-        gen, rho0 = Dissipation(MemoryFunctions(1.0, 1.0)), from_pure([1.0, 0.0])
-        with pytest.raises(ValueError, match="start at 0"):
-            propagate(gen, rho0, np.linspace(0.5, 1.0, 101))
-
-    def test_grid_must_be_uniform(self):
-        gen, rho0 = Dissipation(MemoryFunctions(1.0, 1.0)), from_pure([1.0, 0.0])
-        grid = np.concatenate([np.linspace(0.0, 0.5, 51), np.linspace(0.6, 1.0, 41)])
-        with pytest.raises(ValueError, match="uniform"):
-            propagate(gen, rho0, grid)
 
     def test_xi_matches_posthoc_trapezoid(self):
         # fine grid so the trapezoid's own truncation stays below the budget
@@ -478,6 +465,20 @@ class TestBoundaryChecks:
         rates = {"coupling": 1.0, "memory_rate": 0.5, field: value}
         with pytest.raises(ValueError, match=f"^invalid argument '{field}': must be a finite number > 0, got {re.escape(repr(value))}$"):
             MemoryFunctions(**rates)
+
+    @pytest.mark.parametrize(
+        "coupling, memory_rate",
+        [(1.0, 5e-324), (1e300, 1e300), (1e200, 4e200), (1e160, 2e160 * (1.0 - 1e-15))],
+        ids=["a-lost", "horizon-nan", "r-overflows", "horizon-overflows"],
+    )
+    def test_rates_whose_derived_values_leave_the_float_range_rejected_by_name(self, coupling, memory_rate):
+        # a division by zero, a horizon of nan that would turn the horizon check off, an overflowing root
+        message = (
+            "invalid arguments 'coupling' and 'memory_rate': must give memory functions within the float range, "
+            f"got {coupling!r} and {memory_rate!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MemoryFunctions(coupling, memory_rate)
 
     def test_infinite_memory_rate_is_the_one_non_finite_rate_accepted(self):
         assert MemoryFunctions(1, math.inf).markov
