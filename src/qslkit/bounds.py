@@ -123,7 +123,7 @@ def _refine_crossing(traj: Trajectory, k: int, q_target: float) -> float:
     q = traj.q_samples
     t_lo, t_hi = float(grid[k - 1]), float(grid[k])
     h = t_hi - t_lo
-    linear = t_lo + h * (q_target - q[k - 1]) / (q[k] - q[k - 1])
+    linear = float(t_lo + h * (q_target - q[k - 1]) / (q[k] - q[k - 1]))
     if k + 1 < len(q):
         ks = (k - 1, k, k + 1)
     elif k - 2 >= 0:
@@ -182,7 +182,7 @@ def _tau_b(traj: Trajectory, taus: np.ndarray) -> tuple:
     for denom in (np.full(len(k), norms[0]), _running_mean(traj, norms, taus)):
         frozen = denom == 0.0
         tau_b = gap / np.where(frozen, 1.0, denom)
-        variants.append([None if z else b for z, b in zip(frozen.tolist(), tau_b)])
+        variants.append([None if z else b for z, b in zip(frozen.tolist(), tau_b.tolist())])
     return tuple(variants)
 
 
@@ -200,7 +200,7 @@ def evaluate_crossings(traj: Trajectory, q_targets, fidelity: bool = False) -> l
     if not reached:
         return [BoundReport(q, False, None) for q, _ in crossings]
     targets, times = np.array(reached).T
-    tau_q = _tau_q(traj, times, targets)
+    tau_q = _tau_q(traj, times, targets).tolist()
     tau_b = _tau_b(traj, times) if fidelity else ([None] * len(reached),) * 2
     timescales = iter(zip(tau_q, *tau_b))
     reports = []

@@ -6,13 +6,13 @@ defaulting to one, so all times are reported in units of the inverse
 coupling; the bath memory rate is accepted as the dimensionless ratio
 ``gamma / Gamma``.
 
-A config is checked once, when built; each model takes only the fields
-it reads (``MODEL_FIELDS``).  One pipeline serves ``run_scenario``, the
-figures and ``validate``: it builds scenarios from configs, propagates
-them in one batch per generator family and grid and evaluates their
-targets through :func:`evaluate_targets`; the fuzz takes the bare
-:func:`~qslkit.bounds.evaluate_crossings` pass, without the closed form
-and the fidelity bound.
+A config is checked once, when built; each model takes only the fields it
+reads (``MODEL_FIELDS``).  One path leads from configs to trajectories for
+the runs, the figures and ``validate``: ``_propagate`` builds every config
+(:func:`build_scenario`) and steps them in one batch per family and grid.
+Targets are evaluated by :func:`evaluate_targets`; the fuzz takes the bare
+:func:`~qslkit.bounds.evaluate_crossings` pass, without the closed form and
+the fidelity bound.  Records hold Python floats and bools, as JSON takes.
 
 CSV output is plot-tool-ready: a single header line, comma separators,
 floats in scientific notation with 17 significant digits, and the
@@ -22,6 +22,7 @@ sentinel ``NA`` for cells whose quantumness target was never reached.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -188,28 +189,24 @@ class ScenarioResult:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """Construct the ``(generator, rho0, tau_max, grid_points)`` of a config, which was checked when it was built."""
+    """The ``(generator, rho0, tau_max, grid_points)`` of a checked config.  The one grid rule refines a
+    finite-memory ``dissipation`` grid until its step resolves both bath rates."""
+    grid_points = cfg.grid_points
     if cfg.model in OPEN_MODELS:
         mem = cfg._memory()
-        rho0 = from_pure([math.cos(cfg.theta), math.sin(cfg.theta)])
-        if cfg.model != "dissipation":
-            return Dephasing(mem), rho0, cfg.tau_max, cfg.grid_points
-        if cfg.markov:
-            return Dissipation(mem), rho0, cfg.tau_max, cfg.grid_points
-        h_max = 1.0 / (25.0 * max(mem.memory_rate, cfg.Gamma))  # the step resolves both rates
-        return Dissipation(mem), rho0, cfg.tau_max, max(cfg.grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
-
-    control = UnitaryControl(
-        theta0=cfg.theta0, theta_rate=cfg.theta_rate, alpha0=cfg.alpha0, alpha_rate=cfg.alpha_rate
-    )
-    if cfg.model == "unitary2l":
-        gen = UnitaryTwoLevel(control)
-        rho0 = from_pure(unitary_state(cfg.theta0, cfg.alpha0))
-        return gen, rho0, cfg.tau_max, cfg.grid_points
-
-    gen = Stirap(control)
-    rho0 = from_pure(np.array([0.0, 0.0, 1.0], dtype=complex))
-    return gen, rho0, cfg.tau_max, cfg.grid_points
+        gen = Dissipation(mem) if cfg.model == "dissipation" else Dephasing(mem)
+        psi = [math.cos(cfg.theta), math.sin(cfg.theta)]
+        if cfg.model == "dissipation" and not cfg.markov:
+            h_max = 1.0 / (25.0 * max(mem.memory_rate, cfg.Gamma))  # the step resolves both rates
+            grid_points = max(grid_points, int(math.ceil(cfg.tau_max / h_max)) + 1)
+    else:
+        control = UnitaryControl(
+            theta0=cfg.theta0, theta_rate=cfg.theta_rate, alpha0=cfg.alpha0, alpha_rate=cfg.alpha_rate
+        )
+        two_level = cfg.model == "unitary2l"
+        gen = UnitaryTwoLevel(control) if two_level else Stirap(control)
+        psi = unitary_state(cfg.theta0, cfg.alpha0) if two_level else np.array([0.0, 0.0, 1.0], dtype=complex)
+    return gen, from_pure(psi), cfg.tau_max, grid_points
 
 
 def auto_targets(q_max: float, count: int) -> np.ndarray:
@@ -251,30 +248,28 @@ def evaluate_targets(traj: Trajectory, targets, cfg: ScenarioConfig) -> list:
     ]
 
 
-def _propagate_built(built: list) -> list:
-    """Trajectories of built scenarios, in order: one batch per generator family and grid."""
+def _propagate(configs) -> list:
+    """Trajectories of the configs, in order: all are built first, then stepped in one batch per family and grid."""
+    built = [build_scenario(cfg) for cfg in configs]
     batches = {}
-    for i, (gen, _, tau_max, grid_points) in enumerate(built):
-        batches.setdefault((type(gen), tau_max, grid_points), []).append(i)
-    trajectories = [None] * len(built)
+    for i, (gen, rho0, tau_max, grid_points) in enumerate(built):
+        batches.setdefault((type(gen), tau_max, grid_points), []).append((i, gen, rho0))
+    trajectories = {}
     for (_, tau_max, grid_points), members in batches.items():
-        gens, rho0s = zip(*(built[i][:2] for i in members))
-        for i, traj in zip(members, propagate_many(gens, rho0s, tau_max, grid_points)):
-            trajectories[i] = traj
-    return trajectories
+        order, gens, rho0s = zip(*members)
+        trajectories.update(zip(order, propagate_many(gens, rho0s, tau_max, grid_points)))
+    return [trajectories[i] for i in range(len(built))]
 
 
 def _run_scenarios(configs: list, shared_targets: bool = False) -> list:
     """The scenario pipeline: one :class:`ScenarioResult` per config, in order.
 
-    Every scenario is built before any is propagated; the
-    scenarios are then stepped in one batch per generator family and grid,
-    and each is evaluated on its own q-grid.  With ``shared_targets`` (the
+    The configs are propagated together (:func:`_propagate`), and each
+    scenario is evaluated on its own q-grid.  With ``shared_targets`` (the
     figure sweeps) all scenarios share one q-grid, capped by the lowest
     maximum quantumness, so their rows compare target by target.
     """
-    built = [build_scenario(cfg) for cfg in configs]
-    trajectories = _propagate_built(built)
+    trajectories = _propagate(configs)
     q_maxes = [float(np.max(traj.q_samples)) for traj in trajectories]
     shared = auto_targets(min(q_maxes), configs[0].q_grid) if shared_targets else None
     results = []
@@ -314,15 +309,24 @@ def format_cell(value) -> str:
 
 
 def _check_outputs(**paths) -> None:
-    """Before any work, reject an output path with no directory or naming one; create nothing."""
-    for name, path in paths.items():
-        if path is None:
-            continue
+    """Before any work, reject an output path with no directory or naming one, and two naming one regular file
+    (the same existing file, or one path after resolving links); create nothing."""
+    given = [(name, path) for name, path in paths.items() if path is not None]
+    for name, path in given:
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"invalid argument {name!r}: no directory {parent!r} to write {path!r} into")
         if os.path.isdir(path):
             raise IsADirectoryError(f"invalid argument {name!r}: {path!r} is a directory")
+    for (a, path_a), (b, path_b) in itertools.combinations(given, 2):
+        try:
+            st_a, st_b = os.stat(path_a), os.stat(path_b)
+        except OSError:  # one is still to be made: the same file only if both paths resolve to it
+            same = os.path.realpath(path_a) == os.path.realpath(path_b)
+        else:  # a device or a pipe takes the two writes in turn
+            same = stat.S_ISREG(st_a.st_mode) and os.path.samestat(st_a, st_b)
+        if same:
+            raise ValueError(f"invalid arguments {a!r} and {b!r}: must name two files, got {path_a!r} and {path_b!r}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -627,16 +631,13 @@ def _random_scenario(seed: int, index: int) -> ScenarioConfig:
             theta = float(rng.uniform(0.1, math.pi / 2.0 - 0.1))
     gamma = float(np.exp(rng.uniform(math.log(0.1), math.log(50.0))))
     if model == "unitary2l":
-        tau_max = 1.0
-        theta_target = theta
-        alpha_rate = float(rng.choice([0.0, rng.uniform(-1.0, 1.0)]))
+        alpha_rate = float(rng.choice([0.0, rng.uniform(-1.0, 1.0)]))  # drawn before alpha0
         return ScenarioConfig(
             model=model,
             theta=theta,
-            tau_max=tau_max,
+            tau_max=1.0,
             grid_points=801,
-            theta0=0.0,
-            theta_rate=theta_target / tau_max,
+            theta_rate=theta,  # the angle rises from 0 to theta over tau_max
             alpha0=float(rng.uniform(0.0, 2.0 * math.pi)),
             alpha_rate=alpha_rate,
         )
@@ -661,7 +662,7 @@ def _fuzz_cases(seed: int, cases: int):
     """
     for start in range(0, cases, FUZZ_WINDOW):
         configs = [_random_scenario(seed, j) for j in range(start, min(start + FUZZ_WINDOW, cases))]
-        yield from zip(configs, _propagate_built([build_scenario(cfg) for cfg in configs]))
+        yield from zip(configs, _propagate(configs))
 
 
 def _check_dynamics_properties(seed: int, cases: int) -> list:
@@ -688,7 +689,7 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
         if cfg.model == "unitary2l":
             worst_purity = max(worst_purity, abs(purity(traj.states[-1]) - 1.0))
 
-        targets = auto_targets(float(np.max(traj.q_samples)), 20)
+        targets = auto_targets(float(np.max(traj.q_samples)), cfg.q_grid)
         for rep in evaluate_crossings(traj, targets):  # no fidelity bounds: the fuzz checks the speed limit
             if rep.reached:
                 checked_cells += 1
@@ -700,11 +701,11 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
         rate = quantumness_rate(traj.rho0, states, traj.generator.action(states, traj.coefficients[ks]))
         qs = traj.q_samples
         slack = 2.0 * np.sqrt(2.0 * qs[ks]) * traj.speed_samples[ks] + 1e-9 - np.abs(rate)
-        worst_rate_slack = min(worst_rate_slack, np.min(slack))
+        worst_rate_slack = min(worst_rate_slack, float(np.min(slack)))
         # five-point stencil keeps the truncation error far below the
         # 1e-5 agreement budget even near the early-time memory kink
         fd = (qs[ks - 2] - 8.0 * qs[ks - 1] + 8.0 * qs[ks + 1] - qs[ks + 2]) / (12.0 * traj.step)
-        worst_fd = max(worst_fd, np.max(np.abs(rate - fd)))
+        worst_fd = max(worst_fd, float(np.max(np.abs(rate - fd))))
     return [
         PropertyCheck(
             "qsl_validity",
@@ -744,7 +745,7 @@ _CLOSED_STATES = {"dephasing": dephasing_closed_state, "dissipation": dissipatio
 def _check_oracle_equivalence() -> list:
     """Closed-form states versus propagated states at the midpoint and the end of each oracle case."""
     worst = 0.0
-    for cfg, traj in zip(_ORACLE_CASES, _propagate_built([build_scenario(cfg) for cfg in _ORACLE_CASES])):
+    for cfg, traj in zip(_ORACLE_CASES, _propagate(_ORACLE_CASES)):
         n = len(traj.grid)
         for k in (n // 2, n - 1):
             closed = _CLOSED_STATES[cfg.model](cfg.theta, float(traj.grid[k]), traj.generator.memory)

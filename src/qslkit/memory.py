@@ -153,23 +153,19 @@ class MemoryFunctions:
         g = self.memory_rate
         return 2.0 * self.coupling * (tau + math.expm1(-g * tau) / g)
 
-    def _check_span(self, lo: float, hi: float, horizon: float) -> None:
-        """Reject times from ``lo`` to ``hi`` unless all are finite, nonnegative and below ``horizon``."""
-        for t in (lo, hi):
-            _check_number(t, "times", ge=0.0)
-        if hi >= horizon:
-            raise RiccatiBlowupError(
-                f"memory function P reaches {BLOWUP_FACTOR:g} x coupling at t = {self.horizon:.6g} "
-                f"and diverges at t* = {self._t_star:.6g} (memory_rate < 2*coupling); "
-                f"it cannot be read at t = {hi:.6g}",
-                time=self.horizon,
-            )
-
     def _checked(self, times, horizon: float) -> np.ndarray:
-        """``times`` as a flat float array, after one domain check for all of them (a nan makes both ends nan)."""
+        """``times`` as a flat float array, after one domain check for all of them: every time finite and
+        nonnegative (a nan makes both ends nan) and the largest below ``horizon``."""
         ts = np.asarray(times, dtype=float).ravel()
         if ts.size:
-            self._check_span(float(ts.min()), float(ts.max()), horizon)
+            _, hi = (_check_number(float(t), "times", ge=0.0) for t in (ts.min(), ts.max()))
+            if hi >= horizon:
+                raise RiccatiBlowupError(
+                    f"memory function P reaches {BLOWUP_FACTOR:g} x coupling at t = {self.horizon:.6g} "
+                    f"and diverges at t* = {self._t_star:.6g} (memory_rate < 2*coupling); "
+                    f"it cannot be read at t = {hi:.6g}",
+                    time=self.horizon,
+                )
         return ts
 
     def p(self, t: float) -> float:
@@ -191,8 +187,7 @@ class MemoryFunctions:
 
     def xi(self, t: float) -> float:
         """Running integral ``xi(t) = int_0^t P(s) ds`` of the memory function."""
-        t = _check_number(t, "t", ge=0.0)
-        self._check_span(t, t, self.horizon)
+        (t,) = self._checked((_check_number(t, "t", ge=0.0),), self.horizon).tolist()
         if self.markov:
             return 0.5 * self.coupling * t
         if self._trig:

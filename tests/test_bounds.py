@@ -695,6 +695,17 @@ class TestEvaluationPass:
         (rep,) = evaluate_crossings(traj, [0.5 * float(traj.q_samples[1])])
         assert rep.tau_exact == 0.5
 
+    def test_every_field_is_a_python_scalar(self):
+        # a numpy scalar in a record reaches the JSON writers, and json rejects np.bool_
+        mem = MemoryFunctions.markov_limit(1.0)
+        two_sample = propagate(Dephasing(mem), from_pure([math.cos(0.3), math.sin(0.3)]), 1.0, 2)  # linear crossings
+        for traj in [traj for _, traj in pass_trajectories()] + [two_sample]:
+            q = traj.q_samples
+            targets = [0.0, *auto_targets(float(np.max(q)), 20).tolist(), 0.5 * float(q[1]), 2.0]
+            for rep in evaluate_crossings(traj, targets, fidelity=True):
+                values = [getattr(rep, f.name) for f in dataclasses.fields(rep)] + [rep.slack]
+                assert {type(v) for v in values} <= {float, bool, type(None)}, rep
+
     def test_one_target_calls_match_the_pass(self):
         for _, traj in pass_trajectories()[:6]:
             targets = auto_targets(float(np.max(traj.q_samples)), 7).tolist()

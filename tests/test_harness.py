@@ -717,6 +717,30 @@ class TestValidate:
         assert max(len(gens) for gens, *_ in batches) > 1
 
 
+def _field_types(record) -> set:
+    """The types of a record's fields (and of a report's ``slack``)."""
+    values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    return {type(v) for v in values + ([record.slack] if isinstance(record, BoundReport) else [])}
+
+
+def test_records_hold_python_scalars():
+    # numpy scalars would reach the JSON writers: json.dumps rejects np.bool_
+    checks = validate(seed=0, cases=12).checks
+    assert all(_field_types(c) <= {float, bool, str} for c in checks), checks
+    json.dumps([dataclasses.asdict(c) for c in checks], allow_nan=False)
+    configs = [
+        ScenarioConfig(model="dephasing", gamma=0.5, grid_points=201),
+        ScenarioConfig(model="dissipation", theta=math.pi / 4.0, gamma=2.0, grid_points=201),
+        ScenarioConfig(model="ghz", n=2, markov=True, grid_points=201),
+        ScenarioConfig(model="unitary2l", theta_rate=1.0, alpha_rate=0.4, grid_points=201),
+        ScenarioConfig(model="stirap", alpha_rate=2.0, grid_points=201),
+    ]
+    for cfg in configs:
+        result = run_scenario(cfg)
+        assert all(_field_types(rep) <= {float, bool, type(None)} for rep in result.reports), cfg.model
+        json.dumps([dataclasses.asdict(rep) for rep in result.reports], allow_nan=False)
+
+
 #: ``validate(seed=0, cases=12)``: (name, passed, repr(worst), detail) per
 #: check.  The witness entries are those of the pairs drawn per dimension and
 #: the oracle entry that of one config per closed-form branch; the others are
@@ -727,14 +751,14 @@ GOLDEN_VALIDATE_0_12 = [
     ("witness_symmetry", True, "0.0", "max |q(a,b) - q(b,a)|"),
     ("witness_pure_formula", True, "1.887379141862766e-15", "max |q - 4c(1-c)|"),
     ("witness_zero_iff_commuting", True, "0.0", "q < 1e-12 iff commutator norm < 1e-7"),
-    ("qsl_validity", True, "np.float64(-1.228827463561899e-05)", "min(crossing - tau_q) over 240 reached cells"),
+    ("qsl_validity", True, "-1.228827463561899e-05", "min(crossing - tau_q) over 240 reached cells"),
     ("trace_preservation", True, "1.7763568394002505e-15", "max |Tr rho - 1|"),
     ("hermiticity", True, "5.498696599114741e-17", "max entrywise |rho - rho^dag|"),
     ("positivity", True, "-1.0547118733938987e-15", "min eigenvalue over states"),
     ("dephasing_population_conservation", True, "0.0", "max diagonal drift"),
     ("unitary_purity", True, "3.9968028886505635e-15", "max |Tr rho^2 - 1|"),
-    ("rate_inequality", True, "np.float64(9.999996386511611e-10)", "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)"),
-    ("rate_finite_difference", True, "np.float64(5.33685680283863e-10)", "max |dQ/dt - centered difference|"),
+    ("rate_inequality", True, "9.999996386511611e-10", "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)"),
+    ("rate_finite_difference", True, "5.33685680283863e-10", "max |dQ/dt - centered difference|"),
     ("oracle_equivalence", True, "1.301736496372996e-13", "max entrywise |closed - propagated|"),
     ("mutation_canary", True, "1.0", "positivity abort at t = 0.003"),
 ]
@@ -1110,6 +1134,35 @@ class TestCli:
         assert "invalid argument 'out_path': no directory" in capsys.readouterr().err
         assert calls == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "report,exists",
+        [("x", False), ("./x", False), ("link", False), ("x", True), ("./x", True), ("link", True), ("hard", True)],
+    )
+    def test_out_and_report_naming_one_file_fail_before_any_work(self, tmp_path, monkeypatch, capsys, report, exists):
+        # the report would rewrite the CSV it names: through its own spelling, a symlink or a hard link
+        calls = []
+        monkeypatch.setattr(harness, "propagate_many", lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": "dephasing", "markov": True, "grid_points": 201}))
+        os.symlink("x", "link")
+        if exists:
+            (tmp_path / "x").write_text("old")
+            os.link("x", "hard")
+        assert cli_main(["run", "--config", "cfg.json", "--out", "x", "--report", report]) == 2
+        assert capsys.readouterr().err == (
+            "qslkit: error: invalid arguments 'out_path' and 'report_path': "
+            f"must name two files, got 'x' and {report!r}\n"
+        )
+        assert calls == []
+        assert (tmp_path / "x").read_text() == "old" if exists else not (tmp_path / "x").exists()
+
+    def test_out_and_report_naming_two_files_beside_a_link(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": "dephasing", "markov": True, "grid_points": 201}))
+        os.symlink("elsewhere", "link")  # a dangling link to another file
+        assert cli_main(["run", "--config", "cfg.json", "--out", "x", "--report", "link"]) == 0
+        assert (tmp_path / "x").read_text().startswith("model,") and json.loads((tmp_path / "elsewhere").read_text())
+
     def test_out_naming_a_directory_fails_before_propagating(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(harness, "propagate_many", lambda *args: calls.append(args))
@@ -1193,6 +1246,24 @@ class TestCli:
         assert cli_main(argv + ["--out", str(tmp_path / "file.csv")]) == 0
         assert result.stdout == (tmp_path / "file.csv").read_bytes()  # a pipe: the status went to stderr
         assert result.stderr.startswith(b"wrote /dev/stdout (")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_and_report_on_stdout_both_written(self, tmp_path):
+        # a pipe is not a regular file: it takes the CSV, then the report
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dephasing", "theta": 0.39, "markov": True, "grid_points": 301}))
+        argv = ["run", "--config", str(cfg_path)]
+        src = os.path.dirname(os.path.dirname(qslkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "qslkit.cli", *argv, "--out", "/dev/stdout", "--report", "/dev/stdout"],
+            capture_output=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        out, report = tmp_path / "file.csv", tmp_path / "file.json"
+        assert cli_main(argv + ["--out", str(out), "--report", str(report)]) == 0
+        assert result.stdout == out.read_bytes() + report.read_bytes()
 
     def test_file_out_prints_status_on_stdout(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
