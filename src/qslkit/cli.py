@@ -125,19 +125,19 @@ def main(argv=None) -> int:
         return 2
 
 
-def _status_stream(out: str):
-    """Where to print status lines: stderr when ``out`` is the file standard output writes to, else stdout.
+def _status_stream(*outputs):
+    """Where to print status lines: stderr when an output (``None`` skipped) is the file stdout writes to, else stdout.
 
     The two are the same file when they have the same device and inode
-    (``--out /dev/stdout``, or a path the shell redirected stdout to); a
-    ``sys.stdout`` with no file descriptor, such as a capture object, is
-    not the output.
+    (``--out /dev/stdout``, ``--report /dev/stdout``, or a path the shell
+    redirected stdout to); a ``sys.stdout`` with no file descriptor, such
+    as a capture object, is not an output.
     """
     try:
-        ours, theirs = os.fstat(sys.stdout.fileno()), os.stat(out)
+        ours = os.fstat(sys.stdout.fileno())
+        same = any(os.path.samestat(ours, os.stat(out)) for out in outputs if out is not None)
     except (AttributeError, OSError, ValueError):
         return sys.stdout
-    same = (ours.st_dev, ours.st_ino) == (theirs.st_dev, theirs.st_ino)
     return sys.stderr if same else sys.stdout
 
 
@@ -175,12 +175,15 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "run":
-        cfg = dataclasses.replace(harness.ScenarioConfig.from_json(args.config), **overrides)
         out = args.out or "run.csv"
+        for name, path in (("out_path", out), ("report_path", args.report)):
+            if path is not None:  # no output may overwrite the config
+                harness._check_two_files("config", args.config, name, path)
+        cfg = dataclasses.replace(harness.ScenarioConfig.from_json(args.config), **overrides)
         result = harness.run_to_files(cfg, out, report_path=args.report)
         print(
             f"wrote {out} ({len(result.reports)} targets, q_max={result.diagnostics['q_max']:.6g})",
-            file=_status_stream(out),
+            file=_status_stream(out, args.report),
         )
         return 0
 

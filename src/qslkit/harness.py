@@ -12,7 +12,8 @@ the runs, the figures and ``validate``: ``_propagate`` builds every config
 (:func:`build_scenario`) and steps them in one batch per family and grid.
 Targets are evaluated by :func:`evaluate_targets`; the fuzz takes the bare
 :func:`~qslkit.bounds.evaluate_crossings` pass, without the closed form and
-the fidelity bound.  Records hold Python floats and bools, as JSON takes.
+the fidelity bound, and reads its gates from one table, ``_FUZZ_CHECKS``.
+Records hold Python floats and bools, as JSON takes.
 
 CSV output is plot-tool-ready: a single header line, comma separators,
 floats in scientific notation with 17 significant digits, and the
@@ -22,9 +23,11 @@ sentinel ``NA`` for cells whose quantumness target was never reached.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass, field, fields
@@ -309,8 +312,7 @@ def format_cell(value) -> str:
 
 
 def _check_outputs(**paths) -> None:
-    """Before any work, reject an output path with no directory or naming one, and two naming one regular file
-    (the same existing file, or one path after resolving links); create nothing."""
+    """Reject, before any work, an output path with no directory or naming one, and a same-file pair; create nothing."""
     given = [(name, path) for name, path in paths.items() if path is not None]
     for name, path in given:
         parent = os.path.dirname(path) or "."
@@ -319,14 +321,19 @@ def _check_outputs(**paths) -> None:
         if os.path.isdir(path):
             raise IsADirectoryError(f"invalid argument {name!r}: {path!r} is a directory")
     for (a, path_a), (b, path_b) in itertools.combinations(given, 2):
-        try:
-            st_a, st_b = os.stat(path_a), os.stat(path_b)
-        except OSError:  # one is still to be made: the same file only if both paths resolve to it
-            same = os.path.realpath(path_a) == os.path.realpath(path_b)
-        else:  # a device or a pipe takes the two writes in turn
-            same = stat.S_ISREG(st_a.st_mode) and os.path.samestat(st_a, st_b)
-        if same:
-            raise ValueError(f"invalid arguments {a!r} and {b!r}: must name two files, got {path_a!r} and {path_b!r}")
+        _check_two_files(a, path_a, b, path_b)
+
+
+def _check_two_files(a: str, path_a: str, b: str, path_b: str) -> None:
+    """Reject arguments ``a`` and ``b`` whose paths name one regular file: one existing file, or one path past links."""
+    try:
+        st_a, st_b = os.stat(path_a), os.stat(path_b)
+    except OSError:  # one is still to be made: the same file only if both paths resolve to it
+        same = os.path.realpath(path_a) == os.path.realpath(path_b)
+    else:  # a device or a pipe takes the two writes in turn
+        same = stat.S_ISREG(st_a.st_mode) and os.path.samestat(st_a, st_b)
+    if same:
+        raise ValueError(f"invalid arguments {a!r} and {b!r}: must name two files, got {path_a!r} and {path_b!r}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -665,35 +672,47 @@ def _fuzz_cases(seed: int, cases: int):
         yield from zip(configs, _propagate(configs))
 
 
+#: The fuzz's checks in report order, ``(name, rule, passes, bound, detail)``: ``rule`` takes the worst of the values
+#: recorded under ``name`` (``min`` from ``inf``, ``max`` from ``0.0``), which must satisfy ``passes(worst, bound)``.
+_FUZZ_CHECKS = (
+    ("qsl_validity", min, operator.ge, -1e-4, "min(crossing - tau_q) over {count} reached cells"),
+    ("trace_preservation", max, operator.lt, 1e-9, "max |Tr rho - 1|"),
+    ("hermiticity", max, operator.lt, 1e-9, "max entrywise |rho - rho^dag|"),
+    ("positivity", min, operator.ge, -1e-7, "min eigenvalue over states"),
+    ("dephasing_population_conservation", max, operator.lt, 1e-10, "max diagonal drift"),
+    ("unitary_purity", max, operator.lt, 1e-8, "max |Tr rho^2 - 1|"),
+    ("rate_inequality", min, operator.ge, 0.0, "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)"),
+    ("rate_finite_difference", max, operator.le, 1e-5, "max |dQ/dt - centered difference|"),
+)
+
+
+def _fuzz_verdicts(values: dict) -> list:
+    """One :class:`PropertyCheck` per ``_FUZZ_CHECKS`` row, from the values recorded under its name."""
+    checks = []
+    for name, rule, passes, bound, detail in _FUZZ_CHECKS:
+        worst = functools.reduce(rule, values[name], math.inf if rule is min else 0.0)
+        checks.append(PropertyCheck(name, passes(worst, bound), worst, detail.format(count=len(values[name]))))
+    return checks
+
+
 def _check_dynamics_properties(seed: int, cases: int) -> list:
-    """Speed-limit validity, conservation laws, and the rate inequality."""
-    worst_qsl = math.inf  # min of (crossing - tau_q); must stay > -1e-4
-    worst_trace = 0.0
-    worst_herm = 0.0
-    worst_eig = math.inf
-    worst_pop = 0.0
-    worst_purity = 0.0
-    worst_rate_slack = math.inf  # min of (2 sqrt(2q) speed + 1e-9 - |dq/dt|)
-    worst_fd = 0.0
-    checked_cells = 0
+    """Speed-limit validity, conservation laws, and the rate inequality: the ``_FUZZ_CHECKS`` over the fuzz cases."""
+    values = {name: [] for name, *_ in _FUZZ_CHECKS}
     for cfg, traj in _fuzz_cases(seed, cases):
         sample = traj.states[:: max(1, len(traj.states) // 40)]
         trace = np.trace(sample, axis1=-2, axis2=-1).real
-        worst_trace = max(worst_trace, float(np.max(np.abs(trace - 1.0))))
-        worst_herm = max(worst_herm, hermiticity_defect(sample))
-        worst_eig = min(worst_eig, float(np.min(min_eigenvalue(sample))))
+        values["trace_preservation"].append(float(np.max(np.abs(trace - 1.0))))
+        values["hermiticity"].append(hermiticity_defect(sample))
+        values["positivity"].append(float(np.min(min_eigenvalue(sample))))
         if cfg.model == "dephasing":
-            pops0 = np.diag(traj.states[0]).real
-            pops_end = np.diag(traj.states[-1]).real
-            worst_pop = max(worst_pop, float(np.max(np.abs(pops_end - pops0))))
+            drift = np.diag(traj.states[-1]).real - np.diag(traj.states[0]).real
+            values["dephasing_population_conservation"].append(float(np.max(np.abs(drift))))
         if cfg.model == "unitary2l":
-            worst_purity = max(worst_purity, abs(purity(traj.states[-1]) - 1.0))
+            values["unitary_purity"].append(abs(purity(traj.states[-1]) - 1.0))
 
         targets = auto_targets(float(np.max(traj.q_samples)), cfg.q_grid)
-        for rep in evaluate_crossings(traj, targets):  # no fidelity bounds: the fuzz checks the speed limit
-            if rep.reached:
-                checked_cells += 1
-                worst_qsl = min(worst_qsl, rep.slack)
+        reports = evaluate_crossings(traj, targets)  # no fidelity bounds: the fuzz checks the speed limit
+        values["qsl_validity"].extend(rep.slack for rep in reports if rep.reached)
 
         stride = max(2, len(traj.grid) // 25)
         ks = np.arange(stride, len(traj.grid) - 2, stride)
@@ -701,35 +720,12 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
         rate = quantumness_rate(traj.rho0, states, traj.generator.action(states, traj.coefficients[ks]))
         qs = traj.q_samples
         slack = 2.0 * np.sqrt(2.0 * qs[ks]) * traj.speed_samples[ks] + 1e-9 - np.abs(rate)
-        worst_rate_slack = min(worst_rate_slack, float(np.min(slack)))
+        values["rate_inequality"].append(float(np.min(slack)))
         # five-point stencil keeps the truncation error far below the
         # 1e-5 agreement budget even near the early-time memory kink
         fd = (qs[ks - 2] - 8.0 * qs[ks - 1] + 8.0 * qs[ks + 1] - qs[ks + 2]) / (12.0 * traj.step)
-        worst_fd = max(worst_fd, float(np.max(np.abs(rate - fd))))
-    return [
-        PropertyCheck(
-            "qsl_validity",
-            worst_qsl >= -1e-4,
-            worst_qsl,
-            f"min(crossing - tau_q) over {checked_cells} reached cells",
-        ),
-        PropertyCheck("trace_preservation", worst_trace < 1e-9, worst_trace, "max |Tr rho - 1|"),
-        PropertyCheck("hermiticity", worst_herm < 1e-9, worst_herm, "max entrywise |rho - rho^dag|"),
-        PropertyCheck("positivity", worst_eig >= -1e-7, worst_eig, "min eigenvalue over states"),
-        PropertyCheck(
-            "dephasing_population_conservation", worst_pop < 1e-10, worst_pop, "max diagonal drift"
-        ),
-        PropertyCheck("unitary_purity", worst_purity < 1e-8, worst_purity, "max |Tr rho^2 - 1|"),
-        PropertyCheck(
-            "rate_inequality",
-            worst_rate_slack >= 0.0,
-            worst_rate_slack,
-            "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)",
-        ),
-        PropertyCheck(
-            "rate_finite_difference", worst_fd <= 1e-5, worst_fd, "max |dQ/dt - centered difference|"
-        ),
-    ]
+        values["rate_finite_difference"].append(float(np.max(np.abs(rate - fd))))
+    return _fuzz_verdicts(values)
 
 
 #: The closed-form oracle: one config per angle and per branch (of ``P``: markov, trigonometric, critical, hyperbolic).

@@ -695,6 +695,30 @@ class TestEvaluationPass:
         (rep,) = evaluate_crossings(traj, [0.5 * float(traj.q_samples[1])])
         assert rep.tau_exact == 0.5
 
+    @staticmethod
+    def _crossing_at_index_5(q, q_target):
+        """The pass's crossing time and the linear estimate in the interval ending at sample 5 of an 11-point grid."""
+        mem = MemoryFunctions.markov_limit(1.0)
+        base = propagate(Dephasing(mem), from_pure([math.cos(0.3), math.sin(0.3)]), 1.0, 11)
+        traj = dataclasses.replace(base, q_samples=np.array(q))
+        t_lo = float(traj.grid[4])
+        linear = t_lo + (float(traj.grid[5]) - t_lo) * (q_target - q[4]) / (q[5] - q[4])
+        (rep,) = evaluate_crossings(traj, [q_target])
+        return rep.tau_exact, linear
+
+    def test_peak_at_the_target_falls_back_to_linear(self):
+        # equal neighbours around a peak equal to the target: the quadratic's discriminant rounds below zero
+        q = [0.0, 0.0625, 0.125, 0.1875, 0.25, 0.6, 0.25, 0.25, 0.25, 0.25, 0.25]
+        tau_exact, linear = self._crossing_at_index_5(q, 0.6)
+        assert tau_exact == linear
+
+    def test_root_outside_the_bracket_falls_back_to_linear(self):
+        # a linear ramp with sample 6 one ulp up: the nearly flat quadratic puts both roots outside the bracket
+        q = (0.38 * np.linspace(0.0, 1.0, 11)).tolist()
+        q[6] = math.nextafter(q[6], math.inf)
+        tau_exact, linear = self._crossing_at_index_5(q, 0.1898)
+        assert tau_exact == linear
+
     def test_every_field_is_a_python_scalar(self):
         # a numpy scalar in a record reaches the JSON writers, and json rejects np.bool_
         mem = MemoryFunctions.markov_limit(1.0)

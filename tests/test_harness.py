@@ -3,6 +3,7 @@
 import ast
 import builtins
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -716,6 +717,31 @@ class TestValidate:
             assert isinstance(tau_max, float) and isinstance(grid_points, int)
         assert max(len(gens) for gens, *_ in batches) > 1
 
+    def test_fuzz_checks_gate_as_their_rows_say(self):
+        # the dynamics checks of the report are the table's rows, in order; each row's comparison decides at its bound
+        names = [name for name, *_ in harness._FUZZ_CHECKS]
+        assert [c.name for c in validate(seed=0, cases=1).checks[4:12]] == names
+        at_bound = harness._fuzz_verdicts({name: [bound] for name, _, _, bound, _ in harness._FUZZ_CHECKS})
+        assert [(c.name, c.passed, c.worst) for c in at_bound] == [
+            ("qsl_validity", True, -1e-4),
+            ("trace_preservation", False, 1e-9),
+            ("hermiticity", False, 1e-9),
+            ("positivity", True, -1e-7),
+            ("dephasing_population_conservation", False, 1e-10),
+            ("unitary_purity", False, 1e-8),
+            ("rate_inequality", True, 0.0),
+            ("rate_finite_difference", True, 1e-5),
+        ]
+        assert at_bound[0].detail == "min(crossing - tau_q) over 1 reached cells"
+
+    def test_fuzz_check_worst_is_its_rule_over_the_recorded_values(self):
+        spread = harness._fuzz_verdicts({name: [3.0, -2.0, 1.0] for name, *_ in harness._FUZZ_CHECKS})
+        empty = harness._fuzz_verdicts({name: [] for name, *_ in harness._FUZZ_CHECKS})
+        for (name, rule, *_), got, none in zip(harness._FUZZ_CHECKS, spread, empty):
+            assert (got.worst, none.worst) == ((-2.0, math.inf) if rule is min else (3.0, 0.0)), name
+            assert none.passed and type(got.passed) is bool and type(got.worst) is float, name
+        assert empty[0].detail == "min(crossing - tau_q) over 0 reached cells"
+
 
 def _field_types(record) -> set:
     """The types of a record's fields (and of a report's ``slack``)."""
@@ -1264,6 +1290,46 @@ class TestCli:
         out, report = tmp_path / "file.csv", tmp_path / "file.json"
         assert cli_main(argv + ["--out", str(out), "--report", str(report)]) == 0
         assert result.stdout == out.read_bytes() + report.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_report_on_stdout_carries_only_the_report(self, tmp_path):
+        # the status line names the file --out; with the report on stdout it goes to stderr
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "dephasing", "theta": 0.39, "markov": True, "grid_points": 301}))
+        out = tmp_path / "y.csv"
+        src = os.path.dirname(os.path.dirname(qslkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "qslkit.cli", *argv, "--report", "/dev/stdout"], capture_output=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        report = tmp_path / "r.json"
+        assert cli_main(argv + ["--report", str(report)]) == 0
+        assert json.loads(result.stdout) == json.loads(report.read_text())
+        assert result.stdout == report.read_bytes()
+        assert result.stderr.startswith(f"wrote {out} (".encode()) and result.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag,path", [("--out", "c.json"), ("--report", "c.json"), ("--out", "./c.json"), ("--out", "link")]
+    )
+    def test_output_naming_the_config_fails_before_any_work(self, tmp_path, monkeypatch, capsys, flag, path):
+        # run would overwrite the config it reads: through its own spelling or a symlink
+        calls = []
+        monkeypatch.setattr(harness, "propagate_many", lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        config = json.dumps({"model": "dephasing", "markov": True, "grid_points": 201}).encode()
+        (tmp_path / "c.json").write_bytes(config)
+        os.symlink("c.json", "link")
+        outputs = {"--out": "y.csv", flag: path}
+        assert cli_main(["run", "--config", "c.json", *itertools.chain(*outputs.items())]) == 2
+        name = {"--out": "out_path", "--report": "report_path"}[flag]
+        assert capsys.readouterr() == (
+            "",
+            f"qslkit: error: invalid arguments 'config' and {name!r}: must name two files, got 'c.json' and {path!r}\n",
+        )
+        assert calls == [] and (tmp_path / "c.json").read_bytes() == config
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "link"]
 
     def test_file_out_prints_status_on_stdout(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
