@@ -12,7 +12,7 @@ the runs, the figures and ``validate``: ``_propagate`` builds every config
 (:func:`build_scenario`) and steps them in one batch per family and grid.
 Targets are evaluated by :func:`evaluate_targets`; the fuzz takes the bare
 :func:`~qslkit.bounds.evaluate_crossings` pass, without the closed form and
-the fidelity bound, and reads its gates from one table, ``_FUZZ_CHECKS``.
+the fidelity bound.  Every gate of ``validate`` is one row of ``_GATES``.
 Records hold Python floats and bools, as JSON takes.
 
 CSV output is plot-tool-ready: a single header line, comma separators,
@@ -22,12 +22,11 @@ sentinel ``NA`` for cells whose quantumness target was never reached.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-import functools
 import itertools
 import json
 import math
-import operator
 import os
 import stat
 from dataclasses import dataclass, field, fields
@@ -124,7 +123,7 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ValueError("config file must contain a JSON object")
         return cls.from_dict(raw)
@@ -171,6 +170,14 @@ class ScenarioConfig:
         if self.model not in OPEN_MODELS:
             return None
         return math.inf if self.markov else float(self.gamma)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a key given twice is rejected by name."""
+    repeated = sorted(key for key, count in collections.Counter(key for key, _ in pairs).items() if count > 1)
+    if repeated:
+        raise ValueError(f"duplicate config keys: {', '.join(repeated)}")
+    return dict(pairs)
 
 
 _RULES = {"float": _check_number, "Optional[float]": _check_number, "int": _check_integer, "bool": _check_bool}
@@ -544,16 +551,18 @@ def _slope(xs: list, ys: list) -> Optional[float]:
 
 @dataclass(frozen=True)
 class PropertyCheck:
-    """Outcome of one randomized property, with its worst observed margin."""
+    """Outcome of one randomized property: ``worst`` is its margin, the headroom left inside its gate."""
 
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     worst: float
     detail: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", bool(self.worst >= 0.0))  # a NaN margin fails
+
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name}  worst_margin={self.worst:.3e}  {self.detail}"
+        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}  worst_margin={self.worst:.3e}  {self.detail}"
 
 
 @dataclass
@@ -572,60 +581,78 @@ class ValidationReport:
         return out
 
 
-def _check_witness_properties(seed: int, cases: int) -> list:
-    """Range, symmetry, dual-form agreement, pure-pair formula, zero-iff-commuting.
+#: Every gate of ``validate`` but the canary, in report order, ``name: (lo, hi, detail)``: the values recorded under
+#: ``name`` must lie in ``[lo, hi]``.  The detail takes their ``min``, ``max``, ``count`` and the worst one's ``index``.
+_GATES = {
+    "witness_range": (0.0, 1.0 + 1e-9, "q in [{min:.3e}, {max:.6f}] over {count} pairs, pair={index}"),
+    "witness_symmetry": (-math.inf, 1e-12, "max |q(a,b) - q(b,a)| = {max:.3e}, pair={index}"),
+    "witness_pure_formula": (-math.inf, 1e-10, "max |q - 4c(1-c)| = {max:.3e}, pair={index}"),
+    # a pair records q if its commutator norm is < 1e-7, else q reflected about hi: one gate, both sides
+    "witness_zero_iff_commuting": (-math.inf, 1e-12, "q < 1e-12 iff commutator norm < 1e-7: max = {max:.3e}, {index}"),
+    "qsl_validity": (-1e-4, math.inf, "min(crossing - tau_q) = {min:.3e} over {count} reached cells, case={index}"),
+    "trace_preservation": (-math.inf, 1e-9, "max |Tr rho - 1| = {max:.3e}, case={index}"),
+    "hermiticity": (-math.inf, 1e-9, "max entrywise |rho - rho^dag| = {max:.3e}, case={index}"),
+    "positivity": (-1e-7, math.inf, "min eigenvalue over states = {min:.3e}, case={index}"),
+    "dephasing_population_conservation": (-math.inf, 1e-10, "max diagonal drift = {max:.3e}, case={index}"),
+    "unitary_purity": (-math.inf, 1e-8, "max |Tr rho^2 - 1| = {max:.3e}, case={index}"),
+    "rate_inequality": (0.0, math.inf, "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|) = {min:.3e}, case={index}"),
+    "rate_finite_difference": (-math.inf, 1e-5, "max |dQ/dt - centered difference| = {max:.3e}, case={index}"),
+    "oracle_equivalence": (-math.inf, 1e-9, "max entrywise |closed - propagated| = {max:.3e}, case={index}"),
+}
 
-    Pair ``i`` has dimension ``(2, 3, 4)[i % 3]``, is pure for even ``i``
-    and brings a commuting pair for ``i % 10 == 0``.  Each dimension's pairs
-    come from one generator ``[seed, 1, dim]`` (mixed, then pure, then
-    commuting; a pair's two states in turn) and are checked as one stack.
-    """
+
+def _record(recorded: dict, name: str, index, values) -> None:
+    """Record ``values`` (a number or an array) under the gate ``name``: each at its own ``index``, or all at one."""
+    values = np.ravel(values)
+    indices, stored = recorded.setdefault(name, ([], []))
+    indices.extend(np.broadcast_to(index, values.shape).tolist())
+    stored.extend(values.tolist())
+
+
+def _gate_checks(recorded: dict) -> list:
+    """One :class:`PropertyCheck` per ``_GATES`` row: its margin is the least headroom ``min(v - lo, hi - v)`` over
+    the values recorded under its name, so a NaN fails; a row with no value passes with margin ``inf``."""
+    checks = []
+    for name, (lo, hi, detail) in _GATES.items():
+        indices, values = recorded.get(name, ([], []))
+        if not values:
+            checks.append(PropertyCheck(name, math.inf, "0 values"))
+            continue
+        values = np.array(values)
+        headroom = np.minimum(values - lo, hi - values)
+        k = int(np.argmin(headroom))  # the first NaN, if any
+        text = detail.format(min=np.min(values), max=np.max(values), count=len(values), index=indices[k])
+        checks.append(PropertyCheck(name, float(headroom[k]), text))
+    return checks
+
+
+def _record_witness(recorded: dict, seed: int, cases: int) -> None:
+    """Range, symmetry, pure-pair formula and zero-iff-commuting, recorded per pair.  Pair ``i`` has dimension ``(2, 3,
+    4)[i % 3]``, is pure for even ``i`` and brings the commuting pair ``commuting_pair=i`` for ``i % 10 == 0``.  Each
+    dimension's pairs come from one generator ``[seed, 1, dim]`` (mixed, then pure, then commuting; a pair's two states
+    in turn) and are checked as one stack."""
     n_pairs = min(10_000, max(50, 50 * cases))
-    q_min, q_max_seen = math.inf, -math.inf
-    worst_sym = 0.0
-    worst_pure = 0.0
-    zero_iff_ok = True
-    worst_commuting_q = 0.0
     for dim in (2, 3, 4):
         mine = np.arange(dim - 2, n_pairs, 3)
-        n_mixed, n_commuting = np.count_nonzero(mine % 2), np.count_nonzero(mine % 10 == 0)
+        pairs = np.concatenate([mine[mine % 2 == 1], mine[mine % 2 == 0]])  # in draw order: mixed, then pure
+        n_mixed, commuting = np.count_nonzero(mine % 2), mine[mine % 10 == 0]
         rng = np.random.default_rng([seed, 1, dim])
         mixed = np.array([random_density_matrix(dim, rng) for _ in range(2 * n_mixed)])
         vs = np.array([random_pure_state(dim, rng) for _ in range(2 * (len(mine) - n_mixed))])
         states = np.concatenate([mixed, vs[:, :, None] * vs[:, None, :].conj()])  # |v><v| as from_pure takes it
         a, b = states[0::2], states[1::2]
         # constructed commuting pairs: random spectra in a shared eigenbasis
-        w = np.abs(rng.standard_normal((n_commuting, 2, dim))) + 0.1
+        w = np.abs(rng.standard_normal((len(commuting), 2, dim))) + 0.1
         w /= w.sum(axis=-1, keepdims=True)
         da, db = w[:, 0, :, None] * np.eye(dim), w[:, 1, :, None] * np.eye(dim)
         q_ab = quantumness(a, b)
-        q_ba = quantumness(b, a)
         overlaps = np.abs(np.vecdot(vs[0::2], vs[1::2])) ** 2
-        worst_pure = max(worst_pure, float(np.max(np.abs(q_ab[n_mixed:] - pure_state_quantumness(overlaps)))))
-        q_min = min(q_min, float(np.min(q_ab)))
-        q_max_seen = max(q_max_seen, float(np.max(q_ab)))
-        worst_sym = max(worst_sym, float(np.max(np.abs(q_ab - q_ba))))
-        zero_iff_ok &= bool(np.array_equal(q_ab < 1e-12, hs_norm(commutator(a, b)) < 1e-7))
-        qc = quantumness(da, db)
-        worst_commuting_q = max(worst_commuting_q, float(np.max(qc)))
-        zero_iff_ok &= bool(np.array_equal(qc < 1e-12, hs_norm(commutator(da, db)) < 1e-7))
-    range_ok = q_min >= 0.0 and q_max_seen <= 1.0 + 1e-9
-    return [
-        PropertyCheck(
-            "witness_range",
-            range_ok,
-            max(0.0 - q_min, q_max_seen - 1.0),
-            f"q in [{q_min:.3e}, {q_max_seen:.6f}] over {n_pairs} pairs",
-        ),
-        PropertyCheck("witness_symmetry", worst_sym <= 1e-12, worst_sym, "max |q(a,b) - q(b,a)|"),
-        PropertyCheck("witness_pure_formula", worst_pure <= 1e-10, worst_pure, "max |q - 4c(1-c)|"),
-        PropertyCheck(
-            "witness_zero_iff_commuting",
-            zero_iff_ok,
-            worst_commuting_q,
-            "q < 1e-12 iff commutator norm < 1e-7",
-        ),
-    ]
+        _record(recorded, "witness_range", pairs, q_ab)
+        _record(recorded, "witness_symmetry", pairs, np.abs(q_ab - quantumness(b, a)))
+        _record(recorded, "witness_pure_formula", pairs[n_mixed:], np.abs(q_ab[n_mixed:] - pure_state_quantumness(overlaps)))
+        for label, index, x, y, q in (("pair=", pairs, a, b, q_ab), ("commuting_pair=", commuting, da, db, quantumness(da, db))):
+            zero_iff = np.where(hs_norm(commutator(x, y)) < 1e-7, q, 2.0 * _GATES["witness_zero_iff_commuting"][1] - q)
+            _record(recorded, "witness_zero_iff_commuting", np.strings.add(label, index.astype(str)), zero_iff)
 
 
 def _random_scenario(seed: int, index: int) -> ScenarioConfig:
@@ -672,47 +699,23 @@ def _fuzz_cases(seed: int, cases: int):
         yield from zip(configs, _propagate(configs))
 
 
-#: The fuzz's checks in report order, ``(name, rule, passes, bound, detail)``: ``rule`` takes the worst of the values
-#: recorded under ``name`` (``min`` from ``inf``, ``max`` from ``0.0``), which must satisfy ``passes(worst, bound)``.
-_FUZZ_CHECKS = (
-    ("qsl_validity", min, operator.ge, -1e-4, "min(crossing - tau_q) over {count} reached cells"),
-    ("trace_preservation", max, operator.lt, 1e-9, "max |Tr rho - 1|"),
-    ("hermiticity", max, operator.lt, 1e-9, "max entrywise |rho - rho^dag|"),
-    ("positivity", min, operator.ge, -1e-7, "min eigenvalue over states"),
-    ("dephasing_population_conservation", max, operator.lt, 1e-10, "max diagonal drift"),
-    ("unitary_purity", max, operator.lt, 1e-8, "max |Tr rho^2 - 1|"),
-    ("rate_inequality", min, operator.ge, 0.0, "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)"),
-    ("rate_finite_difference", max, operator.le, 1e-5, "max |dQ/dt - centered difference|"),
-)
-
-
-def _fuzz_verdicts(values: dict) -> list:
-    """One :class:`PropertyCheck` per ``_FUZZ_CHECKS`` row, from the values recorded under its name."""
-    checks = []
-    for name, rule, passes, bound, detail in _FUZZ_CHECKS:
-        worst = functools.reduce(rule, values[name], math.inf if rule is min else 0.0)
-        checks.append(PropertyCheck(name, passes(worst, bound), worst, detail.format(count=len(values[name]))))
-    return checks
-
-
-def _check_dynamics_properties(seed: int, cases: int) -> list:
-    """Speed-limit validity, conservation laws, and the rate inequality: the ``_FUZZ_CHECKS`` over the fuzz cases."""
-    values = {name: [] for name, *_ in _FUZZ_CHECKS}
-    for cfg, traj in _fuzz_cases(seed, cases):
+def _record_dynamics(recorded: dict, seed: int, cases: int) -> None:
+    """Speed-limit validity, conservation laws and the rate inequality, recorded per fuzz case."""
+    for i, (cfg, traj) in enumerate(_fuzz_cases(seed, cases)):
         sample = traj.states[:: max(1, len(traj.states) // 40)]
         trace = np.trace(sample, axis1=-2, axis2=-1).real
-        values["trace_preservation"].append(float(np.max(np.abs(trace - 1.0))))
-        values["hermiticity"].append(hermiticity_defect(sample))
-        values["positivity"].append(float(np.min(min_eigenvalue(sample))))
+        _record(recorded, "trace_preservation", i, np.max(np.abs(trace - 1.0)))
+        _record(recorded, "hermiticity", i, hermiticity_defect(sample))
+        _record(recorded, "positivity", i, np.min(min_eigenvalue(sample)))
         if cfg.model == "dephasing":
             drift = np.diag(traj.states[-1]).real - np.diag(traj.states[0]).real
-            values["dephasing_population_conservation"].append(float(np.max(np.abs(drift))))
+            _record(recorded, "dephasing_population_conservation", i, np.max(np.abs(drift)))
         if cfg.model == "unitary2l":
-            values["unitary_purity"].append(abs(purity(traj.states[-1]) - 1.0))
+            _record(recorded, "unitary_purity", i, abs(purity(traj.states[-1]) - 1.0))
 
         targets = auto_targets(float(np.max(traj.q_samples)), cfg.q_grid)
         reports = evaluate_crossings(traj, targets)  # no fidelity bounds: the fuzz checks the speed limit
-        values["qsl_validity"].extend(rep.slack for rep in reports if rep.reached)
+        _record(recorded, "qsl_validity", i, [rep.slack for rep in reports if rep.reached])
 
         stride = max(2, len(traj.grid) // 25)
         ks = np.arange(stride, len(traj.grid) - 2, stride)
@@ -720,12 +723,11 @@ def _check_dynamics_properties(seed: int, cases: int) -> list:
         rate = quantumness_rate(traj.rho0, states, traj.generator.action(states, traj.coefficients[ks]))
         qs = traj.q_samples
         slack = 2.0 * np.sqrt(2.0 * qs[ks]) * traj.speed_samples[ks] + 1e-9 - np.abs(rate)
-        values["rate_inequality"].append(float(np.min(slack)))
+        _record(recorded, "rate_inequality", i, np.min(slack))
         # five-point stencil keeps the truncation error far below the
         # 1e-5 agreement budget even near the early-time memory kink
         fd = (qs[ks - 2] - 8.0 * qs[ks - 1] + 8.0 * qs[ks + 1] - qs[ks + 2]) / (12.0 * traj.step)
-        values["rate_finite_difference"].append(float(np.max(np.abs(rate - fd))))
-    return _fuzz_verdicts(values)
+        _record(recorded, "rate_finite_difference", i, np.max(np.abs(rate - fd)))
 
 
 #: The closed-form oracle: one config per angle and per branch (of ``P``: markov, trigonometric, critical, hyperbolic).
@@ -738,15 +740,13 @@ _ORACLE_CASES = tuple(
 _CLOSED_STATES = {"dephasing": dephasing_closed_state, "dissipation": dissipation_closed_state}
 
 
-def _check_oracle_equivalence() -> list:
+def _record_oracle(recorded: dict) -> None:
     """Closed-form states versus propagated states at the midpoint and the end of each oracle case."""
-    worst = 0.0
-    for cfg, traj in zip(_ORACLE_CASES, _propagate(_ORACLE_CASES)):
+    for i, (cfg, traj) in enumerate(zip(_ORACLE_CASES, _propagate(_ORACLE_CASES))):
         n = len(traj.grid)
         for k in (n // 2, n - 1):
             closed = _CLOSED_STATES[cfg.model](cfg.theta, float(traj.grid[k]), traj.generator.memory)
-            worst = max(worst, float(np.max(np.abs(closed - traj.states[k]))))
-    return [PropertyCheck("oracle_equivalence", worst < 1e-9, worst, "max entrywise |closed - propagated|")]
+            _record(recorded, "oracle_equivalence", i, np.max(np.abs(closed - traj.states[k])))
 
 
 class _TamperedDephasing(Dephasing):
@@ -769,16 +769,15 @@ def _check_mutation_canary() -> list:
     else:
         caught = q_max > 1.0 + 1e-9
         detail = f"witness range violated (max q = {q_max:.3f})" if caught else "tampering went undetected"
-    return [PropertyCheck("mutation_canary", caught, 1.0 if caught else 0.0, detail)]
+    return [PropertyCheck("mutation_canary", 1.0 if caught else -1.0, detail)]
 
 
 def validate(seed: int = 0, cases: int = 200) -> ValidationReport:
     """Run the randomized property suites; failures are report content."""
     _check_integer(seed, "seed", ge=0)
     _check_integer(cases, "cases", ge=1)
-    checks = []
-    checks.extend(_check_witness_properties(seed, cases))
-    checks.extend(_check_dynamics_properties(seed, cases))
-    checks.extend(_check_oracle_equivalence())
-    checks.extend(_check_mutation_canary())
-    return ValidationReport(seed=seed, cases=cases, checks=checks)
+    recorded = {}
+    _record_witness(recorded, seed, cases)
+    _record_dynamics(recorded, seed, cases)
+    _record_oracle(recorded)
+    return ValidationReport(seed=seed, cases=cases, checks=_gate_checks(recorded) + _check_mutation_canary())

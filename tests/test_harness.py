@@ -655,6 +655,11 @@ class TestValidate:
         (canary,) = harness._check_mutation_canary()
         assert canary.passed and canary.detail == "witness range violated (max q = 40487.233)"
 
+    def test_mutation_canary_fails_when_the_tampering_goes_undetected(self, monkeypatch):
+        monkeypatch.setattr(harness._TamperedDephasing, "coefficients", Dephasing.coefficients)
+        (canary,) = harness._check_mutation_canary()
+        assert (canary.passed, canary.worst, canary.detail) == (False, -1.0, "tampering went undetected")
+
     def test_invalid_cases_rejected(self):
         with pytest.raises(ValueError):
             validate(seed=0, cases=0)
@@ -718,29 +723,63 @@ class TestValidate:
         assert max(len(gens) for gens, *_ in batches) > 1
 
     def test_fuzz_checks_gate_as_their_rows_say(self):
-        # the dynamics checks of the report are the table's rows, in order; each row's comparison decides at its bound
-        names = [name for name, *_ in harness._FUZZ_CHECKS]
-        assert [c.name for c in validate(seed=0, cases=1).checks[4:12]] == names
-        at_bound = harness._fuzz_verdicts({name: [bound] for name, _, _, bound, _ in harness._FUZZ_CHECKS})
-        assert [(c.name, c.passed, c.worst) for c in at_bound] == [
-            ("qsl_validity", True, -1e-4),
-            ("trace_preservation", False, 1e-9),
-            ("hermiticity", False, 1e-9),
-            ("positivity", True, -1e-7),
-            ("dephasing_population_conservation", False, 1e-10),
-            ("unitary_purity", False, 1e-8),
-            ("rate_inequality", True, 0.0),
-            ("rate_finite_difference", True, 1e-5),
-        ]
-        assert at_bound[0].detail == "min(crossing - tau_q) over 1 reached cells"
+        # the report's checks are the table's rows, in order, then the canary (each row's bounds: the test below)
+        names = list(harness._GATES)
+        assert [c.name for c in validate(seed=0, cases=1).checks] == names + ["mutation_canary"]
+        qsl = gate_check("qsl_validity", [7], [-1e-4])
+        assert qsl.detail == "min(crossing - tau_q) = -1.000e-04 over 1 reached cells, case=7"
 
-    def test_fuzz_check_worst_is_its_rule_over_the_recorded_values(self):
-        spread = harness._fuzz_verdicts({name: [3.0, -2.0, 1.0] for name, *_ in harness._FUZZ_CHECKS})
-        empty = harness._fuzz_verdicts({name: [] for name, *_ in harness._FUZZ_CHECKS})
-        for (name, rule, *_), got, none in zip(harness._FUZZ_CHECKS, spread, empty):
-            assert (got.worst, none.worst) == ((-2.0, math.inf) if rule is min else (3.0, 0.0)), name
-            assert none.passed and type(got.passed) is bool and type(got.worst) is float, name
-        assert empty[0].detail == "min(crossing - tau_q) over 0 reached cells"
+    def test_gate_margin_is_the_least_headroom_over_the_recorded_values(self):
+        spread = harness._gate_checks({name: ([4, 5, 6], [3.0, -2.0, 1.0]) for name in harness._GATES})
+        for (name, (lo, hi, _)), got in zip(harness._GATES.items(), spread, strict=True):
+            assert got.worst == min(-2.0 - lo, hi - 3.0), name
+            assert got.detail.endswith("5" if -2.0 - lo < hi - 3.0 else "4"), name  # the worst value's case or pair
+            assert type(got.passed) is bool and type(got.worst) is float, name
+
+    @pytest.mark.parametrize("name", harness._GATES)
+    def test_every_gate_passes_on_its_bounds_and_fails_past_them(self, name):
+        # inclusive bounds, a NaN fails, no value passes
+        lo, hi, _ = harness._GATES[name]
+        for bound, outward in ((lo, -math.inf), (hi, math.inf)):
+            if math.isfinite(bound):
+                on = gate_check(name, [0], [bound])
+                past = gate_check(name, [0], [np.nextafter(bound, outward)])  # one ulp outside
+                assert (on.passed, on.worst) == (True, 0.0)
+                assert not past.passed and past.worst < 0.0
+        inside = lo if math.isfinite(lo) else hi
+        nan = gate_check(name, [0, 1, 2], [inside, math.nan, inside])
+        assert not nan.passed and math.isnan(nan.worst) and nan.detail.endswith("1")
+        none = gate_check(name, [], [])
+        assert (none.passed, none.worst, none.detail) == (True, math.inf, "0 values")
+        assert none.line() == f"PASS  {name}  worst_margin=inf  0 values"
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_named_qsl_case_reproduces_its_margin_alone(self, seed):
+        (check,) = [c for c in validate(seed=seed, cases=12).checks if c.name == "qsl_validity"]
+        case = int(re.fullmatch(r".*, case=(\d+)", check.detail).group(1))
+        result = run_scenario(harness._random_scenario(seed, case))
+        smallest = min(rep.slack for rep in result.reports if rep.reached)
+        assert check.worst == smallest - -1e-4  # bit for bit
+        assert f"min(crossing - tau_q) = {smallest:.3e} over " in check.detail
+
+    def test_oracle_fails_on_a_nan_closed_state(self, monkeypatch):
+        # a NaN compares false with every bound, so a running max would skip it and the oracle read PASS
+        monkeypatch.setitem(harness._CLOSED_STATES, "dissipation", lambda *args: np.full((2, 2), np.nan))
+        check = oracle_check()
+        assert not check.passed and math.isnan(check.worst) and check.detail.endswith("case=4")
+
+
+def gate_check(name: str, indices: list, values: list):
+    """The check ``harness._gate_checks`` makes of gate ``name`` from one record."""
+    (check,) = [c for c in harness._gate_checks({name: (indices, values)}) if c.name == name]
+    return check
+
+
+def oracle_check():
+    """The ``oracle_equivalence`` check alone."""
+    recorded = {}
+    harness._record_oracle(recorded)
+    return gate_check("oracle_equivalence", *recorded["oracle_equivalence"])
 
 
 def _field_types(record) -> set:
@@ -767,32 +806,55 @@ def test_records_hold_python_scalars():
         json.dumps([dataclasses.asdict(rep) for rep in result.reports], allow_nan=False)
 
 
-#: ``validate(seed=0, cases=12)``: (name, passed, repr(worst), detail) per
-#: check.  The witness entries are those of the pairs drawn per dimension and
-#: the oracle entry that of one config per closed-form branch; the others are
-#: as the tree computed them before the dynamics probes and memory tables were
+#: ``validate(seed=0, cases=12)``: (name, passed, repr(raw worst), repr(margin),
+#: detail) per check.  The raw worst is the least favourable recorded value
+#: (the smallest of a gate with a lower bound, else the largest;
+#: ``max(-min q, max q - 1)`` for the witness range, the canary's margin for
+#: the canary) and the margin the headroom it leaves inside the gate.  The
+#: witness entries are those of the pairs drawn per dimension and the oracle
+#: entry that of one config per closed-form branch; the others are as the
+#: tree computed them before the dynamics probes and memory tables were
 #: stacked.  A speed-up must leave every field alone.
 GOLDEN_VALIDATE_0_12 = [
-    ("witness_range", True, "-1.6397573722182202e-06", "q in [1.390e-04, 0.999998] over 600 pairs"),
-    ("witness_symmetry", True, "0.0", "max |q(a,b) - q(b,a)|"),
-    ("witness_pure_formula", True, "1.887379141862766e-15", "max |q - 4c(1-c)|"),
-    ("witness_zero_iff_commuting", True, "0.0", "q < 1e-12 iff commutator norm < 1e-7"),
-    ("qsl_validity", True, "-1.228827463561899e-05", "min(crossing - tau_q) over 240 reached cells"),
-    ("trace_preservation", True, "1.7763568394002505e-15", "max |Tr rho - 1|"),
-    ("hermiticity", True, "5.498696599114741e-17", "max entrywise |rho - rho^dag|"),
-    ("positivity", True, "-1.0547118733938987e-15", "min eigenvalue over states"),
-    ("dephasing_population_conservation", True, "0.0", "max diagonal drift"),
-    ("unitary_purity", True, "3.9968028886505635e-15", "max |Tr rho^2 - 1|"),
-    ("rate_inequality", True, "9.999996386511611e-10", "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|)"),
-    ("rate_finite_difference", True, "5.33685680283863e-10", "max |dQ/dt - centered difference|"),
-    ("oracle_equivalence", True, "1.301736496372996e-13", "max entrywise |closed - propagated|"),
-    ("mutation_canary", True, "1.0", "positivity abort at t = 0.003"),
+    ("witness_range", True, "-1.6397573722182202e-06", "1.6407573723009605e-06",
+     "q in [1.390e-04, 0.999998] over 600 pairs, pair=128"),
+    ("witness_symmetry", True, "0.0", "1e-12", "max |q(a,b) - q(b,a)| = 0.000e+00, pair=3"),
+    ("witness_pure_formula", True, "1.887379141862766e-15", "9.999811262085814e-11", "max |q - 4c(1-c)| = 1.887e-15, pair=426"),
+    ("witness_zero_iff_commuting", True, "0.0", "1e-12", "q < 1e-12 iff commutator norm < 1e-7: max = 0.000e+00, commuting_pair=0"),
+    ("qsl_validity", True, "-1.228827463561899e-05", "8.771172536438101e-05",
+     "min(crossing - tau_q) = -1.229e-05 over 240 reached cells, case=4"),
+    ("trace_preservation", True, "1.7763568394002505e-15", "9.999982236431607e-10", "max |Tr rho - 1| = 1.776e-15, case=4"),
+    ("hermiticity", True, "5.498696599114741e-17", "9.99999945013034e-10",
+     "max entrywise |rho - rho^dag| = 5.499e-17, case=8"),
+    ("positivity", True, "-1.0547118733938987e-15", "9.999999894528812e-08", "min eigenvalue over states = -1.055e-15, case=8"),
+    ("dephasing_population_conservation", True, "0.0", "1e-10", "max diagonal drift = 0.000e+00, case=0"),
+    ("unitary_purity", True, "3.9968028886505635e-15", "9.999996003197112e-09", "max |Tr rho^2 - 1| = 3.997e-15, case=5"),
+    ("rate_inequality", True, "9.999996386511611e-10", "9.999996386511611e-10",
+     "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|) = 1.000e-09, case=5"),
+    ("rate_finite_difference", True, "5.33685680283863e-10", "9.999466314319717e-06",
+     "max |dQ/dt - centered difference| = 5.337e-10, case=6"),
+    ("oracle_equivalence", True, "1.301736496372996e-13", "9.998698263503628e-10",
+     "max entrywise |closed - propagated| = 1.302e-13, case=7"),
+    ("mutation_canary", True, "1.0", "1.0", "positivity abort at t = 0.003"),
 ]
 
 
-def test_validate_report_is_golden():
+def raw_worst(name: str, values: list) -> float:
+    """The least favourable of a gate's recorded values, as ``GOLDEN_VALIDATE_0_12`` states it."""
+    lo = harness._GATES[name][0]
+    if name == "witness_range":
+        return max(0.0 - min(values), max(values) - 1.0)
+    return min(values) if math.isfinite(lo) else max(values)
+
+
+def test_validate_report_is_golden(monkeypatch):
+    records, real = [], harness._gate_checks
+    monkeypatch.setattr(harness, "_gate_checks", lambda recorded: records.append(recorded) or real(recorded))
     report = validate(seed=0, cases=12)
-    assert [(c.name, c.passed, repr(c.worst), c.detail) for c in report.checks] == GOLDEN_VALIDATE_0_12
+    (recorded,) = records
+    raw = [raw_worst(name, recorded[name][1]) for name in harness._GATES] + [report.checks[-1].worst]
+    got = [(c.name, c.passed, repr(r), repr(c.worst), c.detail) for c, r in zip(report.checks, raw, strict=True)]
+    assert got == GOLDEN_VALIDATE_0_12
 
 
 #: The closed-form branches of ``MemoryFunctions``, each as a test on a memory.
@@ -830,64 +892,109 @@ class TestOracle:
             return value * (1.0 + 1e-6) if MEMORY_BRANCHES[branch](self) else value
 
         monkeypatch.setattr(MemoryFunctions, read, faulty)
-        (check,) = harness._check_oracle_equivalence()
+        check = oracle_check()
         assert not check.passed, check
 
 
-def witness_properties_per_pair(seed, cases):
-    """Reference for ``harness._check_witness_properties``: the same draws, every pair checked on its own."""
+def witness_properties_per_pair(seed, cases) -> dict:
+    """Reference for ``harness._record_witness``: the same draws, every pair checked on its own.
+
+    Returns ``{name: (pair indices, values)}`` per witness gate, in the recorder's order; zero-iff-commuting labels
+    its pairs ``pair=i`` and ``commuting_pair=i``.
+    """
     n_pairs = min(10_000, max(50, 50 * cases))
-    q_min, q_max_seen = math.inf, -math.inf
-    worst_sym = 0.0
-    worst_pure = 0.0
-    zero_iff_ok = True
-    worst_commuting_q = 0.0
+    recorded = {name: ([], []) for name in list(harness._GATES)[:4]}
+    zero_q = harness._GATES["witness_zero_iff_commuting"][1]
+
+    def zero_iff_value(q, x, y):
+        # q < zero_q iff the commutator norm is < 1e-7: q itself on the commuting side, q reflected about zero_q else
+        return q if float(np.linalg.norm(x @ y - y @ x)) < 1e-7 else 2.0 * zero_q - q
+
     for dim in (2, 3, 4):
         mine = range(dim - 2, n_pairs, 3)  # pair i has dimension (2, 3, 4)[i % 3], is pure for even i
-        n_pure, n_commuting = sum(1 for i in mine if i % 2 == 0), sum(1 for i in mine if i % 10 == 0)
         rng = np.random.default_rng([seed, 1, dim])
-        pairs = [
-            (random_density_matrix(dim, rng), random_density_matrix(dim, rng), None) for _ in range(len(mine) - n_pure)
-        ]
-        for _ in range(n_pure):
+        pairs = [(i, random_density_matrix(dim, rng), random_density_matrix(dim, rng), None) for i in mine if i % 2]
+        for i in (i for i in mine if i % 2 == 0):
             va, vb = random_pure_state(dim, rng), random_pure_state(dim, rng)
             # np.abs and np.square, as on arrays: the builtin abs of a complex and a float's ** 2 (pow) can round apart
-            pairs.append((from_pure(va), from_pure(vb), np.square(np.abs(np.vdot(va, vb)))))
-        for a, b, overlap in pairs:
+            pairs.append((i, from_pure(va), from_pure(vb), np.square(np.abs(np.vdot(va, vb)))))
+        for i, a, b, overlap in pairs:
             q_ab = quantumness(a, b)
-            q_ba = quantumness(b, a)
+            entries = [("witness_range", q_ab), ("witness_symmetry", abs(q_ab - quantumness(b, a)))]
             if overlap is not None:
-                worst_pure = max(worst_pure, abs(q_ab - pure_state_quantumness(overlap)))
-            q_min = min(q_min, q_ab)
-            q_max_seen = max(q_max_seen, q_ab)
-            worst_sym = max(worst_sym, abs(q_ab - q_ba))
-            if (q_ab < 1e-12) != (float(np.linalg.norm(a @ b - b @ a)) < 1e-7):
-                zero_iff_ok = False
-        for _ in range(n_commuting):
+                entries.append(("witness_pure_formula", abs(q_ab - pure_state_quantumness(overlap))))
+            entries.append(("witness_zero_iff_commuting", zero_iff_value(q_ab, a, b)))
+            for name, value in entries:
+                recorded[name][0].append(f"pair={i}" if name == "witness_zero_iff_commuting" else i)
+                recorded[name][1].append(float(value))
+        for i in (i for i in mine if i % 10 == 0):
             w = np.abs(rng.standard_normal(dim)) + 0.1
             w2 = np.abs(rng.standard_normal(dim)) + 0.1
             da = np.diag(w / w.sum()).astype(complex)
             db = np.diag(w2 / w2.sum()).astype(complex)
-            qc = quantumness(da, db)
-            worst_commuting_q = max(worst_commuting_q, qc)
-            if (qc < 1e-12) != (float(np.linalg.norm(da @ db - db @ da)) < 1e-7):
-                zero_iff_ok = False
-    range_ok = q_min >= 0.0 and q_max_seen <= 1.0 + 1e-9
-    return [
-        ("witness_range", range_ok, max(0.0 - q_min, q_max_seen - 1.0), f"q in [{q_min:.3e}, {q_max_seen:.6f}] over {n_pairs} pairs"),
-        ("witness_symmetry", worst_sym <= 1e-12, worst_sym, "max |q(a,b) - q(b,a)|"),
-        ("witness_pure_formula", worst_pure <= 1e-10, worst_pure, "max |q - 4c(1-c)|"),
-        ("witness_zero_iff_commuting", zero_iff_ok, worst_commuting_q, "q < 1e-12 iff commutator norm < 1e-7"),
-    ]
+            recorded["witness_zero_iff_commuting"][0].append(f"commuting_pair={i}")
+            recorded["witness_zero_iff_commuting"][1].append(float(zero_iff_value(quantumness(da, db), da, db)))
+    return recorded
 
 
 @pytest.mark.parametrize("cases", [1, 3, 10])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_witness_stacks_match_per_pair_checks(seed, cases):
-    stacked = [(c.name, c.passed, c.worst, c.detail) for c in harness._check_witness_properties(seed, cases)]
+    stacked = {}
+    harness._record_witness(stacked, seed, cases)
     expected = witness_properties_per_pair(seed, cases)
-    assert stacked == expected
-    assert [type(c[2]) for c in stacked] == [type(c[2]) for c in expected]
+    # every pair's value, in draw order, at its index: the checks built from them are then equal too
+    assert {name: (indices, values) for name, (indices, values) in stacked.items()} == expected
+    assert [type(v) for name in expected for v in stacked[name][1]] == [float] * sum(len(v) for _, v in expected.values())
+    assert harness._gate_checks(stacked)[:4] == harness._gate_checks(expected)[:4]
+
+
+def redraw_pair(seed: int, cases: int, label: str):
+    """The two states of the witness pair a ``validate`` line names, ``pair=i`` or ``commuting_pair=i``, redrawn
+    alone from ``default_rng([seed, 1, dim])``: the draws before it (mixed, then pure, then commuting) are skipped."""
+    kind, i = label.split("=")
+    i = int(i)
+    dim = (2, 3, 4)[i % 3]
+    mine = range(dim - 2, min(10_000, max(50, 50 * cases)), 3)
+    mixed, pure = [j for j in mine if j % 2], [j for j in mine if j % 2 == 0]
+    rng = np.random.default_rng([seed, 1, dim])
+    for _ in range(2 * (mixed.index(i) if kind == "pair" and i % 2 else len(mixed))):
+        random_density_matrix(dim, rng)
+    if kind == "pair" and i % 2:
+        return random_density_matrix(dim, rng), random_density_matrix(dim, rng)
+    for _ in range(2 * (pure.index(i) if kind == "pair" else len(pure))):
+        random_pure_state(dim, rng)
+    if kind == "pair":
+        return from_pure(random_pure_state(dim, rng)), from_pure(random_pure_state(dim, rng))
+    rng.standard_normal(2 * dim * [j for j in mine if j % 10 == 0].index(i))
+    w = np.abs(rng.standard_normal((2, dim))) + 0.1
+    w /= w.sum(axis=-1, keepdims=True)
+    return np.diag(w[0]).astype(complex), np.diag(w[1]).astype(complex)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_named_witness_pairs_reproduce_their_margins_alone(seed):
+    # each label names one draw: the random pair i and the commuting pair it brings are told apart
+    def zero_iff_value(label):
+        a, b = redraw_pair(seed, 12, label)
+        q = quantumness(a, b)
+        return q if float(np.linalg.norm(a @ b - b @ a)) < 1e-7 else 2.0 * harness._GATES["witness_zero_iff_commuting"][1] - q
+
+    recorded = {}
+    harness._record_witness(recorded, seed, 12)
+    values = dict(zip(*recorded["witness_zero_iff_commuting"]))
+    for label in ("pair=7", "pair=8", "commuting_pair=40"):  # mixed, pure, and the fifth commuting pair of dim 3
+        assert zero_iff_value(label) == values[label], label
+    checks = {c.name: c for c in validate(seed=seed, cases=12).checks}
+    zero_q = checks["witness_zero_iff_commuting"]
+    label = re.fullmatch(r".*, ((?:commuting_)?pair=\d+)", zero_q.detail).group(1)
+    value = zero_iff_value(label)
+    assert zero_q.worst == gate_check(zero_q.name, [label], [value]).worst  # bit for bit
+    assert f"max = {value:.3e}, {label}" in zero_q.detail
+    in_range = checks["witness_range"]
+    i = int(re.fullmatch(r".*, pair=(\d+)", in_range.detail).group(1))
+    q = quantumness(*redraw_pair(seed, 12, f"pair={i}"))
+    assert in_range.worst == min(q, 1.0 + 1e-9 - q)
 
 
 class TestBatching:
@@ -917,8 +1024,7 @@ class TestBatching:
         assert len(rows) == 4 * 20
 
     def test_oracle_block_is_one_batch_per_family(self, batch_sizes):
-        (check,) = harness._check_oracle_equivalence()
-        assert check.passed
+        assert oracle_check().passed
         assert batch_sizes == [4, 8]
 
     def test_one_scenario_matches_its_run_inside_a_batch(self, batch_sizes):
@@ -1008,6 +1114,16 @@ class TestCli:
         cfg_path.write_text(json.dumps({"model": "dephasing", "markov": True, "turbo": 9}))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == "qslkit: error: unknown config keys: turbo\n"
+
+    def test_duplicate_config_key_fails_by_name(self, tmp_path, capsys):
+        # json.load keeps the last of two equal keys: the config would run with theta 0.7
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg_path.write_text('{"model": "dephasing", "markov": true, "theta": 0.1, "theta": 0.7, "q_grid": 5, "q_grid": 5}')
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qslkit: error: duplicate config keys: q_grid, theta\n"
+        assert not out.exists()
+        cfg_path.write_text('{"model": "dephasing", "markov": true, "theta": 0.7}')
+        assert ScenarioConfig.from_json(str(cfg_path)).theta == 0.7
 
     def test_fig3_past_memory_divergence_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"
