@@ -34,7 +34,11 @@ estimates, adds them in order onto the running sum at the frontier and
 re-Hermitizes: the first state it changes is final, as is every state
 before it, so the frontier moves there and the later states are the next
 estimates.  The states are the sequential steps' rounding: bit for bit for
-dephasing and dissipation, within 1e-15 for the unitary families.  A
+dephasing and dissipation, within 1e-15 for the unitary families.  Real
+start states of a family with a real-valued stepping (its ``real_action``:
+dephasing, dissipation and three-level passage) are stepped in ``float64``,
+with the bits of complex stepping; the states are complex from the
+post-pass on.  A
 sweep writes each state from the states before it alone, so the estimate
 sets only the sweep count, never a bit.  Every ``POSITIVITY_SCAN_STEPS``
 newly final states are checked for positivity; a loss beyond tolerance
@@ -165,8 +169,25 @@ class _TabulatedGenerator:
     estimates a block of states past the frontier, which sets only the
     sweep count of :func:`_sweep`: it carries the start state through
     each step's map in order, by default as a product of transfer
-    matrices, which any linear action takes.
+    matrices, which any linear action takes.  ``real_action`` is the action
+    on real states, for a family whose stepping keeps a real state real with
+    the table it tabulates; real start states then step in ``float64``, and
+    the estimates follow the states' dtype.  A subclass that overrides
+    ``action`` or ``coefficients`` steps in complex arithmetic unless it
+    declares its own ``real_action``.
     """
+
+    real_action = None  # complex stepping only
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a new action or table voids the real action declared for the old ones, unless the class declares its own
+        if "real_action" not in vars(cls) and {"action", "coefficients"} & vars(cls).keys():
+            cls.real_action = None
+
+    def _action_for(self, x: np.ndarray):
+        """The action that steps states of ``x``'s dtype: ``real_action`` on a real array."""
+        return self.action if np.iscomplexobj(x) else self.real_action
 
     def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
         """``L_t rho`` at one time, for a state or a stack of states of the family's dimension."""
@@ -185,14 +206,15 @@ class _TabulatedGenerator:
         """
         b, m = c0.shape[:2]
         d = rho_lo.shape[-1]
-        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        x = np.empty((b, m + 1, 1, d * d), dtype=complex)
+        act = self._action_for(rho_lo)
+        basis = np.eye(d * d, dtype=rho_lo.dtype).reshape(d * d, d, d)
+        x = np.empty((b, m + 1, 1, d * d), dtype=rho_lo.dtype)
         x[:, 0, 0] = rho_lo.reshape(b, d * d)
         for lo in range(0, m, _TRANSFER_PIECE):
             hi = min(lo + _TRANSFER_PIECE, m)
             rows = (c[:, lo:hi, None] for c in (c0, c_mid, c1))
             # row j of transfer[:, k] is vec of basis matrix j after step k, so a row vector steps as x @ transfer
-            transfer = (basis + _rk4_increment(self.action, basis, *rows, h)).reshape(b, hi - lo, d * d, d * d)
+            transfer = (basis + _rk4_increment(act, basis, *rows, h)).reshape(b, hi - lo, d * d, d * d)
             for k in range(lo, hi):
                 np.matmul(x[:, k], transfer[:, k - lo], out=x[:, k + 1])
         return _hermitize(x[:, 1:].reshape(b, m, d, d))
@@ -215,7 +237,7 @@ class _Entrywise(_TabulatedGenerator):
 
     def estimate_chunk(self, rho_lo: np.ndarray, c0, c_mid, c1, h: float) -> np.ndarray:
         d = rho_lo.shape[-1]
-        factor = 1.0 + _rk4_increment(self.action, np.ones((d, d)), c0, c_mid, c1, h)
+        factor = 1.0 + _rk4_increment(self._action_for(rho_lo), np.ones((d, d)), c0, c_mid, c1, h)
         x = rho_lo[:, None] * np.cumprod(factor, axis=1)
         diag = x.diagonal(axis1=-2, axis2=-1)
         x[..., -1, -1] = np.trace(rho_lo, axis1=-2, axis2=-1)[:, None] - diag[..., :-1].sum(axis=-1)
@@ -228,14 +250,19 @@ class _Unitary(_TabulatedGenerator):
             raise ValueError(f"invalid field 'control': must be a UnitaryControl, got {self.control!r}")
 
     def action(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """``-i [H, rho]`` with ``H`` the tabulated Hamiltonian, summed over ``k`` as broadcast
-        outer products ``H[:, k] rho[k, :] - rho[:, k] H[k, :]``: no BLAS call per ``d x d``
-        matrix, and a stacked call gives each member the bits of its single call."""
-        out = h[..., :, :1] * rho[..., :1, :] - rho[..., :, :1] * h[..., :1, :]
-        for k in range(1, h.shape[-1]):
-            out += h[..., :, k:k + 1] * rho[..., k:k + 1, :] - rho[..., :, k:k + 1] * h[..., k:k + 1, :]
+        """``-i [H, rho]`` with ``H`` the tabulated Hamiltonian (see :func:`_commutator`)."""
+        out = _commutator(h, rho)
         out *= -1j
         return out
+
+
+def _commutator(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``[a, rho]`` summed over ``k`` as broadcast outer products ``a[:, k] rho[k, :] - rho[:, k] a[k, :]``:
+    no BLAS call per ``d x d`` matrix, and a stacked call gives each member the bits of its single call."""
+    out = a[..., :, :1] * rho[..., :1, :] - rho[..., :, :1] * a[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * rho[..., k:k + 1, :] - rho[..., :, k:k + 1] * a[..., k:k + 1, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -259,6 +286,11 @@ class Stirap(_Unitary):
     def coefficients(self, times) -> np.ndarray:
         return hamiltonian_stirap(self.control, times)
 
+    def real_action(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``action`` on real states: ``-i [iA, rho] = [A, rho]`` with the real ``A = h.imag``, summed in
+        ``action``'s order, so the result is the real part of ``action``'s."""
+        return _commutator(h.imag, rho)
+
 
 @dataclass(frozen=True)
 class Dephasing(_Entrywise):
@@ -274,6 +306,8 @@ class Dephasing(_Entrywise):
     def action(self, rho: np.ndarray, f: np.ndarray) -> np.ndarray:
         # sigma_z rho sigma_z - rho is -2 rho off the diagonal and 0 on it, bit for bit
         return f * (rho * _DEPHASING_PATTERN)
+
+    real_action = action  # a real rate keeps a real state real
 
 
 @dataclass(frozen=True)
@@ -291,6 +325,8 @@ class Dissipation(_Entrywise):
         # 2 sigma_- rho sigma_+ - Pi rho - rho Pi (Pi = |1><1|) equals
         # [[-2 rho_00, -rho_01], [-rho_10, 2 rho_00]] entry by entry, bit for bit
         return p * (rho * _DISSIPATION_PATTERN + rho[..., :1, :1] * _DISSIPATION_FEED)
+
+    real_action = action  # a real rate keeps a real state real
 
 
 Generator = Union[UnitaryTwoLevel, Stirap, Dephasing, Dissipation]
@@ -516,7 +552,8 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
     the last estimate, since at fast rates repeated sweeps can move a state far past the frontier
     off its final bits before they settle it.  Each ``POSITIVITY_SCAN_STEPS`` newly final states,
     and the last ones, are checked for positivity.  Only one window's work arrays are alive at a
-    time, and the midpoint rows are freed on return.
+    time, and the midpoint rows are freed on return.  Real start states of a family with a ``real_action``
+    step as the states' real parts, in place.
     """
     n = len(grid)
     d = gens[0].dim
@@ -530,11 +567,12 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
         rows = table[:, 2 * lo:2 * hi + 1]
         return rows[:, 0:-1:2], rows[:, 1::2], rows[:, 2::2]
 
-    act, estimate = gens[0].action, gens[0].estimate_chunk
-    w = POSITIVITY_SCAN_STEPS
-    states = np.empty((len(gens), n, d, d), dtype=complex)
+    g0, w = gens[0], POSITIVITY_SCAN_STEPS
+    states = np.zeros((len(gens), n, d, d), dtype=complex)  # zeros: the imaginary parts a real run never writes
     states[:, 0] = rho_inits
-    total = states[:, 0].copy()
+    x = states.real if g0.real_action is not None and not states[:, 0].imag.any() else states
+    act = g0._action_for(x)
+    total = x[:, 0].copy()
     j = known = checked = 0  # states to j are final, estimates reach known, and states before checked passed
     # a run that loses positivity can overflow before its states are checked
     with np.errstate(over="ignore", invalid="ignore"):
@@ -542,10 +580,10 @@ def _step_batch(gens: list, rho_inits: list, grid: np.ndarray) -> tuple:
             hi = min(j + w, n - 1)
             if known < hi:
                 top = min(known + w, n - 1)
-                start = states[:, known] if known <= max(j, w) else tail  # final, or the first window's end
-                states[:, known + 1:top + 1] = estimate(start, *steps(known, top), h)
-                known, tail = top, states[:, top].copy()
-            final, total = _sweep(act, states[:, j:hi + 1], total, *steps(j, hi), h)
+                start = x[:, known] if known <= max(j, w) else tail  # final, or the first window's end
+                x[:, known + 1:top + 1] = g0.estimate_chunk(start, *steps(known, top), h)
+                known, tail = top, x[:, top].copy()
+            final, total = _sweep(act, x[:, j:hi + 1], total, *steps(j, hi), h)
             j += final
             if j + 1 - checked >= w or j == n - 1:
                 _check_positivity(states, checked, j + 1, grid)

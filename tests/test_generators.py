@@ -138,6 +138,13 @@ def frontier_walk(sweeps, n):
     return j, np.concatenate([states for *_, states in sweeps], axis=1)
 
 
+def swept_dtypes(gens, rho0s, tau_max, grid_points):
+    """The dtypes of the windows the propagation swept, with its trajectories."""
+    with recorded_sweeps() as sweeps:
+        trajectories = propagate_many(gens, rho0s, tau_max, grid_points)
+    return {str(states.dtype) for *_, states in sweeps}, trajectories
+
+
 GAMMA_RATIOS = (0.1, 0.5, 1.0, 2.0, 50.0)
 THETAS = (math.pi / 8.0, math.pi / 5.0, math.pi / 4.0)
 
@@ -563,6 +570,14 @@ class TestPropagateMany:
         rho0s = [from_pure(v) for v in ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], np.ones(3) / math.sqrt(3.0))]
         self.assert_matches_solo([Stirap(c) for c in controls], rho0s, 1.0, 801)
 
+    def test_stirap_real_and_complex_starts(self):
+        # alone, the real member steps in float64; batched with a complex member, in complex128
+        gens = [Stirap(UnitaryControl(theta_rate=0.7, alpha0=0.2, alpha_rate=0.8)) for _ in range(2)]
+        rho0s = [from_pure([0.6, 0.0, 0.8]), from_pure(np.array([0.6, 0.48j, -0.64]))]
+        assert swept_dtypes(gens[:1], rho0s[:1], 1.0, 801)[0] == {"float64"}
+        assert swept_dtypes(gens, rho0s, 1.0, 801)[0] == {"complex128"}
+        self.assert_matches_solo(gens, rho0s, 1.0, 801)
+
     def test_mixed_family_rejected(self):
         mem = MemoryFunctions.markov_limit(1.0)
         rho0 = from_pure([1.0, 0.0])
@@ -676,6 +691,7 @@ def batches(draw):
     n = draw(st.integers(2, 3 * POSITIVITY_SCAN_STEPS + 1).filter(lambda n: n % POSITIVITY_SCAN_STEPS))
     tau_max = draw(st.floats(0.002, min(0.01, 3.99 / (n - 1)))) * (n - 1)
     angles = st.floats(-3.0, 3.0)
+    real = family == "stirap" and draw(st.booleans())  # real stirap start states step in float64
     gens, rho0s = [], []
     for _ in range(size):
         if family in ("dephasing", "dissipation"):
@@ -691,7 +707,7 @@ def batches(draw):
             gens.append(UnitaryTwoLevel(control))
             rho0s.append(from_pure(unitary_state(control.theta0, control.alpha0)))
         else:
-            v = np.array([draw(angles) + 1j * draw(angles) for _ in range(3)])
+            v = np.array([draw(angles) + (0.0 if real else 1j * draw(angles)) for _ in range(3)])
             v = v / np.linalg.norm(v) if np.linalg.norm(v) > 1e-3 else np.array([0.0, 0.0, 1.0])
             gens.append(Stirap(control))
             rho0s.append(from_pure(v))
@@ -712,6 +728,16 @@ ABORTING_BATCH = (
     330,
 )
 
+# a real start state of stirap without the alpha drive: the |1> row and column stay exactly zero, signed zeros
+# that the real path must reproduce bit for bit
+REAL_STIRAP_BATCH = (
+    "stirap",
+    [Stirap(UnitaryControl(theta0=0.3, theta_rate=1.2, alpha0=0.5, alpha_rate=0.0))],
+    [from_pure(np.array([0.6, 0.0, -0.8]))],
+    0.005 * 300,
+    301,
+)
+
 
 class TestScanMatchesSequentialSteps:
     """The sweeps on the exact frontier reproduce the one-step-at-a-time loop."""
@@ -719,6 +745,7 @@ class TestScanMatchesSequentialSteps:
     @settings(max_examples=60, deadline=None)
     @given(batch=batches())
     @example(batch=ABORTING_BATCH)
+    @example(batch=REAL_STIRAP_BATCH)
     def test_states_match_the_sequential_loop(self, batch):
         family, gens, rho0s, tau_max, n = batch
         grid = np.linspace(0.0, tau_max, n)
@@ -745,7 +772,8 @@ class TestScanMatchesSequentialSteps:
         # the frontier walks the whole grid, and the states the sweeps made final are the trajectories'
         frontier, final = frontier_walk(sweeps, len(grid))
         assert frontier == len(grid) - 1
-        assert np.array_equal(final.view(np.uint64), states[:, 1:].view(np.uint64))
+        # a real batch sweeps float64 windows: the states hold their real parts bit for bit and imaginary parts +0
+        assert np.array_equal(final.astype(complex).view(np.uint64), states[:, 1:].view(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(batch=batches())
@@ -859,6 +887,76 @@ class TestScanMatchesSequentialSteps:
             propagate(*build_scenario(config))
         assert frontier_walk(sweeps, config.grid_points)[0] == config.grid_points - 1
         assert len(sweeps) <= 343
+
+
+def _outcome(gens, rho0s, tau_max, grid_points):
+    """The trajectories' states and samples as bytes, or the positivity abort's message, time and member."""
+    try:
+        trajectories = propagate_many(gens, rho0s, tau_max, grid_points)
+    except PositivityLossError as err:
+        return str(err), err.time, err.member
+    return [(t.states.tobytes(), t.q_samples.tobytes(), t.speed_samples.tobytes()) for t in trajectories]
+
+
+class TestRealStepping:
+    """Real start states of a family with a real action step in float64, with the bits of complex stepping."""
+
+    @pytest.mark.parametrize(
+        "config, dtype",
+        [
+            (ScenarioConfig(model="dephasing", theta=-0.4, gamma=0.5), "float64"),
+            (ScenarioConfig(model="dissipation", gamma=2.0), "float64"),
+            (ScenarioConfig(model="stirap", theta_rate=0.7, alpha_rate=2.0), "float64"),
+            (ScenarioConfig(model="ghz", markov=True, n=3), "float64"),
+            (ScenarioConfig(model="unitary2l", theta0=0.3, theta_rate=0.7, alpha0=0.4, alpha_rate=0.3), "complex128"),
+        ],
+        ids=lambda v: getattr(v, "model", v),
+    )
+    def test_each_scenario_steps_in_its_dtype(self, config, dtype):
+        gen, rho0, tau_max, grid_points = build_scenario(config)
+        dtypes, (traj,) = swept_dtypes([gen], [rho0], tau_max, grid_points)
+        assert dtypes == {dtype}
+        assert traj.states.dtype == np.complex128
+        table = gen.coefficients(traj.grid)
+        assert traj.coefficients.dtype == table.dtype and traj.coefficients.tobytes() == table.tobytes()
+
+    def test_a_complex_start_steps_in_complex(self):
+        gen = Stirap(UnitaryControl(theta_rate=0.7, alpha_rate=2.0))
+        dtypes, (traj,) = swept_dtypes([gen], [from_pure(np.array([0.6, 0.48j, -0.64]))], 1.0, 401)
+        assert dtypes == {"complex128"} and traj.states.dtype == np.complex128
+
+    def test_an_overridden_action_steps_in_complex(self):
+        rho0 = from_pure([math.cos(0.3), math.sin(0.3)])
+        with recorded_sweeps() as sweeps, pytest.raises(PositivityLossError) as err:
+            propagate(SignFlippedDephasing(2, 1.0), rho0, 3.0, 1001)
+        assert err.value.time == 0.003 and {str(states.dtype) for *_, states in sweeps} == {"complex128"}
+        assert swept_dtypes([CountingDephasing(2, 1.0)], [rho0], 1.0, 401)[0] == {"complex128"}
+
+    def test_a_new_action_or_table_withdraws_the_real_action(self):
+        class Kept(Dephasing):
+            pass
+
+        class NewTable(Stirap):
+            def coefficients(self, times):
+                return super().coefficients(times)
+
+        class Declared(NewTable):
+            real_action = Stirap.real_action
+
+        assert Kept.real_action is Dephasing.real_action is Dephasing.action
+        assert SignFlippedDephasing.real_action is CountingDephasing.real_action is NewTable.real_action is None
+        assert UnitaryTwoLevel.real_action is None
+        assert Declared.real_action is Stirap.real_action
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=batches())
+    @example(batch=ABORTING_BATCH)
+    @example(batch=REAL_STIRAP_BATCH)
+    def test_real_stepping_keeps_the_bits_of_complex_stepping(self, batch):
+        _, gens, rho0s, tau_max, n = batch
+        real = _outcome(gens, rho0s, tau_max, n)
+        with mock.patch.object(type(gens[0]), "real_action", None):
+            assert _outcome(gens, rho0s, tau_max, n) == real
 
 
 class TestClosedStates:
