@@ -41,7 +41,7 @@ FIGURES = {
     ),
     "fig3": (
         "finite-memory dissipation: tau_Q vs Q across memory ratios (theta = pi/4)",
-        _columns(harness.SWEEP_HEADER) + " tau_q_closed is NA: dissipation has no closed form. "
+        _columns(harness.SWEEP_HEADER) + " tau_q_closed is NA: dissipation has no closed-form tau_Q. "
         "Targets are shared across memory ratios.",
     ),
 }

@@ -55,7 +55,7 @@ from .generators import (
     unitary_state,
 )
 from .matcore import _check_bool, _check_integer, _check_number
-from .matcore import commutator, from_pure, hermiticity_defect, hs_norm, min_eigenvalue, purity
+from .matcore import from_pure, hermiticity_defect, min_eigenvalue, purity
 from .memory import MemoryFunctions, RiccatiBlowupError, _float_range_error
 from .witness import (
     pure_state_quantumness,
@@ -585,15 +585,11 @@ class ValidationReport:
 #: ``name`` must lie in ``[lo, hi]``.  The detail takes their ``min``, ``max``, ``count`` and the worst one's ``index``.
 _GATES = {
     "witness_range": (0.0, 1.0 + 1e-9, "q in [{min:.3e}, {max:.6f}] over {count} pairs, pair={index}"),
-    "witness_symmetry": (-math.inf, 1e-12, "max |q(a,b) - q(b,a)| = {max:.3e}, pair={index}"),
     "witness_pure_formula": (-math.inf, 1e-10, "max |q - 4c(1-c)| = {max:.3e}, pair={index}"),
-    # a pair records q if its commutator norm is < 1e-7, else q reflected about hi: one gate, both sides
-    "witness_zero_iff_commuting": (-math.inf, 1e-12, "q < 1e-12 iff commutator norm < 1e-7: max = {max:.3e}, {index}"),
     "qsl_validity": (-1e-4, math.inf, "min(crossing - tau_q) = {min:.3e} over {count} reached cells, case={index}"),
     "trace_preservation": (-math.inf, 1e-9, "max |Tr rho - 1| = {max:.3e}, case={index}"),
     "hermiticity": (-math.inf, 1e-9, "max entrywise |rho - rho^dag| = {max:.3e}, case={index}"),
     "positivity": (-1e-7, math.inf, "min eigenvalue over states = {min:.3e}, case={index}"),
-    "dephasing_population_conservation": (-math.inf, 1e-10, "max diagonal drift = {max:.3e}, case={index}"),
     "unitary_purity": (-math.inf, 1e-8, "max |Tr rho^2 - 1| = {max:.3e}, case={index}"),
     "rate_inequality": (0.0, math.inf, "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|) = {min:.3e}, case={index}"),
     "rate_finite_difference": (-math.inf, 1e-5, "max |dQ/dt - centered difference| = {max:.3e}, case={index}"),
@@ -627,32 +623,22 @@ def _gate_checks(recorded: dict) -> list:
 
 
 def _record_witness(recorded: dict, seed: int, cases: int) -> None:
-    """Range, symmetry, pure-pair formula and zero-iff-commuting, recorded per pair.  Pair ``i`` has dimension ``(2, 3,
-    4)[i % 3]``, is pure for even ``i`` and brings the commuting pair ``commuting_pair=i`` for ``i % 10 == 0``.  Each
-    dimension's pairs come from one generator ``[seed, 1, dim]`` (mixed, then pure, then commuting; a pair's two states
-    in turn) and are checked as one stack."""
+    """Range and pure-pair formula, recorded per pair.  Pair ``i`` has dimension ``(2, 3, 4)[i % 3]`` and is pure for
+    even ``i``.  Each dimension's pairs come from one generator ``[seed, 1, dim]`` (mixed, then pure; a pair's two
+    states in turn) and take one ``quantumness`` call as one stack."""
     n_pairs = min(10_000, max(50, 50 * cases))
     for dim in (2, 3, 4):
         mine = np.arange(dim - 2, n_pairs, 3)
         pairs = np.concatenate([mine[mine % 2 == 1], mine[mine % 2 == 0]])  # in draw order: mixed, then pure
-        n_mixed, commuting = np.count_nonzero(mine % 2), mine[mine % 10 == 0]
+        n_mixed = np.count_nonzero(mine % 2)
         rng = np.random.default_rng([seed, 1, dim])
         mixed = np.array([random_density_matrix(dim, rng) for _ in range(2 * n_mixed)])
         vs = np.array([random_pure_state(dim, rng) for _ in range(2 * (len(mine) - n_mixed))])
         states = np.concatenate([mixed, vs[:, :, None] * vs[:, None, :].conj()])  # |v><v| as from_pure takes it
-        a, b = states[0::2], states[1::2]
-        # constructed commuting pairs: random spectra in a shared eigenbasis
-        w = np.abs(rng.standard_normal((len(commuting), 2, dim))) + 0.1
-        w /= w.sum(axis=-1, keepdims=True)
-        da, db = w[:, 0, :, None] * np.eye(dim), w[:, 1, :, None] * np.eye(dim)
-        q_ab = quantumness(a, b)
+        q_ab = quantumness(states[0::2], states[1::2])
         overlaps = np.abs(np.vecdot(vs[0::2], vs[1::2])) ** 2
         _record(recorded, "witness_range", pairs, q_ab)
-        _record(recorded, "witness_symmetry", pairs, np.abs(q_ab - quantumness(b, a)))
         _record(recorded, "witness_pure_formula", pairs[n_mixed:], np.abs(q_ab[n_mixed:] - pure_state_quantumness(overlaps)))
-        for label, index, x, y, q in (("pair=", pairs, a, b, q_ab), ("commuting_pair=", commuting, da, db, quantumness(da, db))):
-            zero_iff = np.where(hs_norm(commutator(x, y)) < 1e-7, q, 2.0 * _GATES["witness_zero_iff_commuting"][1] - q)
-            _record(recorded, "witness_zero_iff_commuting", np.strings.add(label, index.astype(str)), zero_iff)
 
 
 def _random_scenario(seed: int, index: int) -> ScenarioConfig:
@@ -707,9 +693,6 @@ def _record_dynamics(recorded: dict, seed: int, cases: int) -> None:
         _record(recorded, "trace_preservation", i, np.max(np.abs(trace - 1.0)))
         _record(recorded, "hermiticity", i, hermiticity_defect(sample))
         _record(recorded, "positivity", i, np.min(min_eigenvalue(sample)))
-        if cfg.model == "dephasing":
-            drift = np.diag(traj.states[-1]).real - np.diag(traj.states[0]).real
-            _record(recorded, "dephasing_population_conservation", i, np.max(np.abs(drift)))
         if cfg.model == "unitary2l":
             _record(recorded, "unitary_purity", i, abs(purity(traj.states[-1]) - 1.0))
 

@@ -251,7 +251,7 @@ def test_c08_witness_properties():
                 q_c = quantumness(da, db)
                 assert q_c < 1e-12
                 assert float(np.linalg.norm(da @ db - db @ da)) < 1e-7
-        assert worst_sym <= 1e-12
+        assert worst_sym == 0.0
         assert worst_forms <= 1e-10
         assert worst_pure <= 1e-10
 

@@ -416,12 +416,21 @@ class TestUnitaryAction:
 
 class TestPropagate:
     def test_dephasing_conserves_populations(self):
-        theta = math.pi / 5.0
-        mem = MemoryFunctions(1.0, 1.0)
-        rho0 = from_pure([math.cos(theta), math.sin(theta)])
-        traj = propagate(Dephasing(mem), rho0, 3.0, 1001)
-        for state in traj.states[::100]:
-            assert np.max(np.abs(np.diag(state) - np.diag(rho0))) < 1e-10
+        # the dephasing action is exactly zero on the diagonal, so no step moves a population, bit for bit: memoryless
+        # and finite memory, dephasing and ghz (the coupling times n^2), real and complex starts, batched and alone
+        configs = [
+            ScenarioConfig(model="dephasing", theta=math.pi / 5.0, markov=True),
+            ScenarioConfig(model="dephasing", theta=0.3, gamma=0.5),
+            ScenarioConfig(model="ghz", theta=math.pi / 8.0, n=3, markov=True),
+            ScenarioConfig(model="ghz", theta=1.1, n=2, gamma=2.0),
+        ]
+        gens = [build_scenario(cfg)[0] for cfg in configs]
+        for phase in (0.0, 0.7):  # a real start steps in float64, a complex one in complex128
+            rho0s = [from_pure([math.cos(cfg.theta), np.exp(1j * phase) * math.sin(cfg.theta)]) for cfg in configs]
+            for gen, rho0, in_batch in zip(gens, rho0s, propagate_many(gens, rho0s, 3.0, 601)):
+                for traj in (in_batch, propagate(gen, rho0, 3.0, 601)):
+                    populations = traj.states.diagonal(axis1=-2, axis2=-1).real
+                    assert populations.tobytes() == np.tile(rho0.diagonal().real, (601, 1)).tobytes()
 
     def test_dephasing_coherence_monotone_nonincreasing(self):
         theta = math.pi / 5.0

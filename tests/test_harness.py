@@ -818,16 +818,13 @@ def test_records_hold_python_scalars():
 GOLDEN_VALIDATE_0_12 = [
     ("witness_range", True, "-1.6397573722182202e-06", "1.6407573723009605e-06",
      "q in [1.390e-04, 0.999998] over 600 pairs, pair=128"),
-    ("witness_symmetry", True, "0.0", "1e-12", "max |q(a,b) - q(b,a)| = 0.000e+00, pair=3"),
     ("witness_pure_formula", True, "1.887379141862766e-15", "9.999811262085814e-11", "max |q - 4c(1-c)| = 1.887e-15, pair=426"),
-    ("witness_zero_iff_commuting", True, "0.0", "1e-12", "q < 1e-12 iff commutator norm < 1e-7: max = 0.000e+00, commuting_pair=0"),
     ("qsl_validity", True, "-1.228827463561899e-05", "8.771172536438101e-05",
      "min(crossing - tau_q) = -1.229e-05 over 240 reached cells, case=4"),
     ("trace_preservation", True, "1.7763568394002505e-15", "9.999982236431607e-10", "max |Tr rho - 1| = 1.776e-15, case=4"),
     ("hermiticity", True, "5.498696599114741e-17", "9.99999945013034e-10",
      "max entrywise |rho - rho^dag| = 5.499e-17, case=8"),
     ("positivity", True, "-1.0547118733938987e-15", "9.999999894528812e-08", "min eigenvalue over states = -1.055e-15, case=8"),
-    ("dephasing_population_conservation", True, "0.0", "1e-10", "max diagonal drift = 0.000e+00, case=0"),
     ("unitary_purity", True, "3.9968028886505635e-15", "9.999996003197112e-09", "max |Tr rho^2 - 1| = 3.997e-15, case=5"),
     ("rate_inequality", True, "9.999996386511611e-10", "9.999996386511611e-10",
      "min(2 sqrt(2Q) speed + 1e-9 - |dQ/dt|) = 1.000e-09, case=5"),
@@ -899,17 +896,10 @@ class TestOracle:
 def witness_properties_per_pair(seed, cases) -> dict:
     """Reference for ``harness._record_witness``: the same draws, every pair checked on its own.
 
-    Returns ``{name: (pair indices, values)}`` per witness gate, in the recorder's order; zero-iff-commuting labels
-    its pairs ``pair=i`` and ``commuting_pair=i``.
+    Returns ``{name: (pair indices, values)}`` per witness gate, in the recorder's order.
     """
     n_pairs = min(10_000, max(50, 50 * cases))
-    recorded = {name: ([], []) for name in list(harness._GATES)[:4]}
-    zero_q = harness._GATES["witness_zero_iff_commuting"][1]
-
-    def zero_iff_value(q, x, y):
-        # q < zero_q iff the commutator norm is < 1e-7: q itself on the commuting side, q reflected about zero_q else
-        return q if float(np.linalg.norm(x @ y - y @ x)) < 1e-7 else 2.0 * zero_q - q
-
+    recorded = {name: ([], []) for name in list(harness._GATES)[:2]}
     for dim in (2, 3, 4):
         mine = range(dim - 2, n_pairs, 3)  # pair i has dimension (2, 3, 4)[i % 3], is pure for even i
         rng = np.random.default_rng([seed, 1, dim])
@@ -920,20 +910,12 @@ def witness_properties_per_pair(seed, cases) -> dict:
             pairs.append((i, from_pure(va), from_pure(vb), np.square(np.abs(np.vdot(va, vb)))))
         for i, a, b, overlap in pairs:
             q_ab = quantumness(a, b)
-            entries = [("witness_range", q_ab), ("witness_symmetry", abs(q_ab - quantumness(b, a)))]
+            entries = [("witness_range", q_ab)]
             if overlap is not None:
                 entries.append(("witness_pure_formula", abs(q_ab - pure_state_quantumness(overlap))))
-            entries.append(("witness_zero_iff_commuting", zero_iff_value(q_ab, a, b)))
             for name, value in entries:
-                recorded[name][0].append(f"pair={i}" if name == "witness_zero_iff_commuting" else i)
+                recorded[name][0].append(i)
                 recorded[name][1].append(float(value))
-        for i in (i for i in mine if i % 10 == 0):
-            w = np.abs(rng.standard_normal(dim)) + 0.1
-            w2 = np.abs(rng.standard_normal(dim)) + 0.1
-            da = np.diag(w / w.sum()).astype(complex)
-            db = np.diag(w2 / w2.sum()).astype(complex)
-            recorded["witness_zero_iff_commuting"][0].append(f"commuting_pair={i}")
-            recorded["witness_zero_iff_commuting"][1].append(float(zero_iff_value(quantumness(da, db), da, db)))
     return recorded
 
 
@@ -946,55 +928,56 @@ def test_witness_stacks_match_per_pair_checks(seed, cases):
     # every pair's value, in draw order, at its index: the checks built from them are then equal too
     assert {name: (indices, values) for name, (indices, values) in stacked.items()} == expected
     assert [type(v) for name in expected for v in stacked[name][1]] == [float] * sum(len(v) for _, v in expected.values())
-    assert harness._gate_checks(stacked)[:4] == harness._gate_checks(expected)[:4]
+    assert harness._gate_checks(stacked)[:2] == harness._gate_checks(expected)[:2]
 
 
-def redraw_pair(seed: int, cases: int, label: str):
-    """The two states of the witness pair a ``validate`` line names, ``pair=i`` or ``commuting_pair=i``, redrawn
-    alone from ``default_rng([seed, 1, dim])``: the draws before it (mixed, then pure, then commuting) are skipped."""
-    kind, i = label.split("=")
-    i = int(i)
+def redraw_pair(seed: int, cases: int, i: int):
+    """The two states of witness pair ``i`` (``pair=i`` on a ``validate`` line) and, for a pure pair, their squared
+    overlap (``None`` for a mixed one), redrawn alone from ``default_rng([seed, 1, dim])``: the draws before it
+    (mixed, then pure) are skipped."""
     dim = (2, 3, 4)[i % 3]
     mine = range(dim - 2, min(10_000, max(50, 50 * cases)), 3)
     mixed, pure = [j for j in mine if j % 2], [j for j in mine if j % 2 == 0]
     rng = np.random.default_rng([seed, 1, dim])
-    for _ in range(2 * (mixed.index(i) if kind == "pair" and i % 2 else len(mixed))):
+    for _ in range(2 * (mixed.index(i) if i % 2 else len(mixed))):
         random_density_matrix(dim, rng)
-    if kind == "pair" and i % 2:
-        return random_density_matrix(dim, rng), random_density_matrix(dim, rng)
-    for _ in range(2 * (pure.index(i) if kind == "pair" else len(pure))):
+    if i % 2:
+        return random_density_matrix(dim, rng), random_density_matrix(dim, rng), None
+    for _ in range(2 * pure.index(i)):
         random_pure_state(dim, rng)
-    if kind == "pair":
-        return from_pure(random_pure_state(dim, rng)), from_pure(random_pure_state(dim, rng))
-    rng.standard_normal(2 * dim * [j for j in mine if j % 10 == 0].index(i))
-    w = np.abs(rng.standard_normal((2, dim))) + 0.1
-    w /= w.sum(axis=-1, keepdims=True)
-    return np.diag(w[0]).astype(complex), np.diag(w[1]).astype(complex)
+    va, vb = random_pure_state(dim, rng), random_pure_state(dim, rng)
+    return from_pure(va), from_pure(vb), np.square(np.abs(np.vdot(va, vb)))
+
+
+def redrawn_witness_values(seed: int, cases: int, i: int) -> dict:
+    """The values pair ``i`` records, ``{gate name: value}``, from the pair redrawn alone."""
+    a, b, overlap = redraw_pair(seed, cases, i)
+    q = quantumness(a, b)
+    return {"witness_range": q} | ({} if overlap is None else {"witness_pure_formula": abs(q - pure_state_quantumness(overlap))})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_named_witness_pairs_reproduce_their_margins_alone(seed):
-    # each label names one draw: the random pair i and the commuting pair it brings are told apart
-    def zero_iff_value(label):
-        a, b = redraw_pair(seed, 12, label)
-        q = quantumness(a, b)
-        return q if float(np.linalg.norm(a @ b - b @ a)) < 1e-7 else 2.0 * harness._GATES["witness_zero_iff_commuting"][1] - q
-
+    # a pair redrawn alone records what the stack records at its index: mixed pair 7 (d = 3) and pure pair 8 (d = 4)
     recorded = {}
     harness._record_witness(recorded, seed, 12)
-    values = dict(zip(*recorded["witness_zero_iff_commuting"]))
-    for label in ("pair=7", "pair=8", "commuting_pair=40"):  # mixed, pure, and the fifth commuting pair of dim 3
-        assert zero_iff_value(label) == values[label], label
+    for i in (7, 8):
+        alone = redrawn_witness_values(seed, 12, i)
+        assert {name: dict(zip(*recorded[name]))[i] for name in alone} == alone, i
+    assert 7 not in recorded["witness_pure_formula"][0]
+    # the pair a witness line names, redrawn alone, gives the line's margin bit for bit and the value it prints
     checks = {c.name: c for c in validate(seed=seed, cases=12).checks}
-    zero_q = checks["witness_zero_iff_commuting"]
-    label = re.fullmatch(r".*, ((?:commuting_)?pair=\d+)", zero_q.detail).group(1)
-    value = zero_iff_value(label)
-    assert zero_q.worst == gate_check(zero_q.name, [label], [value]).worst  # bit for bit
-    assert f"max = {value:.3e}, {label}" in zero_q.detail
-    in_range = checks["witness_range"]
-    i = int(re.fullmatch(r".*, pair=(\d+)", in_range.detail).group(1))
-    q = quantumness(*redraw_pair(seed, 12, f"pair={i}"))
-    assert in_range.worst == min(q, 1.0 + 1e-9 - q)
+    for name in ("witness_range", "witness_pure_formula"):
+        check = checks[name]
+        i = int(re.fullmatch(r".*, pair=(\d+)", check.detail).group(1))
+        value = redrawn_witness_values(seed, 12, i)[name]
+        alone = gate_check(name, [i], [value])
+        assert check.worst == alone.worst, name
+        if name == "witness_range":  # the worst q is the printed minimum or the printed maximum
+            low, high = re.fullmatch(r"q in \[(\S+), (\S+)\] over \d+ pairs, pair=\d+", check.detail).groups()
+            assert (low == f"{value:.3e}") if value < 1.0 + 1e-9 - value else (high == f"{value:.6f}"), check.detail
+        else:
+            assert check.detail == alone.detail  # the maximum and the pair: the line of this one value
 
 
 class TestBatching:

@@ -52,7 +52,20 @@ class TestQuantumness:
         b = random_density_matrix(dim, rng)
         q_ab = quantumness(a, b)
         assert 0.0 <= q_ab <= 1.0 + 1e-9
-        assert abs(q_ab - quantumness(b, a)) < 1e-12
+        assert q_ab == quantumness(b, a)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_symmetric_bit_for_bit(self, dim):
+        # both orders take the same two products, one of them negated, so they agree exactly under any BLAS kernel:
+        # single pairs, stacks, and a fixed factor against a stack, which _product takes tall at d <= 3 and per matrix
+        # otherwise (tall on the transposes for a fixed left factor with a zero imaginary part, as the real one here)
+        rng = np.random.default_rng([36, dim])
+        a = np.array([random_density_matrix(dim, rng) for _ in range(50)])
+        b = np.array([random_density_matrix(dim, rng) for _ in range(50)])
+        real = from_pure(np.abs(random_pure_state(dim, rng)))
+        for x, y in [(a[0], b[0]), (a, b), (a[0], b), (real, b)]:
+            q = quantumness(x, y)
+            assert np.array_equal(q, quantumness(y, x)) and np.all(q > 0.0)
 
     @given(seed=seeds, dim=dims)
     @settings(max_examples=100, deadline=None)
@@ -68,15 +81,18 @@ class TestQuantumness:
     @given(seed=seeds, dim=dims)
     @settings(max_examples=50, deadline=None)
     def test_zero_iff_commuting_on_shared_eigenbasis(self, seed, dim):
+        # 20 pairs with random spectra in a shared random eigenbasis: their commutator is rounding alone (norm
+        # ~1e-16), so q = 2 norm^2 is ~1e-31, stacked as alone
         rng = np.random.default_rng(seed)
-        w1 = np.abs(rng.standard_normal(dim)) + 0.1
-        w2 = np.abs(rng.standard_normal(dim)) + 0.1
-        a = np.diag(w1 / w1.sum()).astype(complex)
-        b = np.diag(w2 / w2.sum()).astype(complex)
-        q_ab = quantumness(a, b)
-        comm = float(np.linalg.norm(a @ b - b @ a))
-        assert (q_ab < 1e-12) == (comm < 1e-7)
-        assert q_ab < 1e-12
+        u = np.linalg.qr(rng.standard_normal((20, dim, dim)) + 1j * rng.standard_normal((20, dim, dim))).Q
+        w = np.abs(rng.standard_normal((2, 20, 1, dim))) + 0.1
+        a, b = (u * (w / w.sum(axis=-1, keepdims=True))) @ u.conj().mT
+        q = quantumness(a, b)
+        assert np.all(q <= 1e-28), np.max(q)
+        assert np.array_equal(q, [quantumness(x, y) for x, y in zip(a, b)])
+        # a random pair: q < 1e-12 exactly where the commutator norm is < 1e-7
+        x, y = random_density_matrix(dim, rng), random_density_matrix(dim, rng)
+        assert (quantumness(x, y) < 1e-12) == (float(np.linalg.norm(x @ y - y @ x)) < 1e-7)
 
 
 class TestPureStateQuantumness:
